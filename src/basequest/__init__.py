@@ -47,7 +47,7 @@ from .grover import (
     run_grover,
     run_grover_with_phases,
     solve_database_size,
-    two_term_hamiltonian,
+    success_series,
     uniform_state,
 )
 from .replication import (

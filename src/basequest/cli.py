@@ -25,7 +25,6 @@ import math
 import sys
 
 import click
-import numpy as np
 
 from . import bond, classical, grover, replication
 from .errors import SimulationError
@@ -156,24 +155,16 @@ def grover_cmd(dim, target, iters, phases, seed, fmt, output_path):
         queries = iters if iters is not None else grover.optimal_queries(dim).queries
         if queries < 0:
             raise click.UsageError("--iters must be >= 0")
-        if phases == "random":
-            decoration = grover.random_unit_phases(dim, seed)
-        else:
-            decoration = np.ones(dim, dtype=np.complex128)
+        # a start decoration leaves the series alone; --phases, --seed are echoed
+        series = grover.success_series(dim, target, queries)
         records = [{
             "record": "config", "command": "grover", "n": dim,
             "target": target, "iters": queries, "phases": phases,
             "seed": seed, "format": fmt, "output": output_path,
         }]
-        reference = grover.StateVector(decoration / math.sqrt(dim))
-        state = reference
-        records.append({"record": "step", "step": 0,
-                        "success": state.success_probability(target)})
-        for step in range(1, queries + 1):
-            state = grover.grover_step(state, target, reference)
-            records.append({"record": "step", "step": step,
-                            "success": state.success_probability(target)})
-        simulated = state.success_probability(target)
+        records.extend({"record": "step", "step": step, "success": float(success)}
+                       for step, success in enumerate(series))
+        simulated = float(series[-1])
         closed = grover.closed_form_success(dim, queries)
         records.append({
             "record": "summary", "queries": queries, "success": simulated,
@@ -321,7 +312,8 @@ def hamiltonian_cmd(dim, target, t_max, dt, fmt, output_path):
     """Two-term Hamiltonian evolution: exact vs split-operator series."""
 
     def build():
-        total = t_max if t_max is not None else math.pi * math.sqrt(dim) / 2.0
+        # the evolution rejects dim < 2; the default only has to be computable
+        total = t_max if t_max is not None else math.pi * math.sqrt(max(dim, 2)) / 2.0
         sweep = grover.evolve_two_term_hamiltonian(dim, target, total, dt)
         records = [{
             "record": "config", "command": "hamiltonian", "n": dim,

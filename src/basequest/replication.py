@@ -96,10 +96,11 @@ class ScenarioParams:
     seed: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 2:
+        if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
             raise InvalidDimensionError(
                 f"dim must be an integer >= 2, got {self.dim!r}")
-        if not isinstance(self.target, int) or not 0 <= self.target < self.dim:
+        if (not isinstance(self.target, (int, np.integer))
+                or not 0 <= self.target < self.dim):
             raise InvalidTargetError(
                 f"target must be an integer in [0, {self.dim}), got {self.target!r}")
         for name in ("bond_duration", "oscillation_time", "relaxation_time"):
@@ -112,7 +113,7 @@ class ScenarioParams:
                 raise InvalidParameterError(
                     "fixed-time emission needs emission_time >= 0, got "
                     f"{self.emission_time!r}")
-        if not isinstance(self.samples, int) or self.samples < 1:
+        if not isinstance(self.samples, (int, np.integer)) or self.samples < 1:
             raise InvalidParameterError(
                 f"samples must be an integer >= 1, got {self.samples!r}")
 
@@ -175,7 +176,7 @@ class JointState:
 
 def relaxed_start(dim: int) -> JointState:
     """Uniform base amplitudes, all in the no-emission sector."""
-    if not isinstance(dim, int) or dim < 2:
+    if not isinstance(dim, (int, np.integer)) or dim < 2:
         raise InvalidDimensionError(f"dim must be an integer >= 2, got {dim!r}")
     amps = np.zeros((dim, 2), dtype=np.complex128)
     amps[:, 0] = 1.0 / math.sqrt(dim)

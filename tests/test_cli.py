@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import basequest
 from basequest.cli import main
 
 
@@ -93,6 +98,14 @@ class TestGrover:
 
     def test_missing_required_option(self, runner):
         assert runner.invoke(main, ["grover", "--target", "0"]).exit_code == 2
+
+    def test_large_database_at_optimal_count(self, runner):
+        result = runner.invoke(main, [
+            "grover", "--n", "262144", "--target", "1", "--format", "jsonl"])
+        assert result.exit_code == 0
+        summary = summary_of(result.output)
+        assert summary["queries"] == 402
+        assert summary["deviation"] <= 1e-12
 
 
 class TestClassical:
@@ -198,6 +211,26 @@ class TestHamiltonian:
 
 
 class TestPlumbing:
+    @pytest.mark.parametrize("argv", [
+        ["grover", "--n", "-1", "--target", "0", "--iters", "1"],
+        ["hamiltonian", "--n", "-1"],
+        ["hamiltonian", "--n", "4", "--t-max", "inf"],
+    ])
+    def test_domain_errors_are_model_errors(self, runner, argv):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error: ")
+
+    def test_cli_import_does_not_load_scipy(self):
+        src = str(Path(basequest.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import basequest.cli, sys; "
+                "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
     def test_identical_invocations_are_byte_identical(self, runner):
         args = ["scenario", "--emission", "uniform", "--samples", "40",
                 "--seed", "7", "--format", "jsonl"]

@@ -13,6 +13,9 @@ from oracles import (
     dense_oracle,
     dense_reflection,
     dense_run,
+    dense_two_term_state,
+    vector_search,
+    vector_split_success,
 )
 
 
@@ -189,6 +192,7 @@ class TestRunGrover:
 
     @pytest.mark.parametrize("dim,target,queries", [
         (2, 0, 1), (5, 2, 2), (16, 9, 3), (100, 42, 7), (128, 1, 8),
+        (37, 36, 40), (256, 0, 12),
     ])
     def test_matches_dense_matrix_power(self, dim, target, queries):
         state, _ = bq.run_grover(dim, target, queries)
@@ -202,6 +206,23 @@ class TestRunGrover:
             assert success == pytest.approx(
                 bq.closed_form_success(dim, queries), abs=1e-10)
 
+    @pytest.mark.parametrize("dim", [2 ** 18, 2 ** 20])
+    def test_optimal_count_matches_closed_form_at_large_dim(self, dim):
+        queries = bq.optimal_queries(dim).queries
+        _, success = bq.run_grover(dim, 1, queries)
+        assert abs(success - bq.closed_form_success(dim, queries)) <= 1e-12
+
+    def test_matches_vector_loop_at_large_dim(self):
+        dim, target, queries = 2 ** 17, 3, 284
+        assert bq.optimal_queries(dim).queries == queries
+        state, _ = bq.run_grover(dim, target, queries)
+        expected = vector_search(dim, target, queries)
+        assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12
+        phases = bq.random_unit_phases(dim, 7)
+        state, _ = bq.run_grover_with_phases(dim, target, queries, phases)
+        expected = vector_search(dim, target, queries, phases)
+        assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12
+
     def test_zero_queries(self):
         _, success = bq.run_grover(10, 0, 0)
         assert success == pytest.approx(0.1, abs=1e-12)
@@ -209,6 +230,14 @@ class TestRunGrover:
     def test_rejects_negative_queries(self):
         with pytest.raises(bq.InvalidParameterError):
             bq.run_grover(4, 0, -1)
+
+    def test_rejects_bool_target(self):
+        with pytest.raises(bq.InvalidTargetError):
+            bq.run_grover(4, True, 1)
+
+    def test_rejects_bool_query_count(self):
+        with pytest.raises(bq.InvalidParameterError):
+            bq.run_grover(4, 0, True)
 
 
 class TestSolutions:
@@ -287,6 +316,13 @@ class TestPhaseDecoration:
         state, _ = bq.run_grover_with_phases(6, 0, 0, phases)
         assert np.max(np.abs(state.amplitudes - phases / math.sqrt(6))) <= 1e-12
 
+    def test_success_series_tracks_decorated_runs(self):
+        phases = bq.random_unit_phases(20, 4)
+        series = bq.success_series(20, 3, 6)
+        for queries in range(7):
+            _, success = bq.run_grover_with_phases(20, 3, queries, phases)
+            assert abs(series[queries] - success) <= 1e-12
+
     def test_rejects_non_unit_modulus(self):
         phases = np.ones(4, dtype=complex)
         phases[2] = 1.5
@@ -305,19 +341,31 @@ class TestPhaseDecoration:
 
 
 class TestTwoTermHamiltonian:
-    def test_matrix_layout(self):
-        ham = bq.two_term_hamiltonian(4, 1)
-        assert ham[1, 1] == pytest.approx(1.25)
-        assert ham[0, 0] == pytest.approx(0.25)
-        assert ham[0, 2] == pytest.approx(0.25)
-        assert np.max(np.abs(ham - ham.conj().T)) == 0.0
-
     def test_exact_series_matches_analytic_law(self):
-        for dim in (4, 9):
+        for dim in (4, 9, 1024):
             sweep = bq.evolve_two_term_hamiltonian(dim, 0, 6.0, 0.05)
             expected = np.array([analytic_two_term_success(dim, t)
                                  for t in sweep.times])
             assert np.max(np.abs(sweep.exact_success - expected)) <= 1e-10
+
+    @pytest.mark.parametrize("dim", [4, 37, 256])
+    def test_exact_series_matches_dense_expm(self, dim):
+        target = dim // 3
+        total = math.pi * math.sqrt(dim) / 2
+        sweep = bq.evolve_two_term_hamiltonian(dim, target, total, total / 8)
+        expected = [abs(dense_two_term_state(dim, target, t)[target]) ** 2
+                    for t in sweep.times]
+        assert np.max(np.abs(sweep.exact_success - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("dim", [4, 37, 256])
+    def test_split_series_matches_vector_loop(self, dim, symmetric):
+        target = dim // 3
+        total = math.pi * math.sqrt(dim) / 2
+        sweep = bq.evolve_two_term_hamiltonian(dim, target, total, 0.05,
+                                               symmetric=symmetric)
+        expected = vector_split_success(dim, target, total, 0.05, symmetric)
+        assert np.max(np.abs(sweep.trotter_success - expected)) <= 1e-12
 
     def test_peak_reaches_success_floor(self):
         for dim in (4, 8, 16):
@@ -343,3 +391,5 @@ class TestTwoTermHamiltonian:
             bq.evolve_two_term_hamiltonian(4, 0, 1.0, 2.0)
         with pytest.raises(bq.InvalidParameterError):
             bq.evolve_two_term_hamiltonian(4, 0, -1.0, 0.1)
+        with pytest.raises(bq.InvalidParameterError):
+            bq.evolve_two_term_hamiltonian(4, 0, math.inf, 0.1)

@@ -444,6 +444,12 @@ class TestScenarioParams:
     def test_infinite_relaxation_allowed(self):
         assert default_params(relaxation_time=math.inf).relaxation_time == math.inf
 
+    def test_accepts_numpy_integers(self):
+        params = default_params(dim=np.int64(4), target=np.int32(1),
+                                samples=np.int64(20))
+        assert (params.dim, params.target, params.samples) == (4, 1, 20)
+        assert bq.run_scenario(params).params.samples == 20
+
 
 class TestRunScenario:
     def test_extremum_report_values(self):
