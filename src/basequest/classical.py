@@ -21,7 +21,7 @@ from .errors import (
     InvalidDimensionError,
     InvalidParameterError,
 )
-from .grover import optimal_queries
+from .grover import _check_seed, _is_integer, optimal_queries
 
 # Trials per seed block. Fixed constant: changing it changes the sampled
 # stream, so it is part of the documented determinism contract.
@@ -47,7 +47,7 @@ class TrialStats:
 
 
 def _check_size(database_size: int) -> None:
-    if not isinstance(database_size, (int, np.integer)) or database_size < 1:
+    if not _is_integer(database_size) or database_size < 1:
         raise InvalidDimensionError(
             f"database size must be an integer >= 1, got {database_size!r}")
 
@@ -75,19 +75,9 @@ def _with_replacement_block(rng: np.random.Generator, count: int,
 
 def _without_replacement_block(rng: np.random.Generator, count: int,
                                database_size: int) -> np.ndarray:
-    # Random query priorities: each object gets an i.i.d. key and queries
-    # proceed in key order, which samples a uniformly random permutation.
-    # The query count is the rank of the target's key. Chunk rows to bound
-    # memory; chunk size depends only on the inputs, so streams reproduce.
-    out = np.empty(count, dtype=np.int64)
-    chunk = max(1, min(count, 10**7 // max(1, database_size)))
-    done = 0
-    while done < count:
-        rows = min(chunk, count - done)
-        keys = rng.random((rows, database_size))
-        out[done:done + rows] = 1 + (keys < keys[:, :1]).sum(axis=1)
-        done += rows
-    return out
+    # A uniformly random query order puts the target at a uniformly random
+    # rank, and the query count is that rank: sample the law directly.
+    return rng.integers(1, database_size, size=count, endpoint=True)
 
 
 def sample_queries(
@@ -105,14 +95,17 @@ def sample_queries(
     default with-replacement per-trial budget of 10**6 * database_size
     draws; the budget exists to turn an astronomically unlucky (or
     misconfigured) run into an explicit error instead of a silent crawl.
+    seed is None (fresh entropy) or an integer >= 0.
     """
     _check_size(database_size)
     mode = SearchMode(mode)
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
+    if not _is_integer(trials) or trials < 1:
         raise InvalidParameterError(f"trials must be an integer >= 1, got {trials!r}")
+    _check_seed(seed)
     budget = DRAW_BUDGET_FACTOR * database_size if max_draws is None else max_draws
-    if budget < 1:
-        raise InvalidParameterError(f"draw budget must be >= 1, got {budget!r}")
+    if not _is_integer(budget) or budget < 1:
+        raise InvalidParameterError(
+            f"draw budget must be an integer >= 1, got {budget!r}")
 
     blocks = -(-trials // BLOCK_SIZE)
     streams = np.random.SeedSequence(seed).spawn(blocks)

@@ -98,6 +98,13 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_seed(seed) -> None:
+    # SeedSequence would raise its own ValueError (or TypeError) deeper in
+    if seed is not None and (not _is_integer(seed) or seed < 0):
+        raise InvalidParameterError(
+            f"seed must be None or an integer >= 0, got {seed!r}")
+
+
 def _check_dim(dim: int) -> None:
     if not _is_integer(dim) or dim < 2:
         raise InvalidDimensionError(f"dimension must be an integer >= 2, got {dim!r}")

@@ -26,6 +26,7 @@ rate 2/relaxation_time applied to the pure swing state.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -40,6 +41,7 @@ from .errors import (
     InvalidParameterError,
     InvalidTargetError,
 )
+from .grover import _check_seed, _is_integer
 
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
@@ -82,7 +84,8 @@ class ScenarioParams:
     bond_duration, oscillation_time and relaxation_time share one (unit
     free) time axis; oscillation_time is the time from the start of a
     swing to its far turning point, so one full period is twice that.
-    relaxation_time may be math.inf for the undamped limit.
+    relaxation_time may be math.inf for the undamped limit; the other times
+    must be finite. seed is None (fresh entropy) or an integer >= 0.
     """
 
     dim: int
@@ -96,26 +99,34 @@ class ScenarioParams:
     seed: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
+        if not _is_integer(self.dim) or self.dim < 2:
             raise InvalidDimensionError(
                 f"dim must be an integer >= 2, got {self.dim!r}")
-        if (not isinstance(self.target, (int, np.integer))
-                or not 0 <= self.target < self.dim):
+        if not _is_integer(self.target) or not 0 <= self.target < self.dim:
             raise InvalidTargetError(
                 f"target must be an integer in [0, {self.dim}), got {self.target!r}")
-        for name in ("bond_duration", "oscillation_time", "relaxation_time"):
+        for name in ("bond_duration", "oscillation_time"):
             value = getattr(self, name)
-            if not value > 0:
-                raise InvalidParameterError(f"{name} must be > 0, got {value!r}")
+            if not 0 < value < math.inf:
+                raise InvalidParameterError(
+                    f"{name} must be finite and > 0, got {value!r}")
+        if not self.relaxation_time > 0:
+            raise InvalidParameterError(
+                f"relaxation_time must be > 0, got {self.relaxation_time!r}")
         object.__setattr__(self, "emission", EmissionPolicy(self.emission))
         if self.emission is EmissionPolicy.FIXED_TIME:
-            if self.emission_time is None or not self.emission_time >= 0:
-                raise InvalidParameterError(
-                    "fixed-time emission needs emission_time >= 0, got "
-                    f"{self.emission_time!r}")
-        if not isinstance(self.samples, (int, np.integer)) or self.samples < 1:
+            _check_fixed_time(self.emission_time)
+        if not _is_integer(self.samples) or self.samples < 1:
             raise InvalidParameterError(
                 f"samples must be an integer >= 1, got {self.samples!r}")
+        _check_seed(self.seed)
+
+
+def _check_fixed_time(fixed_time: float | None) -> None:
+    if fixed_time is None or not 0 <= fixed_time < math.inf:
+        raise InvalidParameterError(
+            "fixed-time emission needs a finite emission_time >= 0, got "
+            f"{fixed_time!r}")
 
 
 def hierarchy_warnings(params: ScenarioParams) -> tuple[str, ...]:
@@ -176,7 +187,7 @@ class JointState:
 
 def relaxed_start(dim: int) -> JointState:
     """Uniform base amplitudes, all in the no-emission sector."""
-    if not isinstance(dim, (int, np.integer)) or dim < 2:
+    if not _is_integer(dim) or dim < 2:
         raise InvalidDimensionError(f"dim must be an integer >= 2, got {dim!r}")
     amps = np.zeros((dim, 2), dtype=np.complex128)
     amps[:, 0] = 1.0 / math.sqrt(dim)
@@ -268,12 +279,13 @@ def oscillation_fraction(t: float, oscillation_time: float) -> float:
     return (1.0 - math.cos(math.pi * t / oscillation_time)) / 2.0
 
 
-def _arc_interpolate(flat0: np.ndarray, flat1: np.ndarray, fraction: float) -> np.ndarray:
-    """Great-circle interpolation between two unit vectors.
+def _arc_angle(flat0: np.ndarray, flat1: np.ndarray) -> float:
+    """Great-circle angle between two unit vectors.
 
-    The arc angle comes from the real part of the overlap, which keeps the
+    It comes from the real part of the overlap, which keeps the
     interpolant exactly normalized for any pair of unit vectors. Nearly
-    parallel or antiparallel endpoints degrade to a pure-phase path.
+    parallel or antiparallel pairs get exactly 0 or pi, where
+    sin(angle) < DEGENERATE_SIN selects the pure-phase path.
     """
     overlap = max(-1.0, min(1.0, float(np.real(np.vdot(flat0, flat1)))))
     angle = math.acos(overlap)
@@ -281,6 +293,14 @@ def _arc_interpolate(flat0: np.ndarray, flat1: np.ndarray, fraction: float) -> n
         # snap to an exact end of the range so the phase factor at
         # fraction 1 is +-1 up to one rounding, not up to acos noise
         angle = 0.0 if overlap > 0.0 else math.pi
+    return angle
+
+
+def _arc_interpolate(flat0: np.ndarray, flat1: np.ndarray, fraction: float) -> np.ndarray:
+    """Great-circle interpolation between two unit vectors; nearly parallel
+    or antiparallel endpoints degrade to a pure-phase path."""
+    angle = _arc_angle(flat0, flat1)
+    if math.sin(angle) < DEGENERATE_SIN:
         return np.exp(1j * angle * fraction) * flat0
     return (math.sin((1.0 - fraction) * angle) * flat0
             + math.sin(fraction * angle) * flat1) / math.sin(angle)
@@ -423,6 +443,36 @@ def entanglement_entropy(state: JointState) -> float:
     return float(-(lam * np.log2(lam)).sum())
 
 
+def _emission_arc(state0: JointState, target: int,
+                  trajectory: str = "conditional") -> tuple[float, complex, complex]:
+    """The swing arc from state0 as three numbers: its angle, and the
+    target's emitted-quanta amplitude at the start and at the far turning
+    point. The amplitude anywhere on the arc follows from these alone."""
+    state1 = swing_endpoint(state0, target, trajectory)
+    return (_arc_angle(state0.flat(), state1.flat()),
+            complex(state0.amplitudes[target, 1]),
+            complex(state1.amplitudes[target, 1]))
+
+
+def _arc_success(arc: tuple[float, complex, complex], params: ScenarioParams,
+                 t: float) -> float:
+    """Emission success probability at time t on a precomputed arc.
+
+    The _arc_interpolate formula on one component, in the same operation
+    order, so it gives the same bits as the full-vector route: numpy
+    divides a complex array by a real scalar as a product with the
+    reciprocal (Smith's method), hence the product here.
+    """
+    angle, start, end = arc
+    fraction = oscillation_fraction(t, params.oscillation_time)
+    if math.sin(angle) < DEGENERATE_SIN:
+        amp = cmath.exp(1j * angle * fraction) * start
+    else:
+        amp = ((math.sin((1.0 - fraction) * angle) * start
+                + math.sin(fraction * angle) * end) * (1.0 / math.sin(angle)))
+    return damping_weight(t, params.relaxation_time) * float(abs(amp) ** 2)
+
+
 def success_probability_at(state0: JointState, params: ScenarioParams,
                            t: float, trajectory: str = "conditional") -> float:
     """Emission success probability of the damped state at time t.
@@ -430,10 +480,8 @@ def success_probability_at(state0: JointState, params: ScenarioParams,
     Uses the closed form: the relaxed component carries no emitted-quanta
     amplitude, so only the pure swing term contributes.
     """
-    psi = undamped_state(state0, params.target, params.oscillation_time, t,
-                         trajectory)
-    amp = psi.amplitudes[params.target, 1]
-    return damping_weight(t, params.relaxation_time) * float(abs(amp) ** 2)
+    return _arc_success(_emission_arc(state0, params.target, trajectory),
+                        params, t)
 
 
 def sample_emission_time(policy: EmissionPolicy, oscillation_time: float,
@@ -446,9 +494,7 @@ def sample_emission_time(policy: EmissionPolicy, oscillation_time: float,
         return oscillation_time
     if policy is EmissionPolicy.UNIFORM_RANDOM:
         return float(rng.random() * 2.0 * oscillation_time)
-    if fixed_time is None or fixed_time < 0:
-        raise InvalidParameterError(
-            f"fixed-time emission needs a time >= 0, got {fixed_time!r}")
+    _check_fixed_time(fixed_time)
     return fixed_time
 
 
@@ -491,6 +537,7 @@ def run_scenario(params: ScenarioParams, *, entropy_points: int = 101,
         warnings.warn(note, HierarchyWarning, stacklevel=2)
 
     state0 = entangling_oracle(relaxed_start(params.dim), params.target)
+    arc = _emission_arc(state0, params.target)
 
     first_probs = np.empty(params.samples)
     attempts = np.empty(params.samples, dtype=np.int64)
@@ -501,7 +548,7 @@ def run_scenario(params: ScenarioParams, *, entropy_points: int = 101,
         while True:
             t = sample_emission_time(params.emission, params.oscillation_time,
                                      rng, params.emission_time)
-            p = success_probability_at(state0, params, t)
+            p = _arc_success(arc, params, t)
             if count == 0:
                 first_probs[k] = p
             count += 1

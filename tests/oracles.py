@@ -1,14 +1,26 @@
 """Independent computation routes used to check the package.
 
 Everything here goes through dense matrices, full-length state vectors,
-explicit partial traces or closed-form trigonometry; none of it shares code
-with the package, which steps search and Hamiltonian runs on a 2-D plane.
+explicit partial traces or closed-form trigonometry. None of it shares code
+with the package, which steps search and Hamiltonian runs on a 2-D plane,
+except vector_scenario_draws: it reads every emission probability off the
+package's full swing state (undamped_state), which the scenario sampler
+itself no longer builds.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import expm
+
+from basequest import (
+    EmissionPolicy,
+    entangling_oracle,
+    relaxed_start,
+    undamped_state,
+)
 
 
 def dense_oracle(dim: int, target: int) -> np.ndarray:
@@ -115,3 +127,41 @@ def dense_entangling_matrix(dim: int, target: int) -> np.ndarray:
 def random_joint_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     amps = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
     return amps / np.linalg.norm(amps)
+
+
+def vector_emission_probability(state0, params, t: float,
+                                trajectory: str = "conditional") -> float:
+    """Damped emission success at time t, read off the full swing state."""
+    psi = undamped_state(state0, params.target, params.oscillation_time, t,
+                         trajectory)
+    weight = math.exp(-2.0 * t / params.relaxation_time)
+    return weight * float(abs(psi.amplitudes[params.target, 1]) ** 2)
+
+
+def vector_scenario_draws(params) -> tuple[float, float, int]:
+    """run_scenario's emission checks with one full swing state per attempt.
+
+    Same per-sample SeedSequence streams and draw order (emission time,
+    then the Bernoulli check). Returns (mean_success, mean_attempts,
+    max_attempts_observed).
+    """
+    state0 = entangling_oracle(relaxed_start(params.dim), params.target)
+    first, counts = [], []
+    for stream in np.random.SeedSequence(params.seed).spawn(params.samples):
+        rng = np.random.Generator(np.random.PCG64(stream))
+        count = 0
+        while True:
+            if params.emission is EmissionPolicy.UNIFORM_RANDOM:
+                t = float(rng.random() * 2.0 * params.oscillation_time)
+            elif params.emission is EmissionPolicy.AT_EXTREMUM:
+                t = params.oscillation_time
+            else:
+                t = params.emission_time
+            p = vector_emission_probability(state0, params, t)
+            if count == 0:
+                first.append(p)
+            count += 1
+            if rng.random() < p:
+                break
+        counts.append(count)
+    return float(np.mean(first)), float(np.mean(counts)), max(counts)

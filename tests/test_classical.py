@@ -111,6 +111,34 @@ class TestSampling:
         with pytest.raises(bq.InvalidParameterError):
             bq.sample_queries(4, "with", 10, seed=0, max_draws=0)
 
+    @pytest.mark.parametrize("call,name", [
+        (lambda: bq.sample_queries(4, "with", True), "trials"),
+        (lambda: bq.expected_queries(True, "with"), "database size"),
+        (lambda: bq.simulate_search(True, "with", 10), "database size"),
+        (lambda: bq.sample_queries(4, "with", 10, max_draws=True), "draw budget"),
+    ], ids=["trials", "expected_size", "simulate_size", "max_draws"])
+    def test_rejects_bool_counts(self, call, name):
+        with pytest.raises(bq.SimulationError, match=name):
+            call()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7", [1, 2]])
+    def test_rejects_bad_seeds(self, seed):
+        with pytest.raises(bq.InvalidParameterError, match="seed"):
+            bq.sample_queries(4, "without", 10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [None, 0, np.int64(3), 2**70])
+    def test_accepts_seed_domain(self, seed):
+        assert bq.sample_queries(4, "without", 10, seed=seed).shape == (10,)
+
+    def test_without_replacement_at_a_trillion(self):
+        # one float key per (trial, object) would need 8 TB here
+        size, trials = 10**12, 10**5
+        samples = bq.sample_queries(size, "without", trials, seed=1)
+        assert samples.min() >= 1
+        assert samples.max() <= size
+        std_error = bq.theoretical_std(size, "without") / math.sqrt(trials)
+        assert abs(samples.mean() - (size + 1) / 2) <= 5.0 * std_error
+
 
 class TestSpeedup:
     def test_four_object_ratio(self):

@@ -215,6 +215,11 @@ class TestPlumbing:
         ["grover", "--n", "-1", "--target", "0", "--iters", "1"],
         ["hamiltonian", "--n", "-1"],
         ["hamiltonian", "--n", "4", "--t-max", "inf"],
+        ["classical", "--n", "4", "--seed", "-1"],
+        ["scenario", "--seed", "-1"],
+        ["scenario", "--emission", "fixed", "--time", "inf"],
+        ["scenario", "--t-osc", "inf"],
+        ["scenario", "--t-b", "inf"],
     ])
     def test_domain_errors_are_model_errors(self, runner, argv):
         result = runner.invoke(main, argv)

@@ -16,6 +16,8 @@ from oracles import (
     dense_entangling_matrix,
     entropies_by_partial_trace,
     random_joint_state,
+    vector_emission_probability,
+    vector_scenario_draws,
 )
 
 POST_KICK_ENTROPY = 0.8112781244591329
@@ -441,6 +443,26 @@ class TestScenarioParams:
         with pytest.raises(bq.SimulationError):
             default_params(**kwargs)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"target": True}, "target"),
+        ({"samples": True}, "samples"),
+        ({"bond_duration": math.inf}, "bond_duration"),
+        ({"oscillation_time": math.inf}, "oscillation_time"),
+        ({"emission": "fixed", "emission_time": math.inf}, "emission_time"),
+    ])
+    def test_rejects_bool_counts_and_infinite_times(self, kwargs, name):
+        with pytest.raises(bq.SimulationError, match=name):
+            default_params(**kwargs)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+    def test_rejects_bad_seeds(self, seed):
+        with pytest.raises(bq.InvalidParameterError, match="seed"):
+            default_params(seed=seed)
+
+    @pytest.mark.parametrize("seed", [None, 0, np.int64(3), 2**70])
+    def test_accepts_seed_domain(self, seed):
+        assert default_params(seed=seed).seed == seed
+
     def test_infinite_relaxation_allowed(self):
         assert default_params(relaxation_time=math.inf).relaxation_time == math.inf
 
@@ -511,3 +533,34 @@ class TestRunScenario:
     def test_rejects_thin_entropy_grid(self):
         with pytest.raises(bq.InvalidParameterError):
             bq.run_scenario(default_params(samples=1), entropy_points=1)
+
+
+class TestScalarSampler:
+    """p(t) comes from the arc's angle and two amplitudes; the full-vector
+    route must give the same bits."""
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("policy", ["extremum", "uniform", "fixed"])
+    @pytest.mark.parametrize("dim", [4, 5, 64, 1024])
+    def test_run_matches_vector_route(self, dim, policy, seed):
+        params = default_params(
+            dim=dim, target=dim // 3, emission=policy,
+            emission_time=0.85 if policy == "fixed" else None,
+            relaxation_time=200.0, samples=10 if dim == 1024 else 60,
+            seed=seed)
+        report = bq.run_scenario(params, entropy_points=2)
+        assert (report.mean_success, report.mean_attempts,
+                report.max_attempts_observed) == vector_scenario_draws(params)
+
+    @pytest.mark.parametrize("trajectory", ["conditional", "joint"])
+    @pytest.mark.parametrize("dim", [2, 4, 5, 64, 1024])
+    def test_probability_matches_vector_route(self, dim, trajectory):
+        # dim 2 swings between antipodal states: the pure-phase branch
+        params = default_params(dim=dim, target=dim - 1, oscillation_time=1.3,
+                                relaxation_time=40.0)
+        state0 = kicked_state(dim, dim - 1)
+        # both turning points (0 and 1.3), the end of the period and beyond
+        times = [0.0, 1.3, 2.6, 3.9, *np.linspace(0.0, 2.6, 27)[1:-1]]
+        for t in map(float, times):
+            assert bq.success_probability_at(state0, params, t, trajectory) \
+                == vector_emission_probability(state0, params, t, trajectory)
