@@ -1,80 +1,108 @@
 """Quantum unsorted-database search dynamics applied to molecular base
 selection: exact-size solutions, level-space simulation, classical
 baselines, single-bond two-level physics, and a damped selection scenario
-with emission statistics."""
+with emission statistics.
 
-from .bond import (
-    BondParams,
-    TwoLevelState,
-    bond_time,
-    boltzmann_error_rate,
-    cascade_phase,
-    evolution_operator,
-    evolve,
-    half_rabi_phase,
-    interaction_hamiltonian,
-)
-from .classical import (
-    SearchMode,
-    TrialStats,
-    expected_queries,
-    sample_queries,
-    simulate_search,
-    speedup_ratio,
-    theoretical_std,
-)
-from .errors import (
-    DimensionMismatchError,
-    DrawBudgetExceededError,
-    IncompleteTransitionError,
-    InvalidDimensionError,
-    InvalidParameterError,
-    InvalidPhaseError,
-    InvalidTargetError,
-    SimulationError,
-)
-from .grover import (
-    HamiltonianSweep,
-    SearchSolution,
-    StateVector,
-    apply_diffusion,
-    apply_oracle,
-    closed_form_success,
-    evolve_two_term_hamiltonian,
-    grover_step,
-    optimal_queries,
-    random_unit_phases,
-    run_grover,
-    run_grover_with_phases,
-    solve_database_size,
-    success_series,
-    uniform_state,
-)
-from .replication import (
-    DensityMatrix,
-    EmissionPolicy,
-    EmissionResult,
-    HierarchyWarning,
-    JointState,
-    ScenarioParams,
-    ScenarioReport,
-    base_amplification,
-    conditional_lift,
-    damped_oscillation,
-    damping_weight,
-    emission_measurement,
-    entangling_oracle,
-    entanglement_entropy,
-    hierarchy_warnings,
-    oscillation_fraction,
-    relaxed_start,
-    run_scenario,
-    sample_emission_time,
-    success_probability_at,
-    swing_endpoint,
-    undamped_state,
-)
+The public names below are loaded on first use (PEP 562), so importing
+the package, or a submodule that needs no arrays, does not import numpy.
+"""
+
+# Each submodule with the public names it defines; _MODULE_OF inverts it.
+_SOURCES = {
+    "bond": (
+        "BondParams",
+        "TwoLevelState",
+        "bond_time",
+        "boltzmann_error_rate",
+        "cascade_phase",
+        "evolution_operator",
+        "evolve",
+        "half_rabi_phase",
+        "interaction_hamiltonian",
+    ),
+    "classical": (
+        "SearchMode",
+        "TrialStats",
+        "expected_queries",
+        "sample_queries",
+        "simulate_search",
+        "speedup_ratio",
+        "theoretical_std",
+    ),
+    "errors": (
+        "DimensionMismatchError",
+        "DrawBudgetExceededError",
+        "IncompleteTransitionError",
+        "InvalidDimensionError",
+        "InvalidParameterError",
+        "InvalidPhaseError",
+        "InvalidTargetError",
+        "SimulationError",
+    ),
+    "grover": (
+        "HamiltonianSweep",
+        "SearchSolution",
+        "StateVector",
+        "apply_diffusion",
+        "apply_oracle",
+        "closed_form_success",
+        "evolve_two_term_hamiltonian",
+        "grover_step",
+        "optimal_queries",
+        "random_unit_phases",
+        "run_grover",
+        "run_grover_with_phases",
+        "solve_database_size",
+        "success_series",
+        "uniform_state",
+    ),
+    "replication": (
+        "DensityMatrix",
+        "EmissionPolicy",
+        "EmissionResult",
+        "HierarchyWarning",
+        "JointState",
+        "ScenarioParams",
+        "ScenarioReport",
+        "base_amplification",
+        "conditional_lift",
+        "damped_oscillation",
+        "damping_weight",
+        "emission_measurement",
+        "entangling_oracle",
+        "entanglement_entropy",
+        "hierarchy_warnings",
+        "oscillation_fraction",
+        "relaxed_start",
+        "run_scenario",
+        "sample_emission_time",
+        "success_probability_at",
+        "swing_endpoint",
+        "undamped_state",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The submodules are exported too, as they were when imported eagerly.
+__all__ = sorted([*_MODULE_OF, *_SOURCES])
+
+
+def __getattr__(name):
+    module = name if name in _SOURCES else _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__ takes the interpreter's timed import path, so python -X
+    # importtime still reports the submodule (importlib.import_module does
+    # not); importing it binds it as an attribute of this package
+    __import__(f"{__name__}.{module}")
+    value = globals()[module]
+    if name != module:
+        value = getattr(value, name)
+        globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DrawBudgetExceededError,
@@ -22,6 +21,9 @@ from .errors import (
     InvalidParameterError,
 )
 from .grover import _check_seed, _is_integer, optimal_queries
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Trials per seed block. Fixed constant: changing it changes the sampled
 # stream, so it is part of the documented determinism contract.
@@ -97,6 +99,8 @@ def sample_queries(
     misconfigured) run into an explicit error instead of a silent crawl.
     seed is None (fresh entropy) or an integer >= 0.
     """
+    import numpy as np
+
     _check_size(database_size)
     mode = SearchMode(mode)
     if not _is_integer(trials) or trials < 1:

@@ -26,7 +26,9 @@ import sys
 
 import click
 
-from . import bond, classical, grover, replication
+# replication is imported by the scenario command alone: it is the one
+# module here that needs numpy at import time
+from . import bond, classical, grover
 from .errors import SimulationError
 from .output import FORMATS, write_records
 
@@ -162,9 +164,9 @@ def grover_cmd(dim, target, iters, phases, seed, fmt, output_path):
             "target": target, "iters": queries, "phases": phases,
             "seed": seed, "format": fmt, "output": output_path,
         }]
-        records.extend({"record": "step", "step": step, "success": float(success)}
+        records.extend({"record": "step", "step": step, "success": success}
                        for step, success in enumerate(series))
-        simulated = float(series[-1])
+        simulated = series[-1]
         closed = grover.closed_form_success(dim, queries)
         records.append({
             "record": "summary", "queries": queries, "success": simulated,
@@ -249,8 +251,9 @@ def bond_cmd(delta_e_kt, temperature, cascade, fmt, output_path):
               help="Swing time to the far turning point (half period).")
 @click.option("--t-r", type=float, default=1e3, show_default=True,
               help="Relaxation time.")
-@click.option("--emission",
-              type=click.Choice([p.value for p in replication.EmissionPolicy]),
+# replication.EmissionPolicy's values, spelled out so that building the
+# option does not import replication
+@click.option("--emission", type=click.Choice(["extremum", "uniform", "fixed"]),
               default="extremum", show_default=True)
 @click.option("--time", "emission_time", type=float, default=None,
               help="Emission time for --emission fixed.")
@@ -268,6 +271,8 @@ def scenario_cmd(dim, target, t_b, t_osc, t_r, emission, emission_time,
         raise click.UsageError("--emission fixed requires --time")
 
     def build():
+        from . import replication
+
         params = replication.ScenarioParams(
             dim=dim, target=target, bond_duration=t_b, oscillation_time=t_osc,
             relaxation_time=t_r, emission=emission,
@@ -322,9 +327,9 @@ def hamiltonian_cmd(dim, target, t_max, dt, fmt, output_path):
         }]
         for t, exact, trotter in zip(sweep.times, sweep.exact_success,
                                      sweep.trotter_success):
-            records.append({"record": "step", "time": float(t),
-                            "exact_success": float(exact),
-                            "trotter_success": float(trotter)})
+            records.append({"record": "step", "time": t,
+                            "exact_success": exact,
+                            "trotter_success": trotter})
         records.append({
             "record": "summary",
             "peak_success": sweep.peak_success(),

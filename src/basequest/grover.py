@@ -13,16 +13,18 @@ Hamiltonian (marked-state projector plus start-state projector), both exact
 and via split-operator alternation.
 
 Both dynamics stay in the plane of the target basis state and the start
-state, so runs step a pair of amplitudes there and build a full StateVector
-only for the state they return.
+state, so runs step a pair of amplitudes there, in plain Python floats and
+complex numbers, and build a full StateVector only for the state they
+return. numpy is imported only by the routines that build or take arrays.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DimensionMismatchError,
@@ -31,6 +33,9 @@ from .errors import (
     InvalidPhaseError,
     InvalidTargetError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Norm drift allowed on construction. grover_step iterated to the optimal
 # count drifts past it from 2**17 components; run_grover does not iterate it.
@@ -50,6 +55,8 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.ndim != 1 or amps.size < 2:
             raise InvalidDimensionError(
@@ -69,6 +76,8 @@ class StateVector:
 
     def overlap(self, other: "StateVector") -> complex:
         """<self|other>."""
+        import numpy as np
+
         if other.dim != self.dim:
             raise DimensionMismatchError(
                 f"dimensions differ: {self.dim} vs {other.dim}")
@@ -94,8 +103,11 @@ class SearchSolution:
 
 
 def _is_integer(value) -> bool:
-    # bool subclasses int, but True is no dimension, index or count
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    # bool subclasses int, but True is no dimension, index or count; numpy
+    # registers its integer scalars as Integral. The exact-int test first
+    # skips the slower abstract-class check for the common case.
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 def _check_seed(seed) -> None:
@@ -124,6 +136,8 @@ def _check_queries(queries: int) -> None:
 
 def uniform_state(dim: int) -> StateVector:
     """Equal-amplitude start state (1/sqrt(dim), ..., 1/sqrt(dim))."""
+    import numpy as np
+
     _check_dim(dim)
     return StateVector(np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
 
@@ -141,6 +155,8 @@ def apply_oracle(state: StateVector, target: int) -> StateVector:
 
 def apply_diffusion(state: StateVector, reference: StateVector) -> StateVector:
     """Reflection 1 - 2|reference><reference| applied to state."""
+    import numpy as np
+
     if reference.dim != state.dim:
         raise DimensionMismatchError(
             f"dimensions differ: state {state.dim}, reference {reference.dim}")
@@ -156,6 +172,8 @@ def grover_step(state: StateVector, target: int,
     Computed fused, in one pass; identical to negating apply_diffusion of
     apply_oracle (a unit test pins that equality).
     """
+    import numpy as np
+
     _check_target(target, state.dim)
     if reference is None:
         reference = uniform_state(state.dim)
@@ -168,14 +186,15 @@ def grover_step(state: StateVector, target: int,
     return StateVector(2.0 * ov * reference.amplitudes - queried)
 
 
-def _plane_orbit(step: np.ndarray, start: np.ndarray, count: int):
+def _plane_orbit(step, start, count: int):
     """Yield the amplitudes on (|target>, |rest>) of step**k @ start for
     k = 0..count, |rest> the normalized uniform state over the other objects.
     A search round and both Hamiltonian steps are fixed 2x2 matrices on this
-    plane. Pairs are yielded, not stored, so keeping the last is O(1) memory.
+    plane, given as a pair of rows of Python numbers; start is a pair too.
+    Pairs are yielded, not stored, so keeping the last is O(1) memory.
     """
-    (m00, m01), (m10, m11) = step.tolist()
-    a, b = start.tolist()
+    (m00, m01), (m10, m11) = step
+    a, b = start
     yield a, b
     for _ in range(count):
         a, b = m00 * a + m01 * b, m10 * a + m11 * b
@@ -193,9 +212,11 @@ def _search_orbit(dim: int, target: int, queries: int):
     _check_dim(dim)
     _check_target(target, dim)
     _check_queries(queries)
-    start = np.array([1.0 / math.sqrt(dim), math.sqrt((dim - 1) / dim)])
-    step = (2.0 * np.outer(start, start) - np.eye(2)) @ np.diag([-1.0, 1.0])
-    return _plane_orbit(step, start, queries)
+    x, y = 1.0 / math.sqrt(dim), math.sqrt((dim - 1) / dim)
+    # (2|start><start| - 1) diag(-1, 1), start = (x, y) on the plane
+    step = ((1.0 - 2.0 * (x * x), 2.0 * (x * y)),
+            (-2.0 * (y * x), 2.0 * (y * y) - 1.0))
+    return _plane_orbit(step, (x, y), queries)
 
 
 def run_grover(dim: int, target: int, queries: int) -> tuple[StateVector, float]:
@@ -206,13 +227,14 @@ def run_grover(dim: int, target: int, queries: int) -> tuple[StateVector, float]
     return run_grover_with_phases(dim, target, queries, None)
 
 
-def success_series(dim: int, target: int, queries: int) -> np.ndarray:
-    """Success probability after 0, 1, ..., queries amplification rounds.
+def success_series(dim: int, target: int, queries: int) -> list[float]:
+    """Success probability after 0, 1, ..., queries amplification rounds,
+    as a list of queries + 1 floats.
 
     A phase decoration (as in run_grover_with_phases) leaves it unchanged.
     """
     orbit = _search_orbit(dim, target, queries)
-    return np.array([a / math.hypot(a, b) for a, b in orbit]) ** 2
+    return [p * p for p in (a / math.hypot(a, b) for a, b in orbit)]
 
 
 def closed_form_success(database_size: float, queries: int) -> float:
@@ -222,7 +244,7 @@ def closed_form_success(database_size: float, queries: int) -> float:
     can be evaluated directly.
     """
     _check_queries(queries)
-    if not database_size >= 1.0:
+    if isinstance(database_size, bool) or not database_size >= 1.0:
         raise InvalidDimensionError(
             f"database size must be >= 1, got {database_size!r}")
     theta = math.asin(1.0 / math.sqrt(database_size))
@@ -236,7 +258,7 @@ def optimal_queries(database_size: int) -> SearchSolution:
     (queries beyond the first peak only lose ground to extra work); ties go
     to the smaller count.
     """
-    if not isinstance(database_size, (int, np.integer)) or database_size < 1:
+    if not _is_integer(database_size) or database_size < 1:
         raise InvalidDimensionError(
             f"database size must be an integer >= 1, got {database_size!r}")
     theta = math.asin(1.0 / math.sqrt(database_size))
@@ -276,14 +298,19 @@ def solve_database_size(queries: int) -> SearchSolution:
 def random_unit_phases(dim: int, seed: int | None = None) -> np.ndarray:
     """dim unit-modulus complex factors with uniformly random arguments.
 
-    Deterministic for a fixed seed (PCG64).
+    Deterministic for a fixed seed (PCG64); seed is None or an integer >= 0.
     """
+    import numpy as np
+
     _check_dim(dim)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     return np.exp(2j * math.pi * rng.random(dim))
 
 
 def _check_phases(phases: np.ndarray, dim: int) -> np.ndarray:
+    import numpy as np
+
     phases = np.asarray(phases, dtype=np.complex128)
     if phases.shape != (dim,):
         raise InvalidPhaseError(
@@ -305,6 +332,8 @@ def run_grover_with_phases(dim: int, target: int, queries: int,
     routine exists to exhibit that invariance numerically. phases=None is
     the undecorated run.
     """
+    import numpy as np
+
     orbit = _search_orbit(dim, target, queries)
     if phases is not None:
         phases = _check_phases(phases, dim)
@@ -326,17 +355,19 @@ def run_grover_with_phases(dim: int, target: int, queries: int,
 
 @dataclass(frozen=True)
 class HamiltonianSweep:
-    """Success-probability series for exact and split-operator evolution."""
+    """Success-probability series for exact and split-operator evolution,
+    each a tuple of floats on the same time grid."""
 
-    times: np.ndarray
-    exact_success: np.ndarray
-    trotter_success: np.ndarray
+    times: tuple[float, ...]
+    exact_success: tuple[float, ...]
+    trotter_success: tuple[float, ...]
 
     def max_deviation(self) -> float:
-        return float(np.max(np.abs(self.exact_success - self.trotter_success)))
+        return max(abs(exact - trotter) for exact, trotter
+                   in zip(self.exact_success, self.trotter_success))
 
     def peak_success(self) -> float:
-        return float(np.max(self.exact_success))
+        return max(self.exact_success)
 
 
 def evolve_two_term_hamiltonian(
@@ -371,25 +402,35 @@ def evolve_two_term_hamiltonian(
 
     steps = max(1, int(round(total_time / time_step)))
     x, y = 1.0 / math.sqrt(dim), math.sqrt((dim - 1) / dim)
-    start = np.array([x, y])
     # On the plane H = 1 + x*K, where K = [[x, y], [y, -x]] is the reflection
     # swapping |target> and |start>; K**2 = 1 gives exp(-iH dt) in closed form.
-    swap = np.array([[x, y], [y, -x]])
-    exact_step = np.exp(-1j * time_step) * (
-        math.cos(x * time_step) * np.eye(2) - 1j * math.sin(x * time_step) * swap)
+    phase = cmath.exp(-1j * time_step)
+    cos, isin = math.cos(x * time_step), 1j * math.sin(x * time_step)
+    exact_step = ((phase * (cos - isin * x), phase * -(isin * y)),
+                  (phase * -(isin * y), phase * (cos + isin * x)))
 
     # Projector exponentials exp(-iP tau) = 1 + (exp(-i tau) - 1) P; the
     # symmetric split puts half the target phase on each side.
-    start_phase = np.eye(2) + (np.exp(-1j * time_step) - 1.0) * np.outer(start, start)
+    kick = cmath.exp(-1j * time_step) - 1.0
+    start_phase = ((1.0 + kick * (x * x), kick * (x * y)),
+                   (kick * (y * x), 1.0 + kick * (y * y)))
     tau = time_step / 2.0 if symmetric else time_step
-    target_phase = np.diag([np.exp(-1j * tau), 1.0])
-    split_step = target_phase @ start_phase
+    target_phase = ((cmath.exp(-1j * tau), 0.0), (0.0, 1.0))
+    split_step = _product(target_phase, start_phase)
     if symmetric:
-        split_step = split_step @ target_phase
+        split_step = _product(split_step, target_phase)
 
     def success(step):
-        return np.abs([a for a, _ in _plane_orbit(step, start, steps)]) ** 2
+        return tuple(m * m for m in (abs(a) for a, _ in
+                                     _plane_orbit(step, (x, y), steps)))
 
-    return HamiltonianSweep(times=np.arange(steps + 1) * time_step,
+    return HamiltonianSweep(times=tuple(k * time_step for k in range(steps + 1)),
                             exact_success=success(exact_step),
                             trotter_success=success(split_step))
+
+
+def _product(left, right):
+    """Product of two 2x2 matrices given as pairs of rows."""
+    (a, b), (c, d) = left
+    (e, f), (g, h) = right
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))

@@ -14,21 +14,33 @@ import csv
 import io
 import json
 import numbers
-
-import numpy as np
+import sys
 
 FORMATS = ("csv", "jsonl")
+
+_BUILTIN_SCALARS = (float, int, str, type(None))
 
 
 def _plain(value):
     """Coerce numpy scalars and friends to plain Python values."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
+    if type(value) in _BUILTIN_SCALARS:
+        return value
+    # a numpy scalar can only reach here once something has imported numpy
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, np.generic):
+        if isinstance(value, np.bool_):
+            return bool(value)
+        if isinstance(value, np.integer):
+            return int(value)
+        if isinstance(value, np.floating):
+            return float(value)
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int):
         return int(value)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return float(value)
-    if value is None or isinstance(value, str):
+    if isinstance(value, str):
         return value
     if isinstance(value, numbers.Real):
         return float(value)

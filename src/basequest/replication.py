@@ -529,9 +529,12 @@ def run_scenario(params: ScenarioParams, *, entropy_points: int = 101,
     The entropy series tracks the undamped joint-reading swing over one
     full period on an entropy_points grid.
     """
-    if entropy_points < 2:
+    if not _is_integer(entropy_points) or entropy_points < 2:
         raise InvalidParameterError(
-            f"entropy_points must be >= 2, got {entropy_points!r}")
+            f"entropy_points must be an integer >= 2, got {entropy_points!r}")
+    if not _is_integer(attempt_cap) or attempt_cap < 1:
+        raise InvalidParameterError(
+            f"attempt_cap must be an integer >= 1, got {attempt_cap!r}")
     notes = hierarchy_warnings(params)
     for note in notes:
         warnings.warn(note, HierarchyWarning, stacklevel=2)

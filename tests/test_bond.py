@@ -51,6 +51,11 @@ class TestEvolutionOperator:
         with pytest.raises(bq.InvalidParameterError):
             bq.evolution_operator(1.0, -0.1)
 
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_rejects_non_finite_duration(self, duration):
+        with pytest.raises(bq.InvalidParameterError, match="duration"):
+            bq.evolution_operator(1.0, duration)
+
 
 class TestHalfRabiPhase:
     def test_unit_gap(self):
@@ -87,10 +92,14 @@ class TestCascade:
         by_cascade[1] *= bq.cascade_phase(2)
         assert np.max(np.abs(marked.amplitudes - by_cascade)) == 0.0
 
-    @pytest.mark.parametrize("steps", [0, -1, 1.5])
+    @pytest.mark.parametrize("steps", [0, -1, 1.5, True])
     def test_rejects_bad_step_counts(self, steps):
         with pytest.raises(bq.InvalidParameterError):
             bq.cascade_phase(steps)
+
+    def test_accepts_numpy_integers(self):
+        assert bq.cascade_phase(np.int64(2)) == -1.0
+        assert bq.BondParams(cascade_steps=np.int64(2)).cascade_steps == 2
 
 
 class TestThermalNumbers:
@@ -119,6 +128,10 @@ class TestThermalNumbers:
         lambda: bq.boltzmann_error_rate(-1.0),
         lambda: bq.bond_time(0.0, 300.0),
         lambda: bq.bond_time(7.0, 0.0),
+        lambda: bq.boltzmann_error_rate(math.inf),
+        lambda: bq.bond_time(math.inf, 300.0),
+        lambda: bq.bond_time(7.0, math.inf),
+        lambda: bq.bond_time(7.0, math.nan),
     ])
     def test_domain_errors(self, call):
         with pytest.raises(bq.InvalidParameterError):
@@ -137,6 +150,10 @@ class TestValidation:
         {"temperature": -5.0},
         {"cascade_steps": 0},
         {"cascade_steps": 2.0},
+        {"cascade_steps": True},
+        {"gap_over_kt": math.inf},
+        {"gap_over_kt": math.nan},
+        {"temperature": math.inf},
     ])
     def test_bond_params_rejections(self, kwargs):
         with pytest.raises(bq.InvalidParameterError):

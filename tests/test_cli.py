@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -12,10 +13,50 @@ from click.testing import CliRunner
 import basequest
 from basequest.cli import main
 
+# The package's exports by defining submodule, as they were when the
+# package imported every submodule eagerly.
+EXPORTS = {
+    "bond": ["BondParams", "TwoLevelState", "bond_time", "boltzmann_error_rate",
+             "cascade_phase", "evolution_operator", "evolve", "half_rabi_phase",
+             "interaction_hamiltonian"],
+    "classical": ["SearchMode", "TrialStats", "expected_queries", "sample_queries",
+                  "simulate_search", "speedup_ratio", "theoretical_std"],
+    "errors": ["DimensionMismatchError", "DrawBudgetExceededError",
+               "IncompleteTransitionError", "InvalidDimensionError",
+               "InvalidParameterError", "InvalidPhaseError", "InvalidTargetError",
+               "SimulationError"],
+    "grover": ["HamiltonianSweep", "SearchSolution", "StateVector", "apply_diffusion",
+               "apply_oracle", "closed_form_success", "evolve_two_term_hamiltonian",
+               "grover_step", "optimal_queries", "random_unit_phases", "run_grover",
+               "run_grover_with_phases", "solve_database_size", "success_series",
+               "uniform_state"],
+    "replication": ["DensityMatrix", "EmissionPolicy", "EmissionResult",
+                    "HierarchyWarning", "JointState", "ScenarioParams",
+                    "ScenarioReport", "base_amplification", "conditional_lift",
+                    "damped_oscillation", "damping_weight", "emission_measurement",
+                    "entangling_oracle", "entanglement_entropy", "hierarchy_warnings",
+                    "oscillation_fraction", "relaxed_start", "run_scenario",
+                    "sample_emission_time", "success_probability_at",
+                    "swing_endpoint", "undamped_state"],
+}
+EXPORTED = sorted([*EXPORTS, *(name for names in EXPORTS.values() for name in names)])
+
 
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+def fresh_python(code):
+    """Run code in a new interpreter that imports the package under test;
+    returns its stdout, failing the test on a nonzero exit."""
+    src = str(Path(basequest.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def jsonl_records(text):
@@ -220,6 +261,9 @@ class TestPlumbing:
         ["scenario", "--emission", "fixed", "--time", "inf"],
         ["scenario", "--t-osc", "inf"],
         ["scenario", "--t-b", "inf"],
+        ["bond", "--delta-e-kt", "inf"],
+        ["bond", "--delta-e-kt", "nan"],
+        ["bond", "--temperature", "inf"],
     ])
     def test_domain_errors_are_model_errors(self, runner, argv):
         result = runner.invoke(main, argv)
@@ -227,14 +271,59 @@ class TestPlumbing:
         assert result.stderr.startswith("error: ")
 
     def test_cli_import_does_not_load_scipy(self):
-        src = str(Path(basequest.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = ("import basequest.cli, sys; "
-                "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)")
-        done = subprocess.run([sys.executable, "-c", code],
-                              env={**os.environ, "PYTHONPATH": path},
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
+        fresh_python("import basequest.cli, sys; "
+                     "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)")
+
+    def test_imports_do_not_load_numpy(self):
+        fresh_python("import sys, basequest; assert 'numpy' not in sys.modules; "
+                     "import basequest.cli; assert 'numpy' not in sys.modules")
+
+    @pytest.mark.parametrize("argv,loads_numpy", [
+        (["table", "--qmax", "40"], False),
+        (["bond", "--cascade", "3"], False),
+        (["grover", "--n", "1024", "--target", "5", "--phases", "random"], False),
+        (["hamiltonian", "--n", "64", "--target", "3", "--dt", "0.1"], False),
+        (["classical", "--n", "50", "--trials", "100"], True),
+        (["scenario", "--samples", "5"], True),
+    ])
+    def test_numpy_loads_only_for_drawing_subcommands(self, argv, loads_numpy):
+        code = ("import sys\n"
+                "from basequest.cli import main\n"
+                f"main({argv!r}, standalone_mode=False)\n"
+                "print('numpy' in sys.modules)")
+        assert fresh_python(code).splitlines()[-1] == str(loads_numpy)
+
+    def test_exports_match_eager_package(self):
+        assert basequest.__all__ == EXPORTED
+        for module, names in EXPORTS.items():
+            source = importlib.import_module(f"basequest.{module}")
+            assert getattr(basequest, module) is source
+            for name in names:
+                assert getattr(basequest, name) is getattr(source, name)
+        # a fresh package: dir() and a star import see the same names
+        code = ("import json, basequest\n"
+                "star = {}\n"
+                "exec('from basequest import *', star)\n"
+                "print(json.dumps([[n for n in dir(basequest) if n[0] != '_'],\n"
+                "                  sorted(n for n in star if n[0] != '_')]))")
+        listed, starred = json.loads(fresh_python(code))
+        assert listed == EXPORTED
+        assert starred == EXPORTED
+
+    def test_unknown_attribute_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            basequest.no_such_name
+
+    def test_choices_match_enums(self):
+        def choices(command, option):
+            param = next(p for p in main.commands[command].params
+                         if p.name == option)
+            return list(param.type.choices)
+
+        assert choices("classical", "mode") == [
+            mode.value for mode in basequest.SearchMode]
+        assert choices("scenario", "emission") == [
+            policy.value for policy in basequest.EmissionPolicy]
 
     def test_identical_invocations_are_byte_identical(self, runner):
         args = ["scenario", "--emission", "uniform", "--samples", "40",

@@ -285,6 +285,14 @@ class TestSolutions:
     def test_asymptotic_count(self):
         assert bq.optimal_queries(10**6).queries in (785, 786)
 
+    def test_rejects_bool_database_size(self):
+        with pytest.raises(bq.InvalidDimensionError):
+            bq.optimal_queries(True)
+        with pytest.raises(bq.InvalidDimensionError):
+            bq.speedup_ratio(True)
+        with pytest.raises(bq.InvalidDimensionError):
+            bq.closed_form_success(True, 1)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(bq.InvalidParameterError):
             bq.solve_database_size(-1)
@@ -315,6 +323,16 @@ class TestPhaseDecoration:
         phases = bq.random_unit_phases(6, 123)
         state, _ = bq.run_grover_with_phases(6, 0, 0, phases)
         assert np.max(np.abs(state.amplitudes - phases / math.sqrt(6))) <= 1e-12
+
+    def test_success_series_is_a_list_of_floats(self):
+        series = bq.success_series(20, 3, 6)
+        assert type(series) is list and len(series) == 7
+        assert all(type(p) is float for p in series)
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5])
+    def test_random_phases_reject_bad_seeds(self, seed):
+        with pytest.raises(bq.InvalidParameterError, match="seed"):
+            bq.random_unit_phases(4, seed=seed)
 
     def test_success_series_tracks_decorated_runs(self):
         phases = bq.random_unit_phases(20, 4)
@@ -355,7 +373,7 @@ class TestTwoTermHamiltonian:
         sweep = bq.evolve_two_term_hamiltonian(dim, target, total, total / 8)
         expected = [abs(dense_two_term_state(dim, target, t)[target]) ** 2
                     for t in sweep.times]
-        assert np.max(np.abs(sweep.exact_success - expected)) <= 1e-12
+        assert np.max(np.abs(np.asarray(sweep.exact_success) - expected)) <= 1e-12
 
     @pytest.mark.parametrize("symmetric", [True, False])
     @pytest.mark.parametrize("dim", [4, 37, 256])
@@ -366,6 +384,12 @@ class TestTwoTermHamiltonian:
                                                symmetric=symmetric)
         expected = vector_split_success(dim, target, total, 0.05, symmetric)
         assert np.max(np.abs(sweep.trotter_success - expected)) <= 1e-12
+
+    def test_series_are_tuples_of_floats(self):
+        sweep = bq.evolve_two_term_hamiltonian(4, 0, 1.0, 0.25)
+        for series in (sweep.times, sweep.exact_success, sweep.trotter_success):
+            assert type(series) is tuple and len(series) == 5
+            assert all(type(value) is float for value in series)
 
     def test_peak_reaches_success_floor(self):
         for dim in (4, 8, 16):

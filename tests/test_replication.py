@@ -534,6 +534,19 @@ class TestRunScenario:
         with pytest.raises(bq.InvalidParameterError):
             bq.run_scenario(default_params(samples=1), entropy_points=1)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"entropy_points": 2.5}, "entropy_points"),
+        ({"entropy_points": True}, "entropy_points"),
+        ({"attempt_cap": 0}, "attempt_cap"),
+        ({"attempt_cap": 1.5}, "attempt_cap"),
+        ({"attempt_cap": True}, "attempt_cap"),
+    ])
+    def test_rejects_bad_keyword_counts(self, kwargs, name):
+        # extremum emission succeeds on the first check, so a bad cap must
+        # be refused up front, not after a draw
+        with pytest.raises(bq.InvalidParameterError, match=name):
+            bq.run_scenario(default_params(samples=1), **kwargs)
+
 
 class TestScalarSampler:
     """p(t) comes from the arc's angle and two amplitudes; the full-vector
