@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import IncompleteTransitionError, InvalidParameterError
-from .grover import _is_integer
+from .grover import _Amplitudes, _is_integer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,25 +53,17 @@ def _check_positive(name: str, value: float) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class TwoLevelState:
+class TwoLevelState(_Amplitudes):
     """Normalized amplitude pair (no-transition component, transition
     component)."""
 
     amplitudes: np.ndarray
 
-    def __post_init__(self):
-        import numpy as np
-
-        amps = np.array(self.amplitudes, dtype=np.complex128)
+    @staticmethod
+    def _check_shape(amps: np.ndarray) -> None:
         if amps.shape != (2,):
             raise InvalidParameterError(
                 f"two-level state needs exactly 2 amplitudes, got {amps.shape}")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-12:
-            raise InvalidParameterError(
-                f"state norm {norm!r} deviates from 1 by more than 1e-12")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
 
 
 def interaction_hamiltonian(energy_gap: float) -> np.ndarray:
@@ -104,7 +96,8 @@ def evolution_operator(energy_gap: float, duration: float) -> np.ndarray:
 
 
 def evolve(state: TwoLevelState, energy_gap: float, duration: float) -> TwoLevelState:
-    return TwoLevelState(evolution_operator(energy_gap, duration) @ state.amplitudes)
+    return TwoLevelState._adopt(
+        evolution_operator(energy_gap, duration) @ state.amplitudes)
 
 
 def half_rabi_phase(energy_gap: float, duration: float) -> complex:

@@ -6,8 +6,9 @@ default) whose first record echoes the full effective configuration,
 including the seed, so any output file identifies the run that made it.
 Identical invocations produce identical bytes.
 
-Exit codes: 0 on success, 2 on usage errors, 3 when a numeric domain
-error is raised by the underlying model.
+Exit codes: 0 on success, 2 on usage errors (an --output file that
+cannot be written among them), 3 when a numeric domain error is raised by
+the underlying model.
 
 Examples:
 
@@ -82,13 +83,19 @@ def _common_options(fn):
 
 
 def _emit(build, fmt, output_path):
-    """Run the record builder, mapping model errors to exit code 3."""
+    """Run the record builder, mapping model errors to exit code 3 and an
+    unwritable --output file to a usage error."""
     try:
         records = build()
     except SimulationError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(3)
-    text = write_records(records, fmt, output_path)
+    try:
+        text = write_records(records, fmt, output_path)
+    except OSError as exc:
+        raise click.BadParameter(
+            f"cannot write {output_path!r}: {exc.strerror or exc}",
+            param_hint="'--output'") from exc
     if output_path is None:
         click.echo(text, nl=False)
 

@@ -43,9 +43,80 @@ NORM_ATOL = 1e-12
 
 PHASE_ATOL = 1e-12
 
+# Elements per block of the norm and phase checks: their one float64
+# scratch buffer (128 KiB) stays in cache, so a check adds nothing N-sized
+# to the state it inspects.
+CHECK_BLOCK = 1 << 14
+
+
+def _blockwise(values: np.ndarray, fold) -> list:
+    """fold(block, scratch) for each CHECK_BLOCK-element slice of the 1-D
+    array values, scratch a float64 buffer of the block's length (reused,
+    so fold keeps nothing of it); returns the results in order."""
+    import numpy as np
+
+    scratch = np.empty(min(values.size, CHECK_BLOCK))
+    results = []
+    for start in range(0, values.size, CHECK_BLOCK):
+        block = values[start:start + CHECK_BLOCK]
+        results.append(fold(block, scratch[:block.size]))
+    return results
+
+
+def _square_sum(block: np.ndarray, scratch: np.ndarray) -> float:
+    import numpy as np
+
+    return float(np.multiply(block, block, out=scratch).sum())
+
+
+def _normalized(amps: np.ndarray, label: str) -> np.ndarray:
+    """amps itself, made read-only, once its norm is within NORM_ATOL of 1;
+    otherwise InvalidParameterError, the message starting with label.
+
+    The squares of the real and imaginary parts are summed pairwise within
+    each block and exactly (math.fsum) across blocks, so the error stays
+    O(eps) at any dimension, unlike the BLAS norm, whose drift grows with
+    the vector length.
+    """
+    import numpy as np
+
+    parts = amps.ravel(order="K").view(np.float64)
+    norm = math.sqrt(math.fsum(_blockwise(parts, _square_sum)))
+    if not abs(norm - 1.0) <= NORM_ATOL:  # a NaN norm fails too
+        raise InvalidParameterError(
+            f"{label} norm {norm!r} deviates from 1 by more than {NORM_ATOL}")
+    amps.setflags(write=False)
+    return amps
+
+
+class _Amplitudes:
+    """Base of the frozen dataclasses that hold one normalized, read-only
+    complex128 array in their amplitudes field. A subclass names itself in
+    _LABEL and checks the array's shape in _check_shape."""
+
+    _LABEL = "state"
+
+    def __post_init__(self):
+        import numpy as np
+
+        self._own(np.array(self.amplitudes, dtype=np.complex128))
+
+    @classmethod
+    def _adopt(cls, amps: np.ndarray):
+        """An instance holding amps itself, not a copy: for complex128
+        arrays the package has just built and keeps no other reference to.
+        Validated like user input and made read-only all the same."""
+        state = object.__new__(cls)
+        state._own(amps)
+        return state
+
+    def _own(self, amps: np.ndarray) -> None:
+        self._check_shape(amps)
+        object.__setattr__(self, "amplitudes", _normalized(amps, self._LABEL))
+
 
 @dataclass(frozen=True, eq=False)
-class StateVector:
+class StateVector(_Amplitudes):
     """Normalized pure state over the database basis.
 
     amplitudes is stored as a read-only complex128 array; operations return
@@ -54,21 +125,11 @@ class StateVector:
 
     amplitudes: np.ndarray
 
-    def __post_init__(self):
-        import numpy as np
-
-        amps = np.array(self.amplitudes, dtype=np.complex128)
+    @staticmethod
+    def _check_shape(amps: np.ndarray) -> None:
         if amps.ndim != 1 or amps.size < 2:
             raise InvalidDimensionError(
                 f"state needs at least 2 amplitudes, got shape {amps.shape}")
-        # pairwise-summed squares: error stays O(eps) at any dimension,
-        # unlike the BLAS norm whose drift grows with the vector length
-        norm = math.sqrt(float(np.sum(np.abs(amps) ** 2)))
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise InvalidParameterError(
-                f"state norm {norm!r} deviates from 1 by more than {NORM_ATOL}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
 
     @property
     def dim(self) -> int:
@@ -139,7 +200,8 @@ def uniform_state(dim: int) -> StateVector:
     import numpy as np
 
     _check_dim(dim)
-    return StateVector(np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
+    return StateVector._adopt(
+        np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
 
 
 def apply_oracle(state: StateVector, target: int) -> StateVector:
@@ -150,7 +212,7 @@ def apply_oracle(state: StateVector, target: int) -> StateVector:
     _check_target(target, state.dim)
     amps = state.amplitudes.copy()
     amps[target] = -amps[target]
-    return StateVector(amps)
+    return StateVector._adopt(amps)
 
 
 def apply_diffusion(state: StateVector, reference: StateVector) -> StateVector:
@@ -161,7 +223,7 @@ def apply_diffusion(state: StateVector, reference: StateVector) -> StateVector:
         raise DimensionMismatchError(
             f"dimensions differ: state {state.dim}, reference {reference.dim}")
     ov = np.vdot(reference.amplitudes, state.amplitudes)
-    return StateVector(state.amplitudes - 2.0 * ov * reference.amplitudes)
+    return StateVector._adopt(state.amplitudes - 2.0 * ov * reference.amplitudes)
 
 
 def grover_step(state: StateVector, target: int,
@@ -183,7 +245,7 @@ def grover_step(state: StateVector, target: int,
     queried = state.amplitudes.copy()
     queried[target] = -queried[target]
     ov = np.vdot(reference.amplitudes, queried)
-    return StateVector(2.0 * ov * reference.amplitudes - queried)
+    return StateVector._adopt(2.0 * ov * reference.amplitudes - queried)
 
 
 def _plane_orbit(step, start, count: int):
@@ -308,6 +370,14 @@ def random_unit_phases(dim: int, seed: int | None = None) -> np.ndarray:
     return np.exp(2j * math.pi * rng.random(dim))
 
 
+def _modulus_drift(block: np.ndarray, scratch: np.ndarray) -> float:
+    import numpy as np
+
+    np.abs(block, out=scratch)
+    np.subtract(scratch, 1.0, out=scratch)
+    return float(np.abs(scratch, out=scratch).max())
+
+
 def _check_phases(phases: np.ndarray, dim: int) -> np.ndarray:
     import numpy as np
 
@@ -315,8 +385,8 @@ def _check_phases(phases: np.ndarray, dim: int) -> np.ndarray:
     if phases.shape != (dim,):
         raise InvalidPhaseError(
             f"need {dim} phase factors, got shape {phases.shape}")
-    drift = np.max(np.abs(np.abs(phases) - 1.0))
-    if drift > PHASE_ATOL:
+    drift = float(np.max(_blockwise(phases, _modulus_drift)))
+    if not drift <= PHASE_ATOL:  # NaN moduli fail too
         raise InvalidPhaseError(
             f"phase moduli deviate from 1 by up to {drift!r}")
     return phases
@@ -346,11 +416,15 @@ def run_grover_with_phases(dim: int, target: int, queries: int,
         # The decoration D is diagonal, so it commutes with the oracle and
         # the decorated run is D applied to the plain one.
         amps *= phases
-    state = StateVector(amps)
+    state = StateVector._adopt(amps)
     return state, state.success_probability(target)
 
 
 # --- continuous-time counterpart ---------------------------------------
+
+# Largest time grid evolve_two_term_hamiltonian builds, in steps (see its
+# docstring for why).
+MAX_SWEEP_STEPS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -389,6 +463,14 @@ def evolve_two_term_hamiltonian(
     quadratically in time_step; symmetric=False gives the plain product,
     which converges only linearly.
 
+    total_time/time_step may not exceed MAX_SWEEP_STEPS = 10**6; a finer
+    grid is refused before anything is allocated. The sweep keeps about
+    100 bytes a step and the CLI report renders one record per step, about
+    1 s and 60 MB per 10**5 steps, so the bound keeps the largest report
+    near ten seconds and 600 MB, where an unbounded grid ends in a
+    MemoryError. It still covers the first peak at dim 10**9 with
+    time_step 0.05.
+
     The exact series reaches success >= 1 - 1/dim provided total_time
     covers the first peak at pi*sqrt(dim)/2.
     """
@@ -399,6 +481,10 @@ def evolve_two_term_hamiltonian(
     if not 0 < time_step <= total_time:
         raise InvalidParameterError(
             f"time_step must be in (0, total_time], got {time_step!r}")
+    if not total_time / time_step <= MAX_SWEEP_STEPS:
+        raise InvalidParameterError(
+            f"time_step {time_step!r} makes more than {MAX_SWEEP_STEPS} steps "
+            f"of total_time {total_time!r}")
 
     steps = max(1, int(round(total_time / time_step)))
     x, y = 1.0 / math.sqrt(dim), math.sqrt((dim - 1) / dim)

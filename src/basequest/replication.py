@@ -41,12 +41,11 @@ from .errors import (
     InvalidParameterError,
     InvalidTargetError,
 )
-from .grover import _check_seed, _is_integer
+from .grover import _Amplitudes, _check_seed, _is_integer
 
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
-NORM_ATOL = 1e-12
 
 # Probability mass below which a measurement branch has no defined
 # post-state.
@@ -146,7 +145,7 @@ def hierarchy_warnings(params: ScenarioParams) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class JointState:
+class JointState(_Amplitudes):
     """Normalized pure state on the joint register.
 
     amplitudes has shape (dim, 2): column 0 is the quanta-0 sector,
@@ -155,18 +154,13 @@ class JointState:
 
     amplitudes: np.ndarray
 
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=np.complex128)
+    _LABEL = "joint state"
+
+    @staticmethod
+    def _check_shape(amps: np.ndarray) -> None:
         if amps.ndim != 2 or amps.shape[1] != 2 or amps.shape[0] < 2:
             raise InvalidDimensionError(
                 f"joint state needs shape (dim >= 2, 2), got {amps.shape}")
-        # pairwise-summed squares avoid the BLAS norm's length-proportional drift
-        norm = math.sqrt(float(np.sum(np.abs(amps) ** 2)))
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise InvalidParameterError(
-                f"joint state norm {norm!r} deviates from 1 by more than {NORM_ATOL}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
 
     @property
     def dim(self) -> int:
@@ -191,7 +185,7 @@ def relaxed_start(dim: int) -> JointState:
         raise InvalidDimensionError(f"dim must be an integer >= 2, got {dim!r}")
     amps = np.zeros((dim, 2), dtype=np.complex128)
     amps[:, 0] = 1.0 / math.sqrt(dim)
-    return JointState(amps)
+    return JointState._adopt(amps)
 
 
 def entangling_oracle(state: JointState, target: int) -> JointState:
@@ -206,7 +200,7 @@ def entangling_oracle(state: JointState, target: int) -> JointState:
     amps = state.amplitudes.copy()
     amps[target, 0], amps[target, 1] = -state.amplitudes[target, 1], \
         -state.amplitudes[target, 0]
-    return JointState(amps)
+    return JointState._adopt(amps)
 
 
 def base_amplification(state: JointState) -> JointState:
@@ -217,7 +211,7 @@ def base_amplification(state: JointState) -> JointState:
     across the base/quanta cut.
     """
     amps = state.amplitudes
-    return JointState(2.0 * amps.mean(axis=0, keepdims=True) - amps)
+    return JointState._adopt(2.0 * amps.mean(axis=0, keepdims=True) - amps)
 
 
 def conditional_lift(base_amplitudes: np.ndarray, target: int) -> JointState:
@@ -235,7 +229,7 @@ def conditional_lift(base_amplitudes: np.ndarray, target: int) -> JointState:
     amps[:, 0] = base
     amps[target, 1] = base[target]
     amps[target, 0] = 0.0
-    return JointState(amps)
+    return JointState._adopt(amps)
 
 
 def _conditional_base(state: JointState, target: int) -> np.ndarray:
@@ -315,7 +309,7 @@ def undamped_state(state0: JointState, target: int, oscillation_time: float,
     state1 = swing_endpoint(state0, target, trajectory)
     f = oscillation_fraction(t, oscillation_time)
     flat = _arc_interpolate(state0.flat(), state1.flat(), f)
-    return JointState(flat.reshape(state0.dim, 2))
+    return JointState._adopt(flat.reshape(state0.dim, 2))
 
 
 @dataclass(frozen=True, eq=False)

@@ -256,6 +256,7 @@ class TestPlumbing:
         ["grover", "--n", "-1", "--target", "0", "--iters", "1"],
         ["hamiltonian", "--n", "-1"],
         ["hamiltonian", "--n", "4", "--t-max", "inf"],
+        ["hamiltonian", "--n", "4", "--dt", "1e-300", "--t-max", "1"],
         ["classical", "--n", "4", "--seed", "-1"],
         ["scenario", "--seed", "-1"],
         ["scenario", "--emission", "fixed", "--time", "inf"],
@@ -343,6 +344,14 @@ class TestPlumbing:
         assert on_disk.replace(str(target), "") == stdout_run.output
         assert stdout_run.output.splitlines()[2:] == \
             on_disk.splitlines()[2:]
+
+    def test_unwritable_output_is_usage_error(self, runner, tmp_path):
+        target = tmp_path / "missing" / "rows.csv"
+        result = runner.invoke(main, ["table", "--qmax", "10",
+                                      "--output", str(target)])
+        assert result.exit_code == 2
+        assert "'--output'" in result.stderr
+        assert "Traceback" not in result.output + result.stderr
 
     def test_env_var_selects_format(self, runner):
         result = runner.invoke(main, ["table", "--qmax", "1"],

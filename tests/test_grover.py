@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import basequest as bq
+from basequest.grover import MAX_SWEEP_STEPS, StateVector
 from oracles import (
     analytic_two_term_success,
     dense_oracle,
@@ -55,6 +57,85 @@ class TestStateVector:
         state = bq.grover_step(bq.uniform_state(dim), 12345)
         norm_sq = np.sum(np.abs(state.amplitudes) ** 2)
         assert abs(math.sqrt(norm_sq) - 1.0) <= 1e-12
+
+
+class TestStateConstruction:
+    """Returned states are built once, with checks that still bite at 2**20."""
+
+    DIM = 2 ** 20
+
+    def uniform(self, scale=1.0):
+        return np.full(self.DIM, scale / math.sqrt(self.DIM), dtype=complex)
+
+    @staticmethod
+    def traced_peak(run):
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("decorated", [False, True])
+    def test_peak_allocation_is_one_state(self, decorated):
+        phases = bq.random_unit_phases(self.DIM, 5) if decorated else None
+
+        def run():
+            if decorated:
+                bq.run_grover_with_phases(self.DIM, 1, 16, phases)
+            else:
+                bq.run_grover(self.DIM, 1, 16)
+
+        assert self.traced_peak(run) <= 1.1 * 16 * self.DIM
+
+    @pytest.mark.parametrize("build", [bq.StateVector, StateVector._adopt])
+    def test_norm_check_bites_at_large_dim(self, build):
+        build(self.uniform(1.0 + 3e-13))
+        with pytest.raises(bq.InvalidParameterError, match="norm"):
+            build(self.uniform(1.0 + 3e-12))
+
+    @pytest.mark.parametrize("build", [bq.StateVector, StateVector._adopt])
+    def test_nan_state_is_rejected(self, build):
+        amps = self.uniform()
+        amps[-1] = np.nan
+        with pytest.raises(bq.InvalidParameterError, match="norm"):
+            build(amps)
+
+    @pytest.mark.parametrize("bad", [1.0 + 2e-12, np.nan])
+    def test_phase_check_bites_at_large_dim(self, bad):
+        phases = np.ones(self.DIM, dtype=complex)
+        phases[-1] = bad
+        with pytest.raises(bq.InvalidPhaseError):
+            bq.run_grover_with_phases(self.DIM, 1, 1, phases)
+
+    def test_user_array_is_copied(self):
+        amps = np.full(4, 0.5, dtype=complex)
+        state = bq.StateVector(amps)
+        amps[0] = -0.5
+        assert np.all(state.amplitudes == 0.5)
+
+    def test_adopted_array_is_not_copied(self):
+        amps = np.full(4, 0.5, dtype=complex)
+        assert StateVector._adopt(amps).amplitudes is amps
+
+    @pytest.mark.parametrize("build", [
+        lambda: bq.StateVector(np.full(4, 0.5)),
+        lambda: bq.uniform_state(4),
+        lambda: bq.apply_oracle(bq.uniform_state(4), 1),
+        lambda: bq.apply_diffusion(bq.uniform_state(4), bq.uniform_state(4)),
+        lambda: bq.grover_step(bq.uniform_state(4), 1),
+        lambda: bq.run_grover(4, 1, 1)[0],
+        lambda: bq.run_grover_with_phases(4, 1, 1, np.ones(4))[0],
+        lambda: bq.JointState(np.full((2, 2), 0.5)),
+        lambda: bq.relaxed_start(4),
+        lambda: bq.entangling_oracle(bq.relaxed_start(4), 1),
+        lambda: bq.TwoLevelState(np.array([1.0, 0.0])),
+        lambda: bq.evolve(bq.TwoLevelState(np.array([1.0, 0.0])), 1.0, 0.3),
+    ])
+    def test_stored_amplitudes_are_read_only(self, build):
+        assert not build().amplitudes.flags.writeable
 
 
 class TestOracle:
@@ -417,3 +498,9 @@ class TestTwoTermHamiltonian:
             bq.evolve_two_term_hamiltonian(4, 0, -1.0, 0.1)
         with pytest.raises(bq.InvalidParameterError):
             bq.evolve_two_term_hamiltonian(4, 0, math.inf, 0.1)
+
+    @pytest.mark.parametrize("time_step", [
+        1.0 / (2 * MAX_SWEEP_STEPS), 1e-300, 5e-324])
+    def test_rejects_runaway_grids(self, time_step):
+        with pytest.raises(bq.InvalidParameterError, match="time_step"):
+            bq.evolve_two_term_hamiltonian(4, 0, 1.0, time_step)
