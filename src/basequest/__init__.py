@@ -11,14 +11,10 @@ the package, or a submodule that needs no arrays, does not import numpy.
 _SOURCES = {
     "bond": (
         "BondParams",
-        "TwoLevelState",
         "bond_time",
         "boltzmann_error_rate",
         "cascade_phase",
-        "evolution_operator",
-        "evolve",
         "half_rabi_phase",
-        "interaction_hamiltonian",
     ),
     "classical": (
         "SearchMode",

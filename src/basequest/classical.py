@@ -15,12 +15,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .errors import (
-    DrawBudgetExceededError,
-    InvalidDimensionError,
-    InvalidParameterError,
-)
-from .grover import _check_seed, _is_integer, optimal_queries
+from ._checks import check_integer, check_seed
+from .errors import DrawBudgetExceededError, InvalidDimensionError
+from .grover import optimal_queries
 
 if TYPE_CHECKING:
     import numpy as np
@@ -48,15 +45,9 @@ class TrialStats:
     std_error: float
 
 
-def _check_size(database_size: int) -> None:
-    if not _is_integer(database_size) or database_size < 1:
-        raise InvalidDimensionError(
-            f"database size must be an integer >= 1, got {database_size!r}")
-
-
 def expected_queries(database_size: int, mode: SearchMode) -> float:
     """Exact expectation of the query count for the given discipline."""
-    _check_size(database_size)
+    check_integer(database_size, "database size", 1, InvalidDimensionError)
     mode = SearchMode(mode)
     if mode is SearchMode.WITH_REPLACEMENT:
         return float(database_size)
@@ -101,15 +92,12 @@ def sample_queries(
     """
     import numpy as np
 
-    _check_size(database_size)
+    check_integer(database_size, "database size", 1, InvalidDimensionError)
     mode = SearchMode(mode)
-    if not _is_integer(trials) or trials < 1:
-        raise InvalidParameterError(f"trials must be an integer >= 1, got {trials!r}")
-    _check_seed(seed)
+    check_integer(trials, "trials", 1)
+    check_seed(seed)
     budget = DRAW_BUDGET_FACTOR * database_size if max_draws is None else max_draws
-    if not _is_integer(budget) or budget < 1:
-        raise InvalidParameterError(
-            f"draw budget must be an integer >= 1, got {budget!r}")
+    check_integer(budget, "draw budget", 1)
 
     blocks = -(-trials // BLOCK_SIZE)
     streams = np.random.SeedSequence(seed).spawn(blocks)
@@ -150,7 +138,7 @@ def simulate_search(
 
 def theoretical_std(database_size: int, mode: SearchMode) -> float:
     """Population standard deviation of the query count."""
-    _check_size(database_size)
+    check_integer(database_size, "database size", 1, InvalidDimensionError)
     mode = SearchMode(mode)
     if mode is SearchMode.WITH_REPLACEMENT:
         # geometric law: var = (1-p)/p**2 with p = 1/size

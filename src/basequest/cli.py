@@ -30,6 +30,7 @@ import click
 # replication is imported by the scenario command alone: it is the one
 # module here that needs numpy at import time
 from . import bond, classical, grover
+from ._checks import check_seed
 from .errors import SimulationError
 from .output import FORMATS, write_records
 
@@ -107,8 +108,8 @@ def main():
 
 
 @main.command()
-@click.option("--qmax", type=int, default=10, show_default=True,
-              help="Largest query count to tabulate.")
+@click.option("--qmax", type=click.IntRange(0, grover.MAX_SWEEP_STEPS), default=10,
+              show_default=True, help="Largest query count to tabulate.")
 @_common_options
 def table(qmax, fmt, output_path):
     """Database sizes solved from query counts, with success and speedup.
@@ -118,9 +119,6 @@ def table(qmax, fmt, output_path):
     success probability at that integer, and the classical-over-quantum
     query ratio (empty for the degenerate zero-query row).
     """
-    if qmax < 0:
-        raise click.UsageError("--qmax must be >= 0")
-
     def build():
         records = [{
             "record": "config", "command": "table", "qmax": qmax,
@@ -164,6 +162,7 @@ def grover_cmd(dim, target, iters, phases, seed, fmt, output_path):
         queries = iters if iters is not None else grover.optimal_queries(dim).queries
         if queries < 0:
             raise click.UsageError("--iters must be >= 0")
+        check_seed(seed)
         # a start decoration leaves the series alone; --phases, --seed are echoed
         series = grover.success_series(dim, target, queries)
         records = [{

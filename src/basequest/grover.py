@@ -22,16 +22,15 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ._checks import check_integer, check_positive, check_seed, check_target
 from .errors import (
     DimensionMismatchError,
     InvalidDimensionError,
     InvalidParameterError,
     InvalidPhaseError,
-    InvalidTargetError,
 )
 
 if TYPE_CHECKING:
@@ -146,7 +145,7 @@ class StateVector(_Amplitudes):
 
     def success_probability(self, target: int) -> float:
         """|<target|self>|**2."""
-        _check_target(target, self.dim)
+        check_target(target, self.dim)
         return float(abs(self.amplitudes[target]) ** 2)
 
 
@@ -163,43 +162,11 @@ class SearchSolution:
     success_probability: float
 
 
-def _is_integer(value) -> bool:
-    # bool subclasses int, but True is no dimension, index or count; numpy
-    # registers its integer scalars as Integral. The exact-int test first
-    # skips the slower abstract-class check for the common case.
-    return type(value) is int or (isinstance(value, numbers.Integral)
-                                  and not isinstance(value, bool))
-
-
-def _check_seed(seed) -> None:
-    # SeedSequence would raise its own ValueError (or TypeError) deeper in
-    if seed is not None and (not _is_integer(seed) or seed < 0):
-        raise InvalidParameterError(
-            f"seed must be None or an integer >= 0, got {seed!r}")
-
-
-def _check_dim(dim: int) -> None:
-    if not _is_integer(dim) or dim < 2:
-        raise InvalidDimensionError(f"dimension must be an integer >= 2, got {dim!r}")
-
-
-def _check_target(target: int, dim: int) -> None:
-    if not _is_integer(target) or not 0 <= target < dim:
-        raise InvalidTargetError(
-            f"target must be an integer in [0, {dim}), got {target!r}")
-
-
-def _check_queries(queries: int) -> None:
-    if not _is_integer(queries) or queries < 0:
-        raise InvalidParameterError(
-            f"query count must be an integer >= 0, got {queries!r}")
-
-
 def uniform_state(dim: int) -> StateVector:
     """Equal-amplitude start state (1/sqrt(dim), ..., 1/sqrt(dim))."""
     import numpy as np
 
-    _check_dim(dim)
+    check_integer(dim, "dimension", 2, InvalidDimensionError)
     return StateVector._adopt(
         np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
 
@@ -209,7 +176,7 @@ def apply_oracle(state: StateVector, target: int) -> StateVector:
 
     Implements 1 - 2|target><target| acting on state.
     """
-    _check_target(target, state.dim)
+    check_target(target, state.dim)
     amps = state.amplitudes.copy()
     amps[target] = -amps[target]
     return StateVector._adopt(amps)
@@ -236,7 +203,7 @@ def grover_step(state: StateVector, target: int,
     """
     import numpy as np
 
-    _check_target(target, state.dim)
+    check_target(target, state.dim)
     if reference is None:
         reference = uniform_state(state.dim)
     elif reference.dim != state.dim:
@@ -271,9 +238,9 @@ def _search_orbit(dim: int, target: int, queries: int):
     with the round count while its angle stays accurate, so callers divide
     each pair by its length.
     """
-    _check_dim(dim)
-    _check_target(target, dim)
-    _check_queries(queries)
+    check_integer(dim, "dimension", 2, InvalidDimensionError)
+    check_target(target, dim)
+    check_integer(queries, "query count", 0)
     x, y = 1.0 / math.sqrt(dim), math.sqrt((dim - 1) / dim)
     # (2|start><start| - 1) diag(-1, 1), start = (x, y) on the plane
     step = ((1.0 - 2.0 * (x * x), 2.0 * (x * y)),
@@ -294,8 +261,14 @@ def success_series(dim: int, target: int, queries: int) -> list[float]:
     as a list of queries + 1 floats.
 
     A phase decoration (as in run_grover_with_phases) leaves it unchanged.
+    queries may not exceed MAX_SWEEP_STEPS = 10**6, for the reason
+    evolve_two_term_hamiltonian gives.
     """
     orbit = _search_orbit(dim, target, queries)
+    if queries > MAX_SWEEP_STEPS:
+        raise InvalidParameterError(
+            f"query count must be at most {MAX_SWEEP_STEPS} for a series, "
+            f"got {queries!r}")
     return [p * p for p in (a / math.hypot(a, b) for a, b in orbit)]
 
 
@@ -305,7 +278,7 @@ def closed_form_success(database_size: float, queries: int) -> float:
     Accepts real-valued sizes >= 1 so table rows solved from a query count
     can be evaluated directly.
     """
-    _check_queries(queries)
+    check_integer(queries, "query count", 0)
     if isinstance(database_size, bool) or not database_size >= 1.0:
         raise InvalidDimensionError(
             f"database size must be >= 1, got {database_size!r}")
@@ -320,9 +293,7 @@ def optimal_queries(database_size: int) -> SearchSolution:
     (queries beyond the first peak only lose ground to extra work); ties go
     to the smaller count.
     """
-    if not _is_integer(database_size) or database_size < 1:
-        raise InvalidDimensionError(
-            f"database size must be an integer >= 1, got {database_size!r}")
+    check_integer(database_size, "database size", 1, InvalidDimensionError)
     theta = math.asin(1.0 / math.sqrt(database_size))
     # Real-valued peak of sin((2q+1)theta) at q = (pi/(2 theta) - 1)/2.
     peak = (math.pi / (2.0 * theta) - 1.0) / 2.0
@@ -348,7 +319,7 @@ def solve_database_size(queries: int) -> SearchSolution:
     pi/2, giving size = 1/sin**2(pi/(2*(2*queries + 1))). The result is real
     valued; queries=1 gives exactly 4.
     """
-    _check_queries(queries)
+    check_integer(queries, "query count", 0)
     size = 1.0 / math.sin(math.pi / (2.0 * (2 * queries + 1))) ** 2
     return SearchSolution(
         queries=int(queries),
@@ -364,8 +335,8 @@ def random_unit_phases(dim: int, seed: int | None = None) -> np.ndarray:
     """
     import numpy as np
 
-    _check_dim(dim)
-    _check_seed(seed)
+    check_integer(dim, "dimension", 2, InvalidDimensionError)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     return np.exp(2j * math.pi * rng.random(dim))
 
@@ -422,8 +393,8 @@ def run_grover_with_phases(dim: int, target: int, queries: int,
 
 # --- continuous-time counterpart ---------------------------------------
 
-# Largest time grid evolve_two_term_hamiltonian builds, in steps (see its
-# docstring for why).
+# Longest series success_series or evolve_two_term_hamiltonian builds, in
+# steps (see the latter's docstring for why).
 MAX_SWEEP_STEPS = 10 ** 6
 
 
@@ -474,10 +445,9 @@ def evolve_two_term_hamiltonian(
     The exact series reaches success >= 1 - 1/dim provided total_time
     covers the first peak at pi*sqrt(dim)/2.
     """
-    _check_dim(dim)
-    _check_target(target, dim)
-    if not 0 < total_time < math.inf:
-        raise InvalidParameterError(f"total_time must be in (0, inf), got {total_time!r}")
+    check_integer(dim, "dimension", 2, InvalidDimensionError)
+    check_target(target, dim)
+    check_positive(total_time, "total_time")
     if not 0 < time_step <= total_time:
         raise InvalidParameterError(
             f"time_step must be in (0, total_time], got {time_step!r}")

@@ -34,14 +34,20 @@ from enum import Enum
 
 import numpy as np
 
+from ._checks import (
+    check_integer,
+    check_nonnegative,
+    check_positive,
+    check_seed,
+    check_target,
+)
 from .errors import (
     DimensionMismatchError,
     DrawBudgetExceededError,
     InvalidDimensionError,
     InvalidParameterError,
-    InvalidTargetError,
 )
-from .grover import _Amplitudes, _check_seed, _is_integer
+from .grover import _Amplitudes
 
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
@@ -98,34 +104,18 @@ class ScenarioParams:
     seed: int | None = None
 
     def __post_init__(self):
-        if not _is_integer(self.dim) or self.dim < 2:
-            raise InvalidDimensionError(
-                f"dim must be an integer >= 2, got {self.dim!r}")
-        if not _is_integer(self.target) or not 0 <= self.target < self.dim:
-            raise InvalidTargetError(
-                f"target must be an integer in [0, {self.dim}), got {self.target!r}")
-        for name in ("bond_duration", "oscillation_time"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise InvalidParameterError(
-                    f"{name} must be finite and > 0, got {value!r}")
+        check_integer(self.dim, "dim", 2, InvalidDimensionError)
+        check_target(self.target, self.dim)
+        check_positive(self.bond_duration, "bond_duration")
+        check_positive(self.oscillation_time, "oscillation_time")
         if not self.relaxation_time > 0:
             raise InvalidParameterError(
                 f"relaxation_time must be > 0, got {self.relaxation_time!r}")
         object.__setattr__(self, "emission", EmissionPolicy(self.emission))
         if self.emission is EmissionPolicy.FIXED_TIME:
-            _check_fixed_time(self.emission_time)
-        if not _is_integer(self.samples) or self.samples < 1:
-            raise InvalidParameterError(
-                f"samples must be an integer >= 1, got {self.samples!r}")
-        _check_seed(self.seed)
-
-
-def _check_fixed_time(fixed_time: float | None) -> None:
-    if fixed_time is None or not 0 <= fixed_time < math.inf:
-        raise InvalidParameterError(
-            "fixed-time emission needs a finite emission_time >= 0, got "
-            f"{fixed_time!r}")
+            check_nonnegative(self.emission_time, "emission_time")
+        check_integer(self.samples, "samples", 1)
+        check_seed(self.seed)
 
 
 def hierarchy_warnings(params: ScenarioParams) -> tuple[str, ...]:
@@ -181,8 +171,7 @@ class JointState(_Amplitudes):
 
 def relaxed_start(dim: int) -> JointState:
     """Uniform base amplitudes, all in the no-emission sector."""
-    if not _is_integer(dim) or dim < 2:
-        raise InvalidDimensionError(f"dim must be an integer >= 2, got {dim!r}")
+    check_integer(dim, "dim", 2, InvalidDimensionError)
     amps = np.zeros((dim, 2), dtype=np.complex128)
     amps[:, 0] = 1.0 / math.sqrt(dim)
     return JointState._adopt(amps)
@@ -194,9 +183,7 @@ def entangling_oracle(state: JointState, target: int) -> JointState:
     Sends (target, 0) to -(target, 2) and (target, 2) to -(target, 0), so
     applying it twice is the identity.
     """
-    if not 0 <= target < state.dim:
-        raise InvalidTargetError(
-            f"target must be in [0, {state.dim}), got {target!r}")
+    check_target(target, state.dim)
     amps = state.amplitudes.copy()
     amps[target, 0], amps[target, 1] = -state.amplitudes[target, 1], \
         -state.amplitudes[target, 0]
@@ -222,9 +209,7 @@ def conditional_lift(base_amplitudes: np.ndarray, target: int) -> JointState:
     if base.ndim != 1 or base.size < 2:
         raise InvalidDimensionError(
             f"base state needs at least 2 amplitudes, got shape {base.shape}")
-    if not 0 <= target < base.size:
-        raise InvalidTargetError(
-            f"target must be in [0, {base.size}), got {target!r}")
+    check_target(target, base.size)
     amps = np.zeros((base.size, 2), dtype=np.complex128)
     amps[:, 0] = base
     amps[target, 1] = base[target]
@@ -252,6 +237,7 @@ def swing_endpoint(state0: JointState, target: int,
                    trajectory: str = "conditional") -> JointState:
     """Far turning point of the amplification swing from state0."""
     _check_trajectory(trajectory)
+    check_target(target, state0.dim)
     if trajectory == "joint":
         return base_amplification(state0)
     base0 = _conditional_base(state0, target)
@@ -268,8 +254,8 @@ def _check_trajectory(trajectory: str) -> None:
 def oscillation_fraction(t: float, oscillation_time: float) -> float:
     """Pendulum progress along the arc: 0 at rest, 1 at the far turning
     point, back to 0 after a full period of twice oscillation_time."""
-    if t < 0:
-        raise InvalidParameterError(f"time must be >= 0, got {t!r}")
+    check_nonnegative(t, "time")
+    check_positive(oscillation_time, "oscillation_time")
     return (1.0 - math.cos(math.pi * t / oscillation_time)) / 2.0
 
 
@@ -303,9 +289,6 @@ def _arc_interpolate(flat0: np.ndarray, flat1: np.ndarray, fraction: float) -> n
 def undamped_state(state0: JointState, target: int, oscillation_time: float,
                    t: float, trajectory: str = "conditional") -> JointState:
     """Pure swing state at time t (no relaxation)."""
-    if not oscillation_time > 0:
-        raise InvalidParameterError(
-            f"oscillation_time must be > 0, got {oscillation_time!r}")
     state1 = swing_endpoint(state0, target, trajectory)
     f = oscillation_fraction(t, oscillation_time)
     flat = _arc_interpolate(state0.flat(), state1.flat(), f)
@@ -355,8 +338,7 @@ class DensityMatrix:
 
 def damping_weight(t: float, relaxation_time: float) -> float:
     """Surviving pure-swing weight exp(-2 t / relaxation_time)."""
-    if t < 0:
-        raise InvalidParameterError(f"time must be >= 0, got {t!r}")
+    check_nonnegative(t, "time")
     if not relaxation_time > 0:
         raise InvalidParameterError(
             f"relaxation_time must be > 0, got {relaxation_time!r}")
@@ -402,8 +384,7 @@ def emission_measurement(rho: DensityMatrix, target: int) -> EmissionResult:
         raise InvalidDimensionError(
             f"expected a flattened (dim, 2) register, got side {side}")
     dim = side // 2
-    if not 0 <= target < dim:
-        raise InvalidTargetError(f"target must be in [0, {dim}), got {target!r}")
+    check_target(target, dim)
     idx = 2 * target + 1
     p = float(np.real(rho.matrix[idx, idx]))
     p = min(1.0, max(0.0, p))
@@ -455,16 +436,19 @@ def _arc_success(arc: tuple[float, complex, complex], params: ScenarioParams,
     The _arc_interpolate formula on one component, in the same operation
     order, so it gives the same bits as the full-vector route: numpy
     divides a complex array by a real scalar as a product with the
-    reciprocal (Smith's method), hence the product here.
+    reciprocal (Smith's method), hence the product here. The fraction and
+    the weight are those of oscillation_fraction and damping_weight,
+    unchecked: params is valid and t is checked by the caller or drawn
+    under the policy, once per emission attempt.
     """
     angle, start, end = arc
-    fraction = oscillation_fraction(t, params.oscillation_time)
+    fraction = (1.0 - math.cos(math.pi * t / params.oscillation_time)) / 2.0
     if math.sin(angle) < DEGENERATE_SIN:
         amp = cmath.exp(1j * angle * fraction) * start
     else:
         amp = ((math.sin((1.0 - fraction) * angle) * start
                 + math.sin(fraction * angle) * end) * (1.0 / math.sin(angle)))
-    return damping_weight(t, params.relaxation_time) * float(abs(amp) ** 2)
+    return math.exp(-2.0 * t / params.relaxation_time) * float(abs(amp) ** 2)
 
 
 def success_probability_at(state0: JointState, params: ScenarioParams,
@@ -474,8 +458,9 @@ def success_probability_at(state0: JointState, params: ScenarioParams,
     Uses the closed form: the relaxed component carries no emitted-quanta
     amplitude, so only the pure swing term contributes.
     """
-    return _arc_success(_emission_arc(state0, params.target, trajectory),
-                        params, t)
+    arc = _emission_arc(state0, params.target, trajectory)
+    check_nonnegative(t, "time")
+    return _arc_success(arc, params, t)
 
 
 def sample_emission_time(policy: EmissionPolicy, oscillation_time: float,
@@ -484,11 +469,12 @@ def sample_emission_time(policy: EmissionPolicy, oscillation_time: float,
     """One emission time under the given policy (uniform draws cover one
     full period)."""
     policy = EmissionPolicy(policy)
+    check_positive(oscillation_time, "oscillation_time")
     if policy is EmissionPolicy.AT_EXTREMUM:
         return oscillation_time
     if policy is EmissionPolicy.UNIFORM_RANDOM:
         return float(rng.random() * 2.0 * oscillation_time)
-    _check_fixed_time(fixed_time)
+    check_nonnegative(fixed_time, "fixed_time")
     return fixed_time
 
 
@@ -523,12 +509,8 @@ def run_scenario(params: ScenarioParams, *, entropy_points: int = 101,
     The entropy series tracks the undamped joint-reading swing over one
     full period on an entropy_points grid.
     """
-    if not _is_integer(entropy_points) or entropy_points < 2:
-        raise InvalidParameterError(
-            f"entropy_points must be an integer >= 2, got {entropy_points!r}")
-    if not _is_integer(attempt_cap) or attempt_cap < 1:
-        raise InvalidParameterError(
-            f"attempt_cap must be an integer >= 1, got {attempt_cap!r}")
+    check_integer(entropy_points, "entropy_points", 2)
+    check_integer(attempt_cap, "attempt_cap", 1)
     notes = hierarchy_warnings(params)
     for note in notes:
         warnings.warn(note, HierarchyWarning, stacklevel=2)

@@ -10,53 +10,6 @@ import basequest as bq
 from basequest.bond import BOLTZMANN, HBAR
 
 
-class TestHamiltonian:
-    def test_eigensystem(self):
-        gap = 2.5
-        values, vectors = np.linalg.eigh(bq.interaction_hamiltonian(gap))
-        assert values == pytest.approx([-gap, gap])
-        for column in vectors.T:
-            assert np.abs(column) == pytest.approx([1, 1] / np.sqrt(2))
-
-    def test_rejects_nonpositive_gap(self):
-        with pytest.raises(bq.InvalidParameterError):
-            bq.interaction_hamiltonian(0.0)
-
-
-class TestEvolutionOperator:
-    @pytest.mark.parametrize("gap,duration", [
-        (1.0, 0.3), (2.0, 1.7), (0.5, math.pi), (3.3, 0.0),
-    ])
-    def test_matches_matrix_exponential(self, gap, duration):
-        closed = bq.evolution_operator(gap, duration)
-        dense = expm(-1j * bq.interaction_hamiltonian(gap) * duration)
-        assert np.max(np.abs(closed - dense)) <= 1e-12
-
-    @pytest.mark.parametrize("gap,duration", [(1.0, 0.7), (4.0, 2.9)])
-    def test_unitary(self, gap, duration):
-        u = bq.evolution_operator(gap, duration)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-12
-
-    def test_full_cycle_is_global_sign(self):
-        u = bq.evolution_operator(1.0, math.pi)
-        assert np.max(np.abs(u + np.eye(2))) <= 1e-12
-
-    def test_evolve_half_cycle_transfers_population(self):
-        start = bq.TwoLevelState(np.array([1.0, 0.0]))
-        out = bq.evolve(start, 2.0, math.pi / 4.0)
-        assert abs(out.amplitudes[0]) <= 1e-12
-        assert out.amplitudes[1] == pytest.approx(-1j, abs=1e-12)
-
-    def test_rejects_negative_duration(self):
-        with pytest.raises(bq.InvalidParameterError):
-            bq.evolution_operator(1.0, -0.1)
-
-    @pytest.mark.parametrize("duration", [math.nan, math.inf])
-    def test_rejects_non_finite_duration(self, duration):
-        with pytest.raises(bq.InvalidParameterError, match="duration"):
-            bq.evolution_operator(1.0, duration)
-
-
 class TestHalfRabiPhase:
     def test_unit_gap(self):
         phase = bq.half_rabi_phase(1.0, math.pi / 2.0)
@@ -69,6 +22,21 @@ class TestHalfRabiPhase:
             phase = bq.half_rabi_phase(gap, math.pi / (2.0 * gap))
             assert abs(abs(phase) - 1.0) <= 1e-12
             assert abs(phase * phase + 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("gap", [0.5, 1.0, 2.0, 3.3])
+    def test_matches_matrix_exponential(self, gap):
+        # exp(-i H duration) with H = gap * swap, over one half cycle: the
+        # no-transition state (1, 0) lands wholly on the second component
+        duration = math.pi / (2.0 * gap)
+        hamiltonian = np.array([[0.0, gap], [gap, 0.0]], dtype=complex)
+        dense = expm(-1j * hamiltonian * duration)
+        assert abs(dense[0, 0]) <= 1e-12
+        assert abs(bq.half_rabi_phase(gap, duration) - dense[1, 0]) <= 1e-12
+
+    def test_rejects_nonpositive_gap(self):
+        # gap * duration is a half cycle, but the gap is no energy gap
+        with pytest.raises(bq.InvalidParameterError, match="energy gap"):
+            bq.half_rabi_phase(-1.0, -math.pi / 2.0)
 
     @pytest.mark.parametrize("duration", [1.0, math.pi, math.pi / 2 + 1e-6])
     def test_rejects_other_durations(self, duration):
@@ -158,14 +126,3 @@ class TestValidation:
     def test_bond_params_rejections(self, kwargs):
         with pytest.raises(bq.InvalidParameterError):
             bq.BondParams(**kwargs)
-
-    def test_state_needs_two_normalized_amplitudes(self):
-        with pytest.raises(bq.InvalidParameterError):
-            bq.TwoLevelState(np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(bq.InvalidParameterError):
-            bq.TwoLevelState(np.array([1.0, 1.0]))
-
-    def test_state_amplitudes_read_only(self):
-        state = bq.TwoLevelState(np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            state.amplitudes[0] = 1.0

@@ -16,9 +16,8 @@ from basequest.cli import main
 # The package's exports by defining submodule, as they were when the
 # package imported every submodule eagerly.
 EXPORTS = {
-    "bond": ["BondParams", "TwoLevelState", "bond_time", "boltzmann_error_rate",
-             "cascade_phase", "evolution_operator", "evolve", "half_rabi_phase",
-             "interaction_hamiltonian"],
+    "bond": ["BondParams", "bond_time", "boltzmann_error_rate", "cascade_phase",
+             "half_rabi_phase"],
     "classical": ["SearchMode", "TrialStats", "expected_queries", "sample_queries",
                   "simulate_search", "speedup_ratio", "theoretical_std"],
     "errors": ["DimensionMismatchError", "DrawBudgetExceededError",
@@ -98,6 +97,9 @@ class TestTable:
 
     def test_rejects_negative_qmax(self, runner):
         assert runner.invoke(main, ["table", "--qmax", "-2"]).exit_code == 2
+
+    def test_rejects_qmax_above_series_bound(self, runner):
+        assert runner.invoke(main, ["table", "--qmax", "1000001"]).exit_code == 2
 
 
 class TestGrover:
@@ -265,11 +267,16 @@ class TestPlumbing:
         ["bond", "--delta-e-kt", "inf"],
         ["bond", "--delta-e-kt", "nan"],
         ["bond", "--temperature", "inf"],
+        ["grover", "--n", "4", "--target", "0", "--iters", "1000001"],
+        ["grover", "--n", "10000000000000", "--target", "0"],
+        ["grover", "--n", "4", "--target", "0", "--seed", "-1"],
     ])
     def test_domain_errors_are_model_errors(self, runner, argv):
         result = runner.invoke(main, argv)
         assert result.exit_code == 3
         assert result.stderr.startswith("error: ")
+        # the model error ends the call as an exit, not as a traceback
+        assert isinstance(result.exception, SystemExit)
 
     def test_cli_import_does_not_load_scipy(self):
         fresh_python("import basequest.cli, sys; "
@@ -278,6 +285,11 @@ class TestPlumbing:
     def test_imports_do_not_load_numpy(self):
         fresh_python("import sys, basequest; assert 'numpy' not in sys.modules; "
                      "import basequest.cli; assert 'numpy' not in sys.modules")
+
+    def test_bond_loads_neither_numpy_nor_grover(self):
+        fresh_python("import sys, basequest.bond\n"
+                     "assert 'numpy' not in sys.modules\n"
+                     "assert 'basequest.grover' not in sys.modules")
 
     @pytest.mark.parametrize("argv,loads_numpy", [
         (["table", "--qmax", "40"], False),

@@ -131,8 +131,9 @@ class TestStateConstruction:
         lambda: bq.JointState(np.full((2, 2), 0.5)),
         lambda: bq.relaxed_start(4),
         lambda: bq.entangling_oracle(bq.relaxed_start(4), 1),
-        lambda: bq.TwoLevelState(np.array([1.0, 0.0])),
-        lambda: bq.evolve(bq.TwoLevelState(np.array([1.0, 0.0])), 1.0, 0.3),
+        lambda: bq.conditional_lift(np.full(4, 0.5), 1),
+        lambda: bq.undamped_state(bq.entangling_oracle(bq.relaxed_start(4), 1),
+                                  1, 1.0, 0.3),
     ])
     def test_stored_amplitudes_are_read_only(self, build):
         assert not build().amplitudes.flags.writeable
@@ -409,6 +410,16 @@ class TestPhaseDecoration:
         series = bq.success_series(20, 3, 6)
         assert type(series) is list and len(series) == 7
         assert all(type(p) is float for p in series)
+
+    def test_success_series_refuses_long_series_before_building(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(bq.InvalidParameterError, match="query count"):
+                bq.success_series(10**13, 0, MAX_SWEEP_STEPS + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("seed", [-1, True, 1.5])
     def test_random_phases_reject_bad_seeds(self, seed):
