@@ -13,6 +13,13 @@ import numbers
 
 from .errors import InvalidParameterError, InvalidTargetError
 
+# Largest database size, dimension or query count: the closed forms work in
+# floats, exact for integers up to 2**53 (and overflowing far above it).
+MAX_COUNT = 2 ** 53
+# Largest dimension of a state the package allocates: 2**27 complex128
+# amplitudes are 2 GiB (a joint state holds two per object).
+MAX_STATE_DIM = 2 ** 27
+
 
 def _is_integer(value) -> bool:
     # bool subclasses int, but True is no dimension, index or count; numpy
@@ -22,10 +29,18 @@ def _is_integer(value) -> bool:
                                   and not isinstance(value, bool))
 
 
-def check_integer(value, name: str, low: int, error=InvalidParameterError) -> None:
-    """value is an integer >= low; error is the class raised otherwise."""
-    if not _is_integer(value) or value < low:
-        raise error(f"{name} must be an integer >= {low}, got {value!r}")
+def check_integer(value, name: str, low: int, error=InvalidParameterError,
+                  high: int | None = None) -> None:
+    """value is an integer >= low, and <= high unless high is None; error is
+    the class raised otherwise."""
+    if not _is_integer(value) or value < low or (high is not None and value > high):
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise error(f"{name} must be an integer {span}, got {value!r}")
+
+
+def check_count(value, name: str, low: int, error=InvalidParameterError) -> None:
+    """check_integer up to MAX_COUNT: a database size, dimension or query count."""
+    check_integer(value, name, low, error, MAX_COUNT)
 
 
 def check_target(target, size: int) -> None:
@@ -43,13 +58,23 @@ def check_seed(seed) -> None:
             f"seed must be None or an integer >= 0, got {seed!r}")
 
 
-def check_positive(value, name: str) -> None:
-    """value is finite and > 0 (NaN fails)."""
-    if not 0 < value < math.inf:
-        raise InvalidParameterError(f"{name} must be finite and > 0, got {value!r}")
+def check_positive(value, name: str, *, infinite_ok: bool = False) -> None:
+    """value is a real > 0, finite unless infinite_ok (NaN and non-numbers
+    fail)."""
+    try:
+        if 0 < value < math.inf or (infinite_ok and value == math.inf):
+            return
+    except TypeError:  # None, a str or a complex has no order
+        pass
+    bound = "> 0" if infinite_ok else "finite and > 0"
+    raise InvalidParameterError(f"{name} must be {bound}, got {value!r}")
 
 
 def check_nonnegative(value, name: str) -> None:
-    """value is finite and >= 0 (NaN and None fail)."""
-    if value is None or not 0 <= value < math.inf:
-        raise InvalidParameterError(f"{name} must be finite and >= 0, got {value!r}")
+    """value is a finite real >= 0 (NaN and non-numbers fail)."""
+    try:
+        if 0 <= value < math.inf:
+            return
+    except TypeError:
+        pass
+    raise InvalidParameterError(f"{name} must be finite and >= 0, got {value!r}")

@@ -49,13 +49,13 @@ def half_rabi_phase(energy_gap: float, duration: float) -> complex:
     to the start with an overall sign and transfers nothing). The returned
     factor is -1j up to the same tolerance.
     """
+    check_positive(energy_gap, "energy gap")
+    check_nonnegative(duration, "duration")
     x = energy_gap * duration
     if abs(x - math.pi / 2.0) > HALF_CYCLE_ATOL:
         raise IncompleteTransitionError(
             f"gap*duration = {x!r} is not a half cycle (pi/2 within "
             f"{HALF_CYCLE_ATOL}); the transition amplitude is not a pure phase")
-    check_positive(energy_gap, "energy gap")
-    check_nonnegative(duration, "duration")
     # the no-transition state (1, 0) lands on the first column of
     # exp(-i H duration) = cos(x) 1 - i sin(x) swap
     return -1j * math.sin(x)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from ._checks import check_integer, check_seed
+from ._checks import check_count, check_integer, check_seed
 from .errors import DrawBudgetExceededError, InvalidDimensionError
 from .grover import optimal_queries
 
@@ -47,7 +47,7 @@ class TrialStats:
 
 def expected_queries(database_size: int, mode: SearchMode) -> float:
     """Exact expectation of the query count for the given discipline."""
-    check_integer(database_size, "database size", 1, InvalidDimensionError)
+    check_count(database_size, "database size", 1, InvalidDimensionError)
     mode = SearchMode(mode)
     if mode is SearchMode.WITH_REPLACEMENT:
         return float(database_size)
@@ -92,7 +92,7 @@ def sample_queries(
     """
     import numpy as np
 
-    check_integer(database_size, "database size", 1, InvalidDimensionError)
+    check_count(database_size, "database size", 1, InvalidDimensionError)
     mode = SearchMode(mode)
     check_integer(trials, "trials", 1)
     check_seed(seed)
@@ -138,7 +138,7 @@ def simulate_search(
 
 def theoretical_std(database_size: int, mode: SearchMode) -> float:
     """Population standard deviation of the query count."""
-    check_integer(database_size, "database size", 1, InvalidDimensionError)
+    check_count(database_size, "database size", 1, InvalidDimensionError)
     mode = SearchMode(mode)
     if mode is SearchMode.WITH_REPLACEMENT:
         # geometric law: var = (1-p)/p**2 with p = 1/size

@@ -30,7 +30,7 @@ import click
 # replication is imported by the scenario command alone: it is the one
 # module here that needs numpy at import time
 from . import bond, classical, grover
-from ._checks import check_seed
+from ._checks import MAX_COUNT, check_seed
 from .errors import SimulationError
 from .output import FORMATS, write_records
 
@@ -323,8 +323,10 @@ def hamiltonian_cmd(dim, target, t_max, dt, fmt, output_path):
     """Two-term Hamiltonian evolution: exact vs split-operator series."""
 
     def build():
-        # the evolution rejects dim < 2; the default only has to be computable
-        total = t_max if t_max is not None else math.pi * math.sqrt(max(dim, 2)) / 2.0
+        # the evolution rejects dim outside [2, MAX_COUNT]; the default only
+        # has to be computable
+        total = t_max if t_max is not None else \
+            math.pi * math.sqrt(min(max(dim, 2), MAX_COUNT)) / 2.0
         sweep = grover.evolve_two_term_hamiltonian(dim, target, total, dt)
         records = [{
             "record": "config", "command": "hamiltonian", "n": dim,

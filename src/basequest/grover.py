@@ -25,7 +25,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ._checks import check_integer, check_positive, check_seed, check_target
+from ._checks import (MAX_COUNT, MAX_STATE_DIM, check_count, check_integer,
+                      check_positive, check_seed, check_target)
 from .errors import (
     DimensionMismatchError,
     InvalidDimensionError,
@@ -166,7 +167,7 @@ def uniform_state(dim: int) -> StateVector:
     """Equal-amplitude start state (1/sqrt(dim), ..., 1/sqrt(dim))."""
     import numpy as np
 
-    check_integer(dim, "dimension", 2, InvalidDimensionError)
+    check_integer(dim, "dimension", 2, InvalidDimensionError, MAX_STATE_DIM)
     return StateVector._adopt(
         np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
 
@@ -195,24 +196,12 @@ def apply_diffusion(state: StateVector, reference: StateVector) -> StateVector:
 
 def grover_step(state: StateVector, target: int,
                 reference: StateVector | None = None) -> StateVector:
-    """One amplification round: query, then negated reflection about the
-    reference (uniform start state unless one is supplied).
-
-    Computed fused, in one pass; identical to negating apply_diffusion of
-    apply_oracle (a unit test pins that equality).
-    """
-    import numpy as np
-
-    check_target(target, state.dim)
+    """One amplification round: apply_oracle, then apply_diffusion about the
+    reference (uniform start state unless one is supplied), then a sign flip."""
+    queried = apply_oracle(state, target)
     if reference is None:
         reference = uniform_state(state.dim)
-    elif reference.dim != state.dim:
-        raise DimensionMismatchError(
-            f"dimensions differ: state {state.dim}, reference {reference.dim}")
-    queried = state.amplitudes.copy()
-    queried[target] = -queried[target]
-    ov = np.vdot(reference.amplitudes, queried)
-    return StateVector._adopt(2.0 * ov * reference.amplitudes - queried)
+    return StateVector._adopt(-apply_diffusion(queried, reference).amplitudes)
 
 
 def _plane_orbit(step, start, count: int):
@@ -238,9 +227,9 @@ def _search_orbit(dim: int, target: int, queries: int):
     with the round count while its angle stays accurate, so callers divide
     each pair by its length.
     """
-    check_integer(dim, "dimension", 2, InvalidDimensionError)
+    check_count(dim, "dimension", 2, InvalidDimensionError)
     check_target(target, dim)
-    check_integer(queries, "query count", 0)
+    check_count(queries, "query count", 0)
     x, y = 1.0 / math.sqrt(dim), math.sqrt((dim - 1) / dim)
     # (2|start><start| - 1) diag(-1, 1), start = (x, y) on the plane
     step = ((1.0 - 2.0 * (x * x), 2.0 * (x * y)),
@@ -275,15 +264,23 @@ def success_series(dim: int, target: int, queries: int) -> list[float]:
 def closed_form_success(database_size: float, queries: int) -> float:
     """sin**2((2*queries + 1) * arcsin(1/sqrt(size))).
 
-    Accepts real-valued sizes >= 1 so table rows solved from a query count
-    can be evaluated directly.
+    Accepts real-valued sizes in [1, 2**53] so table rows solved from a
+    query count can be evaluated directly.
     """
-    check_integer(queries, "query count", 0)
-    if isinstance(database_size, bool) or not database_size >= 1.0:
+    check_count(queries, "query count", 0)
+    try:
+        valid = (not isinstance(database_size, bool)
+                 and 1.0 <= database_size <= MAX_COUNT)
+    except TypeError:  # None, a str or a complex has no order
+        valid = False
+    if not valid:
         raise InvalidDimensionError(
-            f"database size must be >= 1, got {database_size!r}")
-    theta = math.asin(1.0 / math.sqrt(database_size))
-    return math.sin((2 * queries + 1) * theta) ** 2
+            f"database size must be in [1, {MAX_COUNT}], got {database_size!r}")
+    return _closed_form(database_size, queries)
+
+
+def _closed_form(size: float, queries: int) -> float:
+    return math.sin((2 * queries + 1) * math.asin(1.0 / math.sqrt(size))) ** 2
 
 
 def optimal_queries(database_size: int) -> SearchSolution:
@@ -293,7 +290,7 @@ def optimal_queries(database_size: int) -> SearchSolution:
     (queries beyond the first peak only lose ground to extra work); ties go
     to the smaller count.
     """
-    check_integer(database_size, "database size", 1, InvalidDimensionError)
+    check_count(database_size, "database size", 1, InvalidDimensionError)
     theta = math.asin(1.0 / math.sqrt(database_size))
     # Real-valued peak of sin((2q+1)theta) at q = (pi/(2 theta) - 1)/2.
     peak = (math.pi / (2.0 * theta) - 1.0) / 2.0
@@ -302,13 +299,13 @@ def optimal_queries(database_size: int) -> SearchSolution:
     best = low
     # Exact ties (possible by trig symmetry, e.g. size 2) must go to the
     # smaller count, so demand a margin beyond rounding noise.
-    if (closed_form_success(database_size, high)
-            > closed_form_success(database_size, low) + 1e-12):
+    if (_closed_form(database_size, high)
+            > _closed_form(database_size, low) + 1e-12):
         best = high
     return SearchSolution(
         queries=best,
         database_size=float(database_size),
-        success_probability=closed_form_success(database_size, best),
+        success_probability=_closed_form(database_size, best),
     )
 
 
@@ -317,14 +314,15 @@ def solve_database_size(queries: int) -> SearchSolution:
 
     Inverts the success condition (2*queries + 1) * arcsin(1/sqrt(size)) =
     pi/2, giving size = 1/sin**2(pi/(2*(2*queries + 1))). The result is real
-    valued; queries=1 gives exactly 4.
+    valued, and past closed_form_success's bound of 2**53 from about 7.5e7
+    queries; queries=1 gives exactly 4.
     """
-    check_integer(queries, "query count", 0)
+    check_count(queries, "query count", 0)
     size = 1.0 / math.sin(math.pi / (2.0 * (2 * queries + 1))) ** 2
     return SearchSolution(
         queries=int(queries),
         database_size=size,
-        success_probability=closed_form_success(size, queries),
+        success_probability=_closed_form(size, queries),
     )
 
 
@@ -335,7 +333,7 @@ def random_unit_phases(dim: int, seed: int | None = None) -> np.ndarray:
     """
     import numpy as np
 
-    check_integer(dim, "dimension", 2, InvalidDimensionError)
+    check_integer(dim, "dimension", 2, InvalidDimensionError, MAX_STATE_DIM)
     check_seed(seed)
     rng = np.random.default_rng(seed)
     return np.exp(2j * math.pi * rng.random(dim))
@@ -376,6 +374,7 @@ def run_grover_with_phases(dim: int, target: int, queries: int,
     import numpy as np
 
     orbit = _search_orbit(dim, target, queries)
+    check_integer(dim, "dimension", 2, InvalidDimensionError, MAX_STATE_DIM)
     if phases is not None:
         phases = _check_phases(phases, dim)
     for on_target, rest in orbit:
@@ -445,10 +444,11 @@ def evolve_two_term_hamiltonian(
     The exact series reaches success >= 1 - 1/dim provided total_time
     covers the first peak at pi*sqrt(dim)/2.
     """
-    check_integer(dim, "dimension", 2, InvalidDimensionError)
+    check_count(dim, "dimension", 2, InvalidDimensionError)
     check_target(target, dim)
     check_positive(total_time, "total_time")
-    if not 0 < time_step <= total_time:
+    check_positive(time_step, "time_step")
+    if time_step > total_time:
         raise InvalidParameterError(
             f"time_step must be in (0, total_time], got {time_step!r}")
     if not total_time / time_step <= MAX_SWEEP_STEPS:

@@ -35,6 +35,7 @@ from enum import Enum
 import numpy as np
 
 from ._checks import (
+    MAX_STATE_DIM,
     check_integer,
     check_nonnegative,
     check_positive,
@@ -66,8 +67,6 @@ DEGENERATE_SIN = 1e-6
 # Each timescale must exceed the faster one by at least this factor for
 # the scenario separation of scales to hold.
 MIN_TIMESCALE_RATIO = 10.0
-
-QUANTA_LABELS = (0, 2)
 
 TRAJECTORIES = ("conditional", "joint")
 
@@ -104,13 +103,11 @@ class ScenarioParams:
     seed: int | None = None
 
     def __post_init__(self):
-        check_integer(self.dim, "dim", 2, InvalidDimensionError)
+        check_integer(self.dim, "dim", 2, InvalidDimensionError, MAX_STATE_DIM)
         check_target(self.target, self.dim)
         check_positive(self.bond_duration, "bond_duration")
         check_positive(self.oscillation_time, "oscillation_time")
-        if not self.relaxation_time > 0:
-            raise InvalidParameterError(
-                f"relaxation_time must be > 0, got {self.relaxation_time!r}")
+        check_positive(self.relaxation_time, "relaxation_time", infinite_ok=True)
         object.__setattr__(self, "emission", EmissionPolicy(self.emission))
         if self.emission is EmissionPolicy.FIXED_TIME:
             check_nonnegative(self.emission_time, "emission_time")
@@ -171,7 +168,7 @@ class JointState(_Amplitudes):
 
 def relaxed_start(dim: int) -> JointState:
     """Uniform base amplitudes, all in the no-emission sector."""
-    check_integer(dim, "dim", 2, InvalidDimensionError)
+    check_integer(dim, "dimension", 2, InvalidDimensionError, MAX_STATE_DIM)
     amps = np.zeros((dim, 2), dtype=np.complex128)
     amps[:, 0] = 1.0 / math.sqrt(dim)
     return JointState._adopt(amps)
@@ -236,19 +233,15 @@ def _conditional_base(state: JointState, target: int) -> np.ndarray:
 def swing_endpoint(state0: JointState, target: int,
                    trajectory: str = "conditional") -> JointState:
     """Far turning point of the amplification swing from state0."""
-    _check_trajectory(trajectory)
+    if trajectory not in TRAJECTORIES:
+        raise InvalidParameterError(
+            f"trajectory must be one of {TRAJECTORIES}, got {trajectory!r}")
     check_target(target, state0.dim)
     if trajectory == "joint":
         return base_amplification(state0)
     base0 = _conditional_base(state0, target)
     base1 = 2.0 * base0.mean() - base0
     return conditional_lift(base1, target)
-
-
-def _check_trajectory(trajectory: str) -> None:
-    if trajectory not in TRAJECTORIES:
-        raise InvalidParameterError(
-            f"trajectory must be one of {TRAJECTORIES}, got {trajectory!r}")
 
 
 def oscillation_fraction(t: float, oscillation_time: float) -> float:
@@ -276,23 +269,36 @@ def _arc_angle(flat0: np.ndarray, flat1: np.ndarray) -> float:
     return angle
 
 
-def _arc_interpolate(flat0: np.ndarray, flat1: np.ndarray, fraction: float) -> np.ndarray:
-    """Great-circle interpolation between two unit vectors; nearly parallel
-    or antiparallel endpoints degrade to a pure-phase path."""
-    angle = _arc_angle(flat0, flat1)
+def _arc_point(angle: float, x0, x1, fraction: float):
+    """The point at fraction of the great-circle arc of the given angle from
+    x0 to x1 (pure phase at a degenerate angle, see _arc_angle), for whole
+    flat vectors or one component of each alike: numpy works per component
+    and divides a complex array by a real as the product with its reciprocal,
+    so a component gets the same bits either way."""
     if math.sin(angle) < DEGENERATE_SIN:
-        return np.exp(1j * angle * fraction) * flat0
-    return (math.sin((1.0 - fraction) * angle) * flat0
-            + math.sin(fraction * angle) * flat1) / math.sin(angle)
+        return cmath.exp(1j * angle * fraction) * x0
+    return ((math.sin((1.0 - fraction) * angle) * x0
+             + math.sin(fraction * angle) * x1) * (1.0 / math.sin(angle)))
+
+
+def _swing_arc(state0: JointState, target: int, trajectory: str = "conditional"):
+    """The swing from state0 as (angle, flat start, flat far turning point)."""
+    flat0 = state0.flat()
+    flat1 = swing_endpoint(state0, target, trajectory).flat()
+    return _arc_angle(flat0, flat1), flat0, flat1
+
+
+def _arc_state(arc, oscillation_time: float, t: float) -> JointState:
+    """Pure swing state at time t on an arc from _swing_arc."""
+    angle, flat0, flat1 = arc
+    f = oscillation_fraction(t, oscillation_time)
+    return JointState._adopt(_arc_point(angle, flat0, flat1, f).reshape(-1, 2))
 
 
 def undamped_state(state0: JointState, target: int, oscillation_time: float,
                    t: float, trajectory: str = "conditional") -> JointState:
     """Pure swing state at time t (no relaxation)."""
-    state1 = swing_endpoint(state0, target, trajectory)
-    f = oscillation_fraction(t, oscillation_time)
-    flat = _arc_interpolate(state0.flat(), state1.flat(), f)
-    return JointState._adopt(flat.reshape(state0.dim, 2))
+    return _arc_state(_swing_arc(state0, target, trajectory), oscillation_time, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,20 +312,18 @@ class DensityMatrix:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidDimensionError(
                 f"density matrix must be square, got shape {mat.shape}")
-        herm = float(np.max(np.abs(mat - mat.conj().T)))
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
+        herm, trace, low = self.diagnostics()
         if herm > HERMITICITY_ATOL:
             raise InvalidParameterError(
                 f"hermiticity defect {herm!r} exceeds {HERMITICITY_ATOL}")
-        trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > TRACE_ATOL:
+        if trace > TRACE_ATOL:
             raise InvalidParameterError(
-                f"trace {trace!r} deviates from 1 by more than {TRACE_ATOL}")
-        low = float(np.linalg.eigvalsh(mat).min())
+                f"trace defect {trace!r} exceeds {TRACE_ATOL}")
         if low < EIGENVALUE_FLOOR:
             raise InvalidParameterError(
                 f"minimum eigenvalue {low!r} is below {EIGENVALUE_FLOOR}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
 
     @classmethod
     def from_pure(cls, state: JointState) -> "DensityMatrix":
@@ -339,9 +343,7 @@ class DensityMatrix:
 def damping_weight(t: float, relaxation_time: float) -> float:
     """Surviving pure-swing weight exp(-2 t / relaxation_time)."""
     check_nonnegative(t, "time")
-    if not relaxation_time > 0:
-        raise InvalidParameterError(
-            f"relaxation_time must be > 0, got {relaxation_time!r}")
+    check_positive(relaxation_time, "relaxation_time", infinite_ok=True)
     return math.exp(-2.0 * t / relaxation_time)
 
 
@@ -418,39 +420,6 @@ def entanglement_entropy(state: JointState) -> float:
     return float(-(lam * np.log2(lam)).sum())
 
 
-def _emission_arc(state0: JointState, target: int,
-                  trajectory: str = "conditional") -> tuple[float, complex, complex]:
-    """The swing arc from state0 as three numbers: its angle, and the
-    target's emitted-quanta amplitude at the start and at the far turning
-    point. The amplitude anywhere on the arc follows from these alone."""
-    state1 = swing_endpoint(state0, target, trajectory)
-    return (_arc_angle(state0.flat(), state1.flat()),
-            complex(state0.amplitudes[target, 1]),
-            complex(state1.amplitudes[target, 1]))
-
-
-def _arc_success(arc: tuple[float, complex, complex], params: ScenarioParams,
-                 t: float) -> float:
-    """Emission success probability at time t on a precomputed arc.
-
-    The _arc_interpolate formula on one component, in the same operation
-    order, so it gives the same bits as the full-vector route: numpy
-    divides a complex array by a real scalar as a product with the
-    reciprocal (Smith's method), hence the product here. The fraction and
-    the weight are those of oscillation_fraction and damping_weight,
-    unchecked: params is valid and t is checked by the caller or drawn
-    under the policy, once per emission attempt.
-    """
-    angle, start, end = arc
-    fraction = (1.0 - math.cos(math.pi * t / params.oscillation_time)) / 2.0
-    if math.sin(angle) < DEGENERATE_SIN:
-        amp = cmath.exp(1j * angle * fraction) * start
-    else:
-        amp = ((math.sin((1.0 - fraction) * angle) * start
-                + math.sin(fraction * angle) * end) * (1.0 / math.sin(angle)))
-    return math.exp(-2.0 * t / params.relaxation_time) * float(abs(amp) ** 2)
-
-
 def success_probability_at(state0: JointState, params: ScenarioParams,
                            t: float, trajectory: str = "conditional") -> float:
     """Emission success probability of the damped state at time t.
@@ -458,9 +427,11 @@ def success_probability_at(state0: JointState, params: ScenarioParams,
     Uses the closed form: the relaxed component carries no emitted-quanta
     amplitude, so only the pure swing term contributes.
     """
-    arc = _emission_arc(state0, params.target, trajectory)
-    check_nonnegative(t, "time")
-    return _arc_success(arc, params, t)
+    angle, flat0, flat1 = _swing_arc(state0, params.target, trajectory)
+    emitted = 2 * params.target + 1
+    amp = _arc_point(angle, complex(flat0[emitted]), complex(flat1[emitted]),
+                     oscillation_fraction(t, params.oscillation_time))
+    return damping_weight(t, params.relaxation_time) * float(abs(amp) ** 2)
 
 
 def sample_emission_time(policy: EmissionPolicy, oscillation_time: float,
@@ -516,7 +487,10 @@ def run_scenario(params: ScenarioParams, *, entropy_points: int = 101,
         warnings.warn(note, HierarchyWarning, stacklevel=2)
 
     state0 = entangling_oracle(relaxed_start(params.dim), params.target)
-    arc = _emission_arc(state0, params.target)
+    osc, emitted = params.oscillation_time, 2 * params.target + 1
+    # the conditional arc on the target's emitted amplitude alone
+    angle, flat0, flat1 = _swing_arc(state0, params.target)
+    start, end = complex(flat0[emitted]), complex(flat1[emitted])
 
     first_probs = np.empty(params.samples)
     attempts = np.empty(params.samples, dtype=np.int64)
@@ -525,9 +499,13 @@ def run_scenario(params: ScenarioParams, *, entropy_points: int = 101,
         rng = np.random.Generator(np.random.PCG64(stream))
         count = 0
         while True:
-            t = sample_emission_time(params.emission, params.oscillation_time,
-                                     rng, params.emission_time)
-            p = _arc_success(arc, params, t)
+            t = sample_emission_time(params.emission, osc, rng,
+                                     params.emission_time)
+            # oscillation_fraction and damping_weight, unchecked: params is
+            # valid and t drawn under the policy, once per emission attempt
+            f = (1.0 - math.cos(math.pi * t / osc)) / 2.0
+            p = (math.exp(-2.0 * t / params.relaxation_time)
+                 * float(abs(_arc_point(angle, start, end, f)) ** 2))
             if count == 0:
                 first_probs[k] = p
             count += 1
@@ -539,21 +517,13 @@ def run_scenario(params: ScenarioParams, *, entropy_points: int = 101,
                     f"(success probability {p!r})")
         attempts[k] = count
 
-    times = np.linspace(0.0, 2.0 * params.oscillation_time, entropy_points)
-    bits = np.array([
-        entanglement_entropy(undamped_state(
-            state0, params.target, params.oscillation_time, t, "joint"))
-        for t in times
-    ])
-    extremum_state = undamped_state(state0, params.target,
-                                    params.oscillation_time,
-                                    params.oscillation_time, "joint")
+    joint = _swing_arc(state0, params.target, "joint")
+    times = np.linspace(0.0, 2.0 * osc, entropy_points)
+    bits = np.array([entanglement_entropy(_arc_state(joint, osc, t)) for t in times])
 
-    p_undamped = float(abs(undamped_state(
-        state0, params.target, params.oscillation_time,
-        params.oscillation_time).amplitudes[params.target, 1]) ** 2)
-    p_damped = (damping_weight(params.oscillation_time, params.relaxation_time)
-                * p_undamped)
+    far = _arc_point(angle, start, end, oscillation_fraction(osc, osc))
+    p_undamped = float(abs(far) ** 2)
+    p_damped = damping_weight(osc, params.relaxation_time) * p_undamped
 
     return ScenarioReport(
         params=params,
@@ -564,6 +534,6 @@ def run_scenario(params: ScenarioParams, *, entropy_points: int = 101,
         max_attempts_observed=int(attempts.max()),
         entropy_times=times,
         entropy_bits=bits,
-        entropy_at_extremum=entanglement_entropy(extremum_state),
+        entropy_at_extremum=entanglement_entropy(_arc_state(joint, osc, osc)),
         warnings=notes,
     )

@@ -3,9 +3,9 @@
 Everything here goes through dense matrices, full-length state vectors,
 explicit partial traces or closed-form trigonometry. None of it shares code
 with the package, which steps search and Hamiltonian runs on a 2-D plane,
-except vector_scenario_draws: it reads every emission probability off the
-package's full swing state (undamped_state), which the scenario sampler
-itself no longer builds.
+except vector_scenario_draws: it takes the far end of each swing from the
+package (swing_endpoint) and builds the full swing state itself, which the
+scenario sampler does not.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from basequest import (
     EmissionPolicy,
     entangling_oracle,
     relaxed_start,
-    undamped_state,
+    swing_endpoint,
 )
 
 
@@ -129,13 +129,27 @@ def random_joint_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
+def great_circle_point(flat0: np.ndarray, flat1: np.ndarray,
+                       fraction: float) -> np.ndarray:
+    """Slerp between two unit vectors on whole arrays; nearly parallel or
+    antiparallel ends take the pure-phase path from an exact 0 or pi."""
+    overlap = max(-1.0, min(1.0, float(np.real(np.vdot(flat0, flat1)))))
+    angle = math.acos(overlap)
+    if math.sin(angle) < 1e-6:
+        angle = 0.0 if overlap > 0.0 else math.pi
+        return np.exp(1j * angle * fraction) * flat0
+    return (math.sin((1.0 - fraction) * angle) * flat0
+            + math.sin(fraction * angle) * flat1) / math.sin(angle)
+
+
 def vector_emission_probability(state0, params, t: float,
                                 trajectory: str = "conditional") -> float:
     """Damped emission success at time t, read off the full swing state."""
-    psi = undamped_state(state0, params.target, params.oscillation_time, t,
-                         trajectory)
+    end = swing_endpoint(state0, params.target, trajectory)
+    fraction = (1.0 - math.cos(math.pi * t / params.oscillation_time)) / 2.0
+    psi = great_circle_point(state0.flat(), end.flat(), fraction)
     weight = math.exp(-2.0 * t / params.relaxation_time)
-    return weight * float(abs(psi.amplitudes[params.target, 1]) ** 2)
+    return weight * float(abs(psi[2 * params.target + 1]) ** 2)
 
 
 def vector_scenario_draws(params) -> tuple[float, float, int]:

@@ -1,14 +1,16 @@
-"""Every integer or time parameter of every public entry point refuses
+"""Every integer or real parameter of every public entry point refuses
 values outside its domain with a SimulationError that names it."""
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import basequest as bq
+from basequest._checks import MAX_COUNT, MAX_STATE_DIM
 
 
 def scenario(**overrides):
@@ -88,12 +90,20 @@ INTEGER_PARAMETERS = [
      lambda v: bq.run_scenario(scenario(), attempt_cap=v), "attempt_cap"),
 ]
 
-TIME_PARAMETERS = [
+# times, durations and scales: finite reals
+REAL_PARAMETERS = [
     ("evolve_two_term_hamiltonian.total_time",
      lambda v: bq.evolve_two_term_hamiltonian(4, 0, v, 0.5), "total_time"),
     ("evolve_two_term_hamiltonian.time_step",
      lambda v: bq.evolve_two_term_hamiltonian(4, 0, 1.0, v), "time_step"),
     ("half_rabi_phase.duration", lambda v: bq.half_rabi_phase(1.0, v), "duration"),
+    ("half_rabi_phase.energy_gap", lambda v: bq.half_rabi_phase(v, 1.0), "energy gap"),
+    ("BondParams.gap_over_kt", lambda v: bq.BondParams(gap_over_kt=v), "gap_over_kt"),
+    ("BondParams.temperature", lambda v: bq.BondParams(temperature=v), "temperature"),
+    ("boltzmann_error_rate.gap_over_kt",
+     lambda v: bq.boltzmann_error_rate(v), "gap_over_kt"),
+    ("bond_time.gap_over_kt", lambda v: bq.bond_time(v, 300.0), "gap_over_kt"),
+    ("bond_time.temperature", lambda v: bq.bond_time(7.0, v), "temperature"),
     ("ScenarioParams.bond_duration", lambda v: scenario(bond_duration=v), "bond_duration"),
     ("ScenarioParams.oscillation_time",
      lambda v: scenario(oscillation_time=v), "oscillation_time"),
@@ -119,18 +129,91 @@ TIME_PARAMETERS = [
 ]
 
 
+# the one real-valued size: at least 1, bounded like the integer sizes
+CLOSED_FORM_SIZE = ("closed_form_success.database_size",
+                    lambda v: bq.closed_form_success(v, 1), "database size")
+
+# database sizes, dimensions and query counts, bounded by MAX_COUNT
+COUNT_PARAMETERS = [
+    parameter for parameter in INTEGER_PARAMETERS
+    if parameter[0].endswith((".dim", ".database_size", ".queries"))
+] + [CLOSED_FORM_SIZE]
+
+# every entry point taking a count, called at the bound
+AT_COUNT_BOUND = [
+    ("optimal_queries", lambda n: bq.optimal_queries(n).success_probability),
+    ("expected_queries", lambda n: bq.expected_queries(n, "with")),
+    ("theoretical_std.with", lambda n: bq.theoretical_std(n, "with")),
+    ("theoretical_std.without", lambda n: bq.theoretical_std(n, "without")),
+    ("speedup_ratio", lambda n: bq.speedup_ratio(n)),
+    ("success_series", lambda n: bq.success_series(n, 0, 3)[-1]),
+    ("closed_form_success.database_size", lambda n: bq.closed_form_success(n, 3)),
+    ("closed_form_success.queries", lambda n: bq.closed_form_success(4, n)),
+    ("solve_database_size", lambda n: bq.solve_database_size(n).database_size),
+    ("evolve_two_term_hamiltonian",
+     lambda n: bq.evolve_two_term_hamiltonian(n, 0, 1.0, 0.5).peak_success()),
+    ("simulate_search.with", lambda n: bq.simulate_search(n, "with", 10, 0).mean_queries),
+    ("simulate_search.without",
+     lambda n: bq.simulate_search(n, "without", 10, 0).mean_queries),
+]
+
+# builders of N-sized states, each refusing MAX_STATE_DIM + 1 before it allocates
+STATE_BUILDERS = [
+    ("uniform_state", lambda v: bq.uniform_state(v)),
+    ("run_grover", lambda v: bq.run_grover(v, 0, 1)),
+    ("run_grover_with_phases", lambda v: bq.run_grover_with_phases(v, 0, 1, None)),
+    ("random_unit_phases", lambda v: bq.random_unit_phases(v, 0)),
+    ("relaxed_start", lambda v: bq.relaxed_start(v)),
+]
+
+# reals > 0 that may be infinite
+RATE_PARAMETERS = [
+    ("ScenarioParams.relaxation_time",
+     lambda v: scenario(relaxation_time=v), "relaxation_time"),
+    ("damping_weight.relaxation_time",
+     lambda v: bq.damping_weight(1.0, v), "relaxation_time"),
+]
+
+
 def cases(parameters, values):
-    return [pytest.param(call, value, name, id=f"{label}={value!r}")
-            for label, call, name in parameters for value in values]
+    """values is a list, or a dict from id text to value for long reprs."""
+    if not isinstance(values, dict):
+        values = {repr(value): value for value in values}
+    return [pytest.param(call, value, name, id=f"{label}={text}")
+            for label, call, name in parameters for text, value in values.items()]
 
 
 @pytest.mark.parametrize(
     "call,value,name",
     cases(INTEGER_PARAMETERS, [True, math.nan, math.inf, 1.5])
-    + cases(TIME_PARAMETERS, [math.nan, math.inf]))
+    + cases(COUNT_PARAMETERS, {"2**53+1": MAX_COUNT + 1, "10**400": 10 ** 400})
+    + cases(REAL_PARAMETERS, [math.nan, math.inf, "1", 1j, None])
+    + cases(RATE_PARAMETERS, [math.nan, -math.inf, 0.0, "1", 1j, None])
+    + cases([CLOSED_FORM_SIZE], [math.nan, 0.5, "4", 1j, None]))
 def test_bad_value_is_named(call, value, name):
     with pytest.raises(bq.SimulationError, match=name):
         call(value)
+
+
+@pytest.mark.parametrize("count", [MAX_COUNT - 1, MAX_COUNT])
+@pytest.mark.parametrize("call", [call for _, call in AT_COUNT_BOUND],
+                         ids=[label for label, _ in AT_COUNT_BOUND])
+def test_closed_forms_carry_counts_up_to_bound(call, count):
+    assert math.isfinite(call(count))
+
+
+@pytest.mark.parametrize("dim", [MAX_STATE_DIM + 1, 10 ** 13])
+@pytest.mark.parametrize("build", [build for _, build in STATE_BUILDERS],
+                         ids=[label for label, _ in STATE_BUILDERS])
+def test_oversized_state_refused_before_allocation(build, dim):
+    tracemalloc.start()
+    try:
+        with pytest.raises(bq.InvalidDimensionError, match="dimension"):
+            build(dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("target", [-1, 4, 9])

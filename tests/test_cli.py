@@ -270,6 +270,12 @@ class TestPlumbing:
         ["grover", "--n", "4", "--target", "0", "--iters", "1000001"],
         ["grover", "--n", "10000000000000", "--target", "0"],
         ["grover", "--n", "4", "--target", "0", "--seed", "-1"],
+        ["grover", "--n", "1" + "0" * 400, "--target", "0"],
+        ["grover", "--n", str(2**53 + 1), "--target", "0", "--iters", "1"],
+        ["classical", "--n", "1" + "0" * 400],
+        ["classical", "--n", str(2**53 + 1), "--mode", "without"],
+        ["hamiltonian", "--n", "1" + "0" * 400],
+        ["scenario", "--n", str(2**27 + 1)],
     ])
     def test_domain_errors_are_model_errors(self, runner, argv):
         result = runner.invoke(main, argv)

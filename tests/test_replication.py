@@ -7,7 +7,8 @@ import pytest
 
 import basequest as bq
 from basequest.replication import (
-    _arc_interpolate,
+    _arc_angle,
+    _arc_point,
     _conditional_base,
     oscillation_fraction,
     sample_emission_time,
@@ -21,6 +22,10 @@ from oracles import (
 )
 
 POST_KICK_ENTROPY = 0.8112781244591329
+
+
+def arc_interpolate(a, b, fraction):
+    return _arc_point(_arc_angle(a, b), a, b, fraction)
 
 
 def kicked_state(dim=4, target=1):
@@ -163,15 +168,15 @@ class TestArcInterpolation:
         for _ in range(5):
             a = random_joint_state(6, rng).ravel()
             b = random_joint_state(6, rng).ravel()
-            assert np.max(np.abs(_arc_interpolate(a, b, 0.0) - a)) <= 1e-15
-            assert np.max(np.abs(_arc_interpolate(a, b, 1.0) - b)) <= 1e-15
+            assert np.max(np.abs(arc_interpolate(a, b, 0.0) - a)) <= 1e-15
+            assert np.max(np.abs(arc_interpolate(a, b, 1.0) - b)) <= 1e-15
 
     def test_norm_preserved_along_path(self):
         rng = np.random.default_rng(23)
         a = random_joint_state(8, rng).ravel()
         b = random_joint_state(8, rng).ravel()
         for f in np.linspace(0.0, 1.0, 17):
-            point = _arc_interpolate(a, b, float(f))
+            point = arc_interpolate(a, b, float(f))
             assert abs(np.linalg.norm(point) - 1.0) <= 1e-12
 
     def test_angle_grows_linearly(self):
@@ -180,7 +185,7 @@ class TestArcInterpolation:
         b = random_joint_state(5, rng).ravel()
         omega = math.acos(float(np.real(np.vdot(a, b))))
         for f in (0.25, 0.5, 0.75):
-            point = _arc_interpolate(a, b, f)
+            point = arc_interpolate(a, b, f)
             travelled = math.acos(
                 max(-1.0, min(1.0, float(np.real(np.vdot(a, point))))))
             assert travelled == pytest.approx(f * omega, abs=1e-10)
@@ -188,9 +193,9 @@ class TestArcInterpolation:
     def test_antiparallel_pair_uses_phase_path(self):
         a = np.zeros(4, dtype=complex)
         a[1] = 1.0
-        halfway = _arc_interpolate(a, -a, 0.5)
+        halfway = arc_interpolate(a, -a, 0.5)
         assert abs(np.linalg.norm(halfway) - 1.0) <= 1e-12
-        assert np.max(np.abs(_arc_interpolate(a, -a, 1.0) + a)) <= 1e-12
+        assert np.max(np.abs(arc_interpolate(a, -a, 1.0) + a)) <= 1e-12
 
     def test_two_object_conditional_swing_is_antipodal(self):
         # the only case where the two arc endpoints are a global sign apart
@@ -577,3 +582,50 @@ class TestScalarSampler:
         for t in map(float, times):
             assert bq.success_probability_at(state0, params, t, trajectory) \
                 == vector_emission_probability(state0, params, t, trajectory)
+
+
+class TestArcsBuiltOnce:
+    """run_scenario builds each swing arc once and reads every report field
+    off it; the per-point undamped_state route must give the same bits."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 64, 1024])
+    def test_report_matches_per_point_route(self, dim):
+        target = dim // 3
+        params = default_params(dim=dim, target=target, oscillation_time=1.3,
+                                relaxation_time=40.0, samples=5)
+        report = bq.run_scenario(params, entropy_points=33)
+        state0 = kicked_state(dim, target)
+
+        def swing(t, trajectory):
+            return bq.undamped_state(state0, target, 1.3, t, trajectory)
+
+        bits = [bq.entanglement_entropy(swing(t, "joint"))
+                for t in report.entropy_times]
+        undamped = float(abs(swing(1.3, "conditional").amplitudes[target, 1]) ** 2)
+        assert [float(b).hex() for b in report.entropy_bits] == [b.hex() for b in bits]
+        assert report.entropy_at_extremum.hex() == \
+            bq.entanglement_entropy(swing(1.3, "joint")).hex()
+        assert report.extremum_success_undamped.hex() == undamped.hex()
+        assert report.extremum_success_damped.hex() == \
+            (bq.damping_weight(1.3, 40.0) * undamped).hex()
+
+    @pytest.mark.parametrize("policy", ["extremum", "uniform"])
+    def test_each_endpoint_built_once(self, monkeypatch, policy):
+        from basequest import replication
+
+        built = {"conditional": 0, "joint": 0, "base_amplification": 0}
+        swing_endpoint = replication.swing_endpoint
+        base_amplification = replication.base_amplification
+
+        def counted_endpoint(state0, target, trajectory="conditional"):
+            built[trajectory] += 1
+            return swing_endpoint(state0, target, trajectory)
+
+        def counted_amplification(state):
+            built["base_amplification"] += 1
+            return base_amplification(state)
+
+        monkeypatch.setattr(replication, "swing_endpoint", counted_endpoint)
+        monkeypatch.setattr(replication, "base_amplification", counted_amplification)
+        bq.run_scenario(default_params(dim=64, emission=policy, samples=30))
+        assert built == {"conditional": 1, "joint": 1, "base_amplification": 1}
