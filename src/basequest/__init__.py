@@ -9,75 +9,27 @@ the package, or a submodule that needs no arrays, does not import numpy.
 
 # Each submodule with the public names it defines; _MODULE_OF inverts it.
 _SOURCES = {
-    "bond": (
-        "BondParams",
-        "bond_time",
-        "boltzmann_error_rate",
-        "cascade_phase",
-        "half_rabi_phase",
-    ),
-    "classical": (
-        "SearchMode",
-        "TrialStats",
-        "expected_queries",
-        "sample_queries",
-        "simulate_search",
-        "speedup_ratio",
-        "theoretical_std",
-    ),
-    "errors": (
-        "DimensionMismatchError",
-        "DrawBudgetExceededError",
-        "IncompleteTransitionError",
-        "InvalidDimensionError",
-        "InvalidParameterError",
-        "InvalidPhaseError",
-        "InvalidTargetError",
-        "SimulationError",
-    ),
-    "grover": (
-        "HamiltonianSweep",
-        "SearchSolution",
-        "StateVector",
-        "apply_diffusion",
-        "apply_oracle",
-        "closed_form_success",
-        "evolve_two_term_hamiltonian",
-        "grover_step",
-        "optimal_queries",
-        "random_unit_phases",
-        "run_grover",
-        "run_grover_with_phases",
-        "solve_database_size",
-        "success_series",
-        "uniform_state",
-    ),
-    "replication": (
-        "DensityMatrix",
-        "EmissionPolicy",
-        "EmissionResult",
-        "HierarchyWarning",
-        "JointState",
-        "ScenarioParams",
-        "ScenarioReport",
-        "base_amplification",
-        "conditional_lift",
-        "damped_oscillation",
-        "damping_weight",
-        "emission_measurement",
-        "entangling_oracle",
-        "entanglement_entropy",
-        "hierarchy_warnings",
-        "oscillation_fraction",
-        "relaxed_start",
-        "run_scenario",
-        "sample_emission_time",
-        "success_probability_at",
-        "swing_endpoint",
-        "undamped_state",
-    ),
+    "bond": "BondParams bond_time boltzmann_error_rate cascade_phase half_rabi_phase",
+    "classical": "SearchMode TrialStats expected_queries sample_queries "
+                 "simulate_search speedup_ratio theoretical_std",
+    "errors": "DimensionMismatchError DrawBudgetExceededError "
+              "IncompleteTransitionError InvalidDimensionError InvalidParameterError "
+              "InvalidPhaseError InvalidTargetError SimulationError",
+    "grover": "HamiltonianSweep SearchSolution StateVector apply_diffusion "
+              "apply_oracle closed_form_success evolve_two_term_hamiltonian "
+              "grover_step optimal_queries random_unit_phases run_grover "
+              "run_grover_with_phases solve_database_size success_series "
+              "uniform_state",
+    "replication": "DensityMatrix EmissionPolicy EmissionResult HierarchyWarning "
+                   "JointState ScenarioParams ScenarioReport base_amplification "
+                   "conditional_lift damped_oscillation damping_weight "
+                   "emission_measurement entangling_oracle entanglement_entropy "
+                   "hierarchy_warnings oscillation_fraction relaxed_start "
+                   "run_scenario sample_emission_time success_probability_at "
+                   "swing_endpoint undamped_state",
 }
-_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+_MODULE_OF = {name: module for module, names in _SOURCES.items()
+              for name in names.split()}
 
 __version__ = "0.1.0"
 

@@ -19,6 +19,9 @@ MAX_COUNT = 2 ** 53
 # Largest dimension of a state the package allocates: 2**27 complex128
 # amplitudes are 2 GiB (a joint state holds two per object).
 MAX_STATE_DIM = 2 ** 27
+# Most draws one call makes (classical trials, scenario samples): a 2**27
+# int64 result array is 1 GiB. Checked before any stream is spawned.
+MAX_DRAWS = 2 ** 27
 
 
 def _is_integer(value) -> bool:

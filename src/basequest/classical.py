@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from ._checks import check_count, check_integer, check_seed
+from ._checks import MAX_DRAWS, check_count, check_integer, check_seed
 from .errors import DrawBudgetExceededError, InvalidDimensionError
 from .grover import optimal_queries
 
@@ -94,7 +94,7 @@ def sample_queries(
 
     check_count(database_size, "database size", 1, InvalidDimensionError)
     mode = SearchMode(mode)
-    check_integer(trials, "trials", 1)
+    check_integer(trials, "trials", 1, high=MAX_DRAWS)
     check_seed(seed)
     budget = DRAW_BUDGET_FACTOR * database_size if max_draws is None else max_draws
     check_integer(budget, "draw budget", 1)

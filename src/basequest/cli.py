@@ -22,10 +22,10 @@ Examples:
 
 from __future__ import annotations
 
+import argparse
 import math
+import os
 import sys
-
-import click
 
 # replication is imported by the scenario command alone: it is the one
 # module here that needs numpy at import time
@@ -35,83 +35,7 @@ from .errors import SimulationError
 from .output import FORMATS, write_records
 
 
-def _load_config(ctx, param, value):
-    """Read key=value lines into the context default map.
-
-    Keys mirror the command's long flags (dashes or underscores both
-    work); values act as option defaults, so explicit command-line flags
-    always win. Unknown keys are usage errors.
-    """
-    if value is None:
-        return None
-    alias = {}
-    for parameter in ctx.command.params:
-        for opt in parameter.opts:
-            if opt.startswith("--"):
-                alias[opt[2:].replace("-", "_")] = parameter.name
-    overrides = {}
-    with open(value, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, val = line.partition("=")
-            if not sep or not key.strip():
-                raise click.UsageError(
-                    f"{value}:{lineno}: expected key=value, got {line!r}")
-            norm = key.strip().replace("-", "_")
-            if norm == "config" or norm not in alias:
-                raise click.UsageError(
-                    f"{value}:{lineno}: unknown config key {key.strip()!r}")
-            overrides[alias[norm]] = val.strip()
-    ctx.default_map = {**overrides, **(ctx.default_map or {})}
-    return value
-
-
-def _common_options(fn):
-    fn = click.option(
-        "--format", "fmt", type=click.Choice(FORMATS), default="csv",
-        show_default=True, envvar="BASEQUEST_FORMAT",
-        help="Record encoding (BASEQUEST_FORMAT overrides the default).")(fn)
-    fn = click.option(
-        "--output", "output_path", type=click.Path(dir_okay=False),
-        default=None, help="Write records to this file instead of stdout.")(fn)
-    fn = click.option(
-        "--config", type=click.Path(exists=True, dir_okay=False),
-        callback=_load_config, is_eager=True, expose_value=False,
-        help="key=value file supplying option defaults; flags win.")(fn)
-    return fn
-
-
-def _emit(build, fmt, output_path):
-    """Run the record builder, mapping model errors to exit code 3 and an
-    unwritable --output file to a usage error."""
-    try:
-        records = build()
-    except SimulationError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
-    try:
-        text = write_records(records, fmt, output_path)
-    except OSError as exc:
-        raise click.BadParameter(
-            f"cannot write {output_path!r}: {exc.strerror or exc}",
-            param_hint="'--output'") from exc
-    if output_path is None:
-        click.echo(text, nl=False)
-
-
-@click.group()
-def main():
-    """Quantum-search dynamics reports: sizes, baselines, bond physics,
-    and the damped selection scenario."""
-
-
-@main.command()
-@click.option("--qmax", type=click.IntRange(0, grover.MAX_SWEEP_STEPS), default=10,
-              show_default=True, help="Largest query count to tabulate.")
-@_common_options
-def table(qmax, fmt, output_path):
+def _table(o):
     """Database sizes solved from query counts, with success and speedup.
 
     One row per query count 0..qmax: the exact real-valued size satisfying
@@ -119,234 +43,342 @@ def table(qmax, fmt, output_path):
     success probability at that integer, and the classical-over-quantum
     query ratio (empty for the degenerate zero-query row).
     """
-    def build():
-        records = [{
-            "record": "config", "command": "table", "qmax": qmax,
-            "format": fmt, "output": output_path,
-        }]
-        for queries in range(qmax + 1):
-            solution = grover.solve_database_size(queries)
-            nearest = math.floor(solution.database_size + 0.5)
-            records.append({
-                "record": "row",
-                "queries": queries,
-                "size_exact": solution.database_size,
-                "size_nearest": nearest,
-                "success_at_nearest": grover.closed_form_success(nearest, queries),
-                "speedup_at_nearest": classical.speedup_ratio(nearest),
-            })
-        return records
+    if not 0 <= o.qmax <= grover.MAX_SWEEP_STEPS:
+        raise argparse.ArgumentError(
+            None, f"--qmax must be in [0, {grover.MAX_SWEEP_STEPS}]")
+    records = [{
+        "record": "config", "command": "table", "qmax": o.qmax,
+        "format": o.format, "output": o.output,
+    }]
+    for queries in range(o.qmax + 1):
+        solution = grover.solve_database_size(queries)
+        nearest = math.floor(solution.database_size + 0.5)
+        records.append({
+            "record": "row",
+            "queries": queries,
+            "size_exact": solution.database_size,
+            "size_nearest": nearest,
+            "success_at_nearest": grover.closed_form_success(nearest, queries),
+            "speedup_at_nearest": classical.speedup_ratio(nearest),
+        })
+    return records
 
-    _emit(build, fmt, output_path)
 
-
-@main.command(name="grover")
-@click.option("--n", "dim", type=int, required=True, help="Database size.")
-@click.option("--target", type=int, required=True, help="Marked object index.")
-@click.option("--iters", type=int, default=None,
-              help="Query count; defaults to the optimal count for --n.")
-@click.option("--phases", type=click.Choice(["uniform", "random"]),
-              default="uniform", show_default=True,
-              help="Start-state decoration: plain uniform or random unit phases.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed for --phases random.")
-@_common_options
-def grover_cmd(dim, target, iters, phases, seed, fmt, output_path):
+def _grover(o):
     """Per-query success probability series for one search run.
 
     Emits one step record per query (step 0 is the start state) and a
     summary comparing the simulated success with the closed form.
     """
-
-    def build():
-        queries = iters if iters is not None else grover.optimal_queries(dim).queries
-        if queries < 0:
-            raise click.UsageError("--iters must be >= 0")
-        check_seed(seed)
-        # a start decoration leaves the series alone; --phases, --seed are echoed
-        series = grover.success_series(dim, target, queries)
-        records = [{
-            "record": "config", "command": "grover", "n": dim,
-            "target": target, "iters": queries, "phases": phases,
-            "seed": seed, "format": fmt, "output": output_path,
-        }]
-        records.extend({"record": "step", "step": step, "success": success}
-                       for step, success in enumerate(series))
-        simulated = series[-1]
-        closed = grover.closed_form_success(dim, queries)
-        records.append({
-            "record": "summary", "queries": queries, "success": simulated,
-            "closed_form": closed, "deviation": abs(simulated - closed),
-        })
-        return records
-
-    _emit(build, fmt, output_path)
+    queries = o.iters if o.iters is not None else grover.optimal_queries(o.n).queries
+    if queries < 0:
+        raise argparse.ArgumentError(None, "--iters must be >= 0")
+    check_seed(o.seed)
+    # a start decoration leaves the series alone; --phases, --seed are echoed
+    series = grover.success_series(o.n, o.target, queries)
+    records = [{
+        "record": "config", "command": "grover", "n": o.n,
+        "target": o.target, "iters": queries, "phases": o.phases,
+        "seed": o.seed, "format": o.format, "output": o.output,
+    }]
+    records.extend({"record": "step", "step": step, "success": success}
+                   for step, success in enumerate(series))
+    simulated = series[-1]
+    closed = grover.closed_form_success(o.n, queries)
+    records.append({
+        "record": "summary", "queries": queries, "success": simulated,
+        "closed_form": closed, "deviation": abs(simulated - closed),
+    })
+    return records
 
 
-@main.command(name="classical")
-@click.option("--n", "dim", type=int, required=True, help="Database size.")
-@click.option("--mode", type=click.Choice([m.value for m in classical.SearchMode]),
-              default="with", show_default=True,
-              help="Query discipline: with or without replacement.")
-@click.option("--trials", type=int, default=10000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@_common_options
-def classical_cmd(dim, mode, trials, seed, fmt, output_path):
+def _classical(o):
     """Monte-Carlo classical query cost against the exact expectation."""
-
-    def build():
-        search_mode = classical.SearchMode(mode)
-        stats = classical.simulate_search(dim, search_mode, trials, seed)
-        expected = classical.expected_queries(dim, search_mode)
-        return [
-            {"record": "config", "command": "classical", "n": dim,
-             "mode": mode, "trials": trials, "seed": seed,
-             "format": fmt, "output": output_path},
-            {"record": "summary", "expected_queries": expected,
-             "mean_queries": stats.mean_queries, "std_error": stats.std_error,
-             "deviation": abs(stats.mean_queries - expected)},
-        ]
-
-    _emit(build, fmt, output_path)
+    search_mode = classical.SearchMode(o.mode)
+    stats = classical.simulate_search(o.n, search_mode, o.trials, o.seed)
+    expected = classical.expected_queries(o.n, search_mode)
+    return [
+        {"record": "config", "command": "classical", "n": o.n,
+         "mode": o.mode, "trials": o.trials, "seed": o.seed,
+         "format": o.format, "output": o.output},
+        {"record": "summary", "expected_queries": expected,
+         "mean_queries": stats.mean_queries, "std_error": stats.std_error,
+         "deviation": abs(stats.mean_queries - expected)},
+    ]
 
 
-@main.command(name="bond")
-@click.option("--delta-e-kt", type=float, default=7.0, show_default=True,
-              help="Energy gap in units of kT.")
-@click.option("--temperature", type=float, default=300.0, show_default=True,
-              help="Temperature in kelvin.")
-@click.option("--cascade", type=int, default=1, show_default=True,
-              help="Number of chained half-cycle transitions.")
-@_common_options
-def bond_cmd(delta_e_kt, temperature, cascade, fmt, output_path):
+def _bond(o):
     """Single-bond numbers: thermal error, timescale, transition phase."""
-
-    def build():
-        params = bond.BondParams(gap_over_kt=delta_e_kt,
-                                 temperature=temperature,
-                                 cascade_steps=cascade)
-        # The half-cycle factor is convention independent; evaluate it on
-        # the exact natural-unit half cycle.
-        phase = bond.half_rabi_phase(1.0, math.pi / 2.0)
-        squared = phase * phase
-        cascade_factor = bond.cascade_phase(params.cascade_steps)
-        return [
-            {"record": "config", "command": "bond",
-             "delta_e_kt": delta_e_kt, "temperature": temperature,
-             "cascade": cascade, "format": fmt, "output": output_path},
-            {"record": "summary",
-             "error_rate": bond.boltzmann_error_rate(params.gap_over_kt),
-             "t_b": bond.bond_time(params.gap_over_kt, params.temperature),
-             "phase_real": phase.real, "phase_imag": phase.imag,
-             "phase_squared": squared.real,
-             "cascade_steps": params.cascade_steps,
-             "cascade_phase_real": cascade_factor.real,
-             "cascade_phase_imag": cascade_factor.imag},
-        ]
-
-    _emit(build, fmt, output_path)
+    params = bond.BondParams(gap_over_kt=o.delta_e_kt,
+                             temperature=o.temperature,
+                             cascade_steps=o.cascade)
+    # The half-cycle factor is convention independent; evaluate it on
+    # the exact natural-unit half cycle.
+    phase = bond.half_rabi_phase(1.0, math.pi / 2.0)
+    squared = phase * phase
+    cascade_factor = bond.cascade_phase(params.cascade_steps)
+    return [
+        {"record": "config", "command": "bond",
+         "delta_e_kt": o.delta_e_kt, "temperature": o.temperature,
+         "cascade": o.cascade, "format": o.format, "output": o.output},
+        {"record": "summary",
+         "error_rate": bond.boltzmann_error_rate(params.gap_over_kt),
+         "t_b": bond.bond_time(params.gap_over_kt, params.temperature),
+         "phase_real": phase.real, "phase_imag": phase.imag,
+         "phase_squared": squared.real,
+         "cascade_steps": params.cascade_steps,
+         "cascade_phase_real": cascade_factor.real,
+         "cascade_phase_imag": cascade_factor.imag},
+    ]
 
 
-@main.command(name="scenario")
-@click.option("--n", "dim", type=int, default=4, show_default=True,
-              help="Database size.")
-@click.option("--target", type=int, default=0, show_default=True)
-@click.option("--t-b", type=float, default=1e-3, show_default=True,
-              help="Kick (bond) duration.")
-@click.option("--t-osc", type=float, default=1.0, show_default=True,
-              help="Swing time to the far turning point (half period).")
-@click.option("--t-r", type=float, default=1e3, show_default=True,
-              help="Relaxation time.")
-# replication.EmissionPolicy's values, spelled out so that building the
-# option does not import replication
-@click.option("--emission", type=click.Choice(["extremum", "uniform", "fixed"]),
-              default="extremum", show_default=True)
-@click.option("--time", "emission_time", type=float, default=None,
-              help="Emission time for --emission fixed.")
-@click.option("--samples", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@_common_options
-def scenario_cmd(dim, target, t_b, t_osc, t_r, emission, emission_time,
-                 samples, seed, fmt, output_path):
+def _scenario(o):
     """Damped selection scenario with restart-on-failure emission checks.
 
     Times are unit free (seconds work too; only ratios matter) and accept
     scientific notation. The default grid is the dimensionless t_osc = 1.
     """
-    if emission == "fixed" and emission_time is None:
-        raise click.UsageError("--emission fixed requires --time")
+    if o.emission == "fixed" and o.time is None:
+        raise argparse.ArgumentError(None, "--emission fixed requires --time")
+    from . import replication
 
-    def build():
-        from . import replication
-
-        params = replication.ScenarioParams(
-            dim=dim, target=target, bond_duration=t_b, oscillation_time=t_osc,
-            relaxation_time=t_r, emission=emission,
-            emission_time=emission_time, samples=samples, seed=seed)
-        report = replication.run_scenario(params)
-        records = [{
-            "record": "config", "command": "scenario", "n": dim,
-            "target": target, "t_b": t_b, "t_osc": t_osc, "t_r": t_r,
-            "emission": emission, "time": emission_time, "samples": samples,
-            "seed": seed, "format": fmt, "output": output_path,
-        }]
-        records.append({
-            "record": "summary",
-            "mean_success": report.mean_success,
-            "extremum_success_undamped": report.extremum_success_undamped,
-            "extremum_success_damped": report.extremum_success_damped,
-            "mean_attempts": report.mean_attempts,
-            "max_attempts_observed": report.max_attempts_observed,
-            "entropy_at_extremum": report.entropy_at_extremum,
-            "hierarchy_ok": not report.warnings,
-            "hierarchy_notes": "; ".join(report.warnings),
-        })
-        for t, bits in zip(report.entropy_times, report.entropy_bits):
-            records.append({"record": "entropy", "time": float(t),
-                            "bits": float(bits)})
-        return records
-
-    _emit(build, fmt, output_path)
+    params = replication.ScenarioParams(
+        dim=o.n, target=o.target, bond_duration=o.t_b, oscillation_time=o.t_osc,
+        relaxation_time=o.t_r, emission=o.emission,
+        emission_time=o.time, samples=o.samples, seed=o.seed)
+    report = replication.run_scenario(params)
+    records = [{
+        "record": "config", "command": "scenario", "n": o.n,
+        "target": o.target, "t_b": o.t_b, "t_osc": o.t_osc, "t_r": o.t_r,
+        "emission": o.emission, "time": o.time, "samples": o.samples,
+        "seed": o.seed, "format": o.format, "output": o.output,
+    }]
+    records.append({
+        "record": "summary",
+        "mean_success": report.mean_success,
+        "extremum_success_undamped": report.extremum_success_undamped,
+        "extremum_success_damped": report.extremum_success_damped,
+        "mean_attempts": report.mean_attempts,
+        "max_attempts_observed": report.max_attempts_observed,
+        "entropy_at_extremum": report.entropy_at_extremum,
+        "hierarchy_ok": not report.warnings,
+        "hierarchy_notes": "; ".join(report.warnings),
+    })
+    for t, bits in zip(report.entropy_times, report.entropy_bits):
+        records.append({"record": "entropy", "time": float(t),
+                        "bits": float(bits)})
+    return records
 
 
-@main.command(name="hamiltonian")
-@click.option("--n", "dim", type=int, default=4, show_default=True,
-              help="Database size.")
-@click.option("--target", type=int, default=0, show_default=True)
-@click.option("--t-max", type=float, default=None,
-              help="Sweep length; defaults to the first success peak "
-                   "pi*sqrt(n)/2.")
-@click.option("--dt", type=float, default=0.05, show_default=True,
-              help="Evolution time step.")
-@_common_options
-def hamiltonian_cmd(dim, target, t_max, dt, fmt, output_path):
+def _hamiltonian(o):
     """Two-term Hamiltonian evolution: exact vs split-operator series."""
+    # the evolution rejects dim outside [2, MAX_COUNT]; the default only
+    # has to be computable
+    total = o.t_max if o.t_max is not None else \
+        math.pi * math.sqrt(min(max(o.n, 2), MAX_COUNT)) / 2.0
+    sweep = grover.evolve_two_term_hamiltonian(o.n, o.target, total, o.dt)
+    records = [{
+        "record": "config", "command": "hamiltonian", "n": o.n,
+        "target": o.target, "t_max": total, "dt": o.dt,
+        "format": o.format, "output": o.output,
+    }]
+    for t, exact, trotter in zip(sweep.times, sweep.exact_success,
+                                 sweep.trotter_success):
+        records.append({"record": "step", "time": t,
+                        "exact_success": exact,
+                        "trotter_success": trotter})
+    records.append({
+        "record": "summary",
+        "peak_success": sweep.peak_success(),
+        "success_floor": 1.0 - 1.0 / o.n,
+        "max_deviation": sweep.max_deviation(),
+    })
+    return records
 
-    def build():
-        # the evolution rejects dim outside [2, MAX_COUNT]; the default only
-        # has to be computable
-        total = t_max if t_max is not None else \
-            math.pi * math.sqrt(min(max(dim, 2), MAX_COUNT)) / 2.0
-        sweep = grover.evolve_two_term_hamiltonian(dim, target, total, dt)
-        records = [{
-            "record": "config", "command": "hamiltonian", "n": dim,
-            "target": target, "t_max": total, "dt": dt,
-            "format": fmt, "output": output_path,
-        }]
-        for t, exact, trotter in zip(sweep.times, sweep.exact_success,
-                                     sweep.trotter_success):
-            records.append({"record": "step", "time": t,
-                            "exact_success": exact,
-                            "trotter_success": trotter})
-        records.append({
-            "record": "summary",
-            "peak_success": sweep.peak_success(),
-            "success_floor": 1.0 - 1.0 / dim,
-            "max_deviation": sweep.max_deviation(),
-        })
-        return records
 
-    _emit(build, fmt, output_path)
+_REQUIRED = object()
+
+# Each subcommand's record builder and options: (flag, type, default, help),
+# where a tuple type lists the choices and a _REQUIRED value comes from a flag
+# or a --config line. Every subcommand also takes _COMMON.
+_COMMANDS = {
+    "table": (_table, [
+        ("--qmax", int, 10, "Largest query count to tabulate."),
+    ]),
+    "grover": (_grover, [
+        ("--n", int, _REQUIRED, "Database size."),
+        ("--target", int, _REQUIRED, "Marked object index."),
+        ("--iters", int, None, "Query count; defaults to the optimal count for --n."),
+        ("--phases", ("uniform", "random"), "uniform",
+         "Start-state decoration: plain uniform or random unit phases."),
+        ("--seed", int, 0, "Seed for --phases random."),
+    ]),
+    "classical": (_classical, [
+        ("--n", int, _REQUIRED, "Database size."),
+        ("--mode", tuple(m.value for m in classical.SearchMode), "with",
+         "Query discipline: with or without replacement."),
+        ("--trials", int, 10000, None),
+        ("--seed", int, 0, None),
+    ]),
+    "bond": (_bond, [
+        ("--delta-e-kt", float, 7.0, "Energy gap in units of kT."),
+        ("--temperature", float, 300.0, "Temperature in kelvin."),
+        ("--cascade", int, 1, "Number of chained half-cycle transitions."),
+    ]),
+    "scenario": (_scenario, [
+        ("--n", int, 4, "Database size."),
+        ("--target", int, 0, None),
+        ("--t-b", float, 1e-3, "Kick (bond) duration."),
+        ("--t-osc", float, 1.0, "Swing time to the far turning point (half period)."),
+        ("--t-r", float, 1e3, "Relaxation time."),
+        # replication.EmissionPolicy's values, spelled out so that building
+        # the parser does not import replication
+        ("--emission", ("extremum", "uniform", "fixed"), "extremum", None),
+        ("--time", float, None, "Emission time for --emission fixed."),
+        ("--samples", int, 1000, None),
+        ("--seed", int, 0, None),
+    ]),
+    "hamiltonian": (_hamiltonian, [
+        ("--n", int, 4, "Database size."),
+        ("--target", int, 0, None),
+        ("--t-max", float, None,
+         "Sweep length; defaults to the first success peak pi*sqrt(n)/2."),
+        ("--dt", float, 0.05, "Evolution time step."),
+    ]),
+}
+_COMMON = [
+    ("--format", FORMATS, "csv", "Record encoding; BASEQUEST_FORMAT sets the default."),
+    ("--output", str, None, "Write records to this file instead of stdout."),
+    ("--config", str, None, "key=value file supplying option defaults; flags win."),
+]
+
+
+def _parsers(prog, command=None):
+    """The top-level parser and those of every subcommand, or of `command`
+    alone. Options default to absent: the values set are exactly the flags."""
+    top = argparse.ArgumentParser(
+        prog=prog, allow_abbrev=False,
+        description="Quantum-search dynamics reports: sizes, baselines, bond "
+                    "physics, and the damped selection scenario.")
+    group = top.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    subs = {}
+    for name in [command] if command else _COMMANDS:
+        build, options = _COMMANDS[name]
+        sub = subs[name] = group.add_parser(
+            name, allow_abbrev=False, description=build.__doc__,
+            help=build.__doc__.split("\n")[0])
+        for flag, kind, default, text in options + _COMMON:
+            if default is not None and default is not _REQUIRED:
+                text = f"{text or ''} (default: {default})".lstrip()
+            choices = kind if isinstance(kind, tuple) else None
+            sub.add_argument(flag, type=None if choices else kind, choices=choices,
+                             default=argparse.SUPPRESS, help=text)
+    return top, subs
+
+
+def _joined(argv):
+    """argv with each value flag of its subcommand joined to the token after
+    it (--t-r -1e3 becomes --t-r=-1e3): a flag takes the next token as its
+    value whatever it looks like, where argparse would read -1e3 or -inf as
+    an unknown option."""
+    if not argv or argv[0] not in _COMMANDS:
+        return argv
+    flags = {flag for flag, *_ in _COMMANDS[argv[0]][1] + _COMMON}
+    out, tokens = argv[:1], iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            return out + [token, *tokens]
+        value = next(tokens, None) if token in flags else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
+def _dest(flag):
+    return flag[2:].replace("-", "_")
+
+
+def _config_values(sub, path, options):
+    """{flag: text} from the key=value lines of a --config file. Keys are the
+    long flags, with dashes or underscores; unknown keys are usage errors."""
+    flags = {_dest(flag): flag for flag, *_ in options if flag != "--config"}
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = [line.strip() for line in handle]
+    except OSError as exc:
+        sub.error(f"invalid value for '--config': cannot read {path!r}: "
+                  f"{exc.strerror or exc}")
+    values = {}
+    for lineno, line in enumerate(lines, start=1):
+        if not line or line.startswith("#"):
+            continue
+        key, sep, val = (part.strip() for part in line.partition("="))
+        if not sep or not key:
+            sub.error(f"{path}:{lineno}: expected key=value, got {line!r}")
+        norm = key.replace("-", "_")
+        if norm not in flags:
+            sub.error(f"{path}:{lineno}: unknown config key {key!r}")
+        values[flags[norm]] = val
+    return values
+
+
+def _run(argv, prog):
+    """One CLI call: parse, build the records, write them; the exit code."""
+    if argv[:1] == ["--"]:  # an end of (no) options before the subcommand
+        argv = argv[1:]
+    top, subs = _parsers(prog, argv[0] if argv and argv[0] in _COMMANDS else None)
+    o = top.parse_args(_joined(argv))
+    sub = subs[o.command]
+    build, options = _COMMANDS[o.command]
+    options = options + _COMMON
+    # value precedence: option defaults < --config lines < BASEQUEST_FORMAT
+    # < flags; a value is converted (and can fail) only where it takes effect
+    unset = _config_values(sub, o.config, options) if "config" in o else {}
+    if os.environ.get("BASEQUEST_FORMAT"):
+        unset["--format"] = os.environ["BASEQUEST_FORMAT"]
+    sub.parse_args([f"{flag}={text}" for flag, text in unset.items()
+                    if _dest(flag) not in o], o)
+    for flag, _, default, _ in options:
+        if _dest(flag) not in o:
+            if default is _REQUIRED:
+                sub.error(f"the following arguments are required: {flag}")
+            setattr(o, _dest(flag), default)
+    if o.output is not None and os.path.isdir(o.output):
+        sub.error(f"invalid value for '--output': {o.output!r} is a directory")
+    try:
+        records = build(o)
+    except SimulationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except argparse.ArgumentError as exc:
+        sub.error(str(exc))
+    try:
+        text = write_records(records, o.format, o.output)
+    except OSError as exc:
+        sub.error(f"invalid value for '--output': cannot write {o.output!r}: "
+                  f"{exc.strerror or exc}")
+    if o.output is None:
+        sys.stdout.write(text)
+    return 0
+
+
+class _Main:
+    """main(argv) runs one call and exits with its code (0, 2 usage error, 3
+    model error); main.main(args, prog_name, standalone_mode=False) returns
+    it instead. An object, not a function, so that wrapping this module's
+    public functions (as the benchmark's tracer does) keeps main.main."""
+
+    def __call__(self, argv=None):
+        self.main(argv)
+
+    def main(self, args=None, prog_name=None, standalone_mode=True):
+        code = _run(list(sys.argv[1:] if args is None else args),
+                    prog_name or "basequest")
+        if standalone_mode:
+            sys.exit(code)
+        return code
+
+
+main = _Main()
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ from enum import Enum
 import numpy as np
 
 from ._checks import (
+    MAX_DRAWS,
     MAX_STATE_DIM,
     check_integer,
     check_nonnegative,
@@ -48,7 +49,7 @@ from .errors import (
     InvalidDimensionError,
     InvalidParameterError,
 )
-from .grover import _Amplitudes
+from .grover import MAX_SWEEP_STEPS, _Amplitudes
 
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
@@ -111,7 +112,7 @@ class ScenarioParams:
         object.__setattr__(self, "emission", EmissionPolicy(self.emission))
         if self.emission is EmissionPolicy.FIXED_TIME:
             check_nonnegative(self.emission_time, "emission_time")
-        check_integer(self.samples, "samples", 1)
+        check_integer(self.samples, "samples", 1, high=MAX_DRAWS)
         check_seed(self.seed)
 
 
@@ -480,7 +481,7 @@ def run_scenario(params: ScenarioParams, *, entropy_points: int = 101,
     The entropy series tracks the undamped joint-reading swing over one
     full period on an entropy_points grid.
     """
-    check_integer(entropy_points, "entropy_points", 2)
+    check_integer(entropy_points, "entropy_points", 2, high=MAX_SWEEP_STEPS)
     check_integer(attempt_cap, "attempt_cap", 1)
     notes = hierarchy_warnings(params)
     for note in notes:
@@ -492,6 +493,11 @@ def run_scenario(params: ScenarioParams, *, entropy_points: int = 101,
     angle, flat0, flat1 = _swing_arc(state0, params.target)
     start, end = complex(flat0[emitted]), complex(flat1[emitted])
 
+    # the policy resolved once per run: uniform draws cover one full period
+    uniform = params.emission is EmissionPolicy.UNIFORM_RANDOM
+    fixed = (osc if params.emission is EmissionPolicy.AT_EXTREMUM
+             else params.emission_time)
+
     first_probs = np.empty(params.samples)
     attempts = np.empty(params.samples, dtype=np.int64)
     streams = np.random.SeedSequence(params.seed).spawn(params.samples)
@@ -499,8 +505,7 @@ def run_scenario(params: ScenarioParams, *, entropy_points: int = 101,
         rng = np.random.Generator(np.random.PCG64(stream))
         count = 0
         while True:
-            t = sample_emission_time(params.emission, osc, rng,
-                                     params.emission_time)
+            t = float(rng.random() * 2.0 * osc) if uniform else fixed
             # oscillation_fraction and damping_weight, unchecked: params is
             # valid and t drawn under the policy, once per emission attempt
             f = (1.0 - math.cos(math.pi * t / osc)) / 2.0

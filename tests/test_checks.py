@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 import basequest as bq
-from basequest._checks import MAX_COUNT, MAX_STATE_DIM
+# loaded here, so that no tracemalloc window below counts a first import
+import basequest.classical  # noqa: F401
+import basequest.replication  # noqa: F401
+from basequest._checks import MAX_COUNT, MAX_DRAWS, MAX_STATE_DIM
+from basequest.grover import MAX_SWEEP_STEPS
 
 
 def scenario(**overrides):
@@ -166,6 +170,18 @@ STATE_BUILDERS = [
     ("relaxed_start", lambda v: bq.relaxed_start(v)),
 ]
 
+# draw counts, each refusing its bound + 1 before it spawns or allocates
+DRAW_COUNTS = [
+    ("sample_queries.trials", lambda v: bq.sample_queries(4, "with", v), "trials",
+     MAX_DRAWS),
+    ("simulate_search.trials", lambda v: bq.simulate_search(4, "without", v),
+     "trials", MAX_DRAWS),
+    ("ScenarioParams.samples", lambda v: scenario(samples=v), "samples", MAX_DRAWS),
+    ("run_scenario.entropy_points",
+     lambda v: bq.run_scenario(scenario(), entropy_points=v), "entropy_points",
+     MAX_SWEEP_STEPS),
+]
+
 # reals > 0 that may be infinite
 RATE_PARAMETERS = [
     ("ScenarioParams.relaxation_time",
@@ -210,6 +226,21 @@ def test_oversized_state_refused_before_allocation(build, dim):
     try:
         with pytest.raises(bq.InvalidDimensionError, match="dimension"):
             build(dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("over", ["bound+1", "10**30"])
+@pytest.mark.parametrize("call,name,bound", [entry[1:] for entry in DRAW_COUNTS],
+                         ids=[entry[0] for entry in DRAW_COUNTS])
+def test_oversized_draw_count_refused_before_allocation(call, name, bound, over):
+    value = bound + 1 if over == "bound+1" else 10 ** 30
+    tracemalloc.start()
+    try:
+        with pytest.raises(bq.InvalidParameterError, match=name):
+            call(value)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
