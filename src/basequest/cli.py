@@ -307,6 +307,9 @@ def _config_values(sub, path, options):
     except OSError as exc:
         sub.error(f"invalid value for '--config': cannot read {path!r}: "
                   f"{exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        sub.error(f"invalid value for '--config': cannot read {path!r}: "
+                  f"not UTF-8 text ({exc.reason})")
     values = {}
     for lineno, line in enumerate(lines, start=1):
         if not line or line.startswith("#"):

@@ -14,8 +14,11 @@ and via split-operator alternation.
 
 Both dynamics stay in the plane of the target basis state and the start
 state, so runs step a pair of amplitudes there, in plain Python floats and
-complex numbers, and build a full StateVector only for the state they
-return. numpy is imported only by the routines that build or take arrays.
+complex numbers. A search run returns its state as that pair too: its dim
+and success probabilities are read off the pair, and the full amplitude
+array is built only when a caller reads it, so a run at N = 10**12 costs
+what one at N = 4 does. numpy is imported only by the routines that build
+or take arrays.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from ._checks import (MAX_COUNT, MAX_STATE_DIM, check_count, check_integer,
@@ -147,7 +151,64 @@ class StateVector(_Amplitudes):
     def success_probability(self, target: int) -> float:
         """|<target|self>|**2."""
         check_target(target, self.dim)
-        return float(abs(self.amplitudes[target]) ** 2)
+        return float(abs(self._amplitude(target)) ** 2)
+
+    def _amplitude(self, index: int) -> np.complex128:
+        return self.amplitudes[index]
+
+
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class _PlaneState(StateVector):
+    """A search result held as its amplitudes on the plane of |target> and
+    the uniform state over the other objects: on_target on the target and
+    rest on every other object, each times its factor in phases unless
+    phases is None.
+
+    dim, repr and success_probability are read off these numbers. The
+    amplitudes array is built on first read, refused above MAX_STATE_DIM,
+    checked like any returned state and kept. phases is kept by reference
+    and read when the array is built, so the caller must not write to it
+    before then.
+    """
+
+    def __init__(self, dim: int, target: int, on_target: float, rest: float,
+                 phases: np.ndarray | None):
+        # set past the frozen __setattr__, as _adopt does
+        for name, value in (("_dim", dim), ("_target", target),
+                            ("_on_target", on_target), ("_rest", rest),
+                            ("_phases", phases)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        import numpy as np
+
+        check_integer(self._dim, "dimension", 2, InvalidDimensionError,
+                      MAX_STATE_DIM)
+        amps = np.full(self._dim, self._rest, dtype=np.complex128)
+        amps[self._target] = self._on_target
+        if self._phases is not None:
+            # The decoration D is diagonal, so it commutes with the oracle and
+            # the decorated run is D applied to the plain one.
+            amps *= self._phases
+        return _normalized(amps, self._LABEL)
+
+    @property
+    def dim(self) -> int:
+        return self._dim
+
+    def _amplitude(self, index: int) -> np.complex128:
+        # the entry amplitudes holds, computed by the same complex128 product
+        import numpy as np
+
+        amp = np.complex128(self._on_target if index == self._target
+                            else self._rest)
+        return amp if self._phases is None else amp * self._phases[index]
+
+    def __repr__(self) -> str:
+        return (f"StateVector(dim={self._dim}, target={self._target}, "
+                f"on_target={self._on_target!r}, rest={self._rest!r}, "
+                f"phased={self._phases is not None})")
 
 
 @dataclass(frozen=True)
@@ -370,23 +431,19 @@ def run_grover_with_phases(dim: int, target: int, queries: int,
     success probability is provably identical to the undecorated run; this
     routine exists to exhibit that invariance numerically. phases=None is
     the undecorated run.
-    """
-    import numpy as np
 
+    The state is returned as its two plane amplitudes, so dim may go up to
+    2**53; reading its amplitudes builds the array, which raises
+    InvalidDimensionError above MAX_STATE_DIM.
+    """
     orbit = _search_orbit(dim, target, queries)
-    check_integer(dim, "dimension", 2, InvalidDimensionError, MAX_STATE_DIM)
     if phases is not None:
         phases = _check_phases(phases, dim)
     for on_target, rest in orbit:
         pass
     norm = math.hypot(on_target, rest)
-    amps = np.full(dim, rest / norm / math.sqrt(dim - 1), dtype=np.complex128)
-    amps[target] = on_target / norm
-    if phases is not None:
-        # The decoration D is diagonal, so it commutes with the oracle and
-        # the decorated run is D applied to the plain one.
-        amps *= phases
-    state = StateVector._adopt(amps)
+    state = _PlaneState(dim, target, on_target / norm,
+                        rest / norm / math.sqrt(dim - 1), phases)
     return state, state.success_probability(target)
 
 

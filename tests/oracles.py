@@ -5,7 +5,8 @@ explicit partial traces or closed-form trigonometry. None of it shares code
 with the package, which steps search and Hamiltonian runs on a 2-D plane,
 except vector_scenario_draws: it takes the far end of each swing from the
 package (swing_endpoint) and builds the full swing state itself, which the
-scenario sampler does not.
+scenario sampler does not. eager_grover_state keeps the package's former
+eager search-state builder, to pin the lazily built states to its bits.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from scipy.linalg import expm
 
 from basequest import (
     EmissionPolicy,
+    StateVector,
     entangling_oracle,
     relaxed_start,
     swing_endpoint,
@@ -56,6 +58,28 @@ def vector_search(dim: int, target: int, queries: int,
         # np.sum sums pairwise; a BLAS dot drifts ~3e-12 here at 2**17
         state = 2.0 * np.sum(start.conj() * state) * start - state
     return state
+
+
+def eager_grover_state(dim: int, target: int, queries: int,
+                       phases: np.ndarray | None = None):
+    """(state, success) of run_grover_with_phases as it was when every run
+    built its full state: the plane orbit of grover._search_orbit written
+    out, then the array filled, decorated and checked as a StateVector."""
+    x, y = 1.0 / math.sqrt(dim), math.sqrt((dim - 1) / dim)
+    (m00, m01), (m10, m11) = ((1.0 - 2.0 * (x * x), 2.0 * (x * y)),
+                              (-2.0 * (y * x), 2.0 * (y * y) - 1.0))
+    on_target, rest = x, y
+    for _ in range(queries):
+        on_target, rest = m00 * on_target + m01 * rest, m10 * on_target + m11 * rest
+    norm = math.hypot(on_target, rest)
+    amps = np.full(dim, rest / norm / math.sqrt(dim - 1), dtype=np.complex128)
+    amps[target] = on_target / norm
+    if phases is not None:
+        # The decoration D is diagonal, so it commutes with the oracle and
+        # the decorated run is D applied to the plain one.
+        amps *= phases
+    state = StateVector(amps)
+    return state, state.success_probability(target)
 
 
 def vector_split_success(dim: int, target: int, total_time: float,

@@ -151,6 +151,8 @@ AT_COUNT_BOUND = [
     ("theoretical_std.without", lambda n: bq.theoretical_std(n, "without")),
     ("speedup_ratio", lambda n: bq.speedup_ratio(n)),
     ("success_series", lambda n: bq.success_series(n, 0, 3)[-1]),
+    ("run_grover", lambda n: bq.run_grover(n, 0, 3)[1]),
+    ("run_grover_with_phases", lambda n: bq.run_grover_with_phases(n, 0, 3, None)[1]),
     ("closed_form_success.database_size", lambda n: bq.closed_form_success(n, 3)),
     ("closed_form_success.queries", lambda n: bq.closed_form_success(4, n)),
     ("solve_database_size", lambda n: bq.solve_database_size(n).database_size),
@@ -161,11 +163,13 @@ AT_COUNT_BOUND = [
      lambda n: bq.simulate_search(n, "without", 10, 0).mean_queries),
 ]
 
-# builders of N-sized states, each refusing MAX_STATE_DIM + 1 before it allocates
+# builders of N-sized states, each refusing MAX_STATE_DIM + 1 before it
+# allocates; a search run builds its state when amplitudes is first read
 STATE_BUILDERS = [
     ("uniform_state", lambda v: bq.uniform_state(v)),
-    ("run_grover", lambda v: bq.run_grover(v, 0, 1)),
-    ("run_grover_with_phases", lambda v: bq.run_grover_with_phases(v, 0, 1, None)),
+    ("run_grover", lambda v: bq.run_grover(v, 0, 1)[0].amplitudes),
+    ("run_grover_with_phases",
+     lambda v: bq.run_grover_with_phases(v, 0, 1, None)[0].amplitudes),
     ("random_unit_phases", lambda v: bq.random_unit_phases(v, 0)),
     ("relaxed_start", lambda v: bq.relaxed_start(v)),
 ]

@@ -487,6 +487,14 @@ class TestPlumbing:
         result = invoke(["table", "--config", str(cfg)])
         assert result.exit_code == 2
 
+    def test_non_utf8_config_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(b"qmax=\xff\xfe\n")
+        result = invoke(["table", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "invalid value for '--config'" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_help_runs(self):
         assert invoke(["--help"]).exit_code == 0
         assert invoke(["-h"]).exit_code == 0

@@ -16,6 +16,7 @@ from oracles import (
     dense_reflection,
     dense_run,
     dense_two_term_state,
+    eager_grover_state,
     vector_search,
     vector_split_success,
 )
@@ -320,6 +321,65 @@ class TestRunGrover:
     def test_rejects_bool_query_count(self):
         with pytest.raises(bq.InvalidParameterError):
             bq.run_grover(4, 0, True)
+
+
+class TestPlaneState:
+    """Search runs return their state as its two plane amplitudes and build
+    the array, bit for bit the eager one, only when it is read."""
+
+    @pytest.mark.parametrize("decorated", [False, True], ids=["plain", "phases"])
+    @pytest.mark.parametrize("exponent", range(2, 21))
+    def test_bit_identical_to_eager_build(self, exponent, decorated):
+        dim = 2 ** exponent
+        best = bq.optimal_queries(dim).queries
+        rng = np.random.default_rng(exponent)
+        phases = np.exp(2j * np.pi * rng.random(dim)) if decorated else None
+        for queries in (0, 1, best, best + 7):
+            for target in (0, dim // 3, dim - 1):
+                state, success = bq.run_grover_with_phases(dim, target, queries,
+                                                           phases)
+                want, want_success = eager_grover_state(dim, target, queries, phases)
+                assert success == want_success
+                for index in (0, target, dim - 1):
+                    assert (state.success_probability(index)
+                            == want.success_probability(index))
+                assert np.array_equal(state.amplitudes, want.amplitudes)
+                assert state.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+    @given(dim=st.integers(2, 2 ** 12), target=st.integers(0, 2 ** 12 - 1),
+           queries=st.integers(0, 100), decorated=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_success_probability_reads_the_array_entry(self, dim, target, queries,
+                                                      decorated, seed):
+        target %= dim
+        phases = bq.random_unit_phases(dim, seed) if decorated else None
+        state, _ = bq.run_grover_with_phases(dim, target, queries, phases)
+        lazy = [state.success_probability(i) for i in range(dim)]
+        amps = state.amplitudes
+        assert lazy == [abs(amps[i]) ** 2 for i in range(dim)]
+
+    def test_amplitudes_are_built_once(self):
+        state, _ = bq.run_grover(16, 3, 2)
+        assert state.amplitudes is state.amplitudes
+        assert state.dim == state.amplitudes.size == 16
+
+    @pytest.mark.parametrize("dim", [2 ** 20, 10 ** 12], ids=["2**20", "10**12"])
+    def test_unread_state_allocates_nothing(self, dim):
+        def run():
+            state, _ = bq.run_grover(dim, 0, bq.optimal_queries(dim).queries)
+            assert state.dim == dim
+            assert f"dim={dim}" in repr(state)
+            for index in (0, 1, dim - 1):
+                state.success_probability(index)
+
+        assert TestStateConstruction.traced_peak(run) < 2 ** 20
+
+    @pytest.mark.parametrize("dim", [10 ** 9, 10 ** 12], ids=["10**9", "10**12"])
+    def test_optimal_count_matches_closed_form_past_state_bound(self, dim):
+        queries = bq.optimal_queries(dim).queries
+        _, success = bq.run_grover(dim, dim // 2, queries)
+        assert abs(success - bq.closed_form_success(dim, queries)) <= 1e-12
 
 
 class TestSolutions:
