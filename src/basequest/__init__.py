@@ -25,7 +25,7 @@ _SOURCES = {
                    "conditional_lift damped_oscillation damping_weight "
                    "emission_measurement entangling_oracle entanglement_entropy "
                    "hierarchy_warnings oscillation_fraction relaxed_start "
-                   "run_scenario sample_emission_time success_probability_at "
+                   "run_scenario success_probability_at "
                    "swing_endpoint undamped_state",
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items()

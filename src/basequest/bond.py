@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from ._checks import check_integer, check_nonnegative, check_positive
-from .errors import IncompleteTransitionError
+from .errors import IncompleteTransitionError, InvalidParameterError
 
 # CODATA 2018
 HBAR = 1.054571817e-34       # J*s
@@ -83,4 +83,10 @@ def bond_time(gap_over_kt: float, temperature: float) -> float:
     of gap_over_kt * k_B * temperature."""
     check_positive(gap_over_kt, "gap_over_kt")
     check_positive(temperature, "temperature")
-    return HBAR / (gap_over_kt * BOLTZMANN * temperature)
+    gap = gap_over_kt * BOLTZMANN * temperature
+    if gap == 0.0:
+        raise InvalidParameterError(
+            f"gap_over_kt * temperature = {gap_over_kt!r} * {temperature!r} is "
+            "too small: the gap energy gap_over_kt*BOLTZMANN*temperature "
+            "underflows to 0 J")
+    return HBAR / gap

@@ -46,10 +46,7 @@ def _table(o):
     if not 0 <= o.qmax <= grover.MAX_SWEEP_STEPS:
         raise argparse.ArgumentError(
             None, f"--qmax must be in [0, {grover.MAX_SWEEP_STEPS}]")
-    records = [{
-        "record": "config", "command": "table", "qmax": o.qmax,
-        "format": o.format, "output": o.output,
-    }]
+    records = []
     for queries in range(o.qmax + 1):
         solution = grover.solve_database_size(queries)
         nearest = math.floor(solution.database_size + 0.5)
@@ -70,23 +67,19 @@ def _grover(o):
     Emits one step record per query (step 0 is the start state) and a
     summary comparing the simulated success with the closed form.
     """
-    queries = o.iters if o.iters is not None else grover.optimal_queries(o.n).queries
-    if queries < 0:
+    if o.iters is None:
+        o.iters = grover.optimal_queries(o.n).queries
+    if o.iters < 0:
         raise argparse.ArgumentError(None, "--iters must be >= 0")
     check_seed(o.seed)
     # a start decoration leaves the series alone; --phases, --seed are echoed
-    series = grover.success_series(o.n, o.target, queries)
-    records = [{
-        "record": "config", "command": "grover", "n": o.n,
-        "target": o.target, "iters": queries, "phases": o.phases,
-        "seed": o.seed, "format": o.format, "output": o.output,
-    }]
-    records.extend({"record": "step", "step": step, "success": success}
-                   for step, success in enumerate(series))
+    series = grover.success_series(o.n, o.target, o.iters)
+    records = [{"record": "step", "step": step, "success": success}
+               for step, success in enumerate(series)]
     simulated = series[-1]
-    closed = grover.closed_form_success(o.n, queries)
+    closed = grover.closed_form_success(o.n, o.iters)
     records.append({
-        "record": "summary", "queries": queries, "success": simulated,
+        "record": "summary", "queries": o.iters, "success": simulated,
         "closed_form": closed, "deviation": abs(simulated - closed),
     })
     return records
@@ -98,9 +91,6 @@ def _classical(o):
     stats = classical.simulate_search(o.n, search_mode, o.trials, o.seed)
     expected = classical.expected_queries(o.n, search_mode)
     return [
-        {"record": "config", "command": "classical", "n": o.n,
-         "mode": o.mode, "trials": o.trials, "seed": o.seed,
-         "format": o.format, "output": o.output},
         {"record": "summary", "expected_queries": expected,
          "mean_queries": stats.mean_queries, "std_error": stats.std_error,
          "deviation": abs(stats.mean_queries - expected)},
@@ -118,9 +108,6 @@ def _bond(o):
     squared = phase * phase
     cascade_factor = bond.cascade_phase(params.cascade_steps)
     return [
-        {"record": "config", "command": "bond",
-         "delta_e_kt": o.delta_e_kt, "temperature": o.temperature,
-         "cascade": o.cascade, "format": o.format, "output": o.output},
         {"record": "summary",
          "error_rate": bond.boltzmann_error_rate(params.gap_over_kt),
          "t_b": bond.bond_time(params.gap_over_kt, params.temperature),
@@ -147,13 +134,7 @@ def _scenario(o):
         relaxation_time=o.t_r, emission=o.emission,
         emission_time=o.time, samples=o.samples, seed=o.seed)
     report = replication.run_scenario(params)
-    records = [{
-        "record": "config", "command": "scenario", "n": o.n,
-        "target": o.target, "t_b": o.t_b, "t_osc": o.t_osc, "t_r": o.t_r,
-        "emission": o.emission, "time": o.time, "samples": o.samples,
-        "seed": o.seed, "format": o.format, "output": o.output,
-    }]
-    records.append({
+    return [{
         "record": "summary",
         "mean_success": report.mean_success,
         "extremum_success_undamped": report.extremum_success_undamped,
@@ -163,30 +144,21 @@ def _scenario(o):
         "entropy_at_extremum": report.entropy_at_extremum,
         "hierarchy_ok": not report.warnings,
         "hierarchy_notes": "; ".join(report.warnings),
-    })
-    for t, bits in zip(report.entropy_times, report.entropy_bits):
-        records.append({"record": "entropy", "time": float(t),
-                        "bits": float(bits)})
-    return records
+    }, *({"record": "entropy", "time": float(t), "bits": float(bits)}
+         for t, bits in zip(report.entropy_times, report.entropy_bits))]
 
 
 def _hamiltonian(o):
     """Two-term Hamiltonian evolution: exact vs split-operator series."""
     # the evolution rejects dim outside [2, MAX_COUNT]; the default only
     # has to be computable
-    total = o.t_max if o.t_max is not None else \
-        math.pi * math.sqrt(min(max(o.n, 2), MAX_COUNT)) / 2.0
-    sweep = grover.evolve_two_term_hamiltonian(o.n, o.target, total, o.dt)
-    records = [{
-        "record": "config", "command": "hamiltonian", "n": o.n,
-        "target": o.target, "t_max": total, "dt": o.dt,
-        "format": o.format, "output": o.output,
-    }]
-    for t, exact, trotter in zip(sweep.times, sweep.exact_success,
-                                 sweep.trotter_success):
-        records.append({"record": "step", "time": t,
-                        "exact_success": exact,
-                        "trotter_success": trotter})
+    if o.t_max is None:
+        o.t_max = math.pi * math.sqrt(min(max(o.n, 2), MAX_COUNT)) / 2.0
+    sweep = grover.evolve_two_term_hamiltonian(o.n, o.target, o.t_max, o.dt)
+    records = [{"record": "step", "time": t, "exact_success": exact,
+                "trotter_success": trotter}
+               for t, exact, trotter in zip(sweep.times, sweep.exact_success,
+                                            sweep.trotter_success)]
     records.append({
         "record": "summary",
         "peak_success": sweep.peak_success(),
@@ -200,7 +172,9 @@ _REQUIRED = object()
 
 # Each subcommand's record builder and options: (flag, type, default, help),
 # where a tuple type lists the choices and a _REQUIRED value comes from a flag
-# or a --config line. Every subcommand also takes _COMMON.
+# or a --config line. Every subcommand also takes _COMMON. A builder returns
+# its model records; _run puts the config record, echoed from these rows,
+# before them.
 _COMMANDS = {
     "table": (_table, [
         ("--qmax", int, 10, "Largest query count to tabulate."),
@@ -354,8 +328,13 @@ def _run(argv, prog):
         return 3
     except argparse.ArgumentError as exc:
         sub.error(str(exc))
+    # echo every option but --config in table order, with the values that
+    # builders resolve (grover --iters, hamiltonian --t-max) stored on o
+    config = {"record": "config", "command": o.command}
+    config.update((_dest(flag), getattr(o, _dest(flag)))
+                  for flag, *_ in options if flag != "--config")
     try:
-        text = write_records(records, o.format, o.output)
+        text = write_records([config, *records], o.format, o.output)
     except OSError as exc:
         sub.error(f"invalid value for '--output': cannot write {o.output!r}: "
                   f"{exc.strerror or exc}")

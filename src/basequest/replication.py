@@ -158,14 +158,6 @@ class JointState(_Amplitudes):
         """Row-major flattening: joint index 2*base + quanta_column."""
         return self.amplitudes.ravel()
 
-    def base_density(self) -> np.ndarray:
-        """Reduced density matrix of the base register (quanta traced out)."""
-        return self.amplitudes @ self.amplitudes.conj().T
-
-    def quanta_density(self) -> np.ndarray:
-        """Reduced density matrix of the quanta register (base traced out)."""
-        return self.amplitudes.T @ self.amplitudes.conj()
-
 
 def relaxed_start(dim: int) -> JointState:
     """Uniform base amplitudes, all in the no-emission sector."""
@@ -250,7 +242,13 @@ def oscillation_fraction(t: float, oscillation_time: float) -> float:
     point, back to 0 after a full period of twice oscillation_time."""
     check_nonnegative(t, "time")
     check_positive(oscillation_time, "oscillation_time")
-    return (1.0 - math.cos(math.pi * t / oscillation_time)) / 2.0
+    phase = math.pi * t / oscillation_time
+    if phase == math.inf:
+        raise InvalidParameterError(
+            f"time = {t!r} is too large for oscillation_time = "
+            f"{oscillation_time!r}: the swing phase pi*time/oscillation_time "
+            "overflows")
+    return (1.0 - math.cos(phase)) / 2.0
 
 
 def _arc_angle(flat0: np.ndarray, flat1: np.ndarray) -> float:
@@ -435,21 +433,6 @@ def success_probability_at(state0: JointState, params: ScenarioParams,
     return damping_weight(t, params.relaxation_time) * float(abs(amp) ** 2)
 
 
-def sample_emission_time(policy: EmissionPolicy, oscillation_time: float,
-                         rng: np.random.Generator,
-                         fixed_time: float | None = None) -> float:
-    """One emission time under the given policy (uniform draws cover one
-    full period)."""
-    policy = EmissionPolicy(policy)
-    check_positive(oscillation_time, "oscillation_time")
-    if policy is EmissionPolicy.AT_EXTREMUM:
-        return oscillation_time
-    if policy is EmissionPolicy.UNIFORM_RANDOM:
-        return float(rng.random() * 2.0 * oscillation_time)
-    check_nonnegative(fixed_time, "fixed_time")
-    return fixed_time
-
-
 @dataclass(frozen=True)
 class ScenarioReport:
     """Outputs of run_scenario; entropy arrays follow the joint reading."""
@@ -475,42 +458,61 @@ def run_scenario(params: ScenarioParams, *, entropy_points: int = 101,
     fresh time), and the number of attempts until first success is
     recorded. mean_success averages the analytic success probability over
     each sample's first drawn time; attempt counts come from Bernoulli
-    draws. Sample k draws from SeedSequence child k of the master seed, so
-    any parallel schedule over samples reproduces the serial results.
+    draws. Sample k draws from SeedSequence child k of the master seed,
+    made when the loop reaches it, so any parallel schedule over samples
+    reproduces the serial results.
 
     The entropy series tracks the undamped joint-reading swing over one
     full period on an entropy_points grid.
     """
     check_integer(entropy_points, "entropy_points", 2, high=MAX_SWEEP_STEPS)
     check_integer(attempt_cap, "attempt_cap", 1)
+    osc, emitted = params.oscillation_time, 2 * params.target + 1
+    # the swing phase pi*t/osc must stay finite at every time the run
+    # evaluates: up to a full period, and the fixed emission time
+    if math.pi * (2.0 * osc) == math.inf:
+        raise InvalidParameterError(
+            f"oscillation_time = {osc!r} is too large: the swing phase "
+            "pi*time/oscillation_time overflows within a full period")
+    if (params.emission is EmissionPolicy.FIXED_TIME
+            and math.pi * params.emission_time / osc == math.inf):
+        raise InvalidParameterError(
+            f"emission_time = {params.emission_time!r} is too large for "
+            f"oscillation_time = {osc!r}: the swing phase "
+            "pi*emission_time/oscillation_time overflows")
     notes = hierarchy_warnings(params)
     for note in notes:
         warnings.warn(note, HierarchyWarning, stacklevel=2)
 
     state0 = entangling_oracle(relaxed_start(params.dim), params.target)
-    osc, emitted = params.oscillation_time, 2 * params.target + 1
     # the conditional arc on the target's emitted amplitude alone
     angle, flat0, flat1 = _swing_arc(state0, params.target)
     start, end = complex(flat0[emitted]), complex(flat1[emitted])
 
-    # the policy resolved once per run: uniform draws cover one full period
+    def success(t):
+        # success_probability_at, unchecked: params is valid and t a time
+        # the run evaluates
+        f = (1.0 - math.cos(math.pi * t / osc)) / 2.0
+        return (math.exp(-2.0 * t / params.relaxation_time)
+                * float(abs(_arc_point(angle, start, end, f)) ** 2))
+
+    # the policy resolved once per run: uniform draws cover one full period,
+    # and every attempt under the other two has the same success probability
+    p_damped = success(osc)
     uniform = params.emission is EmissionPolicy.UNIFORM_RANDOM
-    fixed = (osc if params.emission is EmissionPolicy.AT_EXTREMUM
-             else params.emission_time)
+    p_fixed = (success(params.emission_time)
+               if params.emission is EmissionPolicy.FIXED_TIME else p_damped)
 
     first_probs = np.empty(params.samples)
     attempts = np.empty(params.samples, dtype=np.int64)
-    streams = np.random.SeedSequence(params.seed).spawn(params.samples)
-    for k, stream in enumerate(streams):
-        rng = np.random.Generator(np.random.PCG64(stream))
+    root = np.random.SeedSequence(params.seed)
+    for k in range(params.samples):
+        # child k as root.spawn makes it, without holding every child at once
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            root.entropy, spawn_key=root.spawn_key + (k,), pool_size=root.pool_size)))
         count = 0
         while True:
-            t = float(rng.random() * 2.0 * osc) if uniform else fixed
-            # oscillation_fraction and damping_weight, unchecked: params is
-            # valid and t drawn under the policy, once per emission attempt
-            f = (1.0 - math.cos(math.pi * t / osc)) / 2.0
-            p = (math.exp(-2.0 * t / params.relaxation_time)
-                 * float(abs(_arc_point(angle, start, end, f)) ** 2))
+            p = success(rng.random() * 2.0 * osc) if uniform else p_fixed
             if count == 0:
                 first_probs[k] = p
             count += 1
@@ -527,13 +529,10 @@ def run_scenario(params: ScenarioParams, *, entropy_points: int = 101,
     bits = np.array([entanglement_entropy(_arc_state(joint, osc, t)) for t in times])
 
     far = _arc_point(angle, start, end, oscillation_fraction(osc, osc))
-    p_undamped = float(abs(far) ** 2)
-    p_damped = damping_weight(osc, params.relaxation_time) * p_undamped
-
     return ScenarioReport(
         params=params,
         mean_success=float(first_probs.mean()),
-        extremum_success_undamped=p_undamped,
+        extremum_success_undamped=float(abs(far) ** 2),
         extremum_success_damped=p_damped,
         mean_attempts=float(attempts.mean()),
         max_attempts_observed=int(attempts.max()),

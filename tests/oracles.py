@@ -123,6 +123,16 @@ def dense_two_term_state(dim: int, target: int, t: float) -> np.ndarray:
     return expm(-1j * ham * t) @ start
 
 
+def base_density(state) -> np.ndarray:
+    """Reduced density matrix of the base register (quanta traced out)."""
+    return state.amplitudes @ state.amplitudes.conj().T
+
+
+def quanta_density(state) -> np.ndarray:
+    """Reduced density matrix of the quanta register (base traced out)."""
+    return state.amplitudes.T @ state.amplitudes.conj()
+
+
 def entropies_by_partial_trace(amps: np.ndarray) -> tuple[float, float]:
     """(base entropy, quanta entropy) in bits via explicit reductions."""
     amps = np.asarray(amps, dtype=complex)

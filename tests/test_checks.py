@@ -3,7 +3,9 @@ values outside its domain with a SimulationError that names it."""
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -124,12 +126,6 @@ REAL_PARAMETERS = [
      lambda v: bq.success_probability_at(kicked(), scenario(), v), "time"),
     ("damped_oscillation.t",
      lambda v: bq.damped_oscillation(kicked(), scenario(), v), "time"),
-    ("sample_emission_time.oscillation_time",
-     lambda v: bq.sample_emission_time("uniform", v, np.random.default_rng(0)),
-     "oscillation_time"),
-    ("sample_emission_time.fixed_time",
-     lambda v: bq.sample_emission_time("fixed", 1.0, np.random.default_rng(0), v),
-     "fixed_time"),
 ]
 
 
@@ -192,6 +188,45 @@ RATE_PARAMETERS = [
      lambda v: scenario(relaxation_time=v), "relaxation_time"),
     ("damping_weight.relaxation_time",
      lambda v: bq.damping_weight(1.0, v), "relaxation_time"),
+]
+
+
+# Magnitudes from the smallest subnormal float to near the largest: products
+# and quotients of two of them overflow or underflow inside the models.
+EXTREMES = [5e-324, 1e-300, 1e-20, 1.0, 1e20, 1e300, 1.7e308]
+
+
+def run(params):
+    return bq.run_scenario(params, entropy_points=2, attempt_cap=10)
+
+
+# (entry point, call taking two times or scales, names one of which a
+# refusal must give)
+EXTREME_PAIRS = [
+    ("oscillation_fraction", lambda t, osc: bq.oscillation_fraction(t, osc),
+     ["time"]),
+    ("undamped_state", lambda t, osc: bq.undamped_state(kicked(), 1, osc, t),
+     ["time"]),
+    ("success_probability_at", lambda t, osc: bq.success_probability_at(
+        kicked(), scenario(oscillation_time=osc), t), ["time"]),
+    ("damped_oscillation", lambda t, osc: bq.damped_oscillation(
+        kicked(), scenario(oscillation_time=osc), t), ["time"]),
+    ("damping_weight", lambda t, rate: bq.damping_weight(t, rate),
+     ["time", "relaxation_time"]),
+    ("bond_time", lambda gap, temperature: bq.bond_time(gap, temperature),
+     ["gap_over_kt", "temperature"]),
+    ("evolve_two_term_hamiltonian",
+     lambda total, step: bq.evolve_two_term_hamiltonian(4, 0, total, step),
+     ["total_time", "time_step"]),
+    ("run_scenario.oscillation_time", lambda osc, rate: run(
+        scenario(oscillation_time=osc, relaxation_time=rate)),
+     ["oscillation_time", "relaxation_time"]),
+    ("run_scenario.uniform", lambda osc, rate: run(
+        scenario(emission="uniform", oscillation_time=osc, relaxation_time=rate)),
+     ["oscillation_time", "relaxation_time"]),
+    ("run_scenario.emission_time", lambda t, osc: run(
+        scenario(emission="fixed", emission_time=t, oscillation_time=osc)),
+     ["emission_time", "oscillation_time"]),
 ]
 
 
@@ -266,5 +301,19 @@ def test_out_of_range_target(call, target):
 @pytest.mark.parametrize("policy", ["extremum", "uniform", "fixed"])
 def test_emission_time_needs_positive_oscillation_time(policy, oscillation_time):
     with pytest.raises(bq.InvalidParameterError, match="oscillation_time"):
-        bq.sample_emission_time(policy, oscillation_time,
-                                np.random.default_rng(0), 0.5)
+        scenario(emission=policy, emission_time=0.5,
+                 oscillation_time=oscillation_time)
+
+
+@pytest.mark.filterwarnings("ignore::basequest.HierarchyWarning")
+@pytest.mark.parametrize("call,names", [entry[1:] for entry in EXTREME_PAIRS],
+                         ids=[entry[0] for entry in EXTREME_PAIRS])
+def test_extreme_magnitudes_give_a_value_or_a_named_refusal(call, names):
+    named = re.compile(rf"\b({'|'.join(names)})\b")
+    for a, b in itertools.product(EXTREMES, repeat=2):
+        try:
+            call(a, b)
+        except bq.DrawBudgetExceededError:
+            pass  # every emission check failed: a result, not a refusal
+        except bq.SimulationError as exc:
+            assert named.search(str(exc)), (a, b, str(exc))

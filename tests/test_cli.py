@@ -4,6 +4,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -41,8 +42,7 @@ EXPORTS = {
                     "damped_oscillation", "damping_weight", "emission_measurement",
                     "entangling_oracle", "entanglement_entropy", "hierarchy_warnings",
                     "oscillation_fraction", "relaxed_start", "run_scenario",
-                    "sample_emission_time", "success_probability_at",
-                    "swing_endpoint", "undamped_state"],
+                    "success_probability_at", "swing_endpoint", "undamped_state"],
 }
 EXPORTED = sorted([*EXPORTS, *(name for names in EXPORTS.values() for name in names)])
 
@@ -313,6 +313,11 @@ class TestPlumbing:
         ["hamiltonian", "--t-max", "-inf"],
         ["bond", "--temperature", "-1e2"],
         ["hamiltonian", "--dt", "-1E-3"],
+        # a time ratio that overflows, a gap energy that underflows
+        ["scenario", "--n", "4", "--t-osc", "1e308", "--t-r", "1e308",
+         "--samples", "3"],
+        ["scenario", "--emission", "fixed", "--time", "1e308"],
+        ["bond", "--delta-e-kt", "1e-20", "--temperature", "1e-300"],
     ])
     def test_domain_errors_are_model_errors(self, argv):
         # the model error ends the call as an exit, not as a traceback:
@@ -320,6 +325,23 @@ class TestPlumbing:
         result = invoke(argv)
         assert result.exit_code == 3
         assert result.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_config_echoes_each_option_in_table_order(self, command):
+        result = invoke([command, *BASE[command], "--format", "jsonl"])
+        config = jsonl_records(result.output)[0]
+        options = cli._COMMANDS[command][1] + cli._COMMON
+        assert list(config) == ["record", "command", *(
+            flag[2:].replace("-", "_") for flag, *_ in options if flag != "--config")]
+        assert (config["record"], config["command"]) == ("config", command)
+
+    @pytest.mark.parametrize("argv,key,value", [
+        (["grover", "--n", "100", "--target", "0"], "iters", 7),
+        (["hamiltonian", "--n", "16"], "t_max", 2.0 * math.pi),
+    ])
+    def test_config_echoes_resolved_defaults(self, argv, key, value):
+        config = jsonl_records(invoke([*argv, "--format", "jsonl"]).output)[0]
+        assert config[key] == value
 
     @pytest.mark.parametrize("module", ["scipy", "click"])
     def test_cli_import_does_not_load(self, module):
@@ -515,7 +537,8 @@ VALID = {
     "--samples": ["1", "5"], "--t-max": ["1.0"], "--dt": ["0.25"],
     "--format": ["csv", "jsonl"],
 }
-MALFORMED = ["", "x", "1.5", "-1", "-1e3", "-inf", "nan", "1e400", "1" + "0" * 400]
+MALFORMED = ["", "x", "1.5", "-1", "-1e3", "-inf", "nan", "1e400", "1" + "0" * 400,
+             "1e308", "5e-324"]
 
 
 # Per subcommand, a small valid argv that the sweep below adds one flag to.

@@ -79,17 +79,21 @@ class TestStateConstruction:
         finally:
             tracemalloc.stop()
 
+    def run(self, decorated):
+        if decorated:
+            phases = bq.random_unit_phases(self.DIM, 5)
+            return lambda: bq.run_grover_with_phases(self.DIM, 1, 16, phases)[0]
+        return lambda: bq.run_grover(self.DIM, 1, 16)[0]
+
     @pytest.mark.parametrize("decorated", [False, True])
     def test_peak_allocation_is_one_state(self, decorated):
-        phases = bq.random_unit_phases(self.DIM, 5) if decorated else None
+        run = self.run(decorated)
+        assert self.traced_peak(lambda: run().amplitudes) <= 1.1 * 16 * self.DIM
 
-        def run():
-            if decorated:
-                bq.run_grover_with_phases(self.DIM, 1, 16, phases)
-            else:
-                bq.run_grover(self.DIM, 1, 16)
-
-        assert self.traced_peak(run) <= 1.1 * 16 * self.DIM
+    @pytest.mark.parametrize("decorated", [False, True])
+    def test_unread_run_allocates_no_state(self, decorated):
+        # the phase check's blockwise scratch is the largest allocation
+        assert self.traced_peak(self.run(decorated)) < 256 * 2 ** 10
 
     @pytest.mark.parametrize("build", [bq.StateVector, StateVector._adopt])
     def test_norm_check_bites_at_large_dim(self, build):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +12,12 @@ from basequest.replication import (
     _arc_point,
     _conditional_base,
     oscillation_fraction,
-    sample_emission_time,
 )
 from oracles import (
+    base_density,
     dense_entangling_matrix,
     entropies_by_partial_trace,
+    quanta_density,
     random_joint_state,
     vector_emission_probability,
     vector_scenario_draws,
@@ -52,14 +54,6 @@ class TestJointState:
         flat = state.flat()
         assert flat[2 * 2 + 1] == 1.0
         assert np.sum(np.abs(flat)) == 1.0
-
-    def test_reduced_densities_are_valid(self):
-        rng = np.random.default_rng(0)
-        state = bq.JointState(random_joint_state(5, rng))
-        for rho in (state.base_density(), state.quanta_density()):
-            assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
-            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-            assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(bq.InvalidDimensionError):
@@ -112,10 +106,11 @@ class TestEntropy:
             POST_KICK_ENTROPY, abs=1e-12)
 
     def test_kick_entropy_from_spectrum(self):
-        # base marginal spectrum {3/4, 1/4} pinned independently
-        rho = kicked_state().base_density()
-        top_two = np.sort(np.linalg.eigvalsh(rho))[-2:]
-        assert top_two == pytest.approx([0.25, 0.75], abs=1e-12)
+        # both marginal spectra {3/4, 1/4} pinned independently
+        state = kicked_state()
+        for rho in (base_density(state), quanta_density(state)):
+            top_two = np.sort(np.linalg.eigvalsh(rho))[-2:]
+            assert top_two == pytest.approx([0.25, 0.75], abs=1e-12)
 
     @pytest.mark.parametrize("dim,seed", [(2, 0), (5, 1), (12, 2)])
     def test_matches_partial_trace_oracle(self, dim, seed):
@@ -382,24 +377,42 @@ class TestEmissionMeasurement:
 
 
 class TestEmissionTimes:
+    """Each policy's emission time, read off run_scenario's first checks
+    (eight equal first-check probabilities average to exactly their value)."""
+
     def test_extremum_policy(self):
-        rng = np.random.default_rng(0)
-        assert sample_emission_time("extremum", 2.5, rng) == 2.5
+        params = default_params(oscillation_time=2.5, samples=8)
+        report = bq.run_scenario(params, entropy_points=2)
+        assert report.mean_success == \
+            bq.success_probability_at(kicked_state(), params, 2.5)
+        assert report.mean_success == report.extremum_success_damped
 
     def test_uniform_policy_covers_full_period(self):
-        rng = np.random.default_rng(1)
-        draws = np.array([sample_emission_time("uniform", 2.0, rng)
-                          for _ in range(2000)])
-        assert draws.min() >= 0.0
-        assert draws.max() <= 4.0
-        assert draws.max() > 3.5
-        assert draws.mean() == pytest.approx(2.0, abs=0.15)
+        # strong damping sets the mean of p(t) over [0, end] apart for half
+        # a period (end 1), the full period (2) and two periods (4): 0.127,
+        # 0.083 and 0.042 by midpoint quadrature
+        params = default_params(relaxation_time=1.0, emission="uniform",
+                                samples=4000, seed=1)
+        with pytest.warns(bq.HierarchyWarning):
+            report = bq.run_scenario(params, entropy_points=2)
+        state0 = kicked_state()
+
+        def mean_until(end):
+            times = (np.arange(4000) + 0.5) * (end / 4000)
+            return np.mean([bq.success_probability_at(state0, params, float(t))
+                            for t in times])
+
+        assert mean_until(1.0) - mean_until(2.0) > 0.04
+        assert mean_until(2.0) - mean_until(4.0) > 0.04
+        assert report.mean_success == pytest.approx(mean_until(2.0), abs=0.005)
 
     def test_fixed_policy(self):
-        rng = np.random.default_rng(2)
-        assert sample_emission_time("fixed", 2.0, rng, fixed_time=0.7) == 0.7
-        with pytest.raises(bq.InvalidParameterError):
-            sample_emission_time("fixed", 2.0, rng)
+        params = default_params(emission="fixed", emission_time=0.7, samples=8)
+        report = bq.run_scenario(params, entropy_points=2)
+        assert report.mean_success == \
+            bq.success_probability_at(kicked_state(), params, 0.7)
+        with pytest.raises(bq.InvalidParameterError, match="emission_time"):
+            default_params(emission="fixed")
 
     def test_turning_points_dominate_dwell_time(self):
         # uniform times pile up where the swing moves slowest: both ends
@@ -535,6 +548,17 @@ class TestRunScenario:
         with pytest.raises(bq.DrawBudgetExceededError):
             bq.run_scenario(params, attempt_cap=25, entropy_points=2)
 
+    def test_streams_are_made_on_demand(self):
+        # spawning every sample's stream up front held about 1.9 MiB here
+        bq.run_scenario(default_params(samples=1))  # first-call caches
+        tracemalloc.start()
+        try:
+            bq.run_scenario(default_params(samples=5000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     def test_rejects_thin_entropy_grid(self):
         with pytest.raises(bq.InvalidParameterError):
             bq.run_scenario(default_params(samples=1), entropy_points=1)
@@ -557,7 +581,7 @@ class TestScalarSampler:
     """p(t) comes from the arc's angle and two amplitudes; the full-vector
     route must give the same bits."""
 
-    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("seed", [0, 5, 2**70])
     @pytest.mark.parametrize("policy", ["extremum", "uniform", "fixed"])
     @pytest.mark.parametrize("dim", [4, 5, 64, 1024])
     def test_run_matches_vector_route(self, dim, policy, seed):
