@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 
 from .errors import InvalidParameterError, InvalidTargetError
 
@@ -81,3 +82,12 @@ def check_nonnegative(value, name: str) -> None:
     except TypeError:
         pass
     raise InvalidParameterError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def check_normal(value, name: str) -> None:
+    """check_positive, and value is no subnormal float."""
+    check_positive(value, name)
+    if value < sys.float_info.min:
+        raise InvalidParameterError(
+            f"{name} must be at least the smallest normal float "
+            f"{sys.float_info.min!r}, got {value!r}")

@@ -13,12 +13,12 @@ Hamiltonian (marked-state projector plus start-state projector), both exact
 and via split-operator alternation.
 
 Both dynamics stay in the plane of the target basis state and the start
-state, so runs step a pair of amplitudes there, in plain Python floats and
-complex numbers. A search run returns its state as that pair too: its dim
-and success probabilities are read off the pair, and the full amplitude
-array is built only when a caller reads it, so a run at N = 10**12 costs
-what one at N = 4 does. numpy is imported only by the routines that build
-or take arrays.
+state. A search run is a rotation there by (2*queries + 1) * theta, taken in
+closed form with theta held in fixed point, so its cost depends on neither
+N nor the query count. It returns its state as the pair of plane
+amplitudes: its dim and success probabilities are read off the pair, and
+the full amplitude array is built only when a caller reads it. numpy is
+imported only by the routines that build or take arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 from ._checks import (MAX_COUNT, MAX_STATE_DIM, check_count, check_integer,
@@ -53,24 +53,16 @@ PHASE_ATOL = 1e-12
 CHECK_BLOCK = 1 << 14
 
 
-def _blockwise(values: np.ndarray, fold) -> list:
-    """fold(block, scratch) for each CHECK_BLOCK-element slice of the 1-D
-    array values, scratch a float64 buffer of the block's length (reused,
-    so fold keeps nothing of it); returns the results in order."""
+def _blocks(values: np.ndarray):
+    """(block, scratch) for each CHECK_BLOCK-element slice of the 1-D array
+    values, scratch a float64 buffer of the block's length that every block
+    reuses, so a check keeps nothing of it."""
     import numpy as np
 
     scratch = np.empty(min(values.size, CHECK_BLOCK))
-    results = []
     for start in range(0, values.size, CHECK_BLOCK):
         block = values[start:start + CHECK_BLOCK]
-        results.append(fold(block, scratch[:block.size]))
-    return results
-
-
-def _square_sum(block: np.ndarray, scratch: np.ndarray) -> float:
-    import numpy as np
-
-    return float(np.multiply(block, block, out=scratch).sum())
+        yield block, scratch[:block.size]
 
 
 def _normalized(amps: np.ndarray, label: str) -> np.ndarray:
@@ -85,7 +77,8 @@ def _normalized(amps: np.ndarray, label: str) -> np.ndarray:
     import numpy as np
 
     parts = amps.ravel(order="K").view(np.float64)
-    norm = math.sqrt(math.fsum(_blockwise(parts, _square_sum)))
+    norm = math.sqrt(math.fsum(float(np.multiply(block, block, out=scratch).sum())
+                               for block, scratch in _blocks(parts)))
     if not abs(norm - 1.0) <= NORM_ATOL:  # a NaN norm fails too
         raise InvalidParameterError(
             f"{label} norm {norm!r} deviates from 1 by more than {NORM_ATOL}")
@@ -174,10 +167,8 @@ class _PlaneState(StateVector):
     def __init__(self, dim: int, target: int, on_target: float, rest: float,
                  phases: np.ndarray | None):
         # set past the frozen __setattr__, as _adopt does
-        for name, value in (("_dim", dim), ("_target", target),
-                            ("_on_target", on_target), ("_rest", rest),
-                            ("_phases", phases)):
-            object.__setattr__(self, name, value)
+        vars(self).update(_dim=dim, _target=target, _on_target=on_target,
+                          _rest=rest, _phases=phases)
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
@@ -265,37 +256,54 @@ def grover_step(state: StateVector, target: int,
     return StateVector._adopt(-apply_diffusion(queried, reference).amplitudes)
 
 
-def _plane_orbit(step, start, count: int):
-    """Yield the amplitudes on (|target>, |rest>) of step**k @ start for
-    k = 0..count, |rest> the normalized uniform state over the other objects.
-    A search round and both Hamiltonian steps are fixed 2x2 matrices on this
-    plane, given as a pair of rows of Python numbers; start is a pair too.
-    Pairs are yielded, not stored, so keeping the last is O(1) memory.
+# Search angles in fixed point, as integers in units of 2**-_BITS. A query
+# count of up to 2**53 multiplies theta's error by up to 2**54, which leaves
+# each reduced angle good to 2**-135, far below the last bit of a float.
+# round(pi * 2**_BITS), from pi's hexadecimal expansion:
+_BITS = 192
+_PI = 0x3_243F6A88_85A308D3_13198A2E_03707344_A4093822_299F31D0
+_HALF_PI, _QUARTER_PI = _PI >> 1, _PI >> 2
+_SCALE = 2.0 ** -_BITS
+# Reduced angles within the accumulated error are exact zeros: for dims in
+# [2, 2**53] only dim 4 has them (theta = pi/6, on odd turns).
+_ZERO = 1 << 57
+
+
+@lru_cache(maxsize=256)
+def _theta(dim: int) -> int:
+    """asin(1/sqrt(dim)) * 2**_BITS, to within one unit.
+
+    theta = 2*atan(u) with u = 1/(sqrt(dim - 1) + sqrt(dim)). The angle is
+    halved until u < 1/32, so the atan series needs at most 21 terms at the
+    working precision of 16 guard bits.
     """
-    (m00, m01), (m10, m11) = step
-    a, b = start
-    yield a, b
-    for _ in range(count):
-        a, b = m00 * a + m01 * b, m10 * a + m11 * b
-        yield a, b
+    work = _BITS + 16
+    one = 1 << work
+    u = one * one // (math.isqrt((dim - 1) << 2 * work)
+                      + math.isqrt(dim << 2 * work))
+    doublings = 1
+    while u >= one >> 5:
+        u = u * one // (one + math.isqrt(one * one + u * u))
+        doublings += 1
+    square = u * u >> work
+    power, total, k = u, u, 1
+    while power:
+        power = power * square >> work
+        k += 2
+        total += power // k if k & 2 == 0 else -(power // k)
+    return ((total << doublings) + (1 << 15)) >> 16
 
 
-def _search_orbit(dim: int, target: int, queries: int):
-    """grover_step on the plane, iterated from the uniform start.
-
-    The arguments are checked here, before the returned orbit is run. The
-    rounded step is a rotation scaled by 1 + O(eps): a pair's length drifts
-    with the round count while its angle stays accurate, so callers divide
-    each pair by its length.
-    """
+def _search_angle(dim: int, target: int, queries: int, rounds: int):
+    """(theta, turn, residue) with (2*rounds + 1) * theta = turn * pi/2 +
+    residue, exactly in integers, -pi/4 <= residue < pi/4 and theta =
+    _theta(dim), once a search's arguments are checked."""
     check_count(dim, "dimension", 2, InvalidDimensionError)
     check_target(target, dim)
     check_count(queries, "query count", 0)
-    x, y = 1.0 / math.sqrt(dim), math.sqrt((dim - 1) / dim)
-    # (2|start><start| - 1) diag(-1, 1), start = (x, y) on the plane
-    step = ((1.0 - 2.0 * (x * x), 2.0 * (x * y)),
-            (-2.0 * (y * x), 2.0 * (y * y) - 1.0))
-    return _plane_orbit(step, (x, y), queries)
+    theta = _theta(int(dim))  # numpy integers would overflow the shifts
+    turn, residue = divmod((2 * int(rounds) + 1) * theta + _QUARTER_PI, _HALF_PI)
+    return theta, turn, residue - _QUARTER_PI
 
 
 def run_grover(dim: int, target: int, queries: int) -> tuple[StateVector, float]:
@@ -314,12 +322,25 @@ def success_series(dim: int, target: int, queries: int) -> list[float]:
     queries may not exceed MAX_SWEEP_STEPS = 10**6, for the reason
     evolve_two_term_hamiltonian gives.
     """
-    orbit = _search_orbit(dim, target, queries)
+    theta, turn, residue = _search_angle(dim, target, queries, 0)
     if queries > MAX_SWEEP_STEPS:
         raise InvalidParameterError(
             f"query count must be at most {MAX_SWEEP_STEPS} for a series, "
             f"got {queries!r}")
-    return [p * p for p in (a / math.hypot(a, b) for a, b in orbit)]
+    # Each round adds 2*theta to the angle of 0 rounds, kept reduced
+    # exactly, so point q has the bits run_grover gives for q. The target
+    # amplitude is +-sin r on even turns and +-cos r on odd ones; the exact
+    # zeros run_grover snaps fall on cos(a), never on this amplitude.
+    ampl, other = (math.cos, math.sin) if turn & 1 else (math.sin, math.cos)
+    step, half, quarter, scale = 2 * theta, _HALF_PI, _QUARTER_PI, _SCALE
+    series = []
+    for _ in range(queries + 1):
+        series.append(ampl(float(residue) * scale) ** 2)
+        residue += step
+        while residue >= quarter:
+            residue -= half
+            ampl, other = other, ampl
+    return series
 
 
 def closed_form_success(database_size: float, queries: int) -> float:
@@ -400,14 +421,6 @@ def random_unit_phases(dim: int, seed: int | None = None) -> np.ndarray:
     return np.exp(2j * math.pi * rng.random(dim))
 
 
-def _modulus_drift(block: np.ndarray, scratch: np.ndarray) -> float:
-    import numpy as np
-
-    np.abs(block, out=scratch)
-    np.subtract(scratch, 1.0, out=scratch)
-    return float(np.abs(scratch, out=scratch).max())
-
-
 def _check_phases(phases: np.ndarray, dim: int) -> np.ndarray:
     import numpy as np
 
@@ -415,8 +428,15 @@ def _check_phases(phases: np.ndarray, dim: int) -> np.ndarray:
     if phases.shape != (dim,):
         raise InvalidPhaseError(
             f"need {dim} phase factors, got shape {phases.shape}")
-    drift = float(np.max(_blockwise(phases, _modulus_drift)))
-    if not drift <= PHASE_ATOL:  # NaN moduli fail too
+    # fl(m - 1) is monotone in m, so this is max |m - 1| over the moduli m
+    drift = 0.0
+    for block, scratch in _blocks(phases):
+        moduli = np.abs(block, out=scratch)
+        # a NaN modulus makes min and max NaN, which max() keeps when first
+        drift = max(float(moduli.max()) - 1.0, 1.0 - float(moduli.min()), drift)
+        if math.isnan(drift):
+            break
+    if not drift <= PHASE_ATOL:
         raise InvalidPhaseError(
             f"phase moduli deviate from 1 by up to {drift!r}")
     return phases
@@ -436,14 +456,16 @@ def run_grover_with_phases(dim: int, target: int, queries: int,
     2**53; reading its amplitudes builds the array, which raises
     InvalidDimensionError above MAX_STATE_DIM.
     """
-    orbit = _search_orbit(dim, target, queries)
+    _, turn, residue = _search_angle(dim, target, queries, queries)
     if phases is not None:
         phases = _check_phases(phases, dim)
-    for on_target, rest in orbit:
-        pass
-    norm = math.hypot(on_target, rest)
-    state = _PlaneState(dim, target, on_target / norm,
-                        rest / norm / math.sqrt(dim - 1), phases)
+    r = float(residue) * _SCALE if abs(residue) > _ZERO else 0.0
+    on_target, rest = math.sin(r), math.cos(r)
+    if turn & 1:
+        on_target, rest = rest, -on_target
+    if turn & 2:
+        on_target, rest = -on_target, -rest
+    state = _PlaneState(dim, target, on_target, rest / math.sqrt(dim - 1), phases)
     return state, state.success_probability(target)
 
 
@@ -514,13 +536,13 @@ def evolve_two_term_hamiltonian(
             f"of total_time {total_time!r}")
 
     steps = max(1, int(round(total_time / time_step)))
+    times = tuple(k * time_step for k in range(steps + 1))
     x, y = 1.0 / math.sqrt(dim), math.sqrt((dim - 1) / dim)
     # On the plane H = 1 + x*K, where K = [[x, y], [y, -x]] is the reflection
-    # swapping |target> and |start>; K**2 = 1 gives exp(-iH dt) in closed form.
-    phase = cmath.exp(-1j * time_step)
-    cos, isin = math.cos(x * time_step), 1j * math.sin(x * time_step)
-    exact_step = ((phase * (cos - isin * x), phase * -(isin * y)),
-                  (phase * -(isin * y), phase * (cos + isin * x)))
+    # swapping |target> and |start>. K**2 = 1 gives exp(-iHt) = exp(-it) *
+    # (cos(xt) - i sin(xt) K), whose target amplitude from the start is
+    # exp(-it) * (x cos(xt) - i sin(xt)).
+    exact = tuple(x * x + (1.0 - x * x) * math.sin(x * t) ** 2 for t in times)
 
     # Projector exponentials exp(-iP tau) = 1 + (exp(-i tau) - 1) P; the
     # symmetric split puts half the target phase on each side.
@@ -532,14 +554,15 @@ def evolve_two_term_hamiltonian(
     split_step = _product(target_phase, start_phase)
     if symmetric:
         split_step = _product(split_step, target_phase)
-
-    def success(step):
-        return tuple(m * m for m in (abs(a) for a, _ in
-                                     _plane_orbit(step, (x, y), steps)))
-
-    return HamiltonianSweep(times=tuple(k * time_step for k in range(steps + 1)),
-                            exact_success=success(exact_step),
-                            trotter_success=success(split_step))
+    (m00, m01), (m10, m11) = split_step
+    a, b = x, y
+    trotter = [x * x]
+    for _ in range(steps):
+        a, b = m00 * a + m01 * b, m10 * a + m11 * b
+        m = abs(a)
+        trotter.append(m * m)
+    return HamiltonianSweep(times=times, exact_success=exact,
+                            trotter_success=tuple(trotter))
 
 
 def _product(left, right):

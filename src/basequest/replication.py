@@ -39,6 +39,7 @@ from ._checks import (
     MAX_STATE_DIM,
     check_integer,
     check_nonnegative,
+    check_normal,
     check_positive,
     check_seed,
     check_target,
@@ -241,7 +242,9 @@ def oscillation_fraction(t: float, oscillation_time: float) -> float:
     """Pendulum progress along the arc: 0 at rest, 1 at the far turning
     point, back to 0 after a full period of twice oscillation_time."""
     check_nonnegative(t, "time")
-    check_positive(oscillation_time, "oscillation_time")
+    # a subnormal oscillation_time misplaces the turning point: pi*t is
+    # rounded to a multiple of the smallest subnormal
+    check_normal(oscillation_time, "oscillation_time")
     phase = math.pi * t / oscillation_time
     if phase == math.inf:
         raise InvalidParameterError(
@@ -468,6 +471,7 @@ def run_scenario(params: ScenarioParams, *, entropy_points: int = 101,
     check_integer(entropy_points, "entropy_points", 2, high=MAX_SWEEP_STEPS)
     check_integer(attempt_cap, "attempt_cap", 1)
     osc, emitted = params.oscillation_time, 2 * params.target + 1
+    check_normal(osc, "oscillation_time")
     # the swing phase pi*t/osc must stay finite at every time the run
     # evaluates: up to a full period, and the fixed emission time
     if math.pi * (2.0 * osc) == math.inf:
@@ -500,8 +504,18 @@ def run_scenario(params: ScenarioParams, *, entropy_points: int = 101,
     # and every attempt under the other two has the same success probability
     p_damped = success(osc)
     uniform = params.emission is EmissionPolicy.UNIFORM_RANDOM
-    p_fixed = (success(params.emission_time)
-               if params.emission is EmissionPolicy.FIXED_TIME else p_damped)
+    fixed = params.emission is EmissionPolicy.FIXED_TIME
+    p_fixed = success(params.emission_time) if fixed else p_damped
+    if not uniform and p_fixed == 0.0:
+        # refused before any draw: no check could succeed
+        name, t = ("emission_time", params.emission_time) if fixed else (
+            "oscillation_time", osc)
+        rate = params.relaxation_time
+        raise InvalidParameterError(
+            f"the success probability at {name} = {t!r} is 0.0, so no emission "
+            f"check can succeed: relaxation_time = {rate!r} damps it by "
+            f"exp(-2*{name}/relaxation_time) = {math.exp(-2.0 * t / rate)!r}, "
+            "or the swing has a node there")
 
     first_probs = np.empty(params.samples)
     attempts = np.empty(params.samples, dtype=np.int64)

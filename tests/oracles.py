@@ -1,17 +1,22 @@
 """Independent computation routes used to check the package.
 
 Everything here goes through dense matrices, full-length state vectors,
-explicit partial traces or closed-form trigonometry. None of it shares code
-with the package, which steps search and Hamiltonian runs on a 2-D plane,
-except vector_scenario_draws: it takes the far end of each swing from the
-package (swing_endpoint) and builds the full swing state itself, which the
-scenario sampler does not. eager_grover_state keeps the package's former
-eager search-state builder, to pin the lazily built states to its bits.
+explicit partial traces, 60-digit decimal arithmetic or closed-form
+trigonometry. None of it shares code with the package, which computes
+search and Hamiltonian runs on a 2-D plane, except vector_scenario_draws:
+it takes the far end of each swing from the package (swing_endpoint) and
+builds the full swing state itself, which the scenario sampler does not.
+Three routes keep former package code as references: eager_plane_state
+builds a search state's array eagerly, to pin the lazily built states to
+its bits; split_orbit_success steps the split-operator series on the plane
+as the package did; blockwise_phase_drift is the former phase-check fold.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
 from scipy.linalg import expm
@@ -60,26 +65,74 @@ def vector_search(dim: int, target: int, queries: int,
     return state
 
 
-def eager_grover_state(dim: int, target: int, queries: int,
-                       phases: np.ndarray | None = None):
-    """(state, success) of run_grover_with_phases as it was when every run
-    built its full state: the plane orbit of grover._search_orbit written
-    out, then the array filled, decorated and checked as a StateVector."""
-    x, y = 1.0 / math.sqrt(dim), math.sqrt((dim - 1) / dim)
-    (m00, m01), (m10, m11) = ((1.0 - 2.0 * (x * x), 2.0 * (x * y)),
-                              (-2.0 * (y * x), 2.0 * (y * y) - 1.0))
-    on_target, rest = x, y
-    for _ in range(queries):
-        on_target, rest = m00 * on_target + m01 * rest, m10 * on_target + m11 * rest
-    norm = math.hypot(on_target, rest)
-    amps = np.full(dim, rest / norm / math.sqrt(dim - 1), dtype=np.complex128)
-    amps[target] = on_target / norm
+def eager_plane_state(dim: int, target: int, on_target: float, rest: float,
+                      phases: np.ndarray | None = None):
+    """(state, success) as run_grover_with_phases returned them when every
+    run built its full state: on_target at the target and rest elsewhere,
+    decorated and checked as a StateVector."""
+    amps = np.full(dim, rest, dtype=np.complex128)
+    amps[target] = on_target
     if phases is not None:
         # The decoration D is diagonal, so it commutes with the oracle and
         # the decorated run is D applied to the plain one.
         amps *= phases
     state = StateVector(amps)
     return state, state.success_probability(target)
+
+
+DIGITS = 60
+
+
+def _decimal_sin_cos(x: Decimal) -> tuple[Decimal, Decimal]:
+    """Taylor series for (sin x, cos x), |x| <= 4, summed until the terms
+    fall below the context precision in absolute value."""
+    sin, cos, term, k = Decimal(0), Decimal(1), Decimal(1), 0
+    tiny = Decimal(10) ** -(getcontext().prec + 5)
+    while abs(term) > tiny:
+        k += 1
+        term = term * x / k
+        if k % 2:
+            sin += term if k % 4 == 1 else -term
+        else:
+            cos += term if k % 4 == 0 else -term
+    return sin, cos
+
+
+def _decimal_pi() -> Decimal:
+    """Machin's formula, pi = 16 atan(1/5) - 4 atan(1/239)."""
+    def atan_inverse(n):
+        total, power, k = Decimal(0), Decimal(1) / n, 1
+        while True:
+            term = power / k if k % 4 == 1 else -power / k
+            if total + term == total:
+                return total
+            total, power, k = total + term, power / (n * n), k + 2
+    return 16 * atan_inverse(5) - 4 * atan_inverse(239)
+
+
+def decimal_search_amplitudes(dim: int, queries: int) -> tuple[float, float, float]:
+    """(on_target, rest, success) after `queries` search rounds at dim: the
+    target amplitude sin(a), every other amplitude cos(a)/sqrt(dim - 1) and
+    sin(a)**2, a = (2*queries + 1) * asin(1/sqrt(dim)), each evaluated to
+    DIGITS digits and rounded once to a float. theta comes from Newton's
+    method on sin(theta) = 1/sqrt(dim).
+
+    Values below 1e-40, far under the 1e-44 residue of reducing a up to
+    2**55 by 2*pi, are exact zeros: cos(a) vanishes at dim 4 (theta = pi/6)
+    whenever 2*queries + 1 is a multiple of 3.
+    """
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        pi, sine = _decimal_pi(), 1 / Decimal(dim).sqrt()
+        theta = Decimal(math.asin(1.0 / math.sqrt(dim)))
+        for _ in range(4):  # 53 bits double to 424
+            sin, cos = _decimal_sin_cos(theta)
+            theta -= (sin - sine) / cos
+        angle = (2 * queries + 1) * theta
+        angle -= 2 * pi * (angle / (2 * pi)).to_integral_value()
+        sin, cos = _decimal_sin_cos(angle)
+        values = (sin, cos / Decimal(dim - 1).sqrt(), sin * sin)
+        return tuple(0.0 if abs(v) < Decimal("1e-40") else float(v) for v in values)
 
 
 def vector_split_success(dim: int, target: int, total_time: float,
@@ -108,6 +161,43 @@ def vector_split_success(dim: int, target: int, total_time: float,
             vec = target_phase(start_phase(vec, time_step), time_step)
         series.append(abs(vec[target]) ** 2)
     return np.array(series)
+
+
+def split_orbit_success(dim: int, total_time: float, time_step: float,
+                        symmetric: bool = True) -> list[float]:
+    """The split-operator success series as evolve_two_term_hamiltonian
+    stepped it on the plane of |target> and the uniform state over the
+    other objects: one fixed 2x2 step applied k times from the start."""
+    def product(left, right):
+        (a, b), (c, d) = left
+        (e, f), (g, h) = right
+        return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+    steps = max(1, int(round(total_time / time_step)))
+    x, y = 1.0 / math.sqrt(dim), math.sqrt((dim - 1) / dim)
+    kick = cmath.exp(-1j * time_step) - 1.0
+    start_phase = ((1.0 + kick * (x * x), kick * (x * y)),
+                   (kick * (y * x), 1.0 + kick * (y * y)))
+    tau = time_step / 2.0 if symmetric else time_step
+    target_phase = ((cmath.exp(-1j * tau), 0.0), (0.0, 1.0))
+    step = product(target_phase, start_phase)
+    if symmetric:
+        step = product(step, target_phase)
+    (m00, m01), (m10, m11) = step
+    a, b = x, y
+    series = [abs(a) * abs(a)]
+    for _ in range(steps):
+        a, b = m00 * a + m01 * b, m10 * a + m11 * b
+        series.append(abs(a) * abs(a))
+    return series
+
+
+def blockwise_phase_drift(phases: np.ndarray, block: int) -> float:
+    """max |abs(p) - 1| over the phase factors p, folded per block of
+    `block` elements as the phase check did before it tracked min and max."""
+    drifts = [float(np.abs(np.abs(phases[start:start + block]) - 1.0).max())
+              for start in range(0, phases.size, block)]
+    return float(np.max(drifts))
 
 
 def analytic_two_term_success(dim: int, t: float) -> float:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -204,13 +205,13 @@ def run(params):
 # refusal must give)
 EXTREME_PAIRS = [
     ("oscillation_fraction", lambda t, osc: bq.oscillation_fraction(t, osc),
-     ["time"]),
+     ["time", "oscillation_time"]),
     ("undamped_state", lambda t, osc: bq.undamped_state(kicked(), 1, osc, t),
-     ["time"]),
+     ["time", "oscillation_time"]),
     ("success_probability_at", lambda t, osc: bq.success_probability_at(
-        kicked(), scenario(oscillation_time=osc), t), ["time"]),
+        kicked(), scenario(oscillation_time=osc), t), ["time", "oscillation_time"]),
     ("damped_oscillation", lambda t, osc: bq.damped_oscillation(
-        kicked(), scenario(oscillation_time=osc), t), ["time"]),
+        kicked(), scenario(oscillation_time=osc), t), ["time", "oscillation_time"]),
     ("damping_weight", lambda t, rate: bq.damping_weight(t, rate),
      ["time", "relaxation_time"]),
     ("bond_time", lambda gap, temperature: bq.bond_time(gap, temperature),
@@ -303,6 +304,30 @@ def test_emission_time_needs_positive_oscillation_time(policy, oscillation_time)
     with pytest.raises(bq.InvalidParameterError, match="oscillation_time"):
         scenario(emission=policy, emission_time=0.5,
                  oscillation_time=oscillation_time)
+
+
+# every entry point that places a time on the swing, given an oscillation_time
+SWING_TIMES = [
+    ("oscillation_fraction", lambda osc: bq.oscillation_fraction(osc, osc)),
+    ("undamped_state", lambda osc: bq.undamped_state(kicked(), 1, osc, osc)),
+    ("success_probability_at", lambda osc: bq.success_probability_at(
+        kicked(), scenario(oscillation_time=osc), osc)),
+    ("damped_oscillation", lambda osc: bq.damped_oscillation(
+        kicked(), scenario(oscillation_time=osc), osc)),
+] + [(f"run_scenario.{policy}", lambda osc, policy=policy: run(scenario(
+        emission=policy, emission_time=osc, oscillation_time=osc,
+        relaxation_time=math.inf))) for policy in ("extremum", "uniform", "fixed")]
+
+
+@pytest.mark.filterwarnings("ignore::basequest.HierarchyWarning")
+@pytest.mark.parametrize("call", [call for _, call in SWING_TIMES],
+                         ids=[label for label, _ in SWING_TIMES])
+def test_subnormal_oscillation_time_is_named(call):
+    # pi*t would round to a multiple of 5e-324 and misplace the turning point
+    for osc in (5e-324, 1e-310, np.nextafter(sys.float_info.min, 0.0)):
+        with pytest.raises(bq.InvalidParameterError, match="oscillation_time"):
+            call(osc)
+    call(sys.float_info.min)
 
 
 @pytest.mark.filterwarnings("ignore::basequest.HierarchyWarning")

@@ -379,6 +379,20 @@ class TestPlumbing:
         out = fresh_main(argv, "print('numpy' in sys.modules)")
         assert out.splitlines()[-1] == str(loads_numpy)
 
+    @pytest.mark.parametrize("argv", [
+        None,
+        ["grover", "--n", str(2 ** 53), "--target", "5", "--iters", "1000"],
+        ["hamiltonian", "--n", "64", "--target", "3", "--dt", "0.1"],
+        ["table", "--qmax", "40"],
+    ], ids=["import", "grover", "hamiltonian", "table"])
+    def test_search_paths_load_neither_numpy_nor_decimal(self, argv):
+        check = ("assert not {'numpy', 'decimal'} & {m.split('.')[0] "
+                 "for m in sys.modules}, sorted(sys.modules)")
+        if argv is None:
+            fresh_python(f"import sys, basequest.grover\n{check}")
+        else:
+            fresh_main(argv, check)
+
     def test_exports_match_eager_package(self):
         assert basequest.__all__ == EXPORTED
         for module, names in EXPORTS.items():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import timeit
 import tracemalloc
 
 import numpy as np
@@ -9,14 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import basequest as bq
-from basequest.grover import MAX_SWEEP_STEPS, StateVector
+from basequest.grover import CHECK_BLOCK, MAX_SWEEP_STEPS, StateVector, _check_phases
 from oracles import (
     analytic_two_term_success,
+    blockwise_phase_drift,
+    decimal_search_amplitudes,
     dense_oracle,
     dense_reflection,
     dense_run,
     dense_two_term_state,
-    eager_grover_state,
+    eager_plane_state,
+    split_orbit_success,
     vector_search,
     vector_split_success,
 )
@@ -314,6 +318,14 @@ class TestRunGrover:
         _, success = bq.run_grover(10, 0, 0)
         assert success == pytest.approx(0.1, abs=1e-12)
 
+    def test_accepts_numpy_integers(self):
+        for dim, target, queries in [(2 ** 20, 1, 804), (2 ** 53, 5, 2 ** 53)]:
+            numpy_args = (np.int64(dim), np.int64(target), np.uint64(queries))
+            want = bq.run_grover(dim, target, queries)[1]
+            assert bq.run_grover(*numpy_args)[1] == want
+            assert bq.success_series(*numpy_args[:2], np.int64(3))[-1] == \
+                bq.run_grover(dim, target, 3)[1]
+
     def test_rejects_negative_queries(self):
         with pytest.raises(bq.InvalidParameterError):
             bq.run_grover(4, 0, -1)
@@ -325,6 +337,65 @@ class TestRunGrover:
     def test_rejects_bool_query_count(self):
         with pytest.raises(bq.InvalidParameterError):
             bq.run_grover(4, 0, True)
+
+
+class TestClosedFormSearch:
+    """A run is one rotation by (2q + 1) theta, with theta and the reduced
+    angle carried in fixed point: accurate and O(1) at every accepted dim
+    and query count."""
+
+    DIMS = [2, 3, 4, 2 ** 20, 10 ** 12, 2 ** 53]
+    QUERIES = {"0": 0, "1": 1, "10**6": 10 ** 6, "2**53": 2 ** 53}
+
+    @staticmethod
+    def within(value, want, ulps):
+        return abs(value - want) <= ulps * math.ulp(want)
+
+    @pytest.mark.parametrize("which", ["0", "1", "optimal", "10**6", "2**53"])
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_matches_decimal_oracle(self, dim, which):
+        queries = (bq.optimal_queries(dim).queries if which == "optimal"
+                   else self.QUERIES[which])
+        on_target, rest, success = decimal_search_amplitudes(dim, queries)
+        state, got = bq.run_grover(dim, dim // 3, queries)
+        assert self.within(got, success, 2), (got, success)
+        # the target amplitude and the amplitude on every other object
+        for index, want in ((dim // 3, on_target), (dim - 1, rest)):
+            amp = complex(state._amplitude(index)).real
+            assert abs(amp - want) <= 2 * math.ulp(want) + 1e-300, (index, amp, want)
+
+    @pytest.mark.parametrize("queries", [10 ** 3, 10 ** 6, 7 * 10 ** 7])
+    def test_near_full_success_keeps_relative_accuracy(self, queries):
+        # at the integer size nearest the one solved exactly, cos(a) is tiny
+        # (1.7e-16 at the largest count), so the angle must carry far more
+        # bits than a float for the other amplitudes to keep theirs
+        dim = round(bq.solve_database_size(queries).database_size)
+        on_target, rest, success = decimal_search_amplitudes(dim, queries)
+        state, got = bq.run_grover(dim, 0, queries)
+        assert self.within(got, success, 2)
+        assert self.within(state._on_target, on_target, 2)
+        assert self.within(state._rest, rest, 2), (state._rest, rest)
+
+    def test_exact_zeros_at_four(self):
+        # theta = pi/6, so every third round lands exactly on the target
+        for queries in (1, 4, 10 ** 6, 2 ** 53 - 1):
+            state, success = bq.run_grover(4, 2, queries)
+            assert success == 1.0
+            assert state.success_probability(0) == 0.0
+
+    def test_huge_query_count_is_fast(self):
+        _, success = bq.run_grover(2, 0, 2 ** 53)
+        # warm, best of five, so that one preemption cannot fail it
+        assert min(timeit.repeat(lambda: bq.run_grover(2, 0, 2 ** 53),
+                                 number=1, repeat=5)) < 1e-3
+        assert self.within(success, decimal_search_amplitudes(2, 2 ** 53)[2], 2)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_series_points_equal_runs(self, dim):
+        for start in (0, 10 ** 6 - 40):
+            series = bq.success_series(dim, 0, start + 40)
+            assert series[start:] == [bq.run_grover(dim, 0, queries)[1]
+                                      for queries in range(start, start + 41)]
 
 
 class TestPlaneState:
@@ -342,7 +413,8 @@ class TestPlaneState:
             for target in (0, dim // 3, dim - 1):
                 state, success = bq.run_grover_with_phases(dim, target, queries,
                                                            phases)
-                want, want_success = eager_grover_state(dim, target, queries, phases)
+                want, want_success = eager_plane_state(
+                    dim, target, state._on_target, state._rest, phases)
                 assert success == want_success
                 for index in (0, target, dim - 1):
                     assert (state.success_probability(index)
@@ -507,6 +579,32 @@ class TestPhaseDecoration:
         with pytest.raises(bq.InvalidPhaseError):
             bq.run_grover_with_phases(4, 0, 1, np.ones(3, dtype=complex))
 
+    # the moduli 1 +- 1e-12, the extreme moduli within PHASE_ATOL = 1e-12 on
+    # either side of 1 (4503 ulps above, 9007 half-size ulps below), the
+    # moduli one ulp beyond those, and non-finite and zero moduli
+    @pytest.mark.parametrize("bad", [
+        1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 4503 * 2.0 ** -52, 1.0 + 4504 * 2.0 ** -52,
+        1.0 - 9007 * 2.0 ** -53, 1.0 - 9008 * 2.0 ** -53, np.nan, np.inf, 0.0])
+    @pytest.mark.parametrize("block", [0, 1, 3])
+    def test_phase_check_matches_blockwise_fold(self, bad, block):
+        # four blocks, the last of 5 factors; bad is a modulus exactly, a
+        # smaller drift sits in the other blocks, and a NaN in an earlier
+        # block must survive the larger drift after it
+        dim = 3 * CHECK_BLOCK + 5
+        phases = np.exp(2j * np.pi * np.random.default_rng(block).random(dim))
+        phases[block * CHECK_BLOCK + 3] = bad
+        for other in {0, 1, 3} - {block}:
+            phases[other * CHECK_BLOCK + 2] = 1.0 + 1e-13
+        if block == 3:
+            phases[CHECK_BLOCK] = np.nan
+        want = blockwise_phase_drift(phases, CHECK_BLOCK)
+        if want <= bq.grover.PHASE_ATOL:
+            assert _check_phases(phases, dim) is phases
+        else:
+            with pytest.raises(bq.InvalidPhaseError) as refusal:
+                _check_phases(phases, dim)
+            assert str(refusal.value).endswith(f"by up to {want!r}")
+
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_random_phases_are_unit_modulus(self, seed):
@@ -540,6 +638,16 @@ class TestTwoTermHamiltonian:
                                                symmetric=symmetric)
         expected = vector_split_success(dim, target, total, 0.05, symmetric)
         assert np.max(np.abs(sweep.trotter_success - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("dim", [4, 37, 1024])
+    def test_split_series_matches_plane_orbit(self, dim, symmetric):
+        total = math.pi * math.sqrt(dim) / 2
+        sweep = bq.evolve_two_term_hamiltonian(dim, dim - 1, total, 0.01,
+                                               symmetric=symmetric)
+        expected = split_orbit_success(dim, total, 0.01, symmetric)
+        assert len(sweep.trotter_success) == len(expected)
+        assert np.max(np.abs(np.subtract(sweep.trotter_success, expected))) <= 1e-12
 
     def test_series_are_tuples_of_floats(self):
         sweep = bq.evolve_two_term_hamiltonian(4, 0, 1.0, 0.25)

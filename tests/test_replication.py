@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import math
+import re
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -547,6 +550,24 @@ class TestRunScenario:
             kicked_state(), params, 1.0 / 3.0) <= 1e-30
         with pytest.raises(bq.DrawBudgetExceededError):
             bq.run_scenario(params, attempt_cap=25, entropy_points=2)
+
+    @pytest.mark.parametrize("overrides,name", [
+        ({"relaxation_time": 5e-324}, "oscillation_time"),
+        ({"emission": "fixed", "emission_time": 1e300, "oscillation_time": 1e300},
+         "emission_time"),
+    ], ids=["extremum", "fixed"])
+    def test_zero_success_probability_is_refused_before_drawing(self, overrides,
+                                                               name):
+        # drawing the 10**7 checks the cap allows would take seconds
+        params = default_params(samples=1, **overrides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", bq.HierarchyWarning)
+            start = time.perf_counter()
+            with pytest.raises(bq.InvalidParameterError) as refusal:
+                bq.run_scenario(params, attempt_cap=10 ** 7, entropy_points=2)
+        assert time.perf_counter() - start < 1.0
+        for word in (name, "relaxation_time"):
+            assert re.search(rf"\b{word}\b", str(refusal.value))
 
     def test_streams_are_made_on_demand(self):
         # spawning every sample's stream up front held about 1.9 MiB here
