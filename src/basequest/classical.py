@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 
 from ._checks import MAX_DRAWS, check_count, check_integer, check_seed
 from .errors import DrawBudgetExceededError, InvalidDimensionError
-from .grover import optimal_queries
 
 if TYPE_CHECKING:
     import numpy as np
@@ -153,6 +152,8 @@ def speedup_ratio(database_size: int) -> float | None:
     None when the optimal count is zero (a two-object database already starts
     at its best success chance), where the ratio is undefined.
     """
+    from .grover import optimal_queries
+
     best = optimal_queries(database_size)
     if best.queries == 0:
         return None

@@ -3,12 +3,14 @@
 Every subcommand renders a record stream (CSV by default, JSON lines with
 --format jsonl; the BASEQUEST_FORMAT environment variable overrides the
 default) whose first record echoes the full effective configuration,
-including the seed, so any output file identifies the run that made it.
-Identical invocations produce identical bytes.
+including the seed, and the package version (and numpy's, when the call
+loaded numpy), so any output file identifies the run that made it.
+Identical invocations produce identical bytes. A call imports only the
+model modules its subcommand runs.
 
 Exit codes: 0 on success, 2 on usage errors (an --output file that
 cannot be written among them), 3 when a numeric domain error is raised by
-the underlying model.
+the underlying model; its stderr line names the exception class.
 
 Examples:
 
@@ -27,10 +29,9 @@ import math
 import os
 import sys
 
-# replication is imported by the scenario command alone: it is the one
-# module here that needs numpy at import time
-from . import bond, classical, grover
-from ._checks import MAX_COUNT, check_seed
+# each builder imports the model modules it runs, so that a call loads only
+# what its subcommand needs (replication, say, imports numpy)
+from . import __version__
 from .errors import SimulationError
 from .output import FORMATS, write_records
 
@@ -43,6 +44,8 @@ def _table(o):
     success probability at that integer, and the classical-over-quantum
     query ratio (empty for the degenerate zero-query row).
     """
+    from . import classical, grover
+
     if not 0 <= o.qmax <= grover.MAX_SWEEP_STEPS:
         raise argparse.ArgumentError(
             None, f"--qmax must be in [0, {grover.MAX_SWEEP_STEPS}]")
@@ -67,6 +70,9 @@ def _grover(o):
     Emits one step record per query (step 0 is the start state) and a
     summary comparing the simulated success with the closed form.
     """
+    from . import grover
+    from ._checks import check_seed
+
     if o.iters is None:
         o.iters = grover.optimal_queries(o.n).queries
     if o.iters < 0:
@@ -87,6 +93,8 @@ def _grover(o):
 
 def _classical(o):
     """Monte-Carlo classical query cost against the exact expectation."""
+    from . import classical
+
     search_mode = classical.SearchMode(o.mode)
     stats = classical.simulate_search(o.n, search_mode, o.trials, o.seed)
     expected = classical.expected_queries(o.n, search_mode)
@@ -99,6 +107,8 @@ def _classical(o):
 
 def _bond(o):
     """Single-bond numbers: thermal error, timescale, transition phase."""
+    from . import bond
+
     params = bond.BondParams(gap_over_kt=o.delta_e_kt,
                              temperature=o.temperature,
                              cascade_steps=o.cascade)
@@ -150,6 +160,9 @@ def _scenario(o):
 
 def _hamiltonian(o):
     """Two-term Hamiltonian evolution: exact vs split-operator series."""
+    from . import grover
+    from ._checks import MAX_COUNT
+
     # the evolution rejects dim outside [2, MAX_COUNT]; the default only
     # has to be computable
     if o.t_max is None:
@@ -189,7 +202,8 @@ _COMMANDS = {
     ]),
     "classical": (_classical, [
         ("--n", int, _REQUIRED, "Database size."),
-        ("--mode", tuple(m.value for m in classical.SearchMode), "with",
+        # classical.SearchMode's values, spelled out as --emission's are
+        ("--mode", ("with", "without"), "with",
          "Query discipline: with or without replacement."),
         ("--trials", int, 10000, None),
         ("--seed", int, 0, None),
@@ -324,15 +338,19 @@ def _run(argv, prog):
     try:
         records = build(o)
     except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except argparse.ArgumentError as exc:
         sub.error(str(exc))
     # echo every option but --config in table order, with the values that
-    # builders resolve (grover --iters, hamiltonian --t-max) stored on o
+    # builders resolve (grover --iters, hamiltonian --t-max) stored on o,
+    # then the package version, and numpy's if anything has loaded numpy
     config = {"record": "config", "command": o.command}
     config.update((_dest(flag), getattr(o, _dest(flag)))
                   for flag, *_ in options if flag != "--config")
+    config["version"] = __version__
+    if "numpy" in sys.modules:
+        config["numpy"] = sys.modules["numpy"].__version__
     try:
         text = write_records([config, *records], o.format, o.output)
     except OSError as exc:

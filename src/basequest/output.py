@@ -10,11 +10,10 @@ same invocation always produces the same bytes.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-import numbers
 import sys
+
+# json, csv and numbers are imported where they are used, so that a call
+# loads only the encoder it writes with
 
 FORMATS = ("csv", "jsonl")
 
@@ -42,6 +41,8 @@ def _plain(value):
         return float(value)
     if isinstance(value, str):
         return value
+    import numbers
+
     if isinstance(value, numbers.Real):
         return float(value)
     raise TypeError(f"unsupported record value {value!r}")
@@ -64,8 +65,13 @@ def format_records(records: list[dict], fmt: str) -> str:
     rows = [{key: _plain(value) for key, value in rec.items()} for rec in records]
 
     if fmt == "jsonl":
+        import json
+
         lines = [json.dumps(row, separators=(", ", ": ")) for row in rows]
         return "\n".join(lines) + "\n"
+
+    import csv
+    import io
 
     columns: list[str] = []
     for row in rows:

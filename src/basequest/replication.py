@@ -506,15 +506,17 @@ def run_scenario(params: ScenarioParams, *, entropy_points: int = 101,
     uniform = params.emission is EmissionPolicy.UNIFORM_RANDOM
     fixed = params.emission is EmissionPolicy.FIXED_TIME
     p_fixed = success(params.emission_time) if fixed else p_damped
+    # the policy's time parameter, which a refusal names with relaxation_time
+    name, policy_time = ("emission_time", params.emission_time) if fixed else (
+        "oscillation_time", osc)
+    rate = params.relaxation_time
     if not uniform and p_fixed == 0.0:
         # refused before any draw: no check could succeed
-        name, t = ("emission_time", params.emission_time) if fixed else (
-            "oscillation_time", osc)
-        rate = params.relaxation_time
         raise InvalidParameterError(
-            f"the success probability at {name} = {t!r} is 0.0, so no emission "
-            f"check can succeed: relaxation_time = {rate!r} damps it by "
-            f"exp(-2*{name}/relaxation_time) = {math.exp(-2.0 * t / rate)!r}, "
+            f"the success probability at {name} = {policy_time!r} is 0.0, so "
+            f"no emission check can succeed: relaxation_time = {rate!r} damps it by "
+            f"exp(-2*{name}/relaxation_time) = "
+            f"{math.exp(-2.0 * policy_time / rate)!r}, "
             "or the swing has a node there")
 
     first_probs = np.empty(params.samples)
@@ -535,7 +537,8 @@ def run_scenario(params: ScenarioParams, *, entropy_points: int = 101,
             if count >= attempt_cap:
                 raise DrawBudgetExceededError(
                     f"sample {k} exceeded {attempt_cap} emission attempts "
-                    f"(success probability {p!r})")
+                    f"(success probability {p!r}) at {name} = {policy_time!r} "
+                    f"and relaxation_time = {rate!r}")
         attempts[k] = count
 
     joint = _swing_arc(state0, params.target, "joint")

@@ -47,6 +47,29 @@ EXPORTS = {
 EXPORTED = sorted([*EXPORTS, *(name for names in EXPORTS.values() for name in names)])
 
 
+# A small call of each subcommand; classical and scenario draw from PCG64,
+# so they alone load numpy.
+CALLS = [
+    ["table", "--qmax", "40"],
+    ["bond", "--cascade", "3"],
+    ["grover", "--n", "1024", "--target", "5", "--phases", "random"],
+    ["hamiltonian", "--n", "64", "--target", "3", "--dt", "0.1"],
+    ["classical", "--n", "50", "--trials", "100"],
+    ["scenario", "--samples", "5"],
+]
+DRAWING = {"classical", "scenario"}
+# The package submodules a call of each subcommand loads besides those that
+# `import basequest.cli` loads (cli, errors and output).
+CALL_MODULES = {
+    "table": ["_checks", "classical", "grover"],
+    "grover": ["_checks", "grover"],
+    "classical": ["_checks", "classical"],
+    "bond": ["_checks", "bond"],
+    "scenario": ["_checks", "grover", "replication"],
+    "hamiltonian": ["_checks", "grover"],
+}
+
+
 class Result(NamedTuple):
     exit_code: int
     output: str
@@ -170,6 +193,8 @@ class TestGrover:
         result = invoke(["grover", "--n", "4", "--target", "9",
                          "--iters", "1"])
         assert result.exit_code == 3
+        assert result.stderr == ("error: InvalidTargetError: target must be "
+                                 "an integer in [0, 4), got 9\n")
 
     def test_missing_required_option(self):
         assert invoke(["grover", "--target", "0"]).exit_code == 2
@@ -324,16 +349,25 @@ class TestPlumbing:
         # invoke lets any other exception through
         result = invoke(argv)
         assert result.exit_code == 3
+        # the error line names the exception's class: error: <class>: <message>
         assert result.stderr.startswith("error: ")
+        name = result.stderr.split(": ")[1]
+        assert issubclass(getattr(basequest, name), basequest.SimulationError)
 
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
     def test_config_echoes_each_option_in_table_order(self, command):
+        import numpy
+
         result = invoke([command, *BASE[command], "--format", "jsonl"])
         config = jsonl_records(result.output)[0]
         options = cli._COMMANDS[command][1] + cli._COMMON
+        # then the provenance: the package version and the loaded numpy's
         assert list(config) == ["record", "command", *(
-            flag[2:].replace("-", "_") for flag, *_ in options if flag != "--config")]
+            flag[2:].replace("-", "_") for flag, *_ in options if flag != "--config"),
+            "version", "numpy"]
         assert (config["record"], config["command"]) == ("config", command)
+        assert config["version"] == basequest.__version__
+        assert config["numpy"] == numpy.__version__
 
     @pytest.mark.parametrize("argv,key,value", [
         (["grover", "--n", "100", "--target", "0"], "iters", 7),
@@ -356,7 +390,11 @@ class TestPlumbing:
                               env={**os.environ, "PYTHONPATH": path},
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == invoke(argv).output
+        # against main in another fresh interpreter: in this one numpy may
+        # be loaded, which adds its version to the config record
+        assert done.stdout == fresh_main(argv, "")
+        assert "version" in done.stdout.split("\n")[0].split(",")
+        assert "numpy" not in done.stdout.split("\n")[0].split(",")
 
     def test_imports_do_not_load_numpy(self):
         fresh_python("import sys, basequest; assert 'numpy' not in sys.modules; "
@@ -368,16 +406,32 @@ class TestPlumbing:
                      "assert 'basequest.grover' not in sys.modules")
 
     @pytest.mark.parametrize("argv,loads_numpy", [
-        (["table", "--qmax", "40"], False),
-        (["bond", "--cascade", "3"], False),
-        (["grover", "--n", "1024", "--target", "5", "--phases", "random"], False),
-        (["hamiltonian", "--n", "64", "--target", "3", "--dt", "0.1"], False),
-        (["classical", "--n", "50", "--trials", "100"], True),
-        (["scenario", "--samples", "5"], True),
+        *((argv, argv[0] in DRAWING) for argv in CALLS),
+        *(([*argv, "--format", "jsonl"], argv[0] in DRAWING) for argv in CALLS),
+        (None, False),
+        (["--help"], False),
     ])
     def test_numpy_loads_only_for_drawing_subcommands(self, argv, loads_numpy):
-        out = fresh_main(argv, "print('numpy' in sys.modules)")
-        assert out.splitlines()[-1] == str(loads_numpy)
+        # the import graph of a fresh `import basequest.cli` (argv None) or
+        # of one call: exactly the package's submodules that the call runs,
+        # and the one encoder module it writes with
+        report = ("loaded = set(sys.modules)\n"
+                  "import json\n"
+                  "ours = sorted(m for m in loaded if m.startswith('basequest.'))\n"
+                  "print(json.dumps([ours, [m in loaded for m in\n"
+                  "                         ('numpy', 'json', 'csv', 'dataclasses')]]))")
+        if argv is None:
+            out = fresh_python(f"import sys, basequest.cli\n{report}")
+        else:
+            out = fresh_main(argv, report)
+        modules, flags = json.loads(out.splitlines()[-1])
+        command = argv[0] if argv else None
+        wrote = command in cli._COMMANDS
+        jsonl = wrote and "jsonl" in argv
+        assert modules == sorted(f"basequest.{name}" for name in [
+            "cli", "errors", "output", *CALL_MODULES.get(command, [])])
+        # every model module defines dataclasses; the CLI alone needs none
+        assert flags == [loads_numpy, jsonl, wrote and not jsonl, wrote]
 
     @pytest.mark.parametrize("argv", [
         None,

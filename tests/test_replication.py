@@ -552,6 +552,23 @@ class TestRunScenario:
             bq.run_scenario(params, attempt_cap=25, entropy_points=2)
 
     @pytest.mark.parametrize("overrides,name", [
+        ({"relaxation_time": 0.01}, "oscillation_time"),
+        ({"emission": "uniform", "relaxation_time": 0.01}, "oscillation_time"),
+        ({"emission": "fixed", "emission_time": 1.0 / 3.0,
+          "relaxation_time": math.inf}, "emission_time"),
+    ], ids=["extremum", "uniform", "fixed"])
+    def test_exhausted_attempts_name_the_policy_time(self, overrides, name):
+        # heavy damping (exp(-200) at the far turning point) or the swing's
+        # node leave every check a success probability far below 1e-30
+        params = default_params(samples=1, **overrides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", bq.HierarchyWarning)
+            with pytest.raises(bq.DrawBudgetExceededError) as exhausted:
+                bq.run_scenario(params, attempt_cap=5, entropy_points=2)
+        for word in (name, "relaxation_time"):
+            assert re.search(rf"\b{word}\b", str(exhausted.value))
+
+    @pytest.mark.parametrize("overrides,name", [
         ({"relaxation_time": 5e-324}, "oscillation_time"),
         ({"emission": "fixed", "emission_time": 1e300, "oscillation_time": 1e300},
          "emission_time"),
