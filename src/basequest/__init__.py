@@ -15,11 +15,10 @@ _SOURCES = {
     "errors": "DimensionMismatchError DrawBudgetExceededError "
               "IncompleteTransitionError InvalidDimensionError InvalidParameterError "
               "InvalidPhaseError InvalidTargetError SimulationError",
-    "grover": "HamiltonianSweep SearchSolution StateVector apply_diffusion "
-              "apply_oracle closed_form_success evolve_two_term_hamiltonian "
-              "grover_step optimal_queries random_unit_phases run_grover "
-              "run_grover_with_phases solve_database_size success_series "
-              "uniform_state",
+    "grover": "HamiltonianSweep SearchSolution StateVector closed_form_success "
+              "evolve_two_term_hamiltonian optimal_queries random_unit_phases "
+              "run_grover run_grover_with_phases solve_database_size "
+              "success_series",
     "replication": "DensityMatrix EmissionPolicy EmissionResult HierarchyWarning "
                    "JointState ScenarioParams ScenarioReport base_amplification "
                    "conditional_lift damped_oscillation damping_weight "

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from ._checks import MAX_DRAWS, check_count, check_integer, check_seed
-from .errors import DrawBudgetExceededError, InvalidDimensionError
+from .errors import InvalidDimensionError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -24,10 +24,6 @@ if TYPE_CHECKING:
 # Trials per seed block. Fixed constant: changing it changes the sampled
 # stream, so it is part of the documented determinism contract.
 BLOCK_SIZE = 4096
-
-# Per-trial query budget for with-replacement runs, in units of the
-# database size.
-DRAW_BUDGET_FACTOR = 10**6
 
 
 class SearchMode(str, Enum):
@@ -54,15 +50,10 @@ def expected_queries(database_size: int, mode: SearchMode) -> float:
 
 
 def _with_replacement_block(rng: np.random.Generator, count: int,
-                            database_size: int, budget: int) -> np.ndarray:
+                            database_size: int) -> np.ndarray:
     # Memoryless queries hit the target with chance 1/size each; the query
     # count is exactly geometric, so sample that law directly.
-    draws = rng.geometric(1.0 / database_size, size=count)
-    worst = int(draws.max())
-    if worst > budget:
-        raise DrawBudgetExceededError(
-            f"a trial needed {worst} draws, over the budget of {budget}")
-    return draws
+    return rng.geometric(1.0 / database_size, size=count)
 
 
 def _without_replacement_block(rng: np.random.Generator, count: int,
@@ -77,17 +68,12 @@ def sample_queries(
     mode: SearchMode,
     trials: int,
     seed: int | None = None,
-    *,
-    max_draws: int | None = None,
 ) -> np.ndarray:
     """Per-trial query counts, one entry per trial.
 
     Deterministic for a fixed seed, and the first k*BLOCK_SIZE entries do
-    not depend on how many trials follow them. max_draws overrides the
-    default with-replacement per-trial budget of 10**6 * database_size
-    draws; the budget exists to turn an astronomically unlucky (or
-    misconfigured) run into an explicit error instead of a silent crawl.
-    seed is None (fresh entropy) or an integer >= 0.
+    not depend on how many trials follow them. seed is None (fresh
+    entropy) or an integer >= 0.
     """
     import numpy as np
 
@@ -95,8 +81,6 @@ def sample_queries(
     mode = SearchMode(mode)
     check_integer(trials, "trials", 1, high=MAX_DRAWS)
     check_seed(seed)
-    budget = DRAW_BUDGET_FACTOR * database_size if max_draws is None else max_draws
-    check_integer(budget, "draw budget", 1)
 
     blocks = -(-trials // BLOCK_SIZE)
     streams = np.random.SeedSequence(seed).spawn(blocks)
@@ -107,7 +91,7 @@ def sample_queries(
         rng = np.random.Generator(np.random.PCG64(stream))
         if mode is SearchMode.WITH_REPLACEMENT:
             samples[lo:hi] = _with_replacement_block(rng, hi - lo,
-                                                     database_size, budget)
+                                                     database_size)
         else:
             samples[lo:hi] = _without_replacement_block(rng, hi - lo,
                                                         database_size)
@@ -119,16 +103,13 @@ def simulate_search(
     mode: SearchMode,
     trials: int,
     seed: int | None = None,
-    *,
-    max_draws: int | None = None,
 ) -> TrialStats:
     """Monte-Carlo estimate of the classical query cost.
 
     Mean of sample_queries with its standard error (sample standard
     deviation over sqrt(trials); zero for a single trial).
     """
-    samples = sample_queries(database_size, mode, trials, seed,
-                             max_draws=max_draws)
+    samples = sample_queries(database_size, mode, trials, seed)
     mean = float(samples.mean())
     spread = float(samples.std(ddof=1)) if trials > 1 else 0.0
     return TrialStats(trials=int(trials), mean_queries=mean,

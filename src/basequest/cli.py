@@ -3,8 +3,9 @@
 Every subcommand renders a record stream (CSV by default, JSON lines with
 --format jsonl; the BASEQUEST_FORMAT environment variable overrides the
 default) whose first record echoes the full effective configuration,
-including the seed, and the package version (and numpy's, when the call
-loaded numpy), so any output file identifies the run that made it.
+including the seed, and the package version (and numpy's, for the
+subcommands that draw from PCG64), so any output file identifies the run
+that made it.
 Identical invocations produce identical bytes. A call imports only the
 model modules its subcommand runs.
 
@@ -183,6 +184,10 @@ def _hamiltonian(o):
 
 _REQUIRED = object()
 
+# The subcommands that draw from PCG64: they alone run on numpy, so their
+# config records alone name its version, whatever the host process loaded.
+_DRAWING = ("classical", "scenario")
+
 # Each subcommand's record builder and options: (flag, type, default, help),
 # where a tuple type lists the choices and a _REQUIRED value comes from a flag
 # or a --config line. Every subcommand also takes _COMMON. A builder returns
@@ -344,12 +349,12 @@ def _run(argv, prog):
         sub.error(str(exc))
     # echo every option but --config in table order, with the values that
     # builders resolve (grover --iters, hamiltonian --t-max) stored on o,
-    # then the package version, and numpy's if anything has loaded numpy
+    # then the package version, and numpy's where the subcommand ran it
     config = {"record": "config", "command": o.command}
     config.update((_dest(flag), getattr(o, _dest(flag)))
                   for flag, *_ in options if flag != "--config")
     config["version"] = __version__
-    if "numpy" in sys.modules:
+    if o.command in _DRAWING:
         config["numpy"] = sys.modules["numpy"].__version__
     try:
         text = write_records([config, *records], o.format, o.output)

@@ -37,4 +37,5 @@ class IncompleteTransitionError(SimulationError, ValueError):
 
 
 class DrawBudgetExceededError(SimulationError, RuntimeError):
-    """A with-replacement trial exceeded its query-draw budget."""
+    """A selection-scenario sample used up its emission attempts
+    (run_scenario's attempt_cap) without a successful check."""

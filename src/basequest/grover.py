@@ -26,13 +26,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from ._checks import (MAX_COUNT, MAX_STATE_DIM, check_count, check_integer,
                       check_positive, check_seed, check_target)
 from .errors import (
-    DimensionMismatchError,
     InvalidDimensionError,
     InvalidParameterError,
     InvalidPhaseError,
@@ -41,8 +40,7 @@ from .errors import (
 if TYPE_CHECKING:
     import numpy as np
 
-# Norm drift allowed on construction. grover_step iterated to the optimal
-# count drifts past it from 2**17 components; run_grover does not iterate it.
+# Norm drift allowed when a state is built.
 NORM_ATOL = 1e-12
 
 PHASE_ATOL = 1e-12
@@ -86,92 +84,33 @@ def _normalized(amps: np.ndarray, label: str) -> np.ndarray:
     return amps
 
 
-class _Amplitudes:
-    """Base of the frozen dataclasses that hold one normalized, read-only
-    complex128 array in their amplitudes field. A subclass names itself in
-    _LABEL and checks the array's shape in _check_shape."""
-
-    _LABEL = "state"
-
-    def __post_init__(self):
-        import numpy as np
-
-        self._own(np.array(self.amplitudes, dtype=np.complex128))
-
-    @classmethod
-    def _adopt(cls, amps: np.ndarray):
-        """An instance holding amps itself, not a copy: for complex128
-        arrays the package has just built and keeps no other reference to.
-        Validated like user input and made read-only all the same."""
-        state = object.__new__(cls)
-        state._own(amps)
-        return state
-
-    def _own(self, amps: np.ndarray) -> None:
-        self._check_shape(amps)
-        object.__setattr__(self, "amplitudes", _normalized(amps, self._LABEL))
-
-
-@dataclass(frozen=True, eq=False)
-class StateVector(_Amplitudes):
-    """Normalized pure state over the database basis.
-
-    amplitudes is stored as a read-only complex128 array; operations return
-    new instances instead of mutating.
-    """
-
-    amplitudes: np.ndarray
-
-    @staticmethod
-    def _check_shape(amps: np.ndarray) -> None:
-        if amps.ndim != 1 or amps.size < 2:
-            raise InvalidDimensionError(
-                f"state needs at least 2 amplitudes, got shape {amps.shape}")
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def overlap(self, other: "StateVector") -> complex:
-        """<self|other>."""
-        import numpy as np
-
-        if other.dim != self.dim:
-            raise DimensionMismatchError(
-                f"dimensions differ: {self.dim} vs {other.dim}")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def success_probability(self, target: int) -> float:
-        """|<target|self>|**2."""
-        check_target(target, self.dim)
-        return float(abs(self._amplitude(target)) ** 2)
-
-    def _amplitude(self, index: int) -> np.complex128:
-        return self.amplitudes[index]
-
-
-@dataclass(frozen=True, eq=False, init=False, repr=False)
-class _PlaneState(StateVector):
-    """A search result held as its amplitudes on the plane of |target> and
-    the uniform state over the other objects: on_target on the target and
-    rest on every other object, each times its factor in phases unless
-    phases is None.
+class StateVector:
+    """Normalized pure state over the database basis, as a search run
+    returns it: its amplitudes on the plane of |target> and the uniform
+    state over the other objects, on_target on the target and rest on every
+    other object, each times its factor in phases unless phases is None.
 
     dim, repr and success_probability are read off these numbers. The
     amplitudes array is built on first read, refused above MAX_STATE_DIM,
-    checked like any returned state and kept. phases is kept by reference
-    and read when the array is built, so the caller must not write to it
-    before then.
+    checked by _normalized, made read-only and kept. phases is kept by
+    reference and read when the array is built, so the caller must not
+    write to it before then.
     """
+
+    _built = None  # the amplitudes array, once read
 
     def __init__(self, dim: int, target: int, on_target: float, rest: float,
                  phases: np.ndarray | None):
-        # set past the frozen __setattr__, as _adopt does
-        vars(self).update(_dim=dim, _target=target, _on_target=on_target,
-                          _rest=rest, _phases=phases)
+        self._dim = dim
+        self._target = target
+        self._on_target = on_target
+        self._rest = rest
+        self._phases = phases
 
-    @cached_property
+    @property
     def amplitudes(self) -> np.ndarray:
+        if self._built is not None:
+            return self._built
         import numpy as np
 
         check_integer(self._dim, "dimension", 2, InvalidDimensionError,
@@ -182,11 +121,17 @@ class _PlaneState(StateVector):
             # The decoration D is diagonal, so it commutes with the oracle and
             # the decorated run is D applied to the plain one.
             amps *= self._phases
-        return _normalized(amps, self._LABEL)
+        self._built = _normalized(amps, "state")
+        return self._built
 
     @property
     def dim(self) -> int:
         return self._dim
+
+    def success_probability(self, target: int) -> float:
+        """|<target|self>|**2."""
+        check_target(target, self._dim)
+        return float(abs(self._amplitude(target)) ** 2)
 
     def _amplitude(self, index: int) -> np.complex128:
         # the entry amplitudes holds, computed by the same complex128 product
@@ -213,47 +158,6 @@ class SearchSolution:
     queries: int
     database_size: float
     success_probability: float
-
-
-def uniform_state(dim: int) -> StateVector:
-    """Equal-amplitude start state (1/sqrt(dim), ..., 1/sqrt(dim))."""
-    import numpy as np
-
-    check_integer(dim, "dimension", 2, InvalidDimensionError, MAX_STATE_DIM)
-    return StateVector._adopt(
-        np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
-
-
-def apply_oracle(state: StateVector, target: int) -> StateVector:
-    """Binary query: flip the sign of the target amplitude.
-
-    Implements 1 - 2|target><target| acting on state.
-    """
-    check_target(target, state.dim)
-    amps = state.amplitudes.copy()
-    amps[target] = -amps[target]
-    return StateVector._adopt(amps)
-
-
-def apply_diffusion(state: StateVector, reference: StateVector) -> StateVector:
-    """Reflection 1 - 2|reference><reference| applied to state."""
-    import numpy as np
-
-    if reference.dim != state.dim:
-        raise DimensionMismatchError(
-            f"dimensions differ: state {state.dim}, reference {reference.dim}")
-    ov = np.vdot(reference.amplitudes, state.amplitudes)
-    return StateVector._adopt(state.amplitudes - 2.0 * ov * reference.amplitudes)
-
-
-def grover_step(state: StateVector, target: int,
-                reference: StateVector | None = None) -> StateVector:
-    """One amplification round: apply_oracle, then apply_diffusion about the
-    reference (uniform start state unless one is supplied), then a sign flip."""
-    queried = apply_oracle(state, target)
-    if reference is None:
-        reference = uniform_state(state.dim)
-    return StateVector._adopt(-apply_diffusion(queried, reference).amplitudes)
 
 
 # Search angles in fixed point, as integers in units of 2**-_BITS. A query
@@ -465,7 +369,7 @@ def run_grover_with_phases(dim: int, target: int, queries: int,
         on_target, rest = rest, -on_target
     if turn & 2:
         on_target, rest = -on_target, -rest
-    state = _PlaneState(dim, target, on_target, rest / math.sqrt(dim - 1), phases)
+    state = StateVector(dim, target, on_target, rest / math.sqrt(dim - 1), phases)
     return state, state.success_probability(target)
 
 

@@ -35,6 +35,7 @@ from enum import Enum
 import numpy as np
 
 from ._checks import (
+    MAX_DENSITY_DIM,
     MAX_DRAWS,
     MAX_STATE_DIM,
     check_integer,
@@ -50,7 +51,7 @@ from .errors import (
     InvalidDimensionError,
     InvalidParameterError,
 )
-from .grover import MAX_SWEEP_STEPS, _Amplitudes
+from .grover import MAX_SWEEP_STEPS, _normalized
 
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
@@ -134,22 +135,33 @@ def hierarchy_warnings(params: ScenarioParams) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class JointState(_Amplitudes):
+class JointState:
     """Normalized pure state on the joint register.
 
     amplitudes has shape (dim, 2): column 0 is the quanta-0 sector,
-    column 1 the quanta-2 sector.
+    column 1 the quanta-2 sector. It is stored read-only: a complex128 copy
+    of the caller's array, or the array a package routine has just built.
     """
 
     amplitudes: np.ndarray
 
-    _LABEL = "joint state"
+    def __post_init__(self):
+        self._own(np.array(self.amplitudes, dtype=np.complex128))
 
-    @staticmethod
-    def _check_shape(amps: np.ndarray) -> None:
+    @classmethod
+    def _adopt(cls, amps: np.ndarray) -> JointState:
+        """An instance holding amps itself, not a copy: for complex128
+        arrays the package has just built and keeps no other reference to.
+        Validated like user input and made read-only all the same."""
+        state = object.__new__(cls)
+        state._own(amps)
+        return state
+
+    def _own(self, amps: np.ndarray) -> None:
         if amps.ndim != 2 or amps.shape[1] != 2 or amps.shape[0] < 2:
             raise InvalidDimensionError(
                 f"joint state needs shape (dim >= 2, 2), got {amps.shape}")
+        object.__setattr__(self, "amplitudes", _normalized(amps, "joint state"))
 
     @property
     def dim(self) -> int:
@@ -329,6 +341,9 @@ class DensityMatrix:
 
     @classmethod
     def from_pure(cls, state: JointState) -> "DensityMatrix":
+        """|state><state|; state.dim may not exceed MAX_DENSITY_DIM."""
+        check_integer(state.dim, "density matrix dim", 2, InvalidDimensionError,
+                      MAX_DENSITY_DIM)
         flat = state.flat()
         return cls(np.outer(flat, flat.conj()))
 
@@ -355,10 +370,13 @@ def damped_oscillation(state0: JointState, params: ScenarioParams, t: float,
 
     Exponential mix of the pure swing state with the relaxed uniform
     no-emission state: weight exp(-2 t / relaxation_time) on the former.
+    params.dim may not exceed MAX_DENSITY_DIM.
     """
     if state0.dim != params.dim:
         raise DimensionMismatchError(
             f"state dim {state0.dim} differs from params dim {params.dim}")
+    check_integer(params.dim, "density matrix dim", 2, InvalidDimensionError,
+                  MAX_DENSITY_DIM)
     psi = undamped_state(state0, params.target, params.oscillation_time, t,
                          trajectory).flat()
     weight = damping_weight(t, params.relaxation_time)

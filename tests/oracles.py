@@ -23,7 +23,6 @@ from scipy.linalg import expm
 
 from basequest import (
     EmissionPolicy,
-    StateVector,
     entangling_oracle,
     relaxed_start,
     swing_endpoint,
@@ -66,18 +65,17 @@ def vector_search(dim: int, target: int, queries: int,
 
 
 def eager_plane_state(dim: int, target: int, on_target: float, rest: float,
-                      phases: np.ndarray | None = None):
-    """(state, success) as run_grover_with_phases returned them when every
-    run built its full state: on_target at the target and rest elsewhere,
-    decorated and checked as a StateVector."""
+                      phases: np.ndarray | None = None) -> np.ndarray:
+    """The amplitude array of a search state as run_grover_with_phases
+    built it when every run built its full state: on_target at the target
+    and rest elsewhere, times phases unless that is None."""
     amps = np.full(dim, rest, dtype=np.complex128)
     amps[target] = on_target
     if phases is not None:
         # The decoration D is diagonal, so it commutes with the oracle and
         # the decorated run is D applied to the plain one.
         amps *= phases
-    state = StateVector(amps)
-    return state, state.success_probability(target)
+    return amps
 
 
 DIGITS = 60

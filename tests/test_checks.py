@@ -16,7 +16,7 @@ import basequest as bq
 # loaded here, so that no tracemalloc window below counts a first import
 import basequest.classical  # noqa: F401
 import basequest.replication  # noqa: F401
-from basequest._checks import MAX_COUNT, MAX_DRAWS, MAX_STATE_DIM
+from basequest._checks import MAX_COUNT, MAX_DENSITY_DIM, MAX_DRAWS, MAX_STATE_DIM
 from basequest.grover import MAX_SWEEP_STEPS
 
 
@@ -36,11 +36,8 @@ def rho():
 
 # (entry point and parameter, call taking the bad value, name in the message)
 INTEGER_PARAMETERS = [
-    ("uniform_state.dim", lambda v: bq.uniform_state(v), "dimension"),
     ("success_probability.target",
-     lambda v: bq.uniform_state(4).success_probability(v), "target"),
-    ("apply_oracle.target", lambda v: bq.apply_oracle(bq.uniform_state(4), v), "target"),
-    ("grover_step.target", lambda v: bq.grover_step(bq.uniform_state(4), v), "target"),
+     lambda v: bq.run_grover(4, 0, 0)[0].success_probability(v), "target"),
     ("run_grover.dim", lambda v: bq.run_grover(v, 0, 1), "dimension"),
     ("run_grover.target", lambda v: bq.run_grover(4, v, 1), "target"),
     ("run_grover.queries", lambda v: bq.run_grover(4, 0, v), "query count"),
@@ -71,8 +68,6 @@ INTEGER_PARAMETERS = [
      lambda v: bq.sample_queries(v, "with", 10), "database size"),
     ("sample_queries.trials", lambda v: bq.sample_queries(4, "with", v), "trials"),
     ("sample_queries.seed", lambda v: bq.sample_queries(4, "with", 10, v), "seed"),
-    ("sample_queries.max_draws",
-     lambda v: bq.sample_queries(4, "with", 10, max_draws=v), "draw budget"),
     ("simulate_search.database_size",
      lambda v: bq.simulate_search(v, "without", 10), "database size"),
     ("simulate_search.trials", lambda v: bq.simulate_search(4, "without", v), "trials"),
@@ -163,7 +158,6 @@ AT_COUNT_BOUND = [
 # builders of N-sized states, each refusing MAX_STATE_DIM + 1 before it
 # allocates; a search run builds its state when amplitudes is first read
 STATE_BUILDERS = [
-    ("uniform_state", lambda v: bq.uniform_state(v)),
     ("run_grover", lambda v: bq.run_grover(v, 0, 1)[0].amplitudes),
     ("run_grover_with_phases",
      lambda v: bq.run_grover_with_phases(v, 0, 1, None)[0].amplitudes),
@@ -266,6 +260,25 @@ def test_oversized_state_refused_before_allocation(build, dim):
     try:
         with pytest.raises(bq.InvalidDimensionError, match="dimension"):
             build(dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("build", [
+    lambda state, params: bq.DensityMatrix.from_pure(state),
+    lambda state, params: bq.damped_oscillation(state, params, 0.5),
+], ids=["from_pure", "damped_oscillation"])
+def test_oversized_density_matrix_refused_before_allocation(build):
+    # one (2*dim)**2 complex matrix would be 256 MiB here
+    dim = MAX_DENSITY_DIM + 1
+    state = bq.entangling_oracle(bq.relaxed_start(dim), 1)
+    params = scenario(dim=dim)
+    tracemalloc.start()
+    try:
+        with pytest.raises(bq.InvalidDimensionError, match="dim"):
+            build(state, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -50,6 +51,20 @@ class TestSampling:
         b = bq.sample_queries(12, mode, 2_000, seed=42)
         assert np.array_equal(a, b)
 
+    # frozen sha256 digests of the samples as little-endian int64: the
+    # seeded streams may not change
+    @pytest.mark.parametrize("size,mode,trials,seed,digest", [
+        (1, "with", 5, 0, "00026c99bfe39e6f"),
+        (10, "with", 2 * BLOCK_SIZE + 3, 0, "c7bbcf0df75e2bcd"),
+        (10, "without", 2 * BLOCK_SIZE + 3, 0, "73277404f8b58377"),
+        (1000, "with", BLOCK_SIZE + 4, 7, "167a7b600a94af63"),
+        (2 ** 40, "with", 300, 123, "9ebae56b4bc6d6da"),
+    ])
+    def test_streams_are_pinned(self, size, mode, trials, seed, digest):
+        samples = bq.sample_queries(size, mode, trials, seed)
+        got = hashlib.sha256(samples.astype("<i8").tobytes()).hexdigest()
+        assert got[:16] == digest
+
     def test_seeds_give_distinct_streams(self):
         a = bq.sample_queries(12, "with", 2_000, seed=1)
         b = bq.sample_queries(12, "with", 2_000, seed=2)
@@ -99,24 +114,15 @@ class TestSampling:
         assert stats.std_error == pytest.approx(
             float(samples.std(ddof=1)) / math.sqrt(500))
 
-    def test_draw_budget_enforced(self):
-        with pytest.raises(bq.DrawBudgetExceededError):
-            bq.sample_queries(10, "with", 200, seed=0, max_draws=3)
-
     def test_rejects_bad_trials(self):
         with pytest.raises(bq.InvalidParameterError):
             bq.sample_queries(4, "with", 0, seed=0)
-
-    def test_rejects_bad_budget(self):
-        with pytest.raises(bq.InvalidParameterError):
-            bq.sample_queries(4, "with", 10, seed=0, max_draws=0)
 
     @pytest.mark.parametrize("call,name", [
         (lambda: bq.sample_queries(4, "with", True), "trials"),
         (lambda: bq.expected_queries(True, "with"), "database size"),
         (lambda: bq.simulate_search(True, "with", 10), "database size"),
-        (lambda: bq.sample_queries(4, "with", 10, max_draws=True), "draw budget"),
-    ], ids=["trials", "expected_size", "simulate_size", "max_draws"])
+    ], ids=["trials", "expected_size", "simulate_size"])
     def test_rejects_bool_counts(self, call, name):
         with pytest.raises(bq.SimulationError, match=name):
             call()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import basequest as bq
 from basequest.grover import CHECK_BLOCK, MAX_SWEEP_STEPS, StateVector, _check_phases
+from basequest.replication import JointState
 from oracles import (
     analytic_two_term_success,
     blockwise_phase_drift,
@@ -20,46 +21,39 @@ from oracles import (
     dense_run,
     dense_two_term_state,
     eager_plane_state,
+    random_joint_state,
     split_orbit_success,
     vector_search,
     vector_split_success,
 )
 
 
-def random_state(dim, seed):
-    rng = np.random.default_rng(seed)
-    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return bq.StateVector(amps / np.linalg.norm(amps))
-
-
 class TestStateVector:
     def test_uniform_state(self):
-        state = bq.uniform_state(4)
+        # no query: the uniform start state
+        state, _ = bq.run_grover(4, 1, 0)
         assert np.allclose(state.amplitudes, 0.5)
         assert state.dim == 4
 
     @pytest.mark.parametrize("dim", [1, 0, -3])
     def test_dimension_floor(self, dim):
         with pytest.raises(bq.InvalidDimensionError):
-            bq.uniform_state(dim)
+            bq.run_grover(dim, 0, 0)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(bq.InvalidParameterError):
-            bq.StateVector(np.array([1.0, 1.0]))
+            StateVector(2, 0, 1.0, 1.0, None).amplitudes
 
     def test_amplitudes_read_only(self):
-        state = bq.uniform_state(4)
+        state, _ = bq.run_grover(4, 1, 1)
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1.0
-
-    def test_overlap_dimension_mismatch(self):
-        with pytest.raises(bq.DimensionMismatchError):
-            bq.uniform_state(4).overlap(bq.uniform_state(5))
+        with pytest.raises(AttributeError):
+            state.amplitudes = np.zeros(4)
 
     def test_norm_preserved_at_large_dim(self):
         # one full amplification round at dim 2**20
-        dim = 2 ** 20
-        state = bq.grover_step(bq.uniform_state(dim), 12345)
+        state, _ = bq.run_grover(2 ** 20, 12345, 1)
         norm_sq = np.sum(np.abs(state.amplitudes) ** 2)
         assert abs(math.sqrt(norm_sq) - 1.0) <= 1e-12
 
@@ -68,6 +62,15 @@ class TestStateConstruction:
     """Returned states are built once, with checks that still bite at 2**20."""
 
     DIM = 2 ** 20
+
+    # every constructor, from DIM amplitudes: a search state's lazy build
+    # (unit plane amplitudes, decorated by amps), the joint state the package
+    # builds and the joint state copied from a caller's array
+    BUILDS = pytest.mark.parametrize("build", [
+        lambda amps: StateVector(amps.size, 0, 1.0, 1.0, amps).amplitudes,
+        lambda amps: JointState._adopt(amps.reshape(-1, 2)),
+        lambda amps: bq.JointState(amps.reshape(-1, 2)),
+    ], ids=["StateVector", "_adopt", "JointState"])
 
     def uniform(self, scale=1.0):
         return np.full(self.DIM, scale / math.sqrt(self.DIM), dtype=complex)
@@ -99,13 +102,13 @@ class TestStateConstruction:
         # the phase check's blockwise scratch is the largest allocation
         assert self.traced_peak(self.run(decorated)) < 256 * 2 ** 10
 
-    @pytest.mark.parametrize("build", [bq.StateVector, StateVector._adopt])
+    @BUILDS
     def test_norm_check_bites_at_large_dim(self, build):
         build(self.uniform(1.0 + 3e-13))
         with pytest.raises(bq.InvalidParameterError, match="norm"):
             build(self.uniform(1.0 + 3e-12))
 
-    @pytest.mark.parametrize("build", [bq.StateVector, StateVector._adopt])
+    @BUILDS
     def test_nan_state_is_rejected(self, build):
         amps = self.uniform()
         amps[-1] = np.nan
@@ -120,21 +123,22 @@ class TestStateConstruction:
             bq.run_grover_with_phases(self.DIM, 1, 1, phases)
 
     def test_user_array_is_copied(self):
-        amps = np.full(4, 0.5, dtype=complex)
-        state = bq.StateVector(amps)
+        amps = np.full((2, 2), 0.5, dtype=complex)
+        state = bq.JointState(amps)
         amps[0] = -0.5
         assert np.all(state.amplitudes == 0.5)
 
     def test_adopted_array_is_not_copied(self):
-        amps = np.full(4, 0.5, dtype=complex)
-        assert StateVector._adopt(amps).amplitudes is amps
+        amps = np.full((2, 2), 0.5, dtype=complex)
+        assert JointState._adopt(amps).amplitudes is amps
 
     @pytest.mark.parametrize("build", [
-        lambda: bq.StateVector(np.full(4, 0.5)),
-        lambda: bq.uniform_state(4),
-        lambda: bq.apply_oracle(bq.uniform_state(4), 1),
-        lambda: bq.apply_diffusion(bq.uniform_state(4), bq.uniform_state(4)),
-        lambda: bq.grover_step(bq.uniform_state(4), 1),
+        lambda: StateVector(4, 1, 0.5, 0.5, None),
+        lambda: JointState._adopt(np.full((2, 2), 0.5, dtype=complex)),
+        lambda: bq.swing_endpoint(bq.entangling_oracle(bq.relaxed_start(4), 1), 1),
+        lambda: bq.swing_endpoint(bq.entangling_oracle(bq.relaxed_start(4), 1), 1,
+                                  "joint"),
+        lambda: bq.base_amplification(bq.relaxed_start(4)),
         lambda: bq.run_grover(4, 1, 1)[0],
         lambda: bq.run_grover_with_phases(4, 1, 1, np.ones(4))[0],
         lambda: bq.JointState(np.full((2, 2), 0.5)),
@@ -148,123 +152,96 @@ class TestStateConstruction:
         assert not build().amplitudes.flags.writeable
 
 
-class TestOracle:
-    def test_flips_only_target(self):
-        state = bq.apply_oracle(bq.uniform_state(4), 2)
-        assert state.amplitudes[2] == -0.5
-        assert np.all(state.amplitudes[[0, 1, 3]] == 0.5)
-
-    @pytest.mark.parametrize("target", [-1, 4, 7])
-    def test_target_range(self, target):
-        with pytest.raises(bq.InvalidTargetError):
-            bq.apply_oracle(bq.uniform_state(4), target)
-
-    @pytest.mark.parametrize("dim,target,seed", [(2, 0, 1), (7, 3, 2), (64, 63, 3)])
-    def test_matches_dense_matrix(self, dim, target, seed):
-        state = random_state(dim, seed)
-        expected = dense_oracle(dim, target) @ state.amplitudes
-        got = bq.apply_oracle(state, target).amplitudes
-        assert np.max(np.abs(got - expected)) <= 1e-12
-
-    @given(dim=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_involution(self, dim, seed):
-        state = random_state(dim, seed)
-        target = seed % dim
-        twice = bq.apply_oracle(bq.apply_oracle(state, target), target)
-        assert np.max(np.abs(twice.amplitudes - state.amplitudes)) <= 1e-12
-
-
 class TestDiffusion:
-    def test_reference_maps_to_minus_itself(self):
-        state = bq.uniform_state(6)
-        out = bq.apply_diffusion(state, state)
-        assert np.max(np.abs(out.amplitudes + state.amplitudes)) <= 1e-12
+    """The amplification reflection as the package keeps it:
+    base_amplification, the negated reflection about the uniform state,
+    applied to each quanta sector of a joint state."""
 
-    def test_orthogonal_state_fixed(self):
-        ref = bq.uniform_state(2)
-        state = bq.StateVector(np.array([1.0, -1.0]) / math.sqrt(2))
-        out = bq.apply_diffusion(state, ref)
+    def test_reference_maps_to_minus_itself(self):
+        # so the negated reflection keeps the uniform state
+        state = bq.relaxed_start(6)
+        out = bq.base_amplification(state)
         assert np.max(np.abs(out.amplitudes - state.amplitudes)) <= 1e-12
 
-    def test_reflection_about_average(self):
-        # negated diffusion about uniform acts as 2*mean - component
-        vec = np.array([0.5, 0.5, -0.5, 0.5])
-        state = bq.StateVector(vec)
-        out = -bq.apply_diffusion(state, bq.uniform_state(4)).amplitudes
-        assert np.max(np.abs(out - np.array([0.0, 0.0, 1.0, 0.0]))) <= 1e-12
+    def test_orthogonal_state_fixed(self):
+        # so the negated reflection flips its sign
+        amps = np.zeros((2, 2))
+        amps[:, 1] = np.array([1.0, -1.0]) / math.sqrt(2)
+        out = bq.base_amplification(bq.JointState(amps))
+        assert np.max(np.abs(out.amplitudes + amps)) <= 1e-12
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(bq.DimensionMismatchError):
-            bq.apply_diffusion(bq.uniform_state(4), bq.uniform_state(5))
+    def test_reflection_about_average(self):
+        # each sector maps to twice its mean minus itself
+        vec = np.array([0.5, 0.5, -0.5, 0.5]) / math.sqrt(2)
+        out = bq.base_amplification(bq.JointState(np.stack([vec, vec], axis=1)))
+        want = np.array([0.0, 0.0, 1.0, 0.0]) / math.sqrt(2)
+        assert np.max(np.abs(out.amplitudes - want[:, None])) <= 1e-12
 
     @given(dim=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_involution_and_norm(self, dim, seed):
-        state = random_state(dim, seed)
-        ref = random_state(dim, seed + 1)
-        once = bq.apply_diffusion(state, ref)
+        state = bq.JointState(random_joint_state(dim, np.random.default_rng(seed)))
+        once = bq.base_amplification(state)
         assert abs(np.linalg.norm(once.amplitudes) - 1.0) <= 1e-12
-        twice = bq.apply_diffusion(once, ref)
+        twice = bq.base_amplification(once)
         assert np.max(np.abs(twice.amplitudes - state.amplitudes)) <= 1e-12
 
     @pytest.mark.parametrize("dim,seed", [(3, 10), (17, 11)])
     def test_matches_dense_matrix(self, dim, seed):
-        state = random_state(dim, seed)
-        ref = random_state(dim, seed + 100)
-        expected = dense_reflection(ref.amplitudes) @ state.amplitudes
-        got = bq.apply_diffusion(state, ref).amplitudes
+        state = bq.JointState(random_joint_state(dim, np.random.default_rng(seed)))
+        # the flat index is 2*base + quanta: the reflection acts on the base
+        uniform = np.full(dim, 1.0 / math.sqrt(dim))
+        expected = np.kron(-dense_reflection(uniform), np.eye(2)) @ state.flat()
+        got = bq.base_amplification(state).flat()
         assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 class TestGroverStep:
+    """One query of a run: the query, then the negated reflection about the
+    start state, a rotation by 2*theta in the plane."""
+
     def test_single_step_exact_at_four(self):
-        state = bq.grover_step(bq.uniform_state(4), 0)
+        state, _ = bq.run_grover(4, 0, 1)
         assert np.max(np.abs(state.amplitudes - np.eye(4)[0])) <= 1e-12
 
     def test_single_step_at_two(self):
-        state = bq.grover_step(bq.uniform_state(2), 0)
+        state, _ = bq.run_grover(2, 0, 1)
         assert state.success_probability(0) == pytest.approx(0.5, abs=1e-12)
 
-    def test_step_from_target_state(self):
-        basis = np.zeros(4)
-        basis[1] = 1.0
-        state = bq.grover_step(bq.StateVector(basis), 1)
-        assert state.success_probability(1) == pytest.approx(0.25, abs=1e-12)
-
     def test_equals_negated_composition(self):
+        # each query of a decorated run reflects about the decorated start
         for dim, target, seed in [(2, 1, 0), (9, 4, 1), (33, 20, 2)]:
-            state = random_state(dim, seed)
-            ref = random_state(dim, seed + 7)
-            fused = bq.grover_step(state, target, ref)
-            composed = -bq.apply_diffusion(
-                bq.apply_oracle(state, target), ref).amplitudes
-            assert np.max(np.abs(fused.amplitudes - composed)) <= 1e-12
+            phases = bq.random_unit_phases(dim, seed)
+            start = phases / math.sqrt(dim)
+            step = -dense_reflection(start) @ dense_oracle(dim, target)
+            composed = start
+            for queries in range(1, 4):
+                composed = step @ composed
+                state, _ = bq.run_grover_with_phases(dim, target, queries, phases)
+                assert np.max(np.abs(state.amplitudes - composed)) <= 1e-12
 
     def test_plane_confinement(self):
-        # iterates stay in span{start, target basis vector}
+        # runs stay in span{start, target basis vector}
         dim, target = 37, 5
-        start = bq.uniform_state(dim).amplitudes
+        start = bq.run_grover(dim, target, 0)[0].amplitudes
         basis = np.eye(dim)[target]
-        state = bq.uniform_state(dim)
-        for _ in range(12):
-            state = bq.grover_step(state, target)
-            # orthonormal plane basis via Gram-Schmidt on (start, basis)
-            u1 = start
-            u2 = basis - (u1 @ basis) * u1
-            u2 = u2 / np.linalg.norm(u2)
-            residual = state.amplitudes - (np.vdot(u1, state.amplitudes) * u1
-                                           + np.vdot(u2, state.amplitudes) * u2)
+        # orthonormal plane basis via Gram-Schmidt on (start, basis)
+        u1 = start
+        u2 = basis - (u1 @ basis) * u1
+        u2 = u2 / np.linalg.norm(u2)
+        for queries in range(1, 13):
+            amps = bq.run_grover(dim, target, queries)[0].amplitudes
+            residual = amps - (np.vdot(u1, amps) * u1 + np.vdot(u2, amps) * u2)
             assert np.max(np.abs(residual)) <= 1e-12
 
     def test_constant_rotation_per_step(self):
         dim, target = 50, 3
         theta = math.asin(1.0 / math.sqrt(dim))
-        state = bq.uniform_state(dim)
-        amp_angle = math.asin(abs(state.amplitudes[target]))
+        start, _ = bq.run_grover(dim, target, 0)
+        amp_angle = math.asin(abs(start.amplitudes[target]))
         steps = int((math.pi / 2 - theta) // (2 * theta))
-        for _ in range(steps):
-            state = bq.grover_step(state, target)
+        for queries in range(1, steps + 1):
+            state, _ = bq.run_grover(dim, target, queries)
             new_angle = math.asin(abs(state.amplitudes[target]))
             assert new_angle - amp_angle == pytest.approx(2 * theta, abs=1e-10)
             amp_angle = new_angle
@@ -413,14 +390,13 @@ class TestPlaneState:
             for target in (0, dim // 3, dim - 1):
                 state, success = bq.run_grover_with_phases(dim, target, queries,
                                                            phases)
-                want, want_success = eager_plane_state(
-                    dim, target, state._on_target, state._rest, phases)
-                assert success == want_success
+                want = eager_plane_state(dim, target, state._on_target,
+                                         state._rest, phases)
+                assert success == float(abs(want[target]) ** 2)
                 for index in (0, target, dim - 1):
                     assert (state.success_probability(index)
-                            == want.success_probability(index))
-                assert np.array_equal(state.amplitudes, want.amplitudes)
-                assert state.amplitudes.tobytes() == want.amplitudes.tobytes()
+                            == float(abs(want[index]) ** 2))
+                assert state.amplitudes.tobytes() == want.tobytes()
 
     @given(dim=st.integers(2, 2 ** 12), target=st.integers(0, 2 ** 12 - 1),
            queries=st.integers(0, 100), decorated=st.booleans(),
