@@ -135,7 +135,10 @@ def speedup_ratio(database_size: int) -> float | None:
     """
     from .grover import optimal_queries
 
-    best = optimal_queries(database_size)
-    if best.queries == 0:
-        return None
-    return expected_queries(database_size, SearchMode.WITH_REPLACEMENT) / best.queries
+    return _speedup(database_size, optimal_queries(database_size).queries)
+
+
+def _speedup(size: int, best: int) -> float | None:
+    """speedup_ratio(size), for a checked size with optimal count best."""
+    # the with-replacement expectation of a size is float(size)
+    return None if best == 0 else float(size) / best

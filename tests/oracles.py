@@ -10,17 +10,26 @@ Three routes keep former package code as references: eager_plane_state
 builds a search state's array eagerly, to pin the lazily built states to
 its bits; split_orbit_success steps the split-operator series on the plane
 as the package did; blockwise_phase_drift is the former phase-check fold.
+Two more keep the CLI's former record path: report_records builds a
+subcommand's records as dicts from the package's public model functions,
+as the CLI did before it streamed rows, and render_records encodes them as
+output.format_records did, record by record through csv and json.
 """
 
 from __future__ import annotations
 
 import cmath
+import csv
+import io
+import json
 import math
+import numbers
 from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
 from scipy.linalg import expm
 
+import basequest as bq
 from basequest import (
     EmissionPolicy,
     entangling_oracle,
@@ -301,3 +310,125 @@ def vector_scenario_draws(params) -> tuple[float, float, int]:
                 break
         counts.append(count)
     return float(np.mean(first)), float(np.mean(counts)), max(counts)
+
+
+def report_records(config: dict) -> list[dict]:
+    """The records of one CLI call, as dicts, config record first: the
+    model records of the subcommand config["command"], run with the option
+    values its config record echoes."""
+    o = config
+    command = o["command"]
+    records = [config]
+    if command == "table":
+        for queries in range(o["qmax"] + 1):
+            solution = bq.solve_database_size(queries)
+            nearest = math.floor(solution.database_size + 0.5)
+            records.append({
+                "record": "row", "queries": queries,
+                "size_exact": solution.database_size, "size_nearest": nearest,
+                "success_at_nearest": bq.closed_form_success(nearest, queries),
+                "speedup_at_nearest": bq.speedup_ratio(nearest)})
+    elif command == "grover":
+        series = bq.success_series(o["n"], o["target"], o["iters"])
+        records += [{"record": "step", "step": step, "success": success}
+                    for step, success in enumerate(series)]
+        closed = bq.closed_form_success(o["n"], o["iters"])
+        records.append({"record": "summary", "queries": o["iters"],
+                        "success": series[-1], "closed_form": closed,
+                        "deviation": abs(series[-1] - closed)})
+    elif command == "classical":
+        mode = bq.SearchMode(o["mode"])
+        stats = bq.simulate_search(o["n"], mode, o["trials"], o["seed"])
+        expected = bq.expected_queries(o["n"], mode)
+        records.append({"record": "summary", "expected_queries": expected,
+                        "mean_queries": stats.mean_queries,
+                        "std_error": stats.std_error,
+                        "deviation": abs(stats.mean_queries - expected)})
+    elif command == "bond":
+        phase = bq.half_rabi_phase(1.0, math.pi / 2.0)
+        cascade = bq.cascade_phase(o["cascade"])
+        records.append({
+            "record": "summary",
+            "error_rate": bq.boltzmann_error_rate(o["delta_e_kt"]),
+            "t_b": bq.bond_time(o["delta_e_kt"], o["temperature"]),
+            "phase_real": phase.real, "phase_imag": phase.imag,
+            "phase_squared": (phase * phase).real,
+            "cascade_steps": o["cascade"], "cascade_phase_real": cascade.real,
+            "cascade_phase_imag": cascade.imag})
+    elif command == "scenario":
+        report = bq.run_scenario(bq.ScenarioParams(
+            dim=o["n"], target=o["target"], bond_duration=o["t_b"],
+            oscillation_time=o["t_osc"], relaxation_time=o["t_r"],
+            emission=o["emission"], emission_time=o["time"],
+            samples=o["samples"], seed=o["seed"]))
+        records.append({
+            "record": "summary", "mean_success": report.mean_success,
+            "extremum_success_undamped": report.extremum_success_undamped,
+            "extremum_success_damped": report.extremum_success_damped,
+            "mean_attempts": report.mean_attempts,
+            "max_attempts_observed": report.max_attempts_observed,
+            "entropy_at_extremum": report.entropy_at_extremum,
+            "hierarchy_ok": not report.warnings,
+            "hierarchy_notes": "; ".join(report.warnings)})
+        records += [{"record": "entropy", "time": float(t), "bits": float(bits)}
+                    for t, bits in zip(report.entropy_times, report.entropy_bits)]
+    else:
+        sweep = bq.evolve_two_term_hamiltonian(o["n"], o["target"], o["t_max"],
+                                               o["dt"])
+        records += [{"record": "step", "time": t, "exact_success": exact,
+                     "trotter_success": trotter}
+                    for t, exact, trotter in zip(sweep.times, sweep.exact_success,
+                                                 sweep.trotter_success)]
+        records.append({"record": "summary", "peak_success": sweep.peak_success(),
+                        "success_floor": 1.0 - 1.0 / o["n"],
+                        "max_deviation": sweep.max_deviation()})
+    return records
+
+
+def _plain_value(value):
+    if type(value) in (float, int, str, type(None)):
+        return value
+    if isinstance(value, np.generic):
+        if isinstance(value, np.bool_):
+            return bool(value)
+        if isinstance(value, np.integer):
+            return int(value)
+        if isinstance(value, np.floating):
+            return float(value)
+    if isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, float):
+        return float(value)
+    if isinstance(value, numbers.Real):
+        return float(value)
+    raise TypeError(f"unsupported record value {value!r}")
+
+
+def _csv_text(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def render_records(records: list[dict], fmt: str) -> str:
+    """records in CSV (header over the union of keys in first-seen order)
+    or JSON lines, encoded record by record."""
+    rows = [{key: _plain_value(value) for key, value in rec.items()}
+            for rec in records]
+    if fmt == "jsonl":
+        return "\n".join(json.dumps(row, separators=(", ", ": "))
+                         for row in rows) + "\n"
+    columns = list(dict.fromkeys(key for row in rows for key in row))
+    sink = io.StringIO()
+    writer = csv.writer(sink, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_csv_text(row[key]) if key in row else ""
+                         for key in columns])
+    return sink.getvalue()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import importlib
 import io
@@ -8,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from typing import NamedTuple
@@ -19,6 +21,8 @@ from hypothesis import strategies as st
 import basequest
 from basequest import cli
 from basequest.cli import main
+
+import oracles
 
 # The package's exports by defining submodule, as they were when the
 # package imported every submodule eagerly, less the full-vector search
@@ -576,6 +580,140 @@ class TestPlumbing:
         for name in ("table", "grover", "classical", "bond", "scenario",
                      "hamiltonian"):
             assert invoke([name, "--help"]).exit_code == 0
+
+
+# The perfbench cli op shapes, at sizes that still span several chunks of
+# rows, and the cells that are not plain numbers: the None speedup of the
+# zero-query table row, a bool and the hierarchy notes of a scenario summary.
+STREAMS = [
+    ["table", "--qmax", "0"],
+    ["table", "--qmax", "700"],
+    ["grover", "--n", "8", "--target", "3"],
+    ["grover", "--n", "512", "--target", "7", "--phases", "random", "--seed", "5"],
+    ["grover", "--n", "262144", "--target", "9"],
+    ["classical", "--n", "40", "--mode", "with", "--trials", "3000", "--seed", "2"],
+    ["classical", "--n", "500", "--mode", "without", "--trials", "1000"],
+    ["bond", "--delta-e-kt", "7.25", "--temperature", "301.5", "--cascade", "5"],
+    ["scenario", "--n", "4", "--samples", "20", "--seed", "1"],
+    ["scenario", "--n", "8", "--target", "3", "--emission", "uniform",
+     "--samples", "20", "--seed", "2"],
+    ["scenario", "--n", "16", "--target", "5", "--emission", "fixed",
+     "--time", "0.85", "--samples", "20"],
+    ["scenario", "--t-b", "0.5", "--t-r", "3", "--samples", "5"],
+    ["hamiltonian", "--n", "4", "--dt", "0.05"],
+    ["hamiltonian", "--n", "64", "--target", "9", "--dt", "0.05"],
+    ["hamiltonian", "--n", "4", "--dt", "0.01", "--t-max", "7.25"],
+]
+
+
+def oracle_call(argv, output=None):
+    """(config, oracle records) of one call: its config record as the
+    JSON-lines run echoes it, and the records the CLI built before it
+    streamed rows, from the same options."""
+    tail = ["--output", output] if output else []
+    result = invoke([*argv, "--format", "jsonl", *tail])
+    assert result.exit_code == 0, result.stderr
+    text = Path(output).read_bytes().decode("utf-8") if output else result.output
+    config = json.loads(text.split("\n")[0])
+    return config, oracles.report_records(config)
+
+
+@pytest.fixture
+def quiet_hierarchy():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", basequest.HierarchyWarning)
+        yield
+
+
+@pytest.mark.usefixtures("quiet_hierarchy")
+class TestRecordStream:
+    @pytest.mark.parametrize("argv", STREAMS, ids=" ".join)
+    def test_bytes_match_oracle(self, argv):
+        config, records = oracle_call(argv)
+        for fmt in ("csv", "jsonl"):
+            config["format"] = fmt
+            result = invoke([*argv, "--format", fmt])
+            assert result.exit_code == 0
+            assert result.output == oracles.render_records(records, fmt)
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_declared_kinds_are_the_record_keys(self, command):
+        # the header is fixed before the first row: the config keys, then
+        # each kind's keys as the builder declares them, which are exactly
+        # the keys of the records it used to build
+        argv = next(argv for argv in STREAMS if argv[0] == command)
+        config, records = oracle_call(argv)
+        kinds, _ = cli._COMMANDS[command][0](argparse.Namespace(**config))
+        assert kinds == {record["record"]: tuple(record)[1:] for record in records[1:]}
+        header = invoke([*argv, "--format", "csv"]).output.split("\n")[0]
+        assert header.split(",") == list(dict.fromkeys(
+            key for record in records for key in record))
+
+    def test_awkward_output_path_matches_oracle(self, tmp_path):
+        # a comma, a quote, a newline and non-ASCII text in the config record
+        target = str(tmp_path / 'rows, "quoted"\nnext \u00e9\u4e2d.out')
+        argv = ["table", "--qmax", "3", "--output", target]
+        config, records = oracle_call(argv[:3], target)
+        assert config["output"] == target
+        for fmt in ("csv", "jsonl"):
+            config["format"] = fmt
+            result = invoke([*argv, "--format", fmt])
+            assert (result.exit_code, result.output) == (0, "")
+            assert Path(target).read_bytes() == \
+                oracles.render_records(records, fmt).encode("utf-8")
+
+    @pytest.mark.parametrize("argv,code", [
+        (["hamiltonian", "--n", "0"], 3),
+        (["grover", "--n", "4", "--target", "9"], 3),
+        (["classical", "--n", "0"], 3),
+        (["bond", "--temperature", "-1"], 3),
+        (["scenario", "--n", "4", "--target", "7", "--samples", "5"], 3),
+        (["table", "--qmax", "-1"], 2),
+    ])
+    def test_refused_call_leaves_output_alone(self, tmp_path, argv, code):
+        fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+        kept.write_bytes(b"earlier bytes\n")
+        for target in (fresh, kept):
+            result = invoke([*argv, "--output", str(target)])
+            assert (result.exit_code, result.output) == (code, "")
+        assert not fresh.exists()
+        assert kept.read_bytes() == b"earlier bytes\n"
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_unwritable_output_names_output(self, tmp_path, command):
+        target = tmp_path / "missing" / "rows.csv"
+        result = invoke([command, *BASE[command], "--output", str(target)])
+        assert (result.exit_code, result.output) == (2, "")
+        assert "invalid value for '--output'" in result.stderr
+
+    def test_table_stream_memory_is_flat(self, tmp_path):
+        target = str(tmp_path / "rows.csv")
+        invoke(["table", "--qmax", "500", "--output", target])  # imports, caches
+        peaks = []
+        for qmax in (500, 5000):
+            tracemalloc.start()
+            try:
+                result = invoke(["table", "--qmax", str(qmax), "--output", target])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert result.exit_code == 0
+        assert peaks[1] < 8 * 2**20
+        # ten times the rows, and no more of them held at once
+        assert peaks[1] <= peaks[0] + 2**15, peaks
+
+    def test_closed_stdout_ends_quietly(self):
+        src = str(Path(basequest.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        with subprocess.Popen(
+                [sys.executable, "-m", "basequest.cli", "table", "--qmax", "200000"],
+                env={**os.environ, "PYTHONPATH": path},
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(10) == b"record,com"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=120) == cli._CLOSED_PIPE == 141
+        assert stderr == b""
 
 
 # Small valid values for every flag, so that no example runs a large model,
