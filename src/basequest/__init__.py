@@ -11,7 +11,7 @@ the package, or a submodule that needs no arrays, does not import numpy.
 _SOURCES = {
     "bond": "BondParams bond_time boltzmann_error_rate cascade_phase half_rabi_phase",
     "classical": "SearchMode TrialStats expected_queries sample_queries "
-                 "simulate_search speedup_ratio theoretical_std",
+                 "simulate_search speedup_ratio",
     "errors": "DimensionMismatchError DrawBudgetExceededError "
               "IncompleteTransitionError InvalidDimensionError InvalidParameterError "
               "InvalidPhaseError InvalidTargetError SimulationError",
@@ -19,12 +19,11 @@ _SOURCES = {
               "evolve_two_term_hamiltonian optimal_queries random_unit_phases "
               "run_grover run_grover_with_phases solve_database_size "
               "success_series",
-    "replication": "DensityMatrix EmissionPolicy EmissionResult HierarchyWarning "
-                   "JointState ScenarioParams ScenarioReport base_amplification "
-                   "conditional_lift damped_oscillation damping_weight "
-                   "emission_measurement entangling_oracle entanglement_entropy "
-                   "hierarchy_warnings oscillation_fraction relaxed_start "
-                   "run_scenario success_probability_at "
+    "replication": "DensityMatrix EmissionPolicy HierarchyWarning JointState "
+                   "ScenarioParams ScenarioReport base_amplification "
+                   "damped_oscillation damping_weight entangling_oracle "
+                   "entanglement_entropy hierarchy_warnings oscillation_fraction "
+                   "relaxed_start run_scenario success_probability_at "
                    "swing_endpoint undamped_state",
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items()

@@ -20,10 +20,11 @@ MAX_COUNT = 2 ** 53
 # Largest dimension of a state the package allocates: 2**27 complex128
 # amplitudes are 2 GiB (a joint state holds two per object).
 MAX_STATE_DIM = 2 ** 27
-# Largest dim of a dense density matrix (damped_oscillation,
-# DensityMatrix.from_pure): its (2*dim)**2 complex128 entries are 256 MiB
-# at 2**11, and building and checking one peaks at about four times that
-# (256 MiB measured at dim 1024; the peak grows as dim**2).
+# Largest dim at which a damped state's DensityMatrix.matrix is built: its
+# (2*dim)**2 complex128 entries are 256 MiB at 2**11, and building it peaks
+# at twice that (measured at dim 1024). The state itself and its
+# diagnostics() hold two joint vectors, so damped_oscillation runs at any
+# dim up to MAX_STATE_DIM.
 MAX_DENSITY_DIM = 2 ** 11
 # Most draws one call makes (classical trials, scenario samples): a 2**27
 # int64 result array is 1 GiB. Checked before any stream is spawned.

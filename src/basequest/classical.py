@@ -116,17 +116,6 @@ def simulate_search(
                       std_error=spread / math.sqrt(trials))
 
 
-def theoretical_std(database_size: int, mode: SearchMode) -> float:
-    """Population standard deviation of the query count."""
-    check_count(database_size, "database size", 1, InvalidDimensionError)
-    mode = SearchMode(mode)
-    if mode is SearchMode.WITH_REPLACEMENT:
-        # geometric law: var = (1-p)/p**2 with p = 1/size
-        return math.sqrt(database_size**2 - database_size)
-    # uniform on 1..size: var = (size**2 - 1)/12
-    return math.sqrt((database_size**2 - 1) / 12.0)
-
-
 def speedup_ratio(database_size: int) -> float | None:
     """Classical with-replacement cost over the optimal amplified query count.
 

@@ -51,15 +51,11 @@ from .errors import (
     InvalidDimensionError,
     InvalidParameterError,
 )
-from .grover import MAX_SWEEP_STEPS, _normalized
+from .grover import CHECK_BLOCK, MAX_SWEEP_STEPS, _normalized
 
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
-
-# Probability mass below which a measurement branch has no defined
-# post-state.
-BRANCH_ATOL = 1e-15
 
 # Arc angles this close to 0 or pi fall back to a pure-phase path. acos
 # rounding keeps sin(angle) above ~2e-8 for any overlap one ulp inside
@@ -146,7 +142,12 @@ class JointState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        self._own(np.array(self.amplitudes, dtype=np.complex128))
+        try:
+            amps = np.array(self.amplitudes, dtype=np.complex128)
+        except (TypeError, ValueError) as exc:  # a str, a dict, a ragged list
+            raise InvalidParameterError(
+                f"amplitudes must be an array of numbers: {exc}") from None
+        self._own(amps)
 
     @classmethod
     def _adopt(cls, amps: np.ndarray) -> JointState:
@@ -204,24 +205,9 @@ def base_amplification(state: JointState) -> JointState:
     return JointState._adopt(2.0 * amps.mean(axis=0, keepdims=True) - amps)
 
 
-def conditional_lift(base_amplitudes: np.ndarray, target: int) -> JointState:
-    """Embed a base-register state with the quanta label slaved to the
-    base: target amplitude rides in the quanta-2 sector, the rest in the
-    quanta-0 sector."""
-    base = np.asarray(base_amplitudes, dtype=np.complex128)
-    if base.ndim != 1 or base.size < 2:
-        raise InvalidDimensionError(
-            f"base state needs at least 2 amplitudes, got shape {base.shape}")
-    check_target(target, base.size)
-    amps = np.zeros((base.size, 2), dtype=np.complex128)
-    amps[:, 0] = base
-    amps[target, 1] = base[target]
-    amps[target, 0] = 0.0
-    return JointState._adopt(amps)
-
-
 def _conditional_base(state: JointState, target: int) -> np.ndarray:
-    """Inverse of conditional_lift; rejects states not in lifted form."""
+    """The base-register state of a conditionally lifted state (see
+    swing_endpoint); rejects states not in lifted form."""
     amps = state.amplitudes
     stray = max(
         float(abs(amps[target, 0])),
@@ -245,25 +231,36 @@ def swing_endpoint(state0: JointState, target: int,
     check_target(target, state0.dim)
     if trajectory == "joint":
         return base_amplification(state0)
+    # the amplified base state, its quanta label slaved to the base: the
+    # target amplitude rides in the quanta-2 sector, the rest in quanta 0
     base0 = _conditional_base(state0, target)
     base1 = 2.0 * base0.mean() - base0
-    return conditional_lift(base1, target)
+    amps = np.zeros((state0.dim, 2), dtype=np.complex128)
+    amps[:, 0] = base1
+    amps[target, 1] = base1[target]
+    amps[target, 0] = 0.0
+    return JointState._adopt(amps)
+
+
+def _check_swing_time(t: float, oscillation_time: float) -> None:
+    """t is a time >= 0 whose swing phase pi*t/oscillation_time is finite,
+    and oscillation_time a normal float > 0."""
+    check_nonnegative(t, "time")
+    # a subnormal oscillation_time misplaces the turning point: pi*t is
+    # rounded to a multiple of the smallest subnormal
+    check_normal(oscillation_time, "oscillation_time")
+    if math.pi * t / oscillation_time == math.inf:
+        raise InvalidParameterError(
+            f"time = {t!r} is too large for oscillation_time = "
+            f"{oscillation_time!r}: the swing phase pi*time/oscillation_time "
+            "overflows")
 
 
 def oscillation_fraction(t: float, oscillation_time: float) -> float:
     """Pendulum progress along the arc: 0 at rest, 1 at the far turning
     point, back to 0 after a full period of twice oscillation_time."""
-    check_nonnegative(t, "time")
-    # a subnormal oscillation_time misplaces the turning point: pi*t is
-    # rounded to a multiple of the smallest subnormal
-    check_normal(oscillation_time, "oscillation_time")
-    phase = math.pi * t / oscillation_time
-    if phase == math.inf:
-        raise InvalidParameterError(
-            f"time = {t!r} is too large for oscillation_time = "
-            f"{oscillation_time!r}: the swing phase pi*time/oscillation_time "
-            "overflows")
-    return (1.0 - math.cos(phase)) / 2.0
+    _check_swing_time(t, oscillation_time)
+    return (1.0 - math.cos(math.pi * t / oscillation_time)) / 2.0
 
 
 def _arc_angle(flat0: np.ndarray, flat1: np.ndarray) -> float:
@@ -315,19 +312,36 @@ def undamped_state(state0: JointState, target: int, oscillation_time: float,
     return _arc_state(_swing_arc(state0, target, trajectory), oscillation_time, t)
 
 
-@dataclass(frozen=True, eq=False)
+def _inner(a: np.ndarray, b: np.ndarray) -> complex:
+    """<a|b> of two flat vectors, summed pairwise within blocks of
+    CHECK_BLOCK elements and exactly (math.fsum) across blocks, so its error
+    stays O(eps) at any length, as in _normalized; numpy's vdot drifts to
+    7e-14 on a unit vector's norm at dim 2**16."""
+    scratch = np.empty(min(a.size, CHECK_BLOCK), dtype=np.complex128)
+    sums = []
+    for start in range(0, a.size, CHECK_BLOCK):
+        stop = min(a.size, start + CHECK_BLOCK)
+        out = np.conjugate(a[start:stop], out=scratch[:stop - start])
+        sums.append(complex(np.multiply(out, b[start:stop], out=out).sum()))
+    return complex(math.fsum(z.real for z in sums), math.fsum(z.imag for z in sums))
+
+
 class DensityMatrix:
-    """Validated density operator on the flattened joint register."""
+    """Density operator weight*|pure><pure| + (1 - weight)*|relaxed><relaxed|
+    on the flattened joint register, as damped_oscillation builds it from
+    two unit vectors: rank at most 2 at any dim.
 
-    matrix: np.ndarray
+    The hermiticity, trace and eigenvalue checks run when it is built, on
+    diagnostics(). The dense matrix is built on first read, refused above
+    MAX_DENSITY_DIM before anything is allocated, made read-only and kept.
+    """
 
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise InvalidDimensionError(
-                f"density matrix must be square, got shape {mat.shape}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+    _built = None  # the dense matrix, once read
+
+    def __init__(self, weight: float, pure: np.ndarray, relaxed: np.ndarray):
+        self._weight = weight
+        self._pure = pure
+        self._relaxed = relaxed
         herm, trace, low = self.diagnostics()
         if herm > HERMITICITY_ATOL:
             raise InvalidParameterError(
@@ -339,21 +353,34 @@ class DensityMatrix:
             raise InvalidParameterError(
                 f"minimum eigenvalue {low!r} is below {EIGENVALUE_FLOOR}")
 
-    @classmethod
-    def from_pure(cls, state: JointState) -> "DensityMatrix":
-        """|state><state|; state.dim may not exceed MAX_DENSITY_DIM."""
-        check_integer(state.dim, "density matrix dim", 2, InvalidDimensionError,
-                      MAX_DENSITY_DIM)
-        flat = state.flat()
-        return cls(np.outer(flat, flat.conj()))
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._built is None:
+            check_integer(self._pure.size // 2, "density matrix dim", 2,
+                          InvalidDimensionError, MAX_DENSITY_DIM)
+            psi, eq, weight = self._pure, self._relaxed, self._weight
+            mat = (weight * np.outer(psi, psi.conj())
+                   + (1.0 - weight) * np.outer(eq, eq.conj()))
+            mat.setflags(write=False)
+            self._built = mat
+        return self._built
 
     def diagnostics(self) -> tuple[float, float, float]:
-        """(hermiticity defect, trace defect, minimum eigenvalue)."""
-        mat = self.matrix
+        """(hermiticity defect, trace defect, minimum eigenvalue).
+
+        The matrix is V W V^H, with V the two states as columns and
+        W = diag(weight, 1 - weight), so its nonzero spectrum is that of the
+        2x2 matrix K = W^1/2 G W^1/2, G = V^H V their Gram matrix; each
+        defect is read off K. The other 2*dim - 2 > 0 eigenvalues are 0.
+        """
+        vecs = (self._pure, self._relaxed)
+        root = np.sqrt([self._weight, 1.0 - self._weight])
+        k = (np.array([[_inner(a, b) for b in vecs] for a in vecs])
+             * np.outer(root, root))
         return (
-            float(np.max(np.abs(mat - mat.conj().T))),
-            float(abs(np.trace(mat) - 1.0)),
-            float(np.linalg.eigvalsh(mat).min()),
+            float(np.max(np.abs(k - k.conj().T))),
+            float(abs(np.trace(k) - 1.0)),
+            min(0.0, float(np.linalg.eigvalsh(k).min())),
         )
 
 
@@ -364,68 +391,26 @@ def damping_weight(t: float, relaxation_time: float) -> float:
     return math.exp(-2.0 * t / relaxation_time)
 
 
+def _params_arc(state0: JointState, params: ScenarioParams, trajectory: str):
+    """_swing_arc of state0 towards params.target; state0.dim must be
+    params.dim."""
+    if state0.dim != params.dim:
+        raise DimensionMismatchError(
+            f"state dim {state0.dim} differs from params dim {params.dim}")
+    return _swing_arc(state0, params.target, trajectory)
+
+
 def damped_oscillation(state0: JointState, params: ScenarioParams, t: float,
                        trajectory: str = "conditional") -> DensityMatrix:
     """Density operator of the damped swing at time t.
 
     Exponential mix of the pure swing state with the relaxed uniform
     no-emission state: weight exp(-2 t / relaxation_time) on the former.
-    params.dim may not exceed MAX_DENSITY_DIM.
     """
-    if state0.dim != params.dim:
-        raise DimensionMismatchError(
-            f"state dim {state0.dim} differs from params dim {params.dim}")
-    check_integer(params.dim, "density matrix dim", 2, InvalidDimensionError,
-                  MAX_DENSITY_DIM)
-    psi = undamped_state(state0, params.target, params.oscillation_time, t,
-                         trajectory).flat()
+    psi = _arc_state(_params_arc(state0, params, trajectory),
+                     params.oscillation_time, t).flat()
     weight = damping_weight(t, params.relaxation_time)
-    eq = relaxed_start(params.dim).flat()
-    rho = (weight * np.outer(psi, psi.conj())
-           + (1.0 - weight) * np.outer(eq, eq.conj()))
-    return DensityMatrix(rho)
-
-
-@dataclass(frozen=True)
-class EmissionResult:
-    """Projective check for emitted quanta on the target row.
-
-    post_success / post_failure are None when the corresponding branch has
-    (numerically) no probability mass, leaving its post-state undefined.
-    """
-
-    success_probability: float
-    post_success: DensityMatrix | None
-    post_failure: DensityMatrix | None
-
-
-def emission_measurement(rho: DensityMatrix, target: int) -> EmissionResult:
-    """Measure the projector onto |target, quanta 2>."""
-    side = rho.matrix.shape[0]
-    if side % 2 != 0:
-        raise InvalidDimensionError(
-            f"expected a flattened (dim, 2) register, got side {side}")
-    dim = side // 2
-    check_target(target, dim)
-    idx = 2 * target + 1
-    p = float(np.real(rho.matrix[idx, idx]))
-    p = min(1.0, max(0.0, p))
-
-    post_success = None
-    if p > BRANCH_ATOL:
-        mat = np.zeros_like(rho.matrix)
-        mat[idx, idx] = 1.0
-        post_success = DensityMatrix(mat)
-
-    post_failure = None
-    if 1.0 - p > BRANCH_ATOL:
-        mat = np.array(rho.matrix)
-        mat[idx, :] = 0.0
-        mat[:, idx] = 0.0
-        post_failure = DensityMatrix(mat / (1.0 - p))
-
-    return EmissionResult(success_probability=p, post_success=post_success,
-                          post_failure=post_failure)
+    return DensityMatrix(weight, psi, relaxed_start(params.dim).flat())
 
 
 def entanglement_entropy(state: JointState) -> float:
@@ -433,11 +418,23 @@ def entanglement_entropy(state: JointState) -> float:
 
     Computed from the singular values of the (dim, 2) amplitude array; the
     base and quanta reductions share the same nonzero spectrum, so one
-    number serves both sides of the cut.
+    number serves both sides of the cut. Clamped at +0.0: a product state's
+    lone eigenvalue rounds to 1 or a few ulp above, which leaves the sum at
+    -0.0 or a few ulp below 0.
     """
     lam = np.linalg.svd(state.amplitudes, compute_uv=False) ** 2
     lam = lam[lam > 1e-15]
-    return float(-(lam * np.log2(lam)).sum())
+    return max(0.0, float(-(lam * np.log2(lam)).sum()))
+
+
+def _swing_success(angle: float, start: complex, end: complex, t: float,
+                   oscillation_time: float, relaxation_time: float) -> float:
+    """Damped emission success at time t on an arc of the given angle whose
+    emitted amplitude runs from start to end: exp(-2t/relaxation_time)
+    times |amplitude|**2. Unchecked: callers pass a valid swing time."""
+    f = (1.0 - math.cos(math.pi * t / oscillation_time)) / 2.0
+    return (math.exp(-2.0 * t / relaxation_time)
+            * float(abs(_arc_point(angle, start, end, f)) ** 2))
 
 
 def success_probability_at(state0: JointState, params: ScenarioParams,
@@ -447,11 +444,11 @@ def success_probability_at(state0: JointState, params: ScenarioParams,
     Uses the closed form: the relaxed component carries no emitted-quanta
     amplitude, so only the pure swing term contributes.
     """
-    angle, flat0, flat1 = _swing_arc(state0, params.target, trajectory)
+    angle, flat0, flat1 = _params_arc(state0, params, trajectory)
+    _check_swing_time(t, params.oscillation_time)
     emitted = 2 * params.target + 1
-    amp = _arc_point(angle, complex(flat0[emitted]), complex(flat1[emitted]),
-                     oscillation_fraction(t, params.oscillation_time))
-    return damping_weight(t, params.relaxation_time) * float(abs(amp) ** 2)
+    return _swing_success(angle, complex(flat0[emitted]), complex(flat1[emitted]),
+                          t, params.oscillation_time, params.relaxation_time)
 
 
 @dataclass(frozen=True)
@@ -510,24 +507,18 @@ def run_scenario(params: ScenarioParams, *, entropy_points: int = 101,
     # the conditional arc on the target's emitted amplitude alone
     angle, flat0, flat1 = _swing_arc(state0, params.target)
     start, end = complex(flat0[emitted]), complex(flat1[emitted])
-
-    def success(t):
-        # success_probability_at, unchecked: params is valid and t a time
-        # the run evaluates
-        f = (1.0 - math.cos(math.pi * t / osc)) / 2.0
-        return (math.exp(-2.0 * t / params.relaxation_time)
-                * float(abs(_arc_point(angle, start, end, f)) ** 2))
+    rate = params.relaxation_time
 
     # the policy resolved once per run: uniform draws cover one full period,
     # and every attempt under the other two has the same success probability
-    p_damped = success(osc)
+    p_damped = _swing_success(angle, start, end, osc, osc, rate)
     uniform = params.emission is EmissionPolicy.UNIFORM_RANDOM
     fixed = params.emission is EmissionPolicy.FIXED_TIME
-    p_fixed = success(params.emission_time) if fixed else p_damped
+    p_fixed = _swing_success(angle, start, end, params.emission_time, osc,
+                             rate) if fixed else p_damped
     # the policy's time parameter, which a refusal names with relaxation_time
     name, policy_time = ("emission_time", params.emission_time) if fixed else (
         "oscillation_time", osc)
-    rate = params.relaxation_time
     if not uniform and p_fixed == 0.0:
         # refused before any draw: no check could succeed
         raise InvalidParameterError(
@@ -546,7 +537,8 @@ def run_scenario(params: ScenarioParams, *, entropy_points: int = 101,
             root.entropy, spawn_key=root.spawn_key + (k,), pool_size=root.pool_size)))
         count = 0
         while True:
-            p = success(rng.random() * 2.0 * osc) if uniform else p_fixed
+            p = (_swing_success(angle, start, end, rng.random() * 2.0 * osc, osc,
+                                rate) if uniform else p_fixed)
             if count == 0:
                 first_probs[k] = p
             count += 1

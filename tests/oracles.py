@@ -13,7 +13,13 @@ as the package did; blockwise_phase_drift is the former phase-check fold.
 Two more keep the CLI's former record path: report_records builds a
 subcommand's records as dicts from the package's public model functions,
 as the CLI did before it streamed rows, and render_records encodes them as
-output.format_records did, record by record through csv and json.
+output.format_records did, record by record through csv and json. The
+dense density routes are former package code too: DenseDensity holds and
+checks a whole (2*dim, 2*dim) matrix, dense_damped_matrix builds the damped
+swing's matrix as damped_oscillation did, from the package's swing state
+(undamped_state), and emission_measurement is the projective emission
+check that no run used; theoretical_std is the classical query count's
+spread.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import io
 import json
 import math
 import numbers
+from dataclasses import dataclass
 from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
@@ -36,6 +43,7 @@ from basequest import (
     relaxed_start,
     swing_endpoint,
 )
+from basequest.replication import EIGENVALUE_FLOOR, HERMITICITY_ATOL, TRACE_ATOL
 
 
 def dense_oracle(dim: int, target: int) -> np.ndarray:
@@ -310,6 +318,118 @@ def vector_scenario_draws(params) -> tuple[float, float, int]:
                 break
         counts.append(count)
     return float(np.mean(first)), float(np.mean(counts)), max(counts)
+
+
+@dataclass(frozen=True, eq=False)
+class DenseDensity:
+    """Density operator held as its dense matrix, a read-only complex128
+    copy, and checked like the package's DensityMatrix on numpy's full
+    eigvalsh spectrum."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        mat = np.array(self.matrix, dtype=np.complex128)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise bq.InvalidDimensionError(
+                f"density matrix must be square, got shape {mat.shape}")
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
+        herm, trace, low = self.diagnostics()
+        if herm > HERMITICITY_ATOL:
+            raise bq.InvalidParameterError(
+                f"hermiticity defect {herm!r} exceeds {HERMITICITY_ATOL}")
+        if trace > TRACE_ATOL:
+            raise bq.InvalidParameterError(
+                f"trace defect {trace!r} exceeds {TRACE_ATOL}")
+        if low < EIGENVALUE_FLOOR:
+            raise bq.InvalidParameterError(
+                f"minimum eigenvalue {low!r} is below {EIGENVALUE_FLOOR}")
+
+    @classmethod
+    def from_pure(cls, state) -> "DenseDensity":
+        """|state><state| of a JointState."""
+        flat = state.flat()
+        return cls(np.outer(flat, flat.conj()))
+
+    def diagnostics(self) -> tuple[float, float, float]:
+        """(hermiticity defect, trace defect, minimum eigenvalue)."""
+        mat = self.matrix
+        return (
+            float(np.max(np.abs(mat - mat.conj().T))),
+            float(abs(np.trace(mat) - 1.0)),
+            float(np.linalg.eigvalsh(mat).min()),
+        )
+
+
+def dense_damped_matrix(state0, params, t: float,
+                        trajectory: str = "conditional") -> np.ndarray:
+    """The damped swing's (2*dim, 2*dim) matrix at time t, built as
+    damped_oscillation built it before it kept the two states."""
+    psi = bq.undamped_state(state0, params.target, params.oscillation_time, t,
+                            trajectory).flat()
+    weight = bq.damping_weight(t, params.relaxation_time)
+    eq = relaxed_start(params.dim).flat()
+    return (weight * np.outer(psi, psi.conj())
+            + (1.0 - weight) * np.outer(eq, eq.conj()))
+
+
+# Probability mass below which a measurement branch has no defined
+# post-state.
+BRANCH_ATOL = 1e-15
+
+
+@dataclass(frozen=True)
+class EmissionResult:
+    """Projective check for emitted quanta on the target row.
+
+    post_success / post_failure are None when the corresponding branch has
+    (numerically) no probability mass, leaving its post-state undefined.
+    """
+
+    success_probability: float
+    post_success: DenseDensity | None
+    post_failure: DenseDensity | None
+
+
+def emission_measurement(rho, target: int) -> EmissionResult:
+    """Measure the projector onto |target, quanta 2> on the dense matrix of
+    rho, a DenseDensity or a DensityMatrix."""
+    side = rho.matrix.shape[0]
+    if side % 2 != 0:
+        raise bq.InvalidDimensionError(
+            f"expected a flattened (dim, 2) register, got side {side}")
+    if not 0 <= target < side // 2:
+        raise bq.InvalidTargetError(
+            f"target must be an integer in [0, {side // 2}), got {target!r}")
+    idx = 2 * target + 1
+    p = float(np.real(rho.matrix[idx, idx]))
+    p = min(1.0, max(0.0, p))
+
+    post_success = None
+    if p > BRANCH_ATOL:
+        mat = np.zeros_like(rho.matrix)
+        mat[idx, idx] = 1.0
+        post_success = DenseDensity(mat)
+
+    post_failure = None
+    if 1.0 - p > BRANCH_ATOL:
+        mat = np.array(rho.matrix)
+        mat[idx, :] = 0.0
+        mat[:, idx] = 0.0
+        post_failure = DenseDensity(mat / (1.0 - p))
+
+    return EmissionResult(success_probability=p, post_success=post_success,
+                          post_failure=post_failure)
+
+
+def theoretical_std(database_size: int, mode) -> float:
+    """Population standard deviation of the classical query count."""
+    if bq.SearchMode(mode) is bq.SearchMode.WITH_REPLACEMENT:
+        # geometric law: var = (1-p)/p**2 with p = 1/size
+        return math.sqrt(database_size**2 - database_size)
+    # uniform on 1..size: var = (size**2 - 1)/12
+    return math.sqrt((database_size**2 - 1) / 12.0)
 
 
 def report_records(config: dict) -> list[dict]:

@@ -30,10 +30,6 @@ def kicked():
     return bq.entangling_oracle(bq.relaxed_start(4), 1)
 
 
-def rho():
-    return bq.DensityMatrix.from_pure(kicked())
-
-
 # (entry point and parameter, call taking the bad value, name in the message)
 INTEGER_PARAMETERS = [
     ("success_probability.target",
@@ -61,8 +57,6 @@ INTEGER_PARAMETERS = [
      lambda v: bq.evolve_two_term_hamiltonian(4, v, 1.0, 0.5), "target"),
     ("expected_queries.database_size",
      lambda v: bq.expected_queries(v, "with"), "database size"),
-    ("theoretical_std.database_size",
-     lambda v: bq.theoretical_std(v, "with"), "database size"),
     ("speedup_ratio.database_size", lambda v: bq.speedup_ratio(v), "database size"),
     ("sample_queries.database_size",
      lambda v: bq.sample_queries(v, "with", 10), "database size"),
@@ -81,11 +75,7 @@ INTEGER_PARAMETERS = [
     ("relaxed_start.dim", lambda v: bq.relaxed_start(v), "dim"),
     ("entangling_oracle.target",
      lambda v: bq.entangling_oracle(bq.relaxed_start(4), v), "target"),
-    ("conditional_lift.target",
-     lambda v: bq.conditional_lift(np.full(4, 0.5), v), "target"),
     ("swing_endpoint.target", lambda v: bq.swing_endpoint(kicked(), v), "target"),
-    ("emission_measurement.target",
-     lambda v: bq.emission_measurement(rho(), v), "target"),
     ("run_scenario.entropy_points",
      lambda v: bq.run_scenario(scenario(), entropy_points=v), "entropy_points"),
     ("run_scenario.attempt_cap",
@@ -139,8 +129,6 @@ COUNT_PARAMETERS = [
 AT_COUNT_BOUND = [
     ("optimal_queries", lambda n: bq.optimal_queries(n).success_probability),
     ("expected_queries", lambda n: bq.expected_queries(n, "with")),
-    ("theoretical_std.with", lambda n: bq.theoretical_std(n, "with")),
-    ("theoretical_std.without", lambda n: bq.theoretical_std(n, "without")),
     ("speedup_ratio", lambda n: bq.speedup_ratio(n)),
     ("success_series", lambda n: bq.success_series(n, 0, 3)[-1]),
     ("run_grover", lambda n: bq.run_grover(n, 0, 3)[1]),
@@ -267,9 +255,8 @@ def test_oversized_state_refused_before_allocation(build, dim):
 
 
 @pytest.mark.parametrize("build", [
-    lambda state, params: bq.DensityMatrix.from_pure(state),
-    lambda state, params: bq.damped_oscillation(state, params, 0.5),
-], ids=["from_pure", "damped_oscillation"])
+    lambda state, params: bq.damped_oscillation(state, params, 0.5).matrix,
+], ids=["damped_oscillation"])
 def test_oversized_density_matrix_refused_before_allocation(build):
     # one (2*dim)**2 complex matrix would be 256 MiB here
     dim = MAX_DENSITY_DIM + 1
@@ -302,13 +289,28 @@ def test_oversized_draw_count_refused_before_allocation(call, name, bound, over)
 
 @pytest.mark.parametrize("target", [-1, 4, 9])
 @pytest.mark.parametrize("call", [
-    lambda v: bq.conditional_lift(np.full(4, 0.5), v),
     lambda v: bq.swing_endpoint(kicked(), v),
     lambda v: bq.swing_endpoint(kicked(), v, "joint"),
-], ids=["conditional_lift", "swing_endpoint", "swing_endpoint_joint"])
+], ids=["swing_endpoint", "swing_endpoint_joint"])
 def test_out_of_range_target(call, target):
     with pytest.raises(bq.InvalidTargetError, match="target"):
         call(target)
+
+
+# inputs numpy cannot read as a complex array
+MALFORMED_AMPLITUDES = {
+    "str": "ab",
+    "non_numeric_entry": [[1, 0], [0, "x"]],
+    "ragged": [[1, 0], [0]],
+    "dict": {},
+}
+
+
+@pytest.mark.parametrize("value", MALFORMED_AMPLITUDES.values(),
+                         ids=MALFORMED_AMPLITUDES.keys())
+def test_malformed_amplitudes_are_named(value):
+    with pytest.raises(bq.InvalidParameterError, match="amplitudes"):
+        bq.JointState(value)
 
 
 @pytest.mark.parametrize("oscillation_time", [0.0, -1.0])

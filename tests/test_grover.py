@@ -144,7 +144,8 @@ class TestStateConstruction:
         lambda: bq.JointState(np.full((2, 2), 0.5)),
         lambda: bq.relaxed_start(4),
         lambda: bq.entangling_oracle(bq.relaxed_start(4), 1),
-        lambda: bq.conditional_lift(np.full(4, 0.5), 1),
+        lambda: bq.undamped_state(bq.entangling_oracle(bq.relaxed_start(4), 1),
+                                  1, 1.0, 0.3, "joint"),
         lambda: bq.undamped_state(bq.entangling_oracle(bq.relaxed_start(4), 1),
                                   1, 1.0, 0.3),
     ])

@@ -17,8 +17,11 @@ from basequest.replication import (
     oscillation_fraction,
 )
 from oracles import (
+    DenseDensity,
     base_density,
+    dense_damped_matrix,
     dense_entangling_matrix,
+    emission_measurement,
     entropies_by_partial_trace,
     quanta_density,
     random_joint_state,
@@ -130,6 +133,24 @@ class TestEntropy:
         after = bq.entanglement_entropy(bq.base_amplification(state))
         assert after == pytest.approx(before, abs=1e-12)
 
+    def test_product_state_is_positive_zero(self):
+        # the joint swing from dim 4, target 1 passes a product state at
+        # t = 0.5, where the summed spectrum term rounds to -0.0
+        swung = bq.undamped_state(kicked_state(), 1, 1.0, 0.5, "joint")
+        for state in (bq.relaxed_start(4), swung):
+            bits = bq.entanglement_entropy(state)
+            assert bits == 0.0 and math.copysign(1.0, bits) == 1.0
+
+    def test_series_never_negative(self):
+        # product states on these swings rounded to -0.0 or to -6.4e-16
+        for dim in [*range(2, 40), 64, 1024]:
+            for target in {0, dim // 2, dim - 1}:
+                report = bq.run_scenario(default_params(
+                    dim=dim, target=target, samples=1))
+                signs = [math.copysign(1.0, bits) for bits in
+                         (*report.entropy_bits, report.entropy_at_extremum)]
+                assert min(signs) == 1.0, (dim, target)
+
 
 class TestSwingEndpoints:
     def test_joint_endpoint_amplitudes(self):
@@ -235,9 +256,21 @@ class TestUndampedSwing:
         assert np.max(np.abs(early.amplitudes - late.amplitudes)) <= 1e-12
 
 
+# (dim, target, relaxation_time, times): both turning points, points
+# between, and a long-time state that has all but relaxed
+DAMPED_GRID = [(2, 1, 5.0, [0.0, 0.35, 1.0, 40.0]),
+               (3, 0, 5.0, [0.0, 0.5, 1.7, 40.0]),
+               (4, 1, 5.0, [0.0, 0.35, 1.0, 1.7, 40.0]),
+               (5, 2, 0.5, [0.0, 0.8, 2.0, 40.0]),
+               (64, 21, 5.0, [0.0, 1.0, 40.0])]
+
+
 class TestDensityMatrix:
+    """damped_oscillation keeps its two states; the dense oracle, checked
+    first, gives the matrix and the eigvalsh diagnostics to compare with."""
+
     def test_from_pure_diagnostics(self):
-        rho = bq.DensityMatrix.from_pure(kicked_state())
+        rho = DenseDensity.from_pure(kicked_state())
         herm, trace, low = rho.diagnostics()
         assert herm <= 1e-12
         assert trace <= 1e-12
@@ -245,24 +278,64 @@ class TestDensityMatrix:
 
     def test_rejects_non_square(self):
         with pytest.raises(bq.InvalidDimensionError):
-            bq.DensityMatrix(np.ones((2, 3)) / 6.0)
+            DenseDensity(np.ones((2, 3)) / 6.0)
 
     def test_rejects_non_hermitian(self):
         mat = np.array([[0.5, 0.5], [0.0, 0.5]])
         with pytest.raises(bq.InvalidParameterError):
-            bq.DensityMatrix(mat)
+            DenseDensity(mat)
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(bq.InvalidParameterError):
-            bq.DensityMatrix(np.eye(2))
+            DenseDensity(np.eye(2))
 
     def test_rejects_negative_eigenvalue(self):
         mat = np.array([[1.1, 0.0], [0.0, -0.1]])
         with pytest.raises(bq.InvalidParameterError):
-            bq.DensityMatrix(mat)
+            DenseDensity(mat)
+
+    @pytest.mark.parametrize("trajectory", ["conditional", "joint"])
+    @pytest.mark.parametrize("dim,target,rate,times", DAMPED_GRID,
+                             ids=[str(row[0]) for row in DAMPED_GRID])
+    def test_matrix_equals_dense_build(self, dim, target, rate, times,
+                                       trajectory):
+        state0 = kicked_state(dim, target)
+        params = default_params(dim=dim, target=target, relaxation_time=rate)
+        for t in times:
+            rho = bq.damped_oscillation(state0, params, t, trajectory)
+            assert np.array_equal(
+                rho.matrix, dense_damped_matrix(state0, params, t, trajectory))
+
+    @pytest.mark.parametrize("trajectory", ["conditional", "joint"])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 64, 256])
+    def test_diagnostics_match_dense_spectrum(self, dim, trajectory):
+        target = dim // 3
+        state0 = kicked_state(dim, target)
+        params = default_params(dim=dim, target=target, relaxation_time=5.0)
+        for t in (0.35, 1.0, 40.0):
+            rho = bq.damped_oscillation(state0, params, t, trajectory)
+            dense = DenseDensity(rho.matrix).diagnostics()
+            assert rho.diagnostics() == pytest.approx(dense, abs=1e-12)
+
+    def test_large_dim_stays_two_vectors(self):
+        # one dense matrix at dim 2**16 would be 256 GiB
+        dim = 2 ** 16
+        state0 = kicked_state(dim, 7)
+        params = default_params(dim=dim, target=7, relaxation_time=5.0)
+        tracemalloc.start()
+        try:
+            rho = bq.damped_oscillation(state0, params, 0.35)
+            herm, trace, low = rho.diagnostics()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        # a BLAS dot over the 2**17 entries drifts to 7e-14 on the trace
+        assert herm <= 1e-12 and trace <= 1e-14 and low >= -1e-10
 
     def test_matrix_read_only(self):
-        rho = bq.DensityMatrix(np.eye(2) / 2.0)
+        rho = bq.damped_oscillation(kicked_state(), default_params(), 0.35)
+        assert rho.matrix is rho.matrix
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
 
@@ -283,7 +356,7 @@ class TestDampedSwing:
     def test_zero_time_is_pure_start(self):
         state0 = kicked_state()
         rho = bq.damped_oscillation(state0, default_params(), 0.0)
-        pure = bq.DensityMatrix.from_pure(state0)
+        pure = DenseDensity.from_pure(state0)
         assert np.max(np.abs(rho.matrix - pure.matrix)) <= 1e-12
 
     def test_long_time_limit_is_relaxed_state(self):
@@ -291,7 +364,7 @@ class TestDampedSwing:
         # the raw propagator stays silent
         params = default_params(relaxation_time=0.5)
         rho = bq.damped_oscillation(kicked_state(), params, 40.0)
-        eq = bq.DensityMatrix.from_pure(bq.relaxed_start(4))
+        eq = DenseDensity.from_pure(bq.relaxed_start(4))
         assert np.max(np.abs(rho.matrix - eq.matrix)) <= 1e-10
 
     def test_undamped_limit_keeps_conditional_fidelity(self):
@@ -326,19 +399,25 @@ class TestDampedSwing:
         with pytest.raises(bq.DimensionMismatchError):
             bq.damped_oscillation(kicked_state(5, 1), default_params(), 0.5)
 
+    def test_success_probability_dimension_mismatch(self):
+        with pytest.raises(bq.DimensionMismatchError):
+            bq.success_probability_at(kicked_state(8, 1), default_params(), 0.5)
+
 
 class TestEmissionMeasurement:
+    """The dense projective check, an oracle for success_probability_at."""
+
     def test_certain_success(self):
         endpoint = bq.swing_endpoint(kicked_state(), 1, "conditional")
-        result = bq.emission_measurement(bq.DensityMatrix.from_pure(endpoint), 1)
+        result = emission_measurement(DenseDensity.from_pure(endpoint), 1)
         assert result.success_probability == pytest.approx(1.0, abs=1e-12)
         assert result.post_failure is None
         assert result.post_success is not None
         assert result.post_success.matrix[3, 3] == pytest.approx(1.0)
 
     def test_certain_failure(self):
-        rho = bq.DensityMatrix.from_pure(bq.relaxed_start(4))
-        result = bq.emission_measurement(rho, 1)
+        rho = DenseDensity.from_pure(bq.relaxed_start(4))
+        result = emission_measurement(rho, 1)
         assert result.success_probability == 0.0
         assert result.post_success is None
         assert np.max(np.abs(result.post_failure.matrix - rho.matrix)) <= 1e-12
@@ -346,18 +425,18 @@ class TestEmissionMeasurement:
     def test_damped_extremum_probability(self):
         state0 = kicked_state()
         rho = bq.damped_oscillation(state0, default_params(), 1.0)
-        result = bq.emission_measurement(rho, 1)
+        result = emission_measurement(rho, 1)
         assert result.success_probability == pytest.approx(
             0.9980019986673331, abs=1e-12)
 
     def test_branches_are_idempotent(self):
         state0 = kicked_state()
         rho = bq.damped_oscillation(state0, default_params(), 0.35)
-        result = bq.emission_measurement(rho, 1)
-        again = bq.emission_measurement(result.post_success, 1)
+        result = emission_measurement(rho, 1)
+        again = emission_measurement(result.post_success, 1)
         assert again.success_probability == pytest.approx(1.0, abs=1e-12)
         assert again.post_failure is None
-        rerun = bq.emission_measurement(result.post_failure, 1)
+        rerun = emission_measurement(result.post_failure, 1)
         assert rerun.success_probability == pytest.approx(0.0, abs=1e-12)
 
     def test_probability_matches_closed_form(self):
@@ -365,18 +444,18 @@ class TestEmissionMeasurement:
         params = default_params()
         for t in (0.0, 0.35, 1.0, 1.7):
             rho = bq.damped_oscillation(state0, params, t)
-            measured = bq.emission_measurement(rho, 1).success_probability
+            measured = emission_measurement(rho, 1).success_probability
             assert measured == pytest.approx(
                 bq.success_probability_at(state0, params, t), abs=1e-12)
 
     def test_rejects_odd_side(self):
         with pytest.raises(bq.InvalidDimensionError):
-            bq.emission_measurement(bq.DensityMatrix(np.eye(3) / 3.0), 0)
+            emission_measurement(DenseDensity(np.eye(3) / 3.0), 0)
 
     def test_rejects_bad_target(self):
-        rho = bq.DensityMatrix.from_pure(bq.relaxed_start(4))
+        rho = DenseDensity.from_pure(bq.relaxed_start(4))
         with pytest.raises(bq.InvalidTargetError):
-            bq.emission_measurement(rho, 4)
+            emission_measurement(rho, 4)
 
 
 class TestEmissionTimes:
