@@ -17,14 +17,16 @@ from .errors import InvalidParameterError, InvalidTargetError
 # Largest database size, dimension or query count: the closed forms work in
 # floats, exact for integers up to 2**53 (and overflowing far above it).
 MAX_COUNT = 2 ** 53
-# Largest dimension of a state the package allocates: 2**27 complex128
-# amplitudes are 2 GiB (a joint state holds two per object).
+# Largest dimension of a state array the package builds: 2**27 complex128
+# amplitudes are 2 GiB (a joint state's array holds two per object). It caps
+# only the arrays built when a caller reads them; the runs themselves keep
+# a few numbers per state and accept dimensions up to MAX_COUNT.
 MAX_STATE_DIM = 2 ** 27
 # Largest dim at which a damped state's DensityMatrix.matrix is built: its
 # (2*dim)**2 complex128 entries are 256 MiB at 2**11, and building it peaks
 # at twice that (measured at dim 1024). The state itself and its
-# diagnostics() hold two joint vectors, so damped_oscillation runs at any
-# dim up to MAX_STATE_DIM.
+# diagnostics() hold two joint states of four numbers each, so
+# damped_oscillation runs at any dim up to MAX_COUNT.
 MAX_DENSITY_DIM = 2 ** 11
 # Most draws one call makes (classical trials, scenario samples): a 2**27
 # int64 result array is 1 GiB. Checked before any stream is spawned.

@@ -133,12 +133,10 @@ class StateVector:
         check_target(target, self._dim)
         return float(abs(self._amplitude(target)) ** 2)
 
-    def _amplitude(self, index: int) -> np.complex128:
-        # the entry amplitudes holds, computed by the same complex128 product
-        import numpy as np
-
-        amp = np.complex128(self._on_target if index == self._target
-                            else self._rest)
+    def _amplitude(self, index: int) -> float | np.complex128:
+        # the entry amplitudes holds, computed by the same complex128 product;
+        # a plain float when undecorated, so a plain run needs no numpy
+        amp = self._on_target if index == self._target else self._rest
         return amp if self._phases is None else amp * self._phases[index]
 
     def __repr__(self) -> str:

@@ -1,11 +1,14 @@
 """Damped base-selection scenario on a joint (base x energy-quanta) space.
 
 The joint register holds one amplitude per (base object, quanta label)
-pair, quanta labels 0 and 2: column 0 of the (dim, 2) amplitude array is
-the no-emission sector, column 1 the two-quanta sector. A selection round
+pair, quanta labels 0 (no emission) and 2 (two quanta). A selection round
 is: relaxed uniform start, an entangling query that swaps the target's
 quanta sector with a sign, one pendulum swing of amplification, then a
 projective check for emitted quanta, restarting on failure.
+
+Every state a round makes lies in the span of |t,0>, |t,2>, |r,0> and |r,2>,
+|r> the uniform state over the bases other than the target t, so each
+routine computes on four numbers (see JointState) at any dim up to 2**53.
 
 The swing between the post-query state and its amplified image is modeled
 two ways, differing only in the far endpoint of a great-circle arc:
@@ -38,6 +41,7 @@ from ._checks import (
     MAX_DENSITY_DIM,
     MAX_DRAWS,
     MAX_STATE_DIM,
+    check_count,
     check_integer,
     check_nonnegative,
     check_normal,
@@ -50,17 +54,17 @@ from .errors import (
     DrawBudgetExceededError,
     InvalidDimensionError,
     InvalidParameterError,
+    InvalidTargetError,
 )
-from .grover import CHECK_BLOCK, MAX_SWEEP_STEPS, _normalized
+from .grover import MAX_SWEEP_STEPS, _normalized
 
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 
-# Arc angles this close to 0 or pi fall back to a pure-phase path. acos
-# rounding keeps sin(angle) above ~2e-8 for any overlap one ulp inside
-# +-1, so the cutoff must clear that floor or exactly (anti)parallel
-# endpoint pairs hit the slerp branch and cancel to a zero vector.
+# Arc angles this close to pi fall back to a pure-phase path: the slerp
+# divides by sin(angle), so a pair antiparallel up to rounding would cancel
+# to a zero vector.
 DEGENERATE_SIN = 1e-6
 
 # Each timescale must exceed the faster one by at least this factor for
@@ -102,7 +106,7 @@ class ScenarioParams:
     seed: int | None = None
 
     def __post_init__(self):
-        check_integer(self.dim, "dim", 2, InvalidDimensionError, MAX_STATE_DIM)
+        check_count(self.dim, "dim", 2, InvalidDimensionError)
         check_target(self.target, self.dim)
         check_positive(self.bond_duration, "bond_duration")
         check_positive(self.oscillation_time, "oscillation_time")
@@ -130,55 +134,64 @@ def hierarchy_warnings(params: ScenarioParams) -> tuple[str, ...]:
     return tuple(notes)
 
 
-@dataclass(frozen=True, eq=False)
 class JointState:
-    """Normalized pure state on the joint register.
-
-    amplitudes has shape (dim, 2): column 0 is the quanta-0 sector,
-    column 1 the quanta-2 sector. It is stored read-only: a complex128 copy
-    of the caller's array, or the array a package routine has just built.
+    """Normalized pure state on the joint register, held as coefficients
+    (a0, a2, b0, b2): the target's amplitudes in quanta sectors 0 and 2, then
+    those every other base shares. The (dim, 2) amplitudes array (column 0
+    the quanta-0 sector) is built on first read, refused above
+    MAX_STATE_DIM, checked by _normalized, made read-only and kept.
     """
 
-    amplitudes: np.ndarray
+    _built = None  # the amplitudes array, once read
 
-    def __post_init__(self):
-        try:
-            amps = np.array(self.amplitudes, dtype=np.complex128)
-        except (TypeError, ValueError) as exc:  # a str, a dict, a ragged list
-            raise InvalidParameterError(
-                f"amplitudes must be an array of numbers: {exc}") from None
-        self._own(amps)
+    def __init__(self, dim: int, target: int, coefficients: tuple):
+        self._dim = dim
+        self._target = target
+        self._coefficients = coefficients
 
-    @classmethod
-    def _adopt(cls, amps: np.ndarray) -> JointState:
-        """An instance holding amps itself, not a copy: for complex128
-        arrays the package has just built and keeps no other reference to.
-        Validated like user input and made read-only all the same."""
-        state = object.__new__(cls)
-        state._own(amps)
-        return state
-
-    def _own(self, amps: np.ndarray) -> None:
-        if amps.ndim != 2 or amps.shape[1] != 2 or amps.shape[0] < 2:
-            raise InvalidDimensionError(
-                f"joint state needs shape (dim >= 2, 2), got {amps.shape}")
-        object.__setattr__(self, "amplitudes", _normalized(amps, "joint state"))
+    @property
+    def amplitudes(self) -> np.ndarray:
+        if self._built is None:
+            check_integer(self._dim, "dimension", 2, InvalidDimensionError,
+                          MAX_STATE_DIM)
+            amps = np.full((self._dim, 2), self._coefficients[2:], dtype=np.complex128)
+            amps[self._target] = self._coefficients[:2]
+            self._built = _normalized(amps, "joint state")
+        return self._built
 
     @property
     def dim(self) -> int:
-        return self.amplitudes.shape[0]
+        return self._dim
 
     def flat(self) -> np.ndarray:
         """Row-major flattening: joint index 2*base + quanta_column."""
         return self.amplitudes.ravel()
 
 
+def _marked(state: JointState, target: int) -> JointState:
+    """state with target as its marked base, which needs its two rows equal
+    (the relaxed start's) or dim 2; otherwise InvalidTargetError names both
+    targets, as three different rows would leave the subspace."""
+    if target == state._target:
+        return state
+    a, b = state._coefficients[:2], state._coefficients[2:]
+    if a != b and state.dim != 2:
+        raise InvalidTargetError(
+            f"target {target!r} is not the state's target {state._target!r}, "
+            "and the state is not uniform over the other bases")
+    return JointState(state.dim, target, b + a)
+
+
+def _total(dim: int, terms) -> complex:
+    """t0 + t1 + (dim - 1)*(t2 + t3): a sum over the joint register."""
+    t0, t1, t2, t3 = terms
+    return t0 + t1 + (dim - 1) * (t2 + t3)
+
+
 def relaxed_start(dim: int) -> JointState:
     """Uniform base amplitudes, all in the no-emission sector."""
-    check_integer(dim, "dimension", 2, InvalidDimensionError, MAX_STATE_DIM)
-    amps = np.zeros((dim, 2), dtype=np.complex128)
-    amps[:, 0] = 1.0 / math.sqrt(dim)
-    return JointState._adopt(amps)
+    check_count(dim, "dimension", 2, InvalidDimensionError)
+    return JointState(dim, 0, (1.0 / math.sqrt(dim), 0.0) * 2)
 
 
 def entangling_oracle(state: JointState, target: int) -> JointState:
@@ -188,38 +201,41 @@ def entangling_oracle(state: JointState, target: int) -> JointState:
     applying it twice is the identity.
     """
     check_target(target, state.dim)
-    amps = state.amplitudes.copy()
-    amps[target, 0], amps[target, 1] = -state.amplitudes[target, 1], \
-        -state.amplitudes[target, 0]
-    return JointState._adopt(amps)
+    a0, a2, b0, b2 = _marked(state, target)._coefficients
+    return JointState(state.dim, target, (-a2, -a0, b0, b2))
 
 
 def base_amplification(state: JointState) -> JointState:
     """Negated reflection about uniform, applied to the base register only.
 
-    Column by column: each quanta sector maps to twice its mean minus
-    itself. Local to the base factor, so it cannot change entanglement
-    across the base/quanta cut.
+    Each quanta sector maps to twice its mean, (target entry + (dim - 1) *
+    shared entry)/dim, minus itself. Local to the base factor, so it cannot
+    change entanglement across the base/quanta cut.
     """
-    amps = state.amplitudes
-    return JointState._adopt(2.0 * amps.mean(axis=0, keepdims=True) - amps)
+    dim, (a0, a2, b0, b2) = state.dim, state._coefficients
+    mean0, mean2 = (a0 + (dim - 1) * b0) / dim, (a2 + (dim - 1) * b2) / dim
+    return JointState(dim, state._target, (2.0 * mean0 - a0, 2.0 * mean2 - a2,
+                                           2.0 * mean0 - b0, 2.0 * mean2 - b2))
 
 
-def _conditional_base(state: JointState, target: int) -> np.ndarray:
-    """The base-register state of a conditionally lifted state (see
-    swing_endpoint); rejects states not in lifted form."""
-    amps = state.amplitudes
-    stray = max(
-        float(abs(amps[target, 0])),
-        float(np.max(np.abs(np.delete(amps[:, 1], target)))),
-    )
+def _lifted(state: JointState, target: int) -> tuple[complex, complex]:
+    """(a2, b0) of a conditionally lifted state (see swing_endpoint) marked
+    at target; rejects states not in lifted form."""
+    a0, a2, b0, b2 = _marked(state, target)._coefficients
+    stray = max(abs(a0), abs(b2))
     if stray > 1e-12:
         raise InvalidParameterError(
             "state is not conditionally lifted: off-pattern amplitude "
             f"{stray!r} exceeds 1e-12")
-    base = amps[:, 0].copy()
-    base[target] = amps[target, 1]
-    return base
+    return a2, b0
+
+
+def _conditional_base(state: JointState, target: int) -> np.ndarray:
+    """The base-register state of a conditionally lifted state, as a (dim,)
+    array: the quanta-0 column once the target's amplitude is moved there;
+    rejects states not in lifted form."""
+    on_target, rest = _lifted(state, target)
+    return JointState(state.dim, target, (on_target, 0.0, rest, 0.0)).amplitudes[:, 0]
 
 
 def swing_endpoint(state0: JointState, target: int,
@@ -233,13 +249,10 @@ def swing_endpoint(state0: JointState, target: int,
         return base_amplification(state0)
     # the amplified base state, its quanta label slaved to the base: the
     # target amplitude rides in the quanta-2 sector, the rest in quanta 0
-    base0 = _conditional_base(state0, target)
-    base1 = 2.0 * base0.mean() - base0
-    amps = np.zeros((state0.dim, 2), dtype=np.complex128)
-    amps[:, 0] = base1
-    amps[target, 1] = base1[target]
-    amps[target, 0] = 0.0
-    return JointState._adopt(amps)
+    on_target, rest = _lifted(state0, target)
+    mean = (on_target + (state0.dim - 1) * rest) / state0.dim
+    return JointState(state0.dim, target,
+                      (0.0, 2.0 * mean - on_target, 2.0 * mean - rest, 0.0))
 
 
 def _check_swing_time(t: float, oscillation_time: float) -> None:
@@ -263,47 +276,43 @@ def oscillation_fraction(t: float, oscillation_time: float) -> float:
     return (1.0 - math.cos(math.pi * t / oscillation_time)) / 2.0
 
 
-def _arc_angle(flat0: np.ndarray, flat1: np.ndarray) -> float:
-    """Great-circle angle between two unit vectors.
-
-    It comes from the real part of the overlap, which keeps the
-    interpolant exactly normalized for any pair of unit vectors. Nearly
-    parallel or antiparallel pairs get exactly 0 or pi, where
-    sin(angle) < DEGENERATE_SIN selects the pure-phase path.
-    """
-    overlap = max(-1.0, min(1.0, float(np.real(np.vdot(flat0, flat1)))))
-    angle = math.acos(overlap)
-    if math.sin(angle) < DEGENERATE_SIN:
-        # snap to an exact end of the range so the phase factor at
-        # fraction 1 is +-1 up to one rounding, not up to acos noise
-        angle = 0.0 if overlap > 0.0 else math.pi
-    return angle
+def _arc_angle(apart: float, together: float) -> float:
+    """Great-circle angle between unit vectors x0 and x1 from |x1 - x0| and
+    |x1 + x0|: its cosine is the real part of their overlap, which keeps the
+    interpolant normalized, and unlike acos of that it stays accurate at
+    the 4/sqrt(dim) a swing spans at large dim. Nearly antiparallel pairs
+    get exactly pi, where _arc_point takes the pure-phase path."""
+    angle = 2.0 * math.atan2(apart, together)
+    return math.pi if math.pi - angle < DEGENERATE_SIN else angle
 
 
 def _arc_point(angle: float, x0, x1, fraction: float):
     """The point at fraction of the great-circle arc of the given angle from
-    x0 to x1 (pure phase at a degenerate angle, see _arc_angle), for whole
-    flat vectors or one component of each alike: numpy works per component
-    and divides a complex array by a real as the product with its reciprocal,
-    so a component gets the same bits either way."""
-    if math.sin(angle) < DEGENERATE_SIN:
+    x0 to x1, numbers or arrays alike; pure phase at angle 0 or pi."""
+    if angle == 0.0 or angle == math.pi:
         return cmath.exp(1j * angle * fraction) * x0
     return ((math.sin((1.0 - fraction) * angle) * x0
              + math.sin(fraction * angle) * x1) * (1.0 / math.sin(angle)))
 
 
 def _swing_arc(state0: JointState, target: int, trajectory: str = "conditional"):
-    """The swing from state0 as (angle, flat start, flat far turning point)."""
-    flat0 = state0.flat()
-    flat1 = swing_endpoint(state0, target, trajectory).flat()
-    return _arc_angle(flat0, flat1), flat0, flat1
+    """The swing from state0 as (angle, start, far turning point), the two
+    states marked at one target."""
+    end = swing_endpoint(state0, target, trajectory)
+    start = _marked(state0, end._target)
+    apart, together = (math.sqrt(_total(end.dim, (
+        abs(x1 + sign * x0) ** 2 for x0, x1 in
+        zip(start._coefficients, end._coefficients)))) for sign in (-1.0, 1.0))
+    return _arc_angle(apart, together), start, end
 
 
 def _arc_state(arc, oscillation_time: float, t: float) -> JointState:
     """Pure swing state at time t on an arc from _swing_arc."""
-    angle, flat0, flat1 = arc
+    angle, start, end = arc
     f = oscillation_fraction(t, oscillation_time)
-    return JointState._adopt(_arc_point(angle, flat0, flat1, f).reshape(-1, 2))
+    return JointState(start.dim, start._target, tuple(
+        _arc_point(angle, x0, x1, f)
+        for x0, x1 in zip(start._coefficients, end._coefficients)))
 
 
 def undamped_state(state0: JointState, target: int, oscillation_time: float,
@@ -312,24 +321,10 @@ def undamped_state(state0: JointState, target: int, oscillation_time: float,
     return _arc_state(_swing_arc(state0, target, trajectory), oscillation_time, t)
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """<a|b> of two flat vectors, summed pairwise within blocks of
-    CHECK_BLOCK elements and exactly (math.fsum) across blocks, so its error
-    stays O(eps) at any length, as in _normalized; numpy's vdot drifts to
-    7e-14 on a unit vector's norm at dim 2**16."""
-    scratch = np.empty(min(a.size, CHECK_BLOCK), dtype=np.complex128)
-    sums = []
-    for start in range(0, a.size, CHECK_BLOCK):
-        stop = min(a.size, start + CHECK_BLOCK)
-        out = np.conjugate(a[start:stop], out=scratch[:stop - start])
-        sums.append(complex(np.multiply(out, b[start:stop], out=out).sum()))
-    return complex(math.fsum(z.real for z in sums), math.fsum(z.imag for z in sums))
-
-
 class DensityMatrix:
     """Density operator weight*|pure><pure| + (1 - weight)*|relaxed><relaxed|
     on the flattened joint register, as damped_oscillation builds it from
-    two unit vectors: rank at most 2 at any dim.
+    two JointStates marked at one target: rank at most 2 at any dim.
 
     The hermiticity, trace and eigenvalue checks run when it is built, on
     diagnostics(). The dense matrix is built on first read, refused above
@@ -338,7 +333,7 @@ class DensityMatrix:
 
     _built = None  # the dense matrix, once read
 
-    def __init__(self, weight: float, pure: np.ndarray, relaxed: np.ndarray):
+    def __init__(self, weight: float, pure: JointState, relaxed: JointState):
         self._weight = weight
         self._pure = pure
         self._relaxed = relaxed
@@ -356,9 +351,9 @@ class DensityMatrix:
     @property
     def matrix(self) -> np.ndarray:
         if self._built is None:
-            check_integer(self._pure.size // 2, "density matrix dim", 2,
+            check_integer(self._pure.dim, "density matrix dim", 2,
                           InvalidDimensionError, MAX_DENSITY_DIM)
-            psi, eq, weight = self._pure, self._relaxed, self._weight
+            psi, eq, weight = self._pure.flat(), self._relaxed.flat(), self._weight
             mat = (weight * np.outer(psi, psi.conj())
                    + (1.0 - weight) * np.outer(eq, eq.conj()))
             mat.setflags(write=False)
@@ -373,10 +368,11 @@ class DensityMatrix:
         2x2 matrix K = W^1/2 G W^1/2, G = V^H V their Gram matrix; each
         defect is read off K. The other 2*dim - 2 > 0 eigenvalues are 0.
         """
-        vecs = (self._pure, self._relaxed)
+        rows = (self._pure._coefficients, self._relaxed._coefficients)
+        gram = [[_total(self._pure.dim, (x.conjugate() * y for x, y in zip(a, b)))
+                 for b in rows] for a in rows]
         root = np.sqrt([self._weight, 1.0 - self._weight])
-        k = (np.array([[_inner(a, b) for b in vecs] for a in vecs])
-             * np.outer(root, root))
+        k = np.array(gram) * np.outer(root, root)
         return (
             float(np.max(np.abs(k - k.conj().T))),
             float(abs(np.trace(k) - 1.0)),
@@ -392,8 +388,7 @@ def damping_weight(t: float, relaxation_time: float) -> float:
 
 
 def _params_arc(state0: JointState, params: ScenarioParams, trajectory: str):
-    """_swing_arc of state0 towards params.target; state0.dim must be
-    params.dim."""
+    """_swing_arc of state0 towards params.target, of dim params.dim."""
     if state0.dim != params.dim:
         raise DimensionMismatchError(
             f"state dim {state0.dim} differs from params dim {params.dim}")
@@ -408,23 +403,27 @@ def damped_oscillation(state0: JointState, params: ScenarioParams, t: float,
     no-emission state: weight exp(-2 t / relaxation_time) on the former.
     """
     psi = _arc_state(_params_arc(state0, params, trajectory),
-                     params.oscillation_time, t).flat()
+                     params.oscillation_time, t)
     weight = damping_weight(t, params.relaxation_time)
-    return DensityMatrix(weight, psi, relaxed_start(params.dim).flat())
+    return DensityMatrix(weight, psi, _marked(relaxed_start(params.dim), psi._target))
 
 
 def entanglement_entropy(state: JointState) -> float:
     """Entropy (bits) of either reduced register of the pure joint state.
 
-    Computed from the singular values of the (dim, 2) amplitude array; the
-    base and quanta reductions share the same nonzero spectrum, so one
-    number serves both sides of the cut. Clamped at +0.0: a product state's
-    lone eigenvalue rounds to 1 or a few ulp above, which leaves the sum at
-    -0.0 or a few ulp below 0.
+    The quanta reduction G = a* a^T + (dim - 1) b* b^T (a, b the target and
+    shared rows) has the base reduction's nonzero spectrum; its eigenvalues
+    come from tr G and det G = (dim - 1) |a0 b2 - a2 b0|**2, the small one
+    as 2 det/(tr + sqrt(tr**2 - 4 det)), and are taken as fractions of tr G.
+    A product state's lone eigenvalue is then exactly 1, and the sum -0.0,
+    which the clamp at +0.0 turns to +0.0.
     """
-    lam = np.linalg.svd(state.amplitudes, compute_uv=False) ** 2
-    lam = lam[lam > 1e-15]
-    return max(0.0, float(-(lam * np.log2(lam)).sum()))
+    a0, a2, b0, b2 = state._coefficients
+    trace = _total(state.dim, (abs(x) ** 2 for x in state._coefficients))
+    det = (state.dim - 1) * abs(a0 * b2 - a2 * b0) ** 2
+    low = 2.0 * det / (trace + math.sqrt(max(0.0, trace * trace - 4.0 * det))) / trace
+    lam = [x for x in (1.0 - low, low) if x > 1e-15]
+    return max(0.0, -sum(x * math.log2(x) for x in lam))
 
 
 def _swing_success(angle: float, start: complex, end: complex, t: float,
@@ -444,11 +443,12 @@ def success_probability_at(state0: JointState, params: ScenarioParams,
     Uses the closed form: the relaxed component carries no emitted-quanta
     amplitude, so only the pure swing term contributes.
     """
-    angle, flat0, flat1 = _params_arc(state0, params, trajectory)
+    angle, start, end = _params_arc(state0, params, trajectory)
     _check_swing_time(t, params.oscillation_time)
-    emitted = 2 * params.target + 1
-    return _swing_success(angle, complex(flat0[emitted]), complex(flat1[emitted]),
-                          t, params.oscillation_time, params.relaxation_time)
+    emitted = 1 if params.target == end._target else 3  # a2, or b2 elsewhere
+    return _swing_success(angle, start._coefficients[emitted],
+                          end._coefficients[emitted], t,
+                          params.oscillation_time, params.relaxation_time)
 
 
 @dataclass(frozen=True)
@@ -485,7 +485,7 @@ def run_scenario(params: ScenarioParams, *, entropy_points: int = 101,
     """
     check_integer(entropy_points, "entropy_points", 2, high=MAX_SWEEP_STEPS)
     check_integer(attempt_cap, "attempt_cap", 1)
-    osc, emitted = params.oscillation_time, 2 * params.target + 1
+    osc = params.oscillation_time
     check_normal(osc, "oscillation_time")
     # the swing phase pi*t/osc must stay finite at every time the run
     # evaluates: up to a full period, and the fixed emission time
@@ -505,8 +505,8 @@ def run_scenario(params: ScenarioParams, *, entropy_points: int = 101,
 
     state0 = entangling_oracle(relaxed_start(params.dim), params.target)
     # the conditional arc on the target's emitted amplitude alone
-    angle, flat0, flat1 = _swing_arc(state0, params.target)
-    start, end = complex(flat0[emitted]), complex(flat1[emitted])
+    angle, arc_start, arc_end = _swing_arc(state0, params.target)
+    start, end = arc_start._coefficients[1], arc_end._coefficients[1]
     rate = params.relaxation_time
 
     # the policy resolved once per run: uniform draws cover one full period,
@@ -555,11 +555,10 @@ def run_scenario(params: ScenarioParams, *, entropy_points: int = 101,
     times = np.linspace(0.0, 2.0 * osc, entropy_points)
     bits = np.array([entanglement_entropy(_arc_state(joint, osc, t)) for t in times])
 
-    far = _arc_point(angle, start, end, oscillation_fraction(osc, osc))
     return ScenarioReport(
         params=params,
         mean_success=float(first_probs.mean()),
-        extremum_success_undamped=float(abs(far) ** 2),
+        extremum_success_undamped=_swing_success(angle, start, end, osc, osc, math.inf),
         extremum_success_damped=p_damped,
         mean_attempts=float(attempts.mean()),
         max_attempts_observed=int(attempts.max()),

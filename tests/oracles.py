@@ -19,7 +19,11 @@ checks a whole (2*dim, 2*dim) matrix, dense_damped_matrix builds the damped
 swing's matrix as damped_oscillation did, from the package's swing state
 (undamped_state), and emission_measurement is the projective emission
 check that no run used; theoretical_std is the classical query count's
-spread.
+spread. The dense joint-state routes are former package code as well:
+DenseJointState holds a caller's (dim, 2) array, checked by the package's
+norm check; dense_swing and dense_undamped_state build the kicked state,
+the swing's far ends and the swing state as whole arrays; svd_entropy
+takes the entropy from the array's singular values.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from basequest import (
     relaxed_start,
     swing_endpoint,
 )
+from basequest.grover import _normalized
 from basequest.replication import EIGENVALUE_FLOOR, HERMITICITY_ATOL, TRACE_ATOL
 
 
@@ -268,14 +273,97 @@ def random_joint_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
+def random_subspace_state(dim: int, target: int, rng: np.random.Generator):
+    """A package JointState with random coefficients: a random target row
+    and a random row shared by the other bases, normalized."""
+    coefficients = rng.normal(size=4) + 1j * rng.normal(size=4)
+    norm = math.sqrt(np.sum(np.abs(coefficients[:2]) ** 2)
+                     + (dim - 1) * np.sum(np.abs(coefficients[2:]) ** 2))
+    return bq.JointState(dim, target, tuple(complex(x / norm) for x in coefficients))
+
+
+@dataclass(frozen=True, eq=False)
+class DenseJointState:
+    """A joint state held as its (dim, 2) amplitude array, as JointState
+    held it before it kept two rows: a read-only complex128 copy of the
+    caller's array, or, from _adopt, the array itself; either way checked
+    by the package's norm check."""
+
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        try:
+            amps = np.array(self.amplitudes, dtype=np.complex128)
+        except (TypeError, ValueError) as exc:  # a str, a dict, a ragged list
+            raise bq.InvalidParameterError(
+                f"amplitudes must be an array of numbers: {exc}") from None
+        self._own(amps)
+
+    @classmethod
+    def _adopt(cls, amps: np.ndarray) -> "DenseJointState":
+        """An instance holding the complex128 array amps itself, not a copy,
+        validated and made read-only all the same."""
+        state = object.__new__(cls)
+        state._own(amps)
+        return state
+
+    def _own(self, amps: np.ndarray) -> None:
+        if amps.ndim != 2 or amps.shape[1] != 2 or amps.shape[0] < 2:
+            raise bq.InvalidDimensionError(
+                f"joint state needs shape (dim >= 2, 2), got {amps.shape}")
+        object.__setattr__(self, "amplitudes", _normalized(amps, "joint state"))
+
+    @property
+    def dim(self) -> int:
+        return self.amplitudes.shape[0]
+
+    def flat(self) -> np.ndarray:
+        return self.amplitudes.ravel()
+
+
+def dense_swing(dim: int, target: int,
+                trajectory: str = "conditional") -> tuple[np.ndarray, np.ndarray]:
+    """(kicked start, far turning point) of the swing as (dim, 2) arrays,
+    built column by column as the package built them from whole arrays."""
+    start = np.zeros((dim, 2), dtype=np.complex128)
+    start[:, 0] = 1.0 / math.sqrt(dim)
+    start[target] = -start[target, ::-1]
+    if trajectory == "joint":
+        return start, 2.0 * start.mean(axis=0, keepdims=True) - start
+    base = start[:, 0].copy()
+    base[target] = start[target, 1]
+    base = 2.0 * base.mean() - base
+    end = np.zeros_like(start)
+    end[:, 0] = base
+    end[target] = (0.0, base[target])
+    return start, end
+
+
+def dense_undamped_state(dim: int, target: int, oscillation_time: float,
+                         t: float, trajectory: str = "conditional") -> np.ndarray:
+    """The undamped swing state at time t as a (dim, 2) array."""
+    start, end = dense_swing(dim, target, trajectory)
+    fraction = (1.0 - math.cos(math.pi * t / oscillation_time)) / 2.0
+    return great_circle_point(start.ravel(), end.ravel(), fraction).reshape(dim, 2)
+
+
+def svd_entropy(amps: np.ndarray) -> float:
+    """Entropy (bits) of the reduced registers of a (dim, 2) array, from
+    its singular values."""
+    lam = np.linalg.svd(amps, compute_uv=False) ** 2
+    lam = lam[lam > 1e-15]
+    return max(0.0, float(-(lam * np.log2(lam)).sum()))
+
+
 def great_circle_point(flat0: np.ndarray, flat1: np.ndarray,
                        fraction: float) -> np.ndarray:
-    """Slerp between two unit vectors on whole arrays; nearly parallel or
-    antiparallel ends take the pure-phase path from an exact 0 or pi."""
-    overlap = max(-1.0, min(1.0, float(np.real(np.vdot(flat0, flat1)))))
-    angle = math.acos(overlap)
-    if math.sin(angle) < 1e-6:
-        angle = 0.0 if overlap > 0.0 else math.pi
+    """Slerp between two unit vectors on whole arrays, at the angle
+    2*atan2(|flat1 - flat0|, |flat1 + flat0|); equal or nearly antiparallel
+    ends take the pure-phase path from an exact 0 or pi."""
+    angle = 2.0 * math.atan2(np.linalg.norm(flat1 - flat0),
+                             np.linalg.norm(flat1 + flat0))
+    if angle == 0.0 or math.pi - angle < 1e-6:
+        angle = 0.0 if angle < 1.0 else math.pi
         return np.exp(1j * angle * fraction) * flat0
     return (math.sin((1.0 - fraction) * angle) * flat0
             + math.sin(fraction * angle) * flat1) / math.sin(angle)

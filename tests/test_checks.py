@@ -18,6 +18,7 @@ import basequest.classical  # noqa: F401
 import basequest.replication  # noqa: F401
 from basequest._checks import MAX_COUNT, MAX_DENSITY_DIM, MAX_DRAWS, MAX_STATE_DIM
 from basequest.grover import MAX_SWEEP_STEPS
+from oracles import DenseJointState
 
 
 def scenario(**overrides):
@@ -144,13 +145,14 @@ AT_COUNT_BOUND = [
 ]
 
 # builders of N-sized states, each refusing MAX_STATE_DIM + 1 before it
-# allocates; a search run builds its state when amplitudes is first read
+# allocates; a search run or a joint state builds its array when amplitudes
+# is first read
 STATE_BUILDERS = [
     ("run_grover", lambda v: bq.run_grover(v, 0, 1)[0].amplitudes),
     ("run_grover_with_phases",
      lambda v: bq.run_grover_with_phases(v, 0, 1, None)[0].amplitudes),
     ("random_unit_phases", lambda v: bq.random_unit_phases(v, 0)),
-    ("relaxed_start", lambda v: bq.relaxed_start(v)),
+    ("relaxed_start", lambda v: bq.relaxed_start(v).amplitudes),
 ]
 
 # draw counts, each refusing its bound + 1 before it spawns or allocates
@@ -297,7 +299,8 @@ def test_out_of_range_target(call, target):
         call(target)
 
 
-# inputs numpy cannot read as a complex array
+# inputs numpy cannot read as a complex array, given to the dense oracle's
+# array constructor, which JointState was before it kept two rows
 MALFORMED_AMPLITUDES = {
     "str": "ab",
     "non_numeric_entry": [[1, 0], [0, "x"]],
@@ -310,7 +313,7 @@ MALFORMED_AMPLITUDES = {
                          ids=MALFORMED_AMPLITUDES.keys())
 def test_malformed_amplitudes_are_named(value):
     with pytest.raises(bq.InvalidParameterError, match="amplitudes"):
-        bq.JointState(value)
+        DenseJointState(value)
 
 
 @pytest.mark.parametrize("oscillation_time", [0.0, -1.0])

@@ -435,6 +435,19 @@ class TestPlumbing:
                      "assert not {'numpy', 'decimal'} & {m.split('.')[0] "
                      "for m in sys.modules}, sorted(sys.modules)")
 
+    def test_plain_search_calls_load_no_numpy(self):
+        # an undecorated run squares its float target amplitude; numpy is
+        # for the arrays and the phased product alone
+        fresh_python("import sys\n"
+                     "import basequest as bq\n"
+                     "bq.run_grover(2 ** 20, 5, 3)\n"
+                     "bq.optimal_queries(10 ** 6)\n"
+                     "bq.closed_form_success(1000.5, 7)\n"
+                     "bq.solve_database_size(12)\n"
+                     "bq.success_series(64, 3, 20)\n"
+                     "bq.evolve_two_term_hamiltonian(64, 3, 10.0, 0.5)\n"
+                     "assert 'numpy' not in sys.modules, sorted(sys.modules)")
+
     def test_exports_match_eager_package(self):
         assert basequest.__all__ == EXPORTED
         for module, names in EXPORTS.items():

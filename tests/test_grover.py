@@ -13,6 +13,7 @@ import basequest as bq
 from basequest.grover import CHECK_BLOCK, MAX_SWEEP_STEPS, StateVector, _check_phases
 from basequest.replication import JointState
 from oracles import (
+    DenseJointState,
     analytic_two_term_success,
     blockwise_phase_drift,
     decimal_search_amplitudes,
@@ -21,7 +22,7 @@ from oracles import (
     dense_run,
     dense_two_term_state,
     eager_plane_state,
-    random_joint_state,
+    random_subspace_state,
     split_orbit_success,
     vector_search,
     vector_split_success,
@@ -63,13 +64,15 @@ class TestStateConstruction:
 
     DIM = 2 ** 20
 
-    # every constructor, from DIM amplitudes: a search state's lazy build
-    # (unit plane amplitudes, decorated by amps), the joint state the package
-    # builds and the joint state copied from a caller's array
+    # every array build, from DIM amplitudes: a search state's lazy build
+    # (unit plane amplitudes, decorated by amps), the dense oracle's adopted
+    # array, and a joint state's lazy build from its first row and its last,
+    # the row every other base repeats
     BUILDS = pytest.mark.parametrize("build", [
         lambda amps: StateVector(amps.size, 0, 1.0, 1.0, amps).amplitudes,
-        lambda amps: JointState._adopt(amps.reshape(-1, 2)),
-        lambda amps: bq.JointState(amps.reshape(-1, 2)),
+        lambda amps: DenseJointState._adopt(amps.reshape(-1, 2)),
+        lambda amps: JointState(amps.size // 2, 0, (*amps[:2], *amps[-2:])
+                                ).amplitudes,
     ], ids=["StateVector", "_adopt", "JointState"])
 
     def uniform(self, scale=1.0):
@@ -124,24 +127,24 @@ class TestStateConstruction:
 
     def test_user_array_is_copied(self):
         amps = np.full((2, 2), 0.5, dtype=complex)
-        state = bq.JointState(amps)
+        state = DenseJointState(amps)
         amps[0] = -0.5
         assert np.all(state.amplitudes == 0.5)
 
     def test_adopted_array_is_not_copied(self):
         amps = np.full((2, 2), 0.5, dtype=complex)
-        assert JointState._adopt(amps).amplitudes is amps
+        assert DenseJointState._adopt(amps).amplitudes is amps
 
     @pytest.mark.parametrize("build", [
         lambda: StateVector(4, 1, 0.5, 0.5, None),
-        lambda: JointState._adopt(np.full((2, 2), 0.5, dtype=complex)),
+        lambda: JointState(2, 0, (0.5,) * 4),
         lambda: bq.swing_endpoint(bq.entangling_oracle(bq.relaxed_start(4), 1), 1),
         lambda: bq.swing_endpoint(bq.entangling_oracle(bq.relaxed_start(4), 1), 1,
                                   "joint"),
         lambda: bq.base_amplification(bq.relaxed_start(4)),
         lambda: bq.run_grover(4, 1, 1)[0],
         lambda: bq.run_grover_with_phases(4, 1, 1, np.ones(4))[0],
-        lambda: bq.JointState(np.full((2, 2), 0.5)),
+        lambda: DenseJointState(np.full((2, 2), 0.5)),
         lambda: bq.relaxed_start(4),
         lambda: bq.entangling_oracle(bq.relaxed_start(4), 1),
         lambda: bq.undamped_state(bq.entangling_oracle(bq.relaxed_start(4), 1),
@@ -166,22 +169,22 @@ class TestDiffusion:
 
     def test_orthogonal_state_fixed(self):
         # so the negated reflection flips its sign
-        amps = np.zeros((2, 2))
-        amps[:, 1] = np.array([1.0, -1.0]) / math.sqrt(2)
-        out = bq.base_amplification(bq.JointState(amps))
-        assert np.max(np.abs(out.amplitudes + amps)) <= 1e-12
+        r = 1.0 / math.sqrt(2)
+        state = JointState(2, 0, (0.0, r, 0.0, -r))
+        out = bq.base_amplification(state)
+        assert np.max(np.abs(out.amplitudes + state.amplitudes)) <= 1e-12
 
     def test_reflection_about_average(self):
         # each sector maps to twice its mean minus itself
-        vec = np.array([0.5, 0.5, -0.5, 0.5]) / math.sqrt(2)
-        out = bq.base_amplification(bq.JointState(np.stack([vec, vec], axis=1)))
+        h = 0.5 / math.sqrt(2)
+        out = bq.base_amplification(JointState(4, 2, (-h, -h, h, h)))
         want = np.array([0.0, 0.0, 1.0, 0.0]) / math.sqrt(2)
         assert np.max(np.abs(out.amplitudes - want[:, None])) <= 1e-12
 
     @given(dim=st.integers(2, 64), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_involution_and_norm(self, dim, seed):
-        state = bq.JointState(random_joint_state(dim, np.random.default_rng(seed)))
+        state = random_subspace_state(dim, seed % dim, np.random.default_rng(seed))
         once = bq.base_amplification(state)
         assert abs(np.linalg.norm(once.amplitudes) - 1.0) <= 1e-12
         twice = bq.base_amplification(once)
@@ -189,7 +192,7 @@ class TestDiffusion:
 
     @pytest.mark.parametrize("dim,seed", [(3, 10), (17, 11)])
     def test_matches_dense_matrix(self, dim, seed):
-        state = bq.JointState(random_joint_state(dim, np.random.default_rng(seed)))
+        state = random_subspace_state(dim, dim // 2, np.random.default_rng(seed))
         # the flat index is 2*base + quanta: the reflection acts on the base
         uniform = np.full(dim, 1.0 / math.sqrt(dim))
         expected = np.kron(-dense_reflection(uniform), np.eye(2)) @ state.flat()

@@ -18,13 +18,18 @@ from basequest.replication import (
 )
 from oracles import (
     DenseDensity,
+    DenseJointState,
     base_density,
     dense_damped_matrix,
     dense_entangling_matrix,
+    dense_swing,
+    dense_undamped_state,
     emission_measurement,
     entropies_by_partial_trace,
     quanta_density,
     random_joint_state,
+    random_subspace_state,
+    svd_entropy,
     vector_emission_probability,
     vector_scenario_draws,
 )
@@ -33,7 +38,8 @@ POST_KICK_ENTROPY = 0.8112781244591329
 
 
 def arc_interpolate(a, b, fraction):
-    return _arc_point(_arc_angle(a, b), a, b, fraction)
+    return _arc_point(_arc_angle(np.linalg.norm(b - a), np.linalg.norm(b + a)),
+                      a, b, fraction)
 
 
 def kicked_state(dim=4, target=1):
@@ -54,22 +60,86 @@ class TestJointState:
         assert np.all(state.amplitudes[:, 1] == 0.0)
 
     def test_flat_index_convention(self):
-        amps = np.zeros((3, 2))
-        amps[2, 1] = 1.0
-        state = bq.JointState(amps)
+        state = bq.JointState(3, 2, (0.0, 1.0, 0.0, 0.0))
         flat = state.flat()
         assert flat[2 * 2 + 1] == 1.0
         assert np.sum(np.abs(flat)) == 1.0
 
     def test_rejects_bad_shapes(self):
+        # the array constructor, now the dense oracle's
         with pytest.raises(bq.InvalidDimensionError):
-            bq.JointState(np.ones(4) / 2.0)
+            DenseJointState(np.ones(4) / 2.0)
         with pytest.raises(bq.InvalidDimensionError):
-            bq.JointState(np.ones((4, 3)) / math.sqrt(12))
+            DenseJointState(np.ones((4, 3)) / math.sqrt(12))
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(bq.InvalidParameterError):
-            bq.JointState(np.ones((4, 2)))
+        # the norm check runs when the array is built
+        state = bq.JointState(4, 0, (1.0, 0.0, 1.0, 0.0))
+        with pytest.raises(bq.InvalidParameterError, match="norm"):
+            state.amplitudes
+
+    def test_holds_no_array_until_read(self):
+        state = bq.undamped_state(kicked_state(64, 5), 5, 1.0, 0.3, "joint")
+        assert state._built is None
+        bq.entanglement_entropy(state)
+        bq.success_probability_at(state, default_params(dim=64, target=5), 0.2,
+                                  "joint")
+        assert state._built is None
+        assert state.flat().base is state.amplitudes is state._built
+
+
+# package-built states on both trajectories: the kicked start, both far
+# ends, and swing states between and past them
+SUBSPACE_DIMS = [2, 3, 4, 5, 64, 1024]
+SWING_TIMES = [0.0, 0.35, 1.0, 1.3, 2.0, 2.7]
+
+
+def package_states(dim, target, trajectory):
+    state0 = kicked_state(dim, target)
+    yield "start", state0, dense_swing(dim, target, trajectory)[0]
+    yield "end", bq.swing_endpoint(state0, target, trajectory), \
+        dense_swing(dim, target, trajectory)[1]
+    for t in SWING_TIMES:
+        yield t, bq.undamped_state(state0, target, 1.0, t, trajectory), \
+            dense_undamped_state(dim, target, 1.0, t, trajectory)
+
+
+class TestDenseRoute:
+    """The four numbers a JointState keeps against the (dim, 2) arrays the
+    package built before it computed in the subspace."""
+
+    @pytest.mark.parametrize("trajectory", ["conditional", "joint"])
+    @pytest.mark.parametrize("dim", SUBSPACE_DIMS)
+    def test_amplitudes_match_dense_route(self, dim, trajectory):
+        for target in sorted({0, dim // 2, dim - 1}):
+            for label, state, dense in package_states(dim, target, trajectory):
+                assert np.max(np.abs(state.amplitudes - dense)) <= 1e-12, \
+                    (target, label)
+
+    @staticmethod
+    def oracle_entropies(amps):
+        """The SVD entropy and, up to dim 64, where the base reduction's
+        dense eigvalsh stays cheap, both partial-trace entropies."""
+        traced = entropies_by_partial_trace(amps) if len(amps) <= 64 else ()
+        return [svd_entropy(amps), *traced]
+
+    @pytest.mark.parametrize("trajectory", ["conditional", "joint"])
+    @pytest.mark.parametrize("dim", SUBSPACE_DIMS)
+    def test_entropy_matches_svd_and_partial_trace(self, dim, trajectory):
+        for target in sorted({0, dim // 2, dim - 1}):
+            for label, state, dense in package_states(dim, target, trajectory):
+                bits = bq.entanglement_entropy(state)
+                for oracle_bits in self.oracle_entropies(dense):
+                    assert abs(bits - oracle_bits) <= 1e-12, (target, label)
+
+    @pytest.mark.parametrize("dim", SUBSPACE_DIMS)
+    def test_random_subspace_entropy(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            state = random_subspace_state(dim, dim // 2, rng)
+            bits = bq.entanglement_entropy(state)
+            for oracle_bits in self.oracle_entropies(state.amplitudes):
+                assert abs(bits - oracle_bits) <= 1e-12
 
 
 class TestEntanglingKick:
@@ -80,14 +150,14 @@ class TestEntanglingKick:
 
     def test_double_kick_is_identity(self):
         rng = np.random.default_rng(5)
-        state = bq.JointState(random_joint_state(6, rng))
+        state = random_subspace_state(6, 3, rng)
         twice = bq.entangling_oracle(bq.entangling_oracle(state, 3), 3)
         assert np.max(np.abs(twice.amplitudes - state.amplitudes)) <= 1e-12
 
     @pytest.mark.parametrize("dim,target,seed", [(2, 0, 1), (4, 3, 2), (9, 5, 3)])
     def test_matches_dense_matrix(self, dim, target, seed):
         rng = np.random.default_rng(seed)
-        state = bq.JointState(random_joint_state(dim, rng))
+        state = random_subspace_state(dim, target, rng)
         expected = dense_entangling_matrix(dim, target) @ state.flat()
         got = bq.entangling_oracle(state, target).flat()
         assert np.max(np.abs(got - expected)) <= 1e-12
@@ -96,6 +166,27 @@ class TestEntanglingKick:
         with pytest.raises(bq.InvalidTargetError):
             bq.entangling_oracle(bq.relaxed_start(4), 4)
 
+    @pytest.mark.parametrize("dim", [2, 3, 7])
+    def test_relaxed_start_is_marked_anywhere(self, dim):
+        for target in range(dim):
+            got = bq.entangling_oracle(bq.relaxed_start(dim), target).flat()
+            expected = (dense_entangling_matrix(dim, target)
+                        @ bq.relaxed_start(dim).flat())
+            assert np.max(np.abs(got - expected)) <= 1e-15
+
+    def test_two_objects_are_marked_at_either_base(self):
+        # at dim 2 the other base is the one shared row
+        state = random_subspace_state(2, 0, np.random.default_rng(7))
+        expected = dense_entangling_matrix(2, 1) @ state.flat()
+        got = bq.entangling_oracle(state, 1).flat()
+        assert np.max(np.abs(got - expected)) <= 1e-15
+
+    def test_rejects_a_state_marked_elsewhere(self):
+        # a second marked base would leave the four-dimensional subspace
+        with pytest.raises(bq.InvalidTargetError) as refusal:
+            bq.entangling_oracle(kicked_state(5, 1), 3)
+        assert re.search(r"\b3\b.*\b1\b", str(refusal.value))
+
 
 class TestEntropy:
     def test_product_state_has_zero_entropy(self):
@@ -103,9 +194,9 @@ class TestEntropy:
             0.0, abs=1e-12)
 
     def test_maximal_for_balanced_pair(self):
-        amps = np.zeros((2, 2))
-        amps[0, 0] = amps[1, 1] = 1.0 / math.sqrt(2)
-        assert bq.entanglement_entropy(bq.JointState(amps)) == pytest.approx(1.0)
+        r = 1.0 / math.sqrt(2)
+        state = bq.JointState(2, 1, (0.0, r, r, 0.0))
+        assert bq.entanglement_entropy(state) == pytest.approx(1.0)
 
     def test_post_kick_value(self):
         assert bq.entanglement_entropy(kicked_state()) == pytest.approx(
@@ -121,9 +212,9 @@ class TestEntropy:
     @pytest.mark.parametrize("dim,seed", [(2, 0), (5, 1), (12, 2)])
     def test_matches_partial_trace_oracle(self, dim, seed):
         rng = np.random.default_rng(seed)
-        amps = random_joint_state(dim, rng)
-        base_bits, quanta_bits = entropies_by_partial_trace(amps)
-        svd_bits = bq.entanglement_entropy(bq.JointState(amps))
+        state = random_subspace_state(dim, dim // 2, rng)
+        base_bits, quanta_bits = entropies_by_partial_trace(state.amplitudes)
+        svd_bits = bq.entanglement_entropy(state)
         assert svd_bits == pytest.approx(base_bits, abs=1e-10)
         assert svd_bits == pytest.approx(quanta_bits, abs=1e-10)
 
@@ -692,6 +783,64 @@ class TestRunScenario:
         # be refused up front, not after a draw
         with pytest.raises(bq.InvalidParameterError, match=name):
             bq.run_scenario(default_params(samples=1), **kwargs)
+
+
+class TestAnyDim:
+    """Every scenario routine computes on four numbers, so none allocates
+    anything dim-sized, even at a dim whose array would be 32 TB."""
+
+    DIM = 10 ** 12
+
+    @staticmethod
+    def traced_peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("trajectory", ["conditional", "joint"])
+    def test_state_routines_stay_small(self, trajectory):
+        target = self.DIM // 3
+        params = default_params(dim=self.DIM, target=target, relaxation_time=5.0)
+
+        def run():
+            state0 = kicked_state(self.DIM, target)
+            state = bq.undamped_state(state0, target, 1.0, 0.7, trajectory)
+            bq.entanglement_entropy(state)
+            bq.damped_oscillation(state0, params, 0.7, trajectory).diagnostics()
+            bq.success_probability_at(state0, params, 1.0, trajectory)
+
+        run()  # first-call caches
+        assert self.traced_peak(run) < 2 ** 20
+
+    def test_run_scenario_reaches_the_attempt_cap(self):
+        # the success probability at the far turning point is about
+        # 9/dim, so a sample's attempts run into a small cap (until the
+        # attempt count is drawn from its law)
+        params = default_params(dim=self.DIM, target=7, samples=1)
+
+        def run():
+            with pytest.raises(bq.DrawBudgetExceededError):
+                bq.run_scenario(params, attempt_cap=50)
+
+        run()
+        assert self.traced_peak(run) < 2 ** 20
+
+    @pytest.mark.parametrize("dim", [DIM, 10 ** 15, 2 ** 53])
+    def test_values_at_large_dim(self, dim):
+        # the swing moves the kicked target amplitude -1/sqrt(dim) to
+        # (3 - 4/dim)/sqrt(dim) (the one-query search amplitude), over an
+        # arc of about 4/sqrt(dim); acos of the overlap snapped arcs below
+        # 1e-6 to none, which left it at 1/dim from dim 1.6e13. The kicked
+        # state's entropy tends to 0 as the target's weight 1/dim does
+        state0 = kicked_state(dim, 7)
+        params = default_params(dim=dim, target=7, relaxation_time=math.inf)
+        success = bq.success_probability_at(state0, params, 1.0)
+        assert success * dim == pytest.approx(9.0, rel=1e-9)
+        bits = bq.entanglement_entropy(state0)
+        assert 0.0 < bits < 1e-9
 
 
 class TestScalarSampler:
