@@ -3,7 +3,9 @@
 Each check raises a SimulationError subclass whose message names the
 parameter; the count and real-valued checks take that name as an argument.
 Counts, indices and seeds must be integers: bool is refused and numpy's
-integer scalars are accepted. Times and scales must be finite reals.
+integer scalars are accepted. Times and scales must be reals
+(numbers.Real, which numpy's float scalars and Fraction are) whose float()
+is finite; a Decimal, or an int beyond float range, is refused by name.
 """
 
 from __future__ import annotations
@@ -70,26 +72,30 @@ def check_seed(seed) -> None:
             f"seed must be None or an integer >= 0, got {seed!r}")
 
 
+def _real(value) -> float:
+    """float(value) for a numbers.Real within float range, else NaN, which
+    fails every bound: a Decimal (no Real), a str, a complex or None, and an
+    int or Fraction whose float() would overflow."""
+    if isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    return math.nan
+
+
 def check_positive(value, name: str, *, infinite_ok: bool = False) -> None:
-    """value is a real > 0, finite unless infinite_ok (NaN and non-numbers
-    fail)."""
-    try:
-        if 0 < value < math.inf or (infinite_ok and value == math.inf):
-            return
-    except TypeError:  # None, a str or a complex has no order
-        pass
-    bound = "> 0" if infinite_ok else "finite and > 0"
-    raise InvalidParameterError(f"{name} must be {bound}, got {value!r}")
+    """value is a real > 0 (as a float), finite unless infinite_ok."""
+    x = _real(value)
+    if not (0 < x < math.inf or (infinite_ok and x == math.inf)):
+        bound = "> 0" if infinite_ok else "finite and > 0"
+        raise InvalidParameterError(f"{name} must be {bound}, got {value!r}")
 
 
 def check_nonnegative(value, name: str) -> None:
-    """value is a finite real >= 0 (NaN and non-numbers fail)."""
-    try:
-        if 0 <= value < math.inf:
-            return
-    except TypeError:
-        pass
-    raise InvalidParameterError(f"{name} must be finite and >= 0, got {value!r}")
+    """value is a real >= 0 whose float is finite."""
+    if not 0 <= _real(value) < math.inf:
+        raise InvalidParameterError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def check_normal(value, name: str) -> None:

@@ -8,7 +8,11 @@ projective check for emitted quanta, restarting on failure.
 
 Every state a round makes lies in the span of |t,0>, |t,2>, |r,0> and |r,2>,
 |r> the uniform state over the bases other than the target t, so each
-routine computes on four numbers (see JointState) at any dim up to 2**53.
+routine computes on four numbers (see JointState) at any dim up to 2**53,
+and a damped state's spectrum is that of a 2x2 matrix, taken in closed
+form. numpy is imported only where an array is built (a state's
+amplitudes, a density matrix) or drawn from (run_scenario), so importing
+this module, or running the physics short of those, loads no numpy.
 
 The swing between the post-query state and its amplified image is modeled
 two ways, differing only in the far endpoint of a great-circle arc:
@@ -34,8 +38,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._checks import (
     MAX_DENSITY_DIM,
@@ -57,6 +60,9 @@ from .errors import (
     InvalidTargetError,
 )
 from .grover import MAX_SWEEP_STEPS, _normalized
+
+if TYPE_CHECKING:
+    import numpy as np
 
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
@@ -152,6 +158,8 @@ class JointState:
     @property
     def amplitudes(self) -> np.ndarray:
         if self._built is None:
+            import numpy as np
+
             check_integer(self._dim, "dimension", 2, InvalidDimensionError,
                           MAX_STATE_DIM)
             amps = np.full((self._dim, 2), self._coefficients[2:], dtype=np.complex128)
@@ -327,8 +335,10 @@ class DensityMatrix:
     two JointStates marked at one target: rank at most 2 at any dim.
 
     The hermiticity, trace and eigenvalue checks run when it is built, on
-    diagnostics(). The dense matrix is built on first read, refused above
-    MAX_DENSITY_DIM before anything is allocated, made read-only and kept.
+    diagnostics(), which takes them in plain floats from the two states'
+    coefficients, at any dim and without numpy. The dense matrix is built
+    on first read, refused above MAX_DENSITY_DIM before anything is
+    allocated, made read-only and kept.
     """
 
     _built = None  # the dense matrix, once read
@@ -351,6 +361,8 @@ class DensityMatrix:
     @property
     def matrix(self) -> np.ndarray:
         if self._built is None:
+            import numpy as np
+
             check_integer(self._pure.dim, "density matrix dim", 2,
                           InvalidDimensionError, MAX_DENSITY_DIM)
             psi, eq, weight = self._pure.flat(), self._relaxed.flat(), self._weight
@@ -366,18 +378,20 @@ class DensityMatrix:
         The matrix is V W V^H, with V the two states as columns and
         W = diag(weight, 1 - weight), so its nonzero spectrum is that of the
         2x2 matrix K = W^1/2 G W^1/2, G = V^H V their Gram matrix; each
-        defect is read off K. The other 2*dim - 2 > 0 eigenvalues are 0.
+        defect is read off K in closed form: max |K - K^H|, |tr K - 1| and
+        the smaller root (k00 + k11 - hypot(k00 - k11, 2|k10|))/2, taken on
+        the real diagonal and the lower entry as LAPACK's eigvalsh would.
+        The other 2*dim - 2 > 0 eigenvalues are 0.
         """
         rows = (self._pure._coefficients, self._relaxed._coefficients)
-        gram = [[_total(self._pure.dim, (x.conjugate() * y for x, y in zip(a, b)))
-                 for b in rows] for a in rows]
-        root = np.sqrt([self._weight, 1.0 - self._weight])
-        k = np.array(gram) * np.outer(root, root)
-        return (
-            float(np.max(np.abs(k - k.conj().T))),
-            float(abs(np.trace(k) - 1.0)),
-            min(0.0, float(np.linalg.eigvalsh(k).min())),
-        )
+        roots = (math.sqrt(self._weight), math.sqrt(1.0 - self._weight))
+        (k00, k01), (k10, k11) = [[
+            _total(self._pure.dim, (x.conjugate() * y for x, y in zip(a, b)))
+            * (ra * rb) for b, rb in zip(rows, roots)] for a, ra in zip(rows, roots)]
+        low = (k00.real + k11.real
+               - math.hypot(k00.real - k11.real, 2.0 * abs(k10))) / 2.0
+        herm = max(2.0 * abs(k00.imag), 2.0 * abs(k11.imag), abs(k01 - k10.conjugate()))
+        return herm, abs(k00 + k11 - 1.0), min(0.0, low)
 
 
 def damping_weight(t: float, relaxation_time: float) -> float:
@@ -527,6 +541,8 @@ def run_scenario(params: ScenarioParams, *, entropy_points: int = 101,
             f"exp(-2*{name}/relaxation_time) = "
             f"{math.exp(-2.0 * policy_time / rate)!r}, "
             "or the swing has a node there")
+
+    import numpy as np
 
     first_probs = np.empty(params.samples)
     attempts = np.empty(params.samples, dtype=np.int64)

@@ -8,6 +8,8 @@ import math
 import re
 import sys
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -175,6 +177,8 @@ RATE_PARAMETERS = [
      lambda v: bq.damping_weight(1.0, v), "relaxation_time"),
 ]
 
+ALL_REAL_PARAMETERS = REAL_PARAMETERS + RATE_PARAMETERS
+
 
 # Magnitudes from the smallest subnormal float to near the largest: products
 # and quotients of two of them overflow or underflow inside the models.
@@ -229,10 +233,27 @@ def cases(parameters, values):
     + cases(COUNT_PARAMETERS, {"2**53+1": MAX_COUNT + 1, "10**400": 10 ** 400})
     + cases(REAL_PARAMETERS, [math.nan, math.inf, "1", 1j, None])
     + cases(RATE_PARAMETERS, [math.nan, -math.inf, 0.0, "1", 1j, None])
+    # no numbers.Real, and a real whose float() overflows
+    + cases(ALL_REAL_PARAMETERS,
+            {"Decimal('0.5')": Decimal("0.5"), "10**400": 10 ** 400})
     + cases([CLOSED_FORM_SIZE], [math.nan, 0.5, "4", 1j, None]))
 def test_bad_value_is_named(call, value, name):
     with pytest.raises(bq.SimulationError, match=name):
         call(value)
+
+
+@pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5), Fraction(1, 2), 1],
+                         ids=["float64", "float32", "Fraction", "int"])
+@pytest.mark.parametrize("call", [call for _, call, _ in ALL_REAL_PARAMETERS],
+                         ids=[label for label, _, _ in ALL_REAL_PARAMETERS])
+def test_real_kinds_are_accepted(call, value):
+    # each kind fares as the float 0.5 does: a value, or the same model error
+    def outcome(v):
+        try:
+            call(v)
+        except bq.SimulationError as exc:
+            return type(exc)
+    assert outcome(value) is outcome(0.5)
 
 
 @pytest.mark.parametrize("count", [MAX_COUNT - 1, MAX_COUNT])

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -71,6 +72,10 @@ CALL_MODULES = {
     "scenario": ["_checks", "grover", "replication"],
     "hamiltonian": ["_checks", "grover"],
 }
+
+
+# Every submodule of the package, by name.
+SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(basequest.__path__))
 
 
 class Result(NamedTuple):
@@ -428,10 +433,13 @@ class TestPlumbing:
         assert flags == [loads_numpy, jsonl, wrote and not jsonl, wrote,
                          False, False, False]
 
-    @pytest.mark.parametrize("module", ["basequest.grover"], ids=["import"])
+    @pytest.mark.parametrize("module", SUBMODULES, ids=[
+        "import" if module == "grover" else f"import-{module}" for module in SUBMODULES])
     def test_search_paths_load_neither_numpy_nor_decimal(self, module):
-        # a bare import; the CLI's search calls are rows of the table above
-        fresh_python(f"import sys, {module}\n"
+        # a bare import of each submodule: numpy is for the routines that
+        # build or draw arrays; the CLI's search calls are rows of the table
+        # above
+        fresh_python(f"import sys, basequest.{module}\n"
                      "assert not {'numpy', 'decimal'} & {m.split('.')[0] "
                      "for m in sys.modules}, sorted(sys.modules)")
 
@@ -446,6 +454,23 @@ class TestPlumbing:
                      "bq.solve_database_size(12)\n"
                      "bq.success_series(64, 3, 20)\n"
                      "bq.evolve_two_term_hamiltonian(64, 3, 10.0, 0.5)\n"
+                     "assert 'numpy' not in sys.modules, sorted(sys.modules)")
+
+    def test_scenario_physics_loads_no_numpy(self):
+        # every step of a selection round short of its arrays and draws, at
+        # a dim no array could hold
+        fresh_python("import sys\n"
+                     "import basequest as bq\n"
+                     "dim, target = 10 ** 12, 5\n"
+                     "params = bq.ScenarioParams(dim, target, 1e-3, 1.0, 5.0)\n"
+                     "state0 = bq.entangling_oracle(bq.relaxed_start(dim), target)\n"
+                     "for way in ('conditional', 'joint'):\n"
+                     "    swung = bq.undamped_state(state0, target, 1.0, 0.5, way)\n"
+                     "    bq.entanglement_entropy(swung)\n"
+                     "    bq.damped_oscillation(state0, params, 1.0, way).diagnostics()\n"
+                     "    bq.success_probability_at(state0, params, 1.0, way)\n"
+                     "bq.oscillation_fraction(0.5, 1.0)\n"
+                     "bq.hierarchy_warnings(params)\n"
                      "assert 'numpy' not in sys.modules, sorted(sys.modules)")
 
     def test_exports_match_eager_package(self):

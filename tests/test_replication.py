@@ -11,6 +11,7 @@ import pytest
 
 import basequest as bq
 from basequest.replication import (
+    EIGENVALUE_FLOOR,
     _arc_angle,
     _arc_point,
     _conditional_base,
@@ -409,20 +410,26 @@ class TestDensityMatrix:
             assert rho.diagnostics() == pytest.approx(dense, abs=1e-12)
 
     def test_large_dim_stays_two_vectors(self):
-        # one dense matrix at dim 2**16 would be 256 GiB
-        dim = 2 ** 16
-        state0 = kicked_state(dim, 7)
-        params = default_params(dim=dim, target=7, relaxation_time=5.0)
-        tracemalloc.start()
-        try:
-            rho = bq.damped_oscillation(state0, params, 0.35)
-            herm, trace, low = rho.diagnostics()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2 ** 20
-        # a BLAS dot over the 2**17 entries drifts to 7e-14 on the trace
-        assert herm <= 1e-12 and trace <= 1e-14 and low >= -1e-10
+        # one dense matrix at dim 2**16 would be 256 GiB; the diagnostics
+        # read two states of four numbers each, so every dim up to 2**53
+        # costs the same and the Gram matrix is exactly hermitian
+        for dim in (2 ** 16, 10 ** 12, 2 ** 53):
+            state0 = kicked_state(dim, 7)
+            params = default_params(dim=dim, target=7, relaxation_time=5.0)
+            osc = params.oscillation_time
+            for trajectory in ("conditional", "joint"):
+                for t in (0.0, osc, 40.0 * osc):
+                    tracemalloc.start()
+                    try:
+                        rho = bq.damped_oscillation(state0, params, t, trajectory)
+                        herm, trace, low = rho.diagnostics()
+                        peak = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                    case = (dim, trajectory, t)
+                    assert peak < 64 * 2 ** 10, case
+                    assert herm == 0.0 and trace <= 1e-14, case
+                    assert EIGENVALUE_FLOOR <= low <= 0.0, case
 
     def test_matrix_read_only(self):
         rho = bq.damped_oscillation(kicked_state(), default_params(), 0.35)
