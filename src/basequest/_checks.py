@@ -76,6 +76,9 @@ def _real(value) -> float:
     """float(value) for a numbers.Real within float range, else NaN, which
     fails every bound: a Decimal (no Real), a str, a complex or None, and an
     int or Fraction whose float() would overflow."""
+    # the exact-float test skips the abstract-class check for the common case
+    if type(value) is float:
+        return value
     if isinstance(value, numbers.Real):
         try:
             return float(value)

@@ -418,7 +418,7 @@ class TestDensityMatrix:
             params = default_params(dim=dim, target=7, relaxation_time=5.0)
             osc = params.oscillation_time
             for trajectory in ("conditional", "joint"):
-                for t in (0.0, osc, 40.0 * osc):
+                for t in (0.0, 0.35, 0.5 * osc, osc, 40.0 * osc):
                     tracemalloc.start()
                     try:
                         rho = bq.damped_oscillation(state0, params, t, trajectory)
