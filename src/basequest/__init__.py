@@ -12,9 +12,9 @@ _SOURCES = {
     "bond": "BondParams bond_time boltzmann_error_rate cascade_phase half_rabi_phase",
     "classical": "SearchMode TrialStats expected_queries sample_queries "
                  "simulate_search speedup_ratio",
-    "errors": "DimensionMismatchError DrawBudgetExceededError "
-              "IncompleteTransitionError InvalidDimensionError InvalidParameterError "
-              "InvalidPhaseError InvalidTargetError SimulationError",
+    "errors": "DimensionMismatchError IncompleteTransitionError "
+              "InvalidDimensionError InvalidParameterError InvalidPhaseError "
+              "InvalidTargetError SimulationError",
     "grover": "HamiltonianSweep SearchSolution StateVector closed_form_success "
               "evolve_two_term_hamiltonian optimal_queries random_unit_phases "
               "run_grover run_grover_with_phases solve_database_size "

@@ -6,6 +6,7 @@ Counts, indices and seeds must be integers: bool is refused and numpy's
 integer scalars are accepted. Times and scales must be reals
 (numbers.Real, which numpy's float scalars and Fraction are) whose float()
 is finite; a Decimal, or an int beyond float range, is refused by name.
+The draw contract lives here too: MAX_DRAWS, BLOCK_SIZE and seed_blocks.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ MAX_DENSITY_DIM = 2 ** 11
 # Most draws one call makes (classical trials, scenario samples): a 2**27
 # int64 result array is 1 GiB. Checked before any stream is spawned.
 MAX_DRAWS = 2 ** 27
+# Draws per seed block. Fixed constant: changing it changes the sampled
+# streams, so it is part of the documented determinism contract.
+BLOCK_SIZE = 4096
 
 
 def _is_integer(value) -> bool:
@@ -70,6 +74,18 @@ def check_seed(seed) -> None:
     if seed is not None and (not _is_integer(seed) or seed < 0):
         raise InvalidParameterError(
             f"seed must be None or an integer >= 0, got {seed!r}")
+
+
+def seed_blocks(seed, count: int):
+    """(start, stop, generator) per block of BLOCK_SIZE of count draws: block
+    k draws from SeedSequence child k of seed through PCG64, so no block
+    depends on how many follow it or on the order the blocks are drawn in."""
+    import numpy as np
+
+    streams = np.random.SeedSequence(seed).spawn(-(-count // BLOCK_SIZE))
+    for k, stream in enumerate(streams):
+        yield (k * BLOCK_SIZE, min(count, (k + 1) * BLOCK_SIZE),
+               np.random.Generator(np.random.PCG64(stream)))
 
 
 def _real(value) -> float:

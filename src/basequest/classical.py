@@ -2,10 +2,10 @@
 
 Two sampling disciplines: memoryless queries (with replacement, expected
 cost = database size) and non-repeating queries (without replacement,
-expected cost = (size + 1)/2). Monte-Carlo simulation uses the PCG64
-generator; trials are grouped into fixed-size blocks, each block drawing
-from its own SeedSequence child stream, so any parallel schedule over
-blocks reproduces the serial results exactly.
+expected cost = (size + 1)/2). Monte-Carlo simulation draws in seed
+blocks (_checks.seed_blocks): trials are grouped into fixed-size blocks,
+each drawing from its own SeedSequence child stream through PCG64, so any
+parallel schedule over blocks reproduces the serial results exactly.
 """
 
 from __future__ import annotations
@@ -15,15 +15,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from ._checks import MAX_DRAWS, check_count, check_integer, check_seed
+from ._checks import MAX_DRAWS, check_count, check_integer, check_seed, seed_blocks
 from .errors import InvalidDimensionError
 
 if TYPE_CHECKING:
     import numpy as np
-
-# Trials per seed block. Fixed constant: changing it changes the sampled
-# stream, so it is part of the documented determinism contract.
-BLOCK_SIZE = 4096
 
 
 class SearchMode(str, Enum):
@@ -49,20 +45,6 @@ def expected_queries(database_size: int, mode: SearchMode) -> float:
     return (database_size + 1) / 2.0
 
 
-def _with_replacement_block(rng: np.random.Generator, count: int,
-                            database_size: int) -> np.ndarray:
-    # Memoryless queries hit the target with chance 1/size each; the query
-    # count is exactly geometric, so sample that law directly.
-    return rng.geometric(1.0 / database_size, size=count)
-
-
-def _without_replacement_block(rng: np.random.Generator, count: int,
-                               database_size: int) -> np.ndarray:
-    # A uniformly random query order puts the target at a uniformly random
-    # rank, and the query count is that rank: sample the law directly.
-    return rng.integers(1, database_size, size=count, endpoint=True)
-
-
 def sample_queries(
     database_size: int,
     mode: SearchMode,
@@ -71,9 +53,9 @@ def sample_queries(
 ) -> np.ndarray:
     """Per-trial query counts, one entry per trial.
 
-    Deterministic for a fixed seed, and the first k*BLOCK_SIZE entries do
-    not depend on how many trials follow them. seed is None (fresh
-    entropy) or an integer >= 0.
+    Deterministic for a fixed seed, and the first k*BLOCK_SIZE entries
+    (_checks.BLOCK_SIZE) do not depend on how many trials follow them.
+    seed is None (fresh entropy) or an integer >= 0.
     """
     import numpy as np
 
@@ -82,19 +64,15 @@ def sample_queries(
     check_integer(trials, "trials", 1, high=MAX_DRAWS)
     check_seed(seed)
 
-    blocks = -(-trials // BLOCK_SIZE)
-    streams = np.random.SeedSequence(seed).spawn(blocks)
     samples = np.empty(trials, dtype=np.int64)
-    for k, stream in enumerate(streams):
-        lo = k * BLOCK_SIZE
-        hi = min(trials, lo + BLOCK_SIZE)
-        rng = np.random.Generator(np.random.PCG64(stream))
+    for lo, hi, rng in seed_blocks(seed, trials):
+        # each count drawn from its law: memoryless queries hit the target
+        # with chance 1/size each, so their count is geometric; a uniformly
+        # random query order puts the target at a uniformly random rank
         if mode is SearchMode.WITH_REPLACEMENT:
-            samples[lo:hi] = _with_replacement_block(rng, hi - lo,
-                                                     database_size)
+            samples[lo:hi] = rng.geometric(1.0 / database_size, size=hi - lo)
         else:
-            samples[lo:hi] = _without_replacement_block(rng, hi - lo,
-                                                        database_size)
+            samples[lo:hi] = rng.integers(1, database_size, size=hi - lo, endpoint=True)
     return samples
 
 

@@ -34,8 +34,3 @@ class InvalidParameterError(SimulationError, ValueError):
 class IncompleteTransitionError(SimulationError, ValueError):
     """The energy-time product does not sit on a half Rabi cycle, so the
     transition amplitude is not a pure phase."""
-
-
-class DrawBudgetExceededError(SimulationError, RuntimeError):
-    """A selection-scenario sample used up its emission attempts
-    (run_scenario's attempt_cap) without a successful check."""

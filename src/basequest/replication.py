@@ -34,6 +34,7 @@ rate 2/relaxation_time applied to the pure swing state.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -41,6 +42,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from ._checks import (
+    MAX_COUNT,
     MAX_DENSITY_DIM,
     MAX_DRAWS,
     MAX_STATE_DIM,
@@ -51,10 +53,10 @@ from ._checks import (
     check_positive,
     check_seed,
     check_target,
+    seed_blocks,
 )
 from .errors import (
     DimensionMismatchError,
-    DrawBudgetExceededError,
     InvalidDimensionError,
     InvalidParameterError,
     InvalidTargetError,
@@ -64,7 +66,6 @@ from .grover import MAX_SWEEP_STEPS, _normalized
 if TYPE_CHECKING:
     import numpy as np
 
-HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 
@@ -334,9 +335,9 @@ class DensityMatrix:
     on the flattened joint register, as damped_oscillation builds it from
     two JointStates marked at one target: rank at most 2 at any dim.
 
-    The hermiticity, trace and eigenvalue checks run when it is built, on
-    diagnostics(), which takes them in plain floats from the two states'
-    coefficients, at any dim and without numpy. The dense matrix is built
+    The trace and eigenvalue checks run when it is built, on diagnostics(),
+    which takes them in plain floats from the two states' coefficients, at
+    any dim and without numpy. The dense matrix is built
     on first read, refused above MAX_DENSITY_DIM before anything is
     allocated, made read-only and kept.
     """
@@ -347,10 +348,7 @@ class DensityMatrix:
         self._weight = weight
         self._pure = pure
         self._relaxed = relaxed
-        herm, trace, low = self.diagnostics()
-        if herm > HERMITICITY_ATOL:
-            raise InvalidParameterError(
-                f"hermiticity defect {herm!r} exceeds {HERMITICITY_ATOL}")
+        _, trace, low = self.diagnostics()
         if trace > TRACE_ATOL:
             raise InvalidParameterError(
                 f"trace defect {trace!r} exceeds {TRACE_ATOL}")
@@ -381,7 +379,8 @@ class DensityMatrix:
         defect is read off K in closed form: max |K - K^H|, |tr K - 1| and
         the smaller root (k00 + k11 - hypot(k00 - k11, 2|k10|))/2, taken on
         the real diagonal and the lower entry as LAPACK's eigvalsh would.
-        The other 2*dim - 2 > 0 eigenvalues are 0.
+        The other 2*dim - 2 > 0 eigenvalues are 0. The hermiticity defect is
+        0 by construction (k01 and k10 are exact conjugates): it is unchecked.
         """
         rows = (self._pure._coefficients, self._relaxed._coefficients)
         roots = (math.sqrt(self._weight), math.sqrt(1.0 - self._weight))
@@ -481,24 +480,46 @@ class ScenarioReport:
     warnings: tuple[str, ...]
 
 
-def run_scenario(params: ScenarioParams, *, entropy_points: int = 101,
-                 attempt_cap: int = 100000) -> ScenarioReport:
+@functools.cache
+def _gauss_legendre() -> tuple:
+    """The 32-node Gauss-Legendre rule on [-1, 1], as (node, weight) pairs."""
+    from numpy.polynomial.legendre import leggauss
+
+    return tuple(zip(*(v.tolist() for v in leggauss(32))))
+
+
+def _period_mean(angle: float, start: complex, end: complex, osc: float,
+                 rate: float) -> float:
+    """One-period mean of _swing_success, by Gauss-Legendre panels with
+    edges at rate/2 * 4**k below the period 2*osc, where the damping has
+    fallen to exp(-4**k); past k = 5 it underflows to 0."""
+    period = 2.0 * osc
+    edges = [0.0, *(e for e in (rate / 2.0 * 4.0 ** k for k in range(6)) if e < period)]
+    total = 0.0
+    for a, b in zip(edges, [*edges[1:], period]):
+        half = (b - a) / 2.0
+        total += half * sum(
+            w * _swing_success(angle, start, end, a + half * (1.0 + x), osc, rate)
+            for x, w in _gauss_legendre())
+    return total / period
+
+
+def run_scenario(params: ScenarioParams, *,
+                 entropy_points: int = 101) -> ScenarioReport:
     """Full selection scenario: kick, swing, emission checks with restarts.
 
-    Per sample, emission times are drawn under the policy and the emitted
-    quanta are checked; a failed check restarts the whole round (drawing a
-    fresh time), and the number of attempts until first success is
-    recorded. mean_success averages the analytic success probability over
-    each sample's first drawn time; attempt counts come from Bernoulli
-    draws. Sample k draws from SeedSequence child k of the master seed,
-    made when the loop reaches it, so any parallel schedule over samples
-    reproduces the serial results.
+    A failed check restarts the round, so a sample's attempt count is 1
+    with chance p(t1), p at its first emission time drawn under the policy,
+    and otherwise 1 + Geometric(p_bar), p_bar the chance of a retry: p at
+    the policy's time, or p's one-period mean under uniform emission; a
+    p_bar below 1/MAX_COUNT is refused before any draw. mean_success
+    averages p(t1). Each seed block (_checks.seed_blocks) draws the emission
+    times (uniform only), then the first-check uniforms, then the counts.
 
     The entropy series tracks the undamped joint-reading swing over one
     full period on an entropy_points grid.
     """
     check_integer(entropy_points, "entropy_points", 2, high=MAX_SWEEP_STEPS)
-    check_integer(attempt_cap, "attempt_cap", 1)
     osc = params.oscillation_time
     check_normal(osc, "oscillation_time")
     # the swing phase pi*t/osc must stay finite at every time the run
@@ -530,42 +551,29 @@ def run_scenario(params: ScenarioParams, *, entropy_points: int = 101,
     fixed = params.emission is EmissionPolicy.FIXED_TIME
     p_fixed = _swing_success(angle, start, end, params.emission_time, osc,
                              rate) if fixed else p_damped
+    # a success probability can pass 1 by an ulp, which geometric refuses
+    p_bar = min(1.0, _period_mean(angle, start, end, osc, rate) if uniform else p_fixed)
     # the policy's time parameter, which a refusal names with relaxation_time
     name, policy_time = ("emission_time", params.emission_time) if fixed else (
         "oscillation_time", osc)
-    if not uniform and p_fixed == 0.0:
-        # refused before any draw: no check could succeed
+    if p_bar * MAX_COUNT < 1.0:
+        # refused before any draw: the geometric counts would pass MAX_COUNT
         raise InvalidParameterError(
-            f"the success probability at {name} = {policy_time!r} is 0.0, so "
-            f"no emission check can succeed: relaxation_time = {rate!r} damps it by "
-            f"exp(-2*{name}/relaxation_time) = "
-            f"{math.exp(-2.0 * policy_time / rate)!r}, "
-            "or the swing has a node there")
+            f"the success probability of a retried emission check, {p_bar!r} at "
+            f"{name} = {policy_time!r} and relaxation_time = {rate!r}, is below "
+            f"1/{MAX_COUNT}: the damping exp(-2*{name}/relaxation_time) is "
+            f"{math.exp(-2.0 * policy_time / rate)!r}, or the swing has a node there")
 
     import numpy as np
 
-    first_probs = np.empty(params.samples)
+    first_probs = np.full(params.samples, p_fixed)
     attempts = np.empty(params.samples, dtype=np.int64)
-    root = np.random.SeedSequence(params.seed)
-    for k in range(params.samples):
-        # child k as root.spawn makes it, without holding every child at once
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-            root.entropy, spawn_key=root.spawn_key + (k,), pool_size=root.pool_size)))
-        count = 0
-        while True:
-            p = (_swing_success(angle, start, end, rng.random() * 2.0 * osc, osc,
-                                rate) if uniform else p_fixed)
-            if count == 0:
-                first_probs[k] = p
-            count += 1
-            if rng.random() < p:
-                break
-            if count >= attempt_cap:
-                raise DrawBudgetExceededError(
-                    f"sample {k} exceeded {attempt_cap} emission attempts "
-                    f"(success probability {p!r}) at {name} = {policy_time!r} "
-                    f"and relaxation_time = {rate!r}")
-        attempts[k] = count
+    for lo, hi, rng in seed_blocks(params.seed, params.samples):
+        if uniform:
+            first_probs[lo:hi] = [_swing_success(angle, start, end, t, osc, rate)
+                                  for t in (rng.random(hi - lo) * 2.0 * osc).tolist()]
+        passed = rng.random(hi - lo) < first_probs[lo:hi]
+        attempts[lo:hi] = np.where(passed, 1, 1 + rng.geometric(p_bar, hi - lo))
 
     joint = _swing_arc(state0, params.target, "joint")
     times = np.linspace(0.0, 2.0 * osc, entropy_points)

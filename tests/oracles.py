@@ -5,7 +5,10 @@ explicit partial traces, 60-digit decimal arithmetic or closed-form
 trigonometry. None of it shares code with the package, which computes
 search and Hamiltonian runs on a 2-D plane, except vector_scenario_draws:
 it takes the far end of each swing from the package (swing_endpoint) and
-builds the full swing state itself, which the scenario sampler does not.
+builds the full swing state itself, which the scenario sampler does not,
+in the retry loop the sampler ran before it drew counts from their law.
+quad_period_mean integrates the package's success_probability_at, to check
+the package's own quadrature of it against scipy's.
 Three routes keep former package code as references: eager_plane_state
 builds a search state's array eagerly, to pin the lazily built states to
 its bits; split_orbit_success steps the split-operator series on the plane
@@ -48,7 +51,11 @@ from basequest import (
     swing_endpoint,
 )
 from basequest.grover import _normalized
-from basequest.replication import EIGENVALUE_FLOOR, HERMITICITY_ATOL, TRACE_ATOL
+from basequest.replication import EIGENVALUE_FLOOR, TRACE_ATOL
+
+# DenseDensity's hermiticity tolerance. The package's DensityMatrix has no
+# such check: its defect is 0 by construction.
+HERMITICITY_ATOL = 1e-12
 
 
 def dense_oracle(dim: int, target: int) -> np.ndarray:
@@ -379,17 +386,20 @@ def vector_emission_probability(state0, params, t: float,
     return weight * float(abs(psi[2 * params.target + 1]) ** 2)
 
 
-def vector_scenario_draws(params) -> tuple[float, float, int]:
-    """run_scenario's emission checks with one full swing state per attempt.
+def vector_scenario_draws(params) -> tuple[list[float], list[int]]:
+    """Emission checks with restarts, one loop of attempts per sample, as
+    run_scenario made them before it drew attempt counts from their law.
 
-    Same per-sample SeedSequence streams and draw order (emission time,
-    then the Bernoulli check). Returns (mean_success, mean_attempts,
-    max_attempts_observed).
+    Each attempt draws its emission time under the policy, builds the full
+    swing state there (vector_emission_probability) and makes a Bernoulli
+    check; a failure restarts. All samples draw from one PCG64 stream seeded
+    with params.seed. Returns each sample's first success probability and
+    its attempt count.
     """
     state0 = entangling_oracle(relaxed_start(params.dim), params.target)
+    rng = np.random.Generator(np.random.PCG64(params.seed))
     first, counts = [], []
-    for stream in np.random.SeedSequence(params.seed).spawn(params.samples):
-        rng = np.random.Generator(np.random.PCG64(stream))
+    for _ in range(params.samples):
         count = 0
         while True:
             if params.emission is EmissionPolicy.UNIFORM_RANDOM:
@@ -405,7 +415,39 @@ def vector_scenario_draws(params) -> tuple[float, float, int]:
             if rng.random() < p:
                 break
         counts.append(count)
-    return float(np.mean(first)), float(np.mean(counts)), max(counts)
+    return first, counts
+
+
+def bessel_period_mean(dim: int) -> float:
+    """The undamped one-period mean of the emission success, in closed form.
+
+    The success is sin^2((1 - 2 cos phi) theta), sin^2 theta = 1/dim, over a
+    uniform swing phase phi, and the period average of cos(b cos phi) is
+    J0(b), so the mean is sin^2 theta + cos(2 theta) (1 - J0(4 theta))/2.
+    1 - J0 is summed from its power series: 1 - scipy.special.j0 cancels at
+    small theta.
+    """
+    theta = math.asin(1.0 / math.sqrt(dim))
+    terms, term = [], 1.0
+    for k in range(1, 40):
+        term *= -4.0 * theta * theta / (k * k)  # (-(4 theta/2)**2)**k/(k!)**2
+        terms.append(-term)
+    return 1.0 / dim + (1.0 - 2.0 / dim) * math.fsum(terms) / 2.0
+
+
+def quad_period_mean(state0, params) -> float:
+    """The one-period mean of the package's success_probability_at under
+    uniform emission, by scipy's adaptive quad, broken at every power of two
+    times relaxation_time below the period."""
+    from scipy.integrate import quad
+
+    period = 2.0 * params.oscillation_time
+    rate = params.relaxation_time
+    points = [p for p in (rate * 2.0 ** k for k in range(-1, 12)) if p < period]
+    value, _ = quad(lambda t: bq.success_probability_at(state0, params, t), 0.0,
+                    period, points=points or None, limit=500, epsabs=0.0,
+                    epsrel=1e-13)
+    return value / period
 
 
 @dataclass(frozen=True, eq=False)

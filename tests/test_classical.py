@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import basequest as bq
-from basequest.classical import BLOCK_SIZE
+from basequest._checks import BLOCK_SIZE
 from oracles import theoretical_std
 
 

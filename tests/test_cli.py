@@ -27,16 +27,16 @@ import oracles
 
 # The package's exports by defining submodule, as they were when the
 # package imported every submodule eagerly, less the full-vector search
-# steps and the density measurement API since deleted.
+# steps, the density measurement API and the scenario's attempt-cap error
+# since deleted.
 EXPORTS = {
     "bond": ["BondParams", "bond_time", "boltzmann_error_rate", "cascade_phase",
              "half_rabi_phase"],
     "classical": ["SearchMode", "TrialStats", "expected_queries", "sample_queries",
                   "simulate_search", "speedup_ratio"],
-    "errors": ["DimensionMismatchError", "DrawBudgetExceededError",
-               "IncompleteTransitionError", "InvalidDimensionError",
-               "InvalidParameterError", "InvalidPhaseError", "InvalidTargetError",
-               "SimulationError"],
+    "errors": ["DimensionMismatchError", "IncompleteTransitionError",
+               "InvalidDimensionError", "InvalidParameterError", "InvalidPhaseError",
+               "InvalidTargetError", "SimulationError"],
     "grover": ["HamiltonianSweep", "SearchSolution", "StateVector",
                "closed_form_success", "evolve_two_term_hamiltonian",
                "optimal_queries", "random_unit_phases", "run_grover",
@@ -293,6 +293,26 @@ class TestScenario:
                          "--samples", "5"])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("n,emission", [(2**27 + 1, "extremum"),
+                                            (10**12, "uniform")])
+    def test_runs_at_large_sizes(self, n, emission):
+        # attempt counts are drawn from their law, O(1) a sample: a cap on
+        # retried checks ended both calls with exit 3. The default 1000
+        # samples' mean count is 1/p_bar within 5 standard errors, the
+        # counts' spread being about 1/p_bar
+        result = invoke(["scenario", "--n", str(n), "--emission", emission,
+                         "--format", "jsonl"])
+        assert result.exit_code == 0
+        assert len(jsonl_records(result.output)) == 103
+        params = basequest.ScenarioParams(
+            dim=n, target=0, bond_duration=1e-3, oscillation_time=1.0,
+            relaxation_time=1e3, emission=emission)
+        state0 = basequest.entangling_oracle(basequest.relaxed_start(n), 0)
+        p_bar = (oracles.quad_period_mean(state0, params) if emission == "uniform"
+                 else basequest.success_probability_at(state0, params, 1.0))
+        mean = summary_of(result.output)["mean_attempts"]
+        assert abs(mean * p_bar - 1.0) <= 5.0 / math.sqrt(1000)
+
 
 class TestHamiltonian:
     def test_split_operator_tracks_exact_curve(self):
@@ -340,7 +360,8 @@ class TestPlumbing:
         ["classical", "--n", "1" + "0" * 400],
         ["classical", "--n", str(2**53 + 1), "--mode", "without"],
         ["hamiltonian", "--n", "1" + "0" * 400],
-        ["scenario", "--n", str(2**27 + 1)],
+        # an emission time at the swing's node: no check can succeed
+        ["scenario", "--emission", "fixed", "--time", "0.3333333333333333"],
         # negative exponents and infinities are values, not option names
         ["scenario", "--t-r", "-1e3"],
         ["hamiltonian", "--t-max", "-inf"],

@@ -1,8 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
-import time
 import tracemalloc
 import warnings
 
@@ -15,18 +15,22 @@ from basequest.replication import (
     _arc_angle,
     _arc_point,
     _conditional_base,
+    _period_mean,
+    _swing_arc,
     oscillation_fraction,
 )
 from oracles import (
     DenseDensity,
     DenseJointState,
     base_density,
+    bessel_period_mean,
     dense_damped_matrix,
     dense_entangling_matrix,
     dense_swing,
     dense_undamped_state,
     emission_measurement,
     entropies_by_partial_trace,
+    quad_period_mean,
     quanta_density,
     random_joint_state,
     random_subspace_state,
@@ -720,28 +724,31 @@ class TestRunScenario:
 
     def test_fixed_time_at_success_node_exhausts_attempts(self):
         # at one third of the swing the target's emitted amplitude crosses
-        # zero, so emission checks can never succeed
+        # zero, so emission checks can never succeed: the attempt counts
+        # would pass MAX_COUNT, and the run refuses before drawing them
         params = default_params(emission="fixed", emission_time=1.0 / 3.0,
                                 samples=1, relaxation_time=math.inf)
         assert bq.success_probability_at(
             kicked_state(), params, 1.0 / 3.0) <= 1e-30
-        with pytest.raises(bq.DrawBudgetExceededError):
-            bq.run_scenario(params, attempt_cap=25, entropy_points=2)
+        with pytest.raises(bq.InvalidParameterError, match="emission_time"):
+            bq.run_scenario(params, entropy_points=2)
 
     @pytest.mark.parametrize("overrides,name", [
         ({"relaxation_time": 0.01}, "oscillation_time"),
-        ({"emission": "uniform", "relaxation_time": 0.01}, "oscillation_time"),
+        ({"emission": "uniform", "relaxation_time": 1e-20}, "oscillation_time"),
         ({"emission": "fixed", "emission_time": 1.0 / 3.0,
           "relaxation_time": math.inf}, "emission_time"),
     ], ids=["extremum", "uniform", "fixed"])
     def test_exhausted_attempts_name_the_policy_time(self, overrides, name):
-        # heavy damping (exp(-200) at the far turning point) or the swing's
-        # node leave every check a success probability far below 1e-30
+        # heavy damping (exp(-200) at the far turning point; over a period,
+        # about 1e-20/16) or the swing's node leave a retried check a
+        # success probability far below 1e-16, tiny but not 0.0: refused
+        # like 0.0, as the attempt counts would pass MAX_COUNT
         params = default_params(samples=1, **overrides)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", bq.HierarchyWarning)
-            with pytest.raises(bq.DrawBudgetExceededError) as exhausted:
-                bq.run_scenario(params, attempt_cap=5, entropy_points=2)
+            with pytest.raises(bq.InvalidParameterError) as exhausted:
+                bq.run_scenario(params, entropy_points=2)
         for word in (name, "relaxation_time"):
             assert re.search(rf"\b{word}\b", str(exhausted.value))
 
@@ -749,30 +756,41 @@ class TestRunScenario:
         ({"relaxation_time": 5e-324}, "oscillation_time"),
         ({"emission": "fixed", "emission_time": 1e300, "oscillation_time": 1e300},
          "emission_time"),
-    ], ids=["extremum", "fixed"])
-    def test_zero_success_probability_is_refused_before_drawing(self, overrides,
-                                                               name):
-        # drawing the 10**7 checks the cap allows would take seconds
+        ({"emission": "uniform", "relaxation_time": 5e-324}, "oscillation_time"),
+    ], ids=["extremum", "fixed", "uniform"])
+    def test_zero_success_probability_is_refused_before_drawing(
+            self, monkeypatch, overrides, name):
+        # the damping underflows to 0.0 at every time but 0, or at the fixed
+        # time: no retried check can succeed
+        from basequest import replication
+
+        def draws(*args):
+            raise AssertionError("drew before refusing")
+
+        monkeypatch.setattr(replication, "seed_blocks", draws)
         params = default_params(samples=1, **overrides)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", bq.HierarchyWarning)
-            start = time.perf_counter()
             with pytest.raises(bq.InvalidParameterError) as refusal:
-                bq.run_scenario(params, attempt_cap=10 ** 7, entropy_points=2)
-        assert time.perf_counter() - start < 1.0
+                bq.run_scenario(params, entropy_points=2)
         for word in (name, "relaxation_time"):
             assert re.search(rf"\b{word}\b", str(refusal.value))
 
     def test_streams_are_made_on_demand(self):
-        # spawning every sample's stream up front held about 1.9 MiB here
-        bq.run_scenario(default_params(samples=1))  # first-call caches
-        tracemalloc.start()
-        try:
-            bq.run_scenario(default_params(samples=5000))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 20
+        # samples draw in seed blocks, O(1) each whatever the dim: spawning
+        # a stream per sample up front held about 1.9 MiB, and the per-attempt
+        # loop ran into its cap at dim 10**12 (about 3e11 attempts a sample)
+        for dim in (4, 10 ** 12):
+            bq.run_scenario(default_params(dim=dim, emission="uniform", samples=1))
+            tracemalloc.start()  # after the first call's imports and caches
+            try:
+                report = bq.run_scenario(default_params(
+                    dim=dim, emission="uniform", samples=5000))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 ** 20
+            assert report.mean_attempts > 1.0
 
     def test_rejects_thin_entropy_grid(self):
         with pytest.raises(bq.InvalidParameterError):
@@ -781,13 +799,8 @@ class TestRunScenario:
     @pytest.mark.parametrize("kwargs,name", [
         ({"entropy_points": 2.5}, "entropy_points"),
         ({"entropy_points": True}, "entropy_points"),
-        ({"attempt_cap": 0}, "attempt_cap"),
-        ({"attempt_cap": 1.5}, "attempt_cap"),
-        ({"attempt_cap": True}, "attempt_cap"),
     ])
     def test_rejects_bad_keyword_counts(self, kwargs, name):
-        # extremum emission succeeds on the first check, so a bad cap must
-        # be refused up front, not after a draw
         with pytest.raises(bq.InvalidParameterError, match=name):
             bq.run_scenario(default_params(samples=1), **kwargs)
 
@@ -822,18 +835,22 @@ class TestAnyDim:
         run()  # first-call caches
         assert self.traced_peak(run) < 2 ** 20
 
-    def test_run_scenario_reaches_the_attempt_cap(self):
-        # the success probability at the far turning point is about
-        # 9/dim, so a sample's attempts run into a small cap (until the
-        # attempt count is drawn from its law)
-        params = default_params(dim=self.DIM, target=7, samples=1)
-
-        def run():
-            with pytest.raises(bq.DrawBudgetExceededError):
-                bq.run_scenario(params, attempt_cap=50)
-
-        run()
-        assert self.traced_peak(run) < 2 ** 20
+    @pytest.mark.parametrize("policy", ["extremum", "uniform", "fixed"])
+    @pytest.mark.parametrize("dim", [DIM, 2 ** 53])
+    def test_attempts_follow_their_law(self, dim, policy):
+        # a retried check succeeds with p_bar, about 9/dim at the far
+        # turning point and 3/dim over a period, so the mean count is
+        # 1/p_bar (after a first check whose mean chance is p_bar as well),
+        # with a standard deviation of about 1/p_bar
+        params = default_params(dim=dim, target=7, emission=policy,
+                                emission_time=0.85, relaxation_time=math.inf,
+                                samples=4000)
+        t = {"extremum": 1.0, "fixed": 0.85}.get(policy)
+        p_bar = (bessel_period_mean(dim) if t is None
+                 else bq.success_probability_at(kicked_state(dim, 7), params, t))
+        report = bq.run_scenario(params, entropy_points=2)
+        assert abs(report.mean_attempts * p_bar - 1.0) <= 5.0 / math.sqrt(4000)
+        assert report.max_attempts_observed * p_bar > 1.0
 
     @pytest.mark.parametrize("dim", [DIM, 10 ** 15, 2 ** 53])
     def test_values_at_large_dim(self, dim):
@@ -850,22 +867,53 @@ class TestAnyDim:
         assert 0.0 < bits < 1e-9
 
 
+def agree(run, oracle):
+    """The means of two samples of one law differ by at most 5 standard
+    errors of the difference, taken on the spread of both samples together
+    (a bin that the few loop samples leave empty still has its share in the
+    other); 1e-12 relative allows the rounding of equal values' means."""
+    run, oracle = np.asarray(run, dtype=float), np.asarray(oracle, dtype=float)
+    spread = np.concatenate([run, oracle]).std(ddof=1)
+    error = spread * math.sqrt(1.0 / run.size + 1.0 / oracle.size)
+    return abs(run.mean() - oracle.mean()) <= 5.0 * error + 1e-12 * abs(oracle.mean())
+
+
+def retry_chance(dim, target, oscillation_time, relaxation_time):
+    """The run's p_bar under uniform emission, from the conditional arc."""
+    angle, start, end = _swing_arc(kicked_state(dim, target), target)
+    return _period_mean(angle, start._coefficients[1], end._coefficients[1],
+                        oscillation_time, relaxation_time)
+
+
 class TestScalarSampler:
-    """p(t) comes from the arc's angle and two amplitudes; the full-vector
-    route must give the same bits."""
+    """p(t) comes from the arc's angle and two amplitudes, and a sample's
+    attempt count from its law; the full-vector route, a loop of Bernoulli
+    checks on whole swing states, must give the same p(t) bits and the same
+    attempt law."""
 
     @pytest.mark.parametrize("seed", [0, 5, 2**70])
     @pytest.mark.parametrize("policy", ["extremum", "uniform", "fixed"])
     @pytest.mark.parametrize("dim", [4, 5, 64, 1024])
     def test_run_matches_vector_route(self, dim, policy, seed):
+        # each single-sample run's report holds one draw of the law: its
+        # first success chance and its attempt count; the loop's samples
+        # are capped by its cost, about 35 us an attempt at dim 1024
+        loops = {4: 1000, 5: 1000, 64: 150, 1024: 20}[dim]
         params = default_params(
             dim=dim, target=dim // 3, emission=policy,
             emission_time=0.85 if policy == "fixed" else None,
-            relaxation_time=200.0, samples=10 if dim == 1024 else 60,
-            seed=seed)
-        report = bq.run_scenario(params, entropy_points=2)
-        assert (report.mean_success, report.mean_attempts,
-                report.max_attempts_observed) == vector_scenario_draws(params)
+            relaxation_time=200.0, samples=loops, seed=seed)
+        first, counts = vector_scenario_draws(params)
+        reports = [bq.run_scenario(dataclasses.replace(
+            params, samples=1, seed=1000 * seed + k), entropy_points=2)
+            for k in range(300)]
+        assert agree([r.mean_success for r in reports], first)
+        runs = [r.max_attempts_observed for r in reports]
+        assert agree(runs, counts)
+        # the attempt histogram, binned 2**j <= count < 2**(j + 1)
+        for j in range(max(runs + counts).bit_length()):
+            assert agree([n.bit_length() == j + 1 for n in runs],
+                         [n.bit_length() == j + 1 for n in counts]), j
 
     @pytest.mark.parametrize("trajectory", ["conditional", "joint"])
     @pytest.mark.parametrize("dim", [2, 4, 5, 64, 1024])
@@ -879,6 +927,27 @@ class TestScalarSampler:
         for t in map(float, times):
             assert bq.success_probability_at(state0, params, t, trajectory) \
                 == vector_emission_probability(state0, params, t, trajectory)
+
+
+class TestRetryChance:
+    """p_bar, the success chance of a retried check under uniform emission,
+    is the one-period mean of p(t), taken on Gauss-Legendre panels."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 64, 1024, 2**20, 10**12, 2**53])
+    def test_undamped_mean_matches_bessel_form(self, dim):
+        for target in {0, dim // 3, dim - 1}:
+            assert retry_chance(dim, target, 1.3, math.inf) == pytest.approx(
+                bessel_period_mean(dim), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("ratio", [1e-6, 1e-3, 0.1, 10.0, 1e3])
+    @pytest.mark.parametrize("dim", [4, 1024, 10**12])
+    def test_damped_mean_matches_adaptive_quadrature(self, dim, ratio):
+        # relaxation_time/oscillation_time from far below to far above 1:
+        # at 1e-6 the damping leaves all but the first 1e-5 of the period
+        params = default_params(dim=dim, target=dim // 3, oscillation_time=1.3,
+                                relaxation_time=1.3 * ratio)
+        assert retry_chance(dim, dim // 3, 1.3, 1.3 * ratio) == pytest.approx(
+            quad_period_mean(kicked_state(dim, dim // 3), params), rel=1e-12, abs=0.0)
 
 
 class TestArcsBuiltOnce:
