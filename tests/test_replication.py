@@ -852,6 +852,31 @@ class TestAnyDim:
         assert abs(report.mean_attempts * p_bar - 1.0) <= 5.0 / math.sqrt(4000)
         assert report.max_attempts_observed * p_bar > 1.0
 
+    def test_run_scenario_reaches_the_attempt_cap(self):
+        # the success probability at the far turning point is about 9/dim,
+        # so a sample's attempt count, about dim/9, runs far past a loop's
+        # reach yet stays under the cap MAX_COUNT; damped by exp(-200) its
+        # counts would pass the cap, and the run refuses before drawing
+        from basequest._checks import MAX_COUNT
+
+        params = default_params(dim=self.DIM, target=7, samples=1)
+        damped = default_params(dim=self.DIM, target=7, samples=1,
+                                relaxation_time=0.01)
+        reports = []
+
+        def run():
+            reports.append(bq.run_scenario(params, entropy_points=2))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", bq.HierarchyWarning)
+                with pytest.raises(bq.InvalidParameterError,
+                                   match="oscillation_time"):
+                    bq.run_scenario(damped, entropy_points=2)
+
+        run()
+        assert self.traced_peak(run) < 2 ** 20
+        for report in reports:
+            assert 50 < report.max_attempts_observed <= MAX_COUNT
+
     @pytest.mark.parametrize("dim", [DIM, 10 ** 15, 2 ** 53])
     def test_values_at_large_dim(self, dim):
         # the swing moves the kicked target amplitude -1/sqrt(dim) to
