@@ -9,7 +9,7 @@ the package, or a submodule that needs no arrays, does not import numpy.
 
 # Each submodule with the public names it defines; _MODULE_OF inverts it.
 _SOURCES = {
-    "bond": "BondParams bond_time boltzmann_error_rate cascade_phase half_rabi_phase",
+    "bond": "bond_time boltzmann_error_rate cascade_phase half_rabi_phase",
     "classical": "SearchMode TrialStats expected_queries sample_queries "
                  "simulate_search speedup_ratio",
     "errors": "DimensionMismatchError IncompleteTransitionError "

@@ -11,7 +11,6 @@ returns SI seconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._checks import check_integer, check_nonnegative, check_positive
 from .errors import IncompleteTransitionError, InvalidParameterError
@@ -24,21 +23,6 @@ BOLTZMANN = 1.380649e-23     # J/K (exact)
 HALF_CYCLE_ATOL = 1e-9
 
 _PHASE_BY_STEP = {0: 1.0 + 0.0j, 1: -1.0j, 2: -1.0 + 0.0j, 3: 1.0j}
-
-
-@dataclass(frozen=True)
-class BondParams:
-    """Dimensionless gap (delta E over kT), temperature in kelvin, and the
-    number of half-cycle steps chained in a cascade."""
-
-    gap_over_kt: float = 7.0
-    temperature: float = 300.0
-    cascade_steps: int = 1
-
-    def __post_init__(self):
-        check_positive(self.gap_over_kt, "gap_over_kt")
-        check_positive(self.temperature, "temperature")
-        check_integer(self.cascade_steps, "cascade_steps", 1)
 
 
 def half_rabi_phase(energy_gap: float, duration: float) -> complex:

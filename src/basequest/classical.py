@@ -11,9 +11,8 @@ parallel schedule over blocks reproduces the serial results exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._checks import MAX_DRAWS, check_count, check_integer, check_seed, seed_blocks
 from .errors import InvalidDimensionError
@@ -27,8 +26,7 @@ class SearchMode(str, Enum):
     WITHOUT_REPLACEMENT = "without"
 
 
-@dataclass(frozen=True)
-class TrialStats:
+class TrialStats(NamedTuple):
     """Monte-Carlo summary: mean queries and its standard error."""
 
     trials: int

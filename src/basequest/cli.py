@@ -113,21 +113,20 @@ def _bond(o):
     """Single-bond numbers: thermal error, timescale, transition phase."""
     from . import bond
 
-    params = bond.BondParams(gap_over_kt=o.delta_e_kt,
-                             temperature=o.temperature,
-                             cascade_steps=o.cascade)
+    # each function checks its own values: a bad gap is named first, then
+    # the temperature, then the cascade
+    error_rate = bond.boltzmann_error_rate(o.delta_e_kt)
+    t_b = bond.bond_time(o.delta_e_kt, o.temperature)
+    cascade_factor = bond.cascade_phase(o.cascade)
     # The half-cycle factor is convention independent; evaluate it on
     # the exact natural-unit half cycle.
     phase = bond.half_rabi_phase(1.0, math.pi / 2.0)
     squared = phase * phase
-    cascade_factor = bond.cascade_phase(params.cascade_steps)
     return {"summary": ("error_rate", "t_b", "phase_real", "phase_imag",
                         "phase_squared", "cascade_steps", "cascade_phase_real",
                         "cascade_phase_imag")}, [
-        ("summary", bond.boltzmann_error_rate(params.gap_over_kt),
-         bond.bond_time(params.gap_over_kt, params.temperature),
-         phase.real, phase.imag, squared.real, params.cascade_steps,
-         cascade_factor.real, cascade_factor.imag)]
+        ("summary", error_rate, t_b, phase.real, phase.imag, squared.real,
+         o.cascade, cascade_factor.real, cascade_factor.imag)]
 
 
 def _scenario(o):

@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._checks import (MAX_COUNT, MAX_STATE_DIM, check_count, check_integer,
                       check_positive, check_seed, check_target)
@@ -145,8 +144,7 @@ class StateVector:
                 f"phased={self._phases is not None})")
 
 
-@dataclass(frozen=True)
-class SearchSolution:
+class SearchSolution(NamedTuple):
     """A (queries, database size, success probability) triple.
 
     database_size is real-valued when solved from a query count; the exact
@@ -389,8 +387,7 @@ def run_grover_with_phases(dim: int, target: int, queries: int,
 MAX_SWEEP_STEPS = 10 ** 6
 
 
-@dataclass(frozen=True)
-class HamiltonianSweep:
+class HamiltonianSweep(NamedTuple):
     """Success-probability series for exact and split-operator evolution,
     each a tuple of floats on the same time grid."""
 

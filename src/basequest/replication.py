@@ -39,7 +39,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._checks import (
     MAX_COUNT,
@@ -443,10 +443,12 @@ def _swing_success(angle: float, start: complex, end: complex, t: float,
                    oscillation_time: float, relaxation_time: float) -> float:
     """Damped emission success at time t on an arc of the given angle whose
     emitted amplitude runs from start to end: exp(-2t/relaxation_time)
-    times |amplitude|**2. Unchecked: callers pass a valid swing time."""
+    times |amplitude|**2, at most 1: the arc's rounding can pass 1 by an
+    ulp near the far turning point. Unchecked: callers pass a valid swing
+    time."""
     f = (1.0 - math.cos(math.pi * t / oscillation_time)) / 2.0
-    return (math.exp(-2.0 * t / relaxation_time)
-            * float(abs(_arc_point(angle, start, end, f)) ** 2))
+    return min(1.0, math.exp(-2.0 * t / relaxation_time)
+               * float(abs(_arc_point(angle, start, end, f)) ** 2))
 
 
 def success_probability_at(state0: JointState, params: ScenarioParams,
@@ -464,8 +466,7 @@ def success_probability_at(state0: JointState, params: ScenarioParams,
                           params.oscillation_time, params.relaxation_time)
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
+class ScenarioReport(NamedTuple):
     """Outputs of run_scenario; entropy arrays follow the joint reading."""
 
     params: ScenarioParams
@@ -551,8 +552,7 @@ def run_scenario(params: ScenarioParams, *,
     fixed = params.emission is EmissionPolicy.FIXED_TIME
     p_fixed = _swing_success(angle, start, end, params.emission_time, osc,
                              rate) if fixed else p_damped
-    # a success probability can pass 1 by an ulp, which geometric refuses
-    p_bar = min(1.0, _period_mean(angle, start, end, osc, rate) if uniform else p_fixed)
+    p_bar = _period_mean(angle, start, end, osc, rate) if uniform else p_fixed
     # the policy's time parameter, which a refusal names with relaxation_time
     name, policy_time = ("emission_time", params.emission_time) if fixed else (
         "oscillation_time", osc)

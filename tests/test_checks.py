@@ -69,7 +69,6 @@ INTEGER_PARAMETERS = [
      lambda v: bq.simulate_search(v, "without", 10), "database size"),
     ("simulate_search.trials", lambda v: bq.simulate_search(4, "without", v), "trials"),
     ("simulate_search.seed", lambda v: bq.simulate_search(4, "without", 10, v), "seed"),
-    ("BondParams.cascade_steps", lambda v: bq.BondParams(cascade_steps=v), "cascade_steps"),
     ("cascade_phase.steps", lambda v: bq.cascade_phase(v), "steps"),
     ("ScenarioParams.dim", lambda v: scenario(dim=v), "dim"),
     ("ScenarioParams.target", lambda v: scenario(target=v), "target"),
@@ -91,8 +90,6 @@ REAL_PARAMETERS = [
      lambda v: bq.evolve_two_term_hamiltonian(4, 0, 1.0, v), "time_step"),
     ("half_rabi_phase.duration", lambda v: bq.half_rabi_phase(1.0, v), "duration"),
     ("half_rabi_phase.energy_gap", lambda v: bq.half_rabi_phase(v, 1.0), "energy gap"),
-    ("BondParams.gap_over_kt", lambda v: bq.BondParams(gap_over_kt=v), "gap_over_kt"),
-    ("BondParams.temperature", lambda v: bq.BondParams(temperature=v), "temperature"),
     ("boltzmann_error_rate.gap_over_kt",
      lambda v: bq.boltzmann_error_rate(v), "gap_over_kt"),
     ("bond_time.gap_over_kt", lambda v: bq.bond_time(v, 300.0), "gap_over_kt"),

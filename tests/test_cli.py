@@ -27,11 +27,10 @@ import oracles
 
 # The package's exports by defining submodule, as they were when the
 # package imported every submodule eagerly, less the full-vector search
-# steps, the density measurement API and the scenario's attempt-cap error
-# since deleted.
+# steps, the density measurement API, the scenario's attempt-cap error and
+# BondParams since deleted.
 EXPORTS = {
-    "bond": ["BondParams", "bond_time", "boltzmann_error_rate", "cascade_phase",
-             "half_rabi_phase"],
+    "bond": ["bond_time", "boltzmann_error_rate", "cascade_phase", "half_rabi_phase"],
     "classical": ["SearchMode", "TrialStats", "expected_queries", "sample_queries",
                   "simulate_search", "speedup_ratio"],
     "errors": ["DimensionMismatchError", "IncompleteTransitionError",
@@ -50,6 +49,42 @@ EXPORTS = {
 }
 EXPORTED = sorted([*EXPORTS, *(name for names in EXPORTS.values() for name in names)])
 
+
+# (result type, keyword fields, repr, hash) of each result type. The hashes
+# are those of the frozen dataclasses the types replace; the scenario's
+# params hash their policy's name, which varies per process, so its report
+# is pinned to the hash of its plain tuple, as the dataclass hashed too.
+RESULT_TYPES = [
+    ("SearchSolution",
+     dict(queries=1, database_size=4.0, success_probability=1.0),
+     "SearchSolution(queries=1, database_size=4.0, success_probability=1.0)",
+     5056085941107833790),
+    ("HamiltonianSweep",
+     dict(times=(0.0, 0.5), exact_success=(0.25, 0.5),
+          trotter_success=(0.25, 0.4375)),
+     "HamiltonianSweep(times=(0.0, 0.5), exact_success=(0.25, 0.5), "
+     "trotter_success=(0.25, 0.4375))",
+     -2603607378536870141),
+    ("TrialStats", dict(trials=100, mean_queries=50.5, std_error=2.5),
+     "TrialStats(trials=100, mean_queries=50.5, std_error=2.5)",
+     -2607658206083720502),
+    ("ScenarioReport",
+     dict(params=basequest.ScenarioParams(
+              dim=4, target=1, bond_duration=0.01, oscillation_time=1.0,
+              relaxation_time=math.inf, samples=5, seed=1),
+          mean_success=0.5, extremum_success_undamped=1.0,
+          extremum_success_damped=0.75, mean_attempts=2.0,
+          max_attempts_observed=3, entropy_times=(0.0, 1.0),
+          entropy_bits=(0.5, 0.25), entropy_at_extremum=0.125, warnings=("a",)),
+     "ScenarioReport(params=ScenarioParams(dim=4, target=1, bond_duration=0.01, "
+     "oscillation_time=1.0, relaxation_time=inf, emission=<EmissionPolicy."
+     "AT_EXTREMUM: 'extremum'>, emission_time=None, samples=5, seed=1), "
+     "mean_success=0.5, extremum_success_undamped=1.0, "
+     "extremum_success_damped=0.75, mean_attempts=2.0, max_attempts_observed=3, "
+     "entropy_times=(0.0, 1.0), entropy_bits=(0.5, 0.25), "
+     "entropy_at_extremum=0.125, warnings=('a',))",
+     None),
+]
 
 # A small call of each subcommand; classical and scenario draw from PCG64,
 # so they alone load numpy.
@@ -372,6 +407,7 @@ class TestPlumbing:
          "--samples", "3"],
         ["scenario", "--emission", "fixed", "--time", "1e308"],
         ["bond", "--delta-e-kt", "1e-20", "--temperature", "1e-300"],
+        ["bond", "--cascade", "0"],
     ])
     def test_domain_errors_are_model_errors(self, argv):
         # the model error ends the call as an exit, not as a traceback:
@@ -438,8 +474,8 @@ class TestPlumbing:
                   "import json\n"
                   "ours = sorted(m for m in loaded if m.startswith('basequest.'))\n"
                   "print(json.dumps([ours, [m in loaded for m in (\n"
-                  "    'numpy', 'json', 'csv', 'dataclasses', 'decimal', 'scipy',\n"
-                  "    'click')]]))")
+                  "    'numpy', 'json', 'csv', 'dataclasses', 'inspect', 'decimal',\n"
+                  "    'scipy', 'click')]]))")
         if argv is None:
             out = fresh_python(f"import sys, basequest.cli\n{report}")
         else:
@@ -450,9 +486,10 @@ class TestPlumbing:
         jsonl = wrote and "jsonl" in argv
         assert modules == sorted(f"basequest.{name}" for name in [
             "cli", "errors", "output", *CALL_MODULES.get(command, [])])
-        # every model module defines dataclasses; the CLI alone needs none
-        assert flags == [loads_numpy, jsonl, wrote and not jsonl, wrote,
-                         False, False, False]
+        # results are named tuples: only ScenarioParams is a dataclass, and
+        # inspect comes with numpy alone
+        assert flags == [loads_numpy, jsonl, wrote and not jsonl,
+                         command == "scenario", loads_numpy, False, False, False]
 
     @pytest.mark.parametrize("module", SUBMODULES, ids=[
         "import" if module == "grover" else f"import-{module}" for module in SUBMODULES])
@@ -510,6 +547,21 @@ class TestPlumbing:
         listed, starred = json.loads(fresh_python(code))
         assert listed == EXPORTED
         assert starred == EXPORTED
+
+    @pytest.mark.parametrize("name,fields,text,hashed", RESULT_TYPES,
+                             ids=[row[0] for row in RESULT_TYPES])
+    def test_result_types_are_frozen_records(self, name, fields, text, hashed):
+        # repr and hash as when the results were frozen dataclasses; as
+        # named tuples they also unpack, index and equal their plain tuple
+        result = getattr(basequest, name)(**fields)
+        values = tuple(fields.values())
+        assert repr(result) == text
+        assert hash(result) == (hash(values) if hashed is None else hashed)
+        assert result == values and tuple(result) == values
+        assert result[0] == values[0]
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(result, field, None)
 
     def test_unknown_attribute_is_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):

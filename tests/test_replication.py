@@ -505,6 +505,28 @@ class TestDampedSwing:
         with pytest.raises(bq.DimensionMismatchError):
             bq.success_probability_at(kicked_state(8, 1), default_params(), 0.5)
 
+    @pytest.mark.parametrize("target", range(4))
+    def test_success_probability_stays_at_most_one(self, target):
+        # (oscillation_time, t, p) at dim 4, undamped; near the far turning
+        # point the arc's rounding gave 1.0000000000000004 at (0.5, 0.49999999)
+        # and (0.5, 0.500000003) before the clamp
+        pairs = [(1.0, 0.25, 0.04630477348118096), (1.0, 1.0, 1.0),
+                 (0.5, 0.49999999, 1.0), (0.5, 0.500000003, 1.0), (2.0, 2.0, 1.0),
+                 (3.0, 2.9999999999999996, 1.0), (7.0, 7.000000001, 1.0),
+                 (0.1, 0.15, 0.25)]
+        state0 = kicked_state(4, target)
+        for osc, t, expected in pairs:
+            params = default_params(target=target, oscillation_time=osc,
+                                    relaxation_time=math.inf)
+            p = bq.success_probability_at(state0, params, t)
+            assert p <= 1.0
+            assert p == pytest.approx(expected, rel=1e-14)
+        # a run's first checks take the same clamped values
+        params = default_params(target=target, oscillation_time=0.5,
+                                relaxation_time=math.inf, emission="fixed",
+                                emission_time=0.49999999)
+        assert bq.run_scenario(params, entropy_points=2).mean_success == 1.0
+
 
 class TestEmissionMeasurement:
     """The dense projective check, an oracle for success_probability_at."""
