@@ -1,7 +1,7 @@
 """Input checks shared by every public entry point.
 
 Each check raises a SimulationError subclass whose message names the
-parameter; the count and real-valued checks take that name as an argument.
+parameter; all but the target and seed checks take that name as an argument.
 Counts, indices and seeds must be integers: bool is refused and numpy's
 integer scalars are accepted. Times and scales must be reals
 (numbers.Real, which numpy's float scalars and Fraction are) whose float()
@@ -74,6 +74,16 @@ def check_seed(seed) -> None:
     if seed is not None and (not _is_integer(seed) or seed < 0):
         raise InvalidParameterError(
             f"seed must be None or an integer >= 0, got {seed!r}")
+
+
+def check_enum(value, name: str, enum):
+    """The member of enum that value is or whose value it is."""
+    try:
+        return enum(value)
+    except ValueError:
+        choices = tuple(member.value for member in enum)
+        raise InvalidParameterError(
+            f"{name} must be one of {choices}, got {value!r}") from None
 
 
 def seed_blocks(seed, count: int):

@@ -14,7 +14,8 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
-from ._checks import MAX_DRAWS, check_count, check_integer, check_seed, seed_blocks
+from ._checks import (MAX_DRAWS, check_count, check_enum, check_integer,
+                      check_seed, seed_blocks)
 from .errors import InvalidDimensionError
 
 if TYPE_CHECKING:
@@ -37,7 +38,7 @@ class TrialStats(NamedTuple):
 def expected_queries(database_size: int, mode: SearchMode) -> float:
     """Exact expectation of the query count for the given discipline."""
     check_count(database_size, "database size", 1, InvalidDimensionError)
-    mode = SearchMode(mode)
+    mode = check_enum(mode, "mode", SearchMode)
     if mode is SearchMode.WITH_REPLACEMENT:
         return float(database_size)
     return (database_size + 1) / 2.0
@@ -58,7 +59,7 @@ def sample_queries(
     import numpy as np
 
     check_count(database_size, "database size", 1, InvalidDimensionError)
-    mode = SearchMode(mode)
+    mode = check_enum(mode, "mode", SearchMode)
     check_integer(trials, "trials", 1, high=MAX_DRAWS)
     check_seed(seed)
 

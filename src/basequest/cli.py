@@ -100,9 +100,8 @@ def _classical(o):
     """Monte-Carlo classical query cost against the exact expectation."""
     from . import classical
 
-    search_mode = classical.SearchMode(o.mode)
-    stats = classical.simulate_search(o.n, search_mode, o.trials, o.seed)
-    expected = classical.expected_queries(o.n, search_mode)
+    stats = classical.simulate_search(o.n, o.mode, o.trials, o.seed)
+    expected = classical.expected_queries(o.n, o.mode)
     return {"summary": ("expected_queries", "mean_queries", "std_error",
                         "deviation")}, [
         ("summary", expected, stats.mean_queries, stats.std_error,

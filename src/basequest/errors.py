@@ -23,7 +23,7 @@ class DimensionMismatchError(SimulationError, ValueError):
 
 class InvalidPhaseError(SimulationError, ValueError):
     """A supplied phase factor is not unit modulus, or the phase vector
-    has the wrong length."""
+    has the wrong length or is no array of numbers."""
 
 
 class InvalidParameterError(SimulationError, ValueError):

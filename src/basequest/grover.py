@@ -28,8 +28,8 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from ._checks import (MAX_COUNT, MAX_STATE_DIM, check_count, check_integer,
-                      check_positive, check_seed, check_target)
+from ._checks import (MAX_COUNT, MAX_STATE_DIM, _real, check_count,
+                      check_integer, check_positive, check_seed, check_target)
 from .errors import (
     InvalidDimensionError,
     InvalidParameterError,
@@ -250,12 +250,9 @@ def closed_form_success(database_size: float, queries: int) -> float:
     query count can be evaluated directly.
     """
     check_count(queries, "query count", 0)
-    try:
-        valid = (not isinstance(database_size, bool)
-                 and 1.0 <= database_size <= MAX_COUNT)
-    except TypeError:  # None, a str or a complex has no order
-        valid = False
-    if not valid:
+    # the upper bound is exact: float(MAX_COUNT + 1) is MAX_COUNT
+    if (isinstance(database_size, bool) or not 1.0 <= _real(database_size)
+            or database_size > MAX_COUNT):
         raise InvalidDimensionError(
             f"database size must be in [1, {MAX_COUNT}], got {database_size!r}")
     return _closed_form(database_size, queries)
@@ -335,7 +332,11 @@ def random_unit_phases(dim: int, seed: int | None = None) -> np.ndarray:
 def _check_phases(phases: np.ndarray, dim: int) -> np.ndarray:
     import numpy as np
 
-    phases = np.asarray(phases, dtype=np.complex128)
+    try:
+        phases = np.asarray(phases, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:  # a str, a dict, a ragged list
+        raise InvalidPhaseError(
+            f"phases must be an array of numbers: {exc}") from None
     if phases.shape != (dim,):
         raise InvalidPhaseError(
             f"need {dim} phase factors, got shape {phases.shape}")

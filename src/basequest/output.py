@@ -26,7 +26,8 @@ from operator import itemgetter
 
 FORMATS = ("csv", "jsonl")
 
-_BUILTIN_SCALARS = (float, int, str, type(None))
+# Value types a record may hold, exactly: a numpy scalar is refused.
+_PLAIN = frozenset((int, float, str, bool, type(None)))
 # Value types whose repr is their text in both encodings.
 _TEMPLATED = frozenset((int, float))
 # Most rows encoded together.
@@ -34,20 +35,10 @@ _CHUNK = 256
 
 
 def _plain(value):
-    """Coerce numpy scalars and friends to plain Python values."""
-    if type(value) in _BUILTIN_SCALARS or isinstance(value, (bool, str)):
-        return value
-    import numbers
-
-    if isinstance(value, numbers.Integral):
-        return int(value)
-    if isinstance(value, numbers.Real):
-        return float(value)
-    # a numpy bool can only reach here once something has imported numpy
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(value, np.bool_):
-        return bool(value)
-    raise TypeError(f"unsupported record value {value!r}")
+    """value, if its type is one a record may hold; else TypeError."""
+    if type(value) not in _PLAIN:
+        raise TypeError(f"unsupported record value {value!r}")
+    return value
 
 
 def _csv_cell(value) -> str:
@@ -62,15 +53,13 @@ def _encoder(kinds: dict, fmt: str):
     """(header, encode): the CSV header line ("" in JSON lines), and
     encode(kind, rows), the text of a list of rows of one kind.
 
-    kinds maps each kind to the keys of its values. A str kind is also the
-    record's leading "record" tag; any other kind adds no tag.
+    kinds maps each kind, a str that is also the record's leading "record"
+    tag, to the keys of its values.
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
-    # per kind: the record's keys and the row position of its first value
-    plans = {kind: (("record", *keys), 0) if type(kind) is str else (tuple(keys), 1)
-             for kind, keys in kinds.items()}
-    columns = list(dict.fromkeys(key for keys, _ in plans.values() for key in keys))
+    plans = {kind: ("record", *keys) for kind, keys in kinds.items()}
+    columns = list(dict.fromkeys(key for keys in plans.values() for key in keys))
 
     if fmt == "jsonl":
         import json
@@ -96,31 +85,31 @@ def _encoder(kinds: dict, fmt: str):
                          for key in columns])
         header = line(columns)
 
-    for kind, (keys, skip) in plans.items():
+    for kind, keys in plans.items():
         # a layout: the fixed texts of the kind's lines and the row positions
         # of the values between them, read off the line of a record that
         # holds "\x1f<position>\x1f" for each value (JSON writes \u001f); a
         # key or tag holding \x1f or a backslash could fake a mark
         layout = letters = None
         if all(type(text) is str and "\x1f" not in text and "\\" not in text
-               for text in keys + (kind,)[skip:]):
+               for text in (kind, *keys)):
             parts = general({
                 key: f"\x1f{position}\x1f" if position else kind
-                for position, key in enumerate(keys, start=skip)
+                for position, key in enumerate(keys)
             }).replace('"\\u001f', "\x1f").replace('\\u001f"', "\x1f").split("\x1f")
             layout = parts[0::2], [int(part) for part in parts[1::2]]
             # a non-finite float writes an "n" (inf, nan) where JSON needs
             # Infinity or NaN; a finite float or an int never does
             if fmt == "jsonl":
                 letters = "".join(layout[0]).count("n")
-        plans[kind] = keys, skip, layout, letters
+        plans[kind] = keys, layout, letters
 
     def encode(kind, rows):
-        keys, skip, layout, letters = plans[kind]
+        keys, layout, letters = plans[kind]
         if layout is not None:
             texts, order = layout
             cells = list(zip(*rows))
-            if len(cells) == len(keys) + skip and all(
+            if len(cells) == len(keys) and all(
                     _TEMPLATED.issuperset(map(type, cells[position]))
                     for position in order):
                 count = len(rows)
@@ -132,24 +121,16 @@ def _encoder(kinds: dict, fmt: str):
                     return out
             if len(rows) > 1:
                 return "".join(encode(kind, [row]) for row in rows)
-        return "".join(general({key: _plain(value)
-                                for key, value in zip(keys, row[skip:])})
+        return "".join(general({key: _plain(value) for key, value in zip(keys, row)})
                        for row in rows)
 
     return header, encode
 
 
-def _chunks(encode, rows):
-    """The encoded text of rows, a chunk of at most _CHUNK rows at a time."""
-    for kind, run in groupby(rows, itemgetter(0)):
-        while chunk := list(islice(run, _CHUNK)):
-            yield encode(kind, chunk)
-
-
 def write_records(kinds: dict, rows, fmt: str, path: str | None) -> None:
     """Stream rows, each a tuple (kind, *values) with kinds[kind] naming
     the keys of its values, to the file at path, or to stdout when path is
-    None. A str kind is also the record's "record" tag.
+    None. Each kind, a str, is also the record's "record" tag.
 
     Rows are read, encoded and written a chunk at a time, through the
     sink's own buffering. The format is checked before the file is opened.
@@ -159,19 +140,12 @@ def write_records(kinds: dict, rows, fmt: str, path: str | None) -> None:
                                                 newline="")
     try:
         sink.write(header)
-        sink.writelines(_chunks(encode, rows))
+        for kind, run in groupby(rows, itemgetter(0)):
+            while chunk := list(islice(run, _CHUNK)):
+                sink.write(encode(kind, chunk))
         # a reader that closed stdout shows here, not at interpreter exit
         sink.flush()
     finally:
         if path is not None:
             sink.close()
 
-
-def format_records(records: list[dict], fmt: str) -> str:
-    """Render records in the given format ("csv" or "jsonl"): the encoding
-    write_records streams, with the header over the union of the records'
-    keys in first-seen order."""
-    kinds = {tuple(record): tuple(record) for record in records}
-    header, encode = _encoder(kinds, fmt)
-    rows = [(tuple(record), *record.values()) for record in records]
-    return header + "".join(_chunks(encode, rows))

@@ -46,7 +46,9 @@ from ._checks import (
     MAX_DENSITY_DIM,
     MAX_DRAWS,
     MAX_STATE_DIM,
+    _real,
     check_count,
+    check_enum,
     check_integer,
     check_nonnegative,
     check_normal,
@@ -118,7 +120,8 @@ class ScenarioParams:
         check_positive(self.bond_duration, "bond_duration")
         check_positive(self.oscillation_time, "oscillation_time")
         check_positive(self.relaxation_time, "relaxation_time", infinite_ok=True)
-        object.__setattr__(self, "emission", EmissionPolicy(self.emission))
+        object.__setattr__(self, "emission",
+                           check_enum(self.emission, "emission", EmissionPolicy))
         if self.emission is EmissionPolicy.FIXED_TIME:
             check_nonnegative(self.emission_time, "emission_time")
         check_integer(self.samples, "samples", 1, high=MAX_DRAWS)
@@ -152,6 +155,16 @@ class JointState:
     _built = None  # the amplitudes array, once read
 
     def __init__(self, dim: int, target: int, coefficients: tuple):
+        check_count(dim, "dimension", 2, InvalidDimensionError)
+        check_target(target, dim)
+        try:  # the numbers are kept as given; _real refuses a Decimal's norm
+            norm = _real(_total(dim, [abs(x) ** 2 for x in coefficients]))
+        except (TypeError, ValueError, OverflowError):  # not four numbers, or too big
+            norm = math.nan
+        if type(coefficients) is not tuple or not 0 < norm < math.inf:
+            raise InvalidParameterError(
+                "coefficients must be a tuple of four numbers whose norm is "
+                f"finite and > 0, got {coefficients!r}")
         self._dim = dim
         self._target = target
         self._coefficients = coefficients

@@ -15,8 +15,8 @@ its bits; split_orbit_success steps the split-operator series on the plane
 as the package did; blockwise_phase_drift is the former phase-check fold.
 Two more keep the CLI's former record path: report_records builds a
 subcommand's records as dicts from the package's public model functions,
-as the CLI did before it streamed rows, and render_records encodes them as
-output.format_records did, record by record through csv and json. The
+as the CLI did before it streamed rows, and render_records encodes them
+record by record through csv and json, as output.write_records does. The
 dense density routes are former package code too: DenseDensity holds and
 checks a whole (2*dim, 2*dim) matrix, dense_damped_matrix builds the damped
 swing's matrix as damped_oscillation did, from the package's swing state

@@ -80,6 +80,8 @@ INTEGER_PARAMETERS = [
     ("swing_endpoint.target", lambda v: bq.swing_endpoint(kicked(), v), "target"),
     ("run_scenario.entropy_points",
      lambda v: bq.run_scenario(scenario(), entropy_points=v), "entropy_points"),
+    ("JointState.dim", lambda v: bq.JointState(v, 0, (0.5,) * 4), "dimension"),
+    ("JointState.target", lambda v: bq.JointState(4, v, (0.5,) * 4), "target"),
 ]
 
 # times, durations and scales: finite reals
@@ -116,6 +118,14 @@ REAL_PARAMETERS = [
 # the one real-valued size: at least 1, bounded like the integer sizes
 CLOSED_FORM_SIZE = ("closed_form_success.database_size",
                     lambda v: bq.closed_form_success(v, 1), "database size")
+
+# a choice among an enum's values
+ENUM_PARAMETERS = [
+    ("expected_queries.mode", lambda v: bq.expected_queries(4, v), "mode"),
+    ("sample_queries.mode", lambda v: bq.sample_queries(4, v, 10), "mode"),
+    ("simulate_search.mode", lambda v: bq.simulate_search(4, v, 10), "mode"),
+    ("ScenarioParams.emission", lambda v: scenario(emission=v), "emission"),
+]
 
 # database sizes, dimensions and query counts, bounded by MAX_COUNT
 COUNT_PARAMETERS = [
@@ -231,7 +241,9 @@ def cases(parameters, values):
     # no numbers.Real, and a real whose float() overflows
     + cases(ALL_REAL_PARAMETERS,
             {"Decimal('0.5')": Decimal("0.5"), "10**400": 10 ** 400})
-    + cases([CLOSED_FORM_SIZE], [math.nan, 0.5, "4", 1j, None]))
+    + cases([CLOSED_FORM_SIZE], [math.nan, 0.5, "4", 1j, None, Decimal("20.2"),
+                                 np.array(20.2)])
+    + cases(ENUM_PARAMETERS, ["maybe", None, 1]))
 def test_bad_value_is_named(call, value, name):
     with pytest.raises(bq.SimulationError, match=name):
         call(value)
@@ -249,6 +261,12 @@ def test_real_kinds_are_accepted(call, value):
         except bq.SimulationError as exc:
             return type(exc)
     assert outcome(value) is outcome(0.5)
+
+
+@pytest.mark.parametrize("size", [np.float64(20.2), Fraction(101, 5), 20],
+                         ids=["float64", "Fraction", "int"])
+def test_closed_form_size_kinds_are_accepted(size):
+    assert bq.closed_form_success(size, 1) == bq.closed_form_success(float(size), 1)
 
 
 @pytest.mark.parametrize("count", [MAX_COUNT - 1, MAX_COUNT])

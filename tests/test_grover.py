@@ -559,6 +559,13 @@ class TestPhaseDecoration:
         with pytest.raises(bq.InvalidPhaseError):
             bq.run_grover_with_phases(4, 0, 1, np.ones(3, dtype=complex))
 
+    # inputs numpy cannot read as a complex array
+    @pytest.mark.parametrize("phases", ["abcd", [1, 1, 1, [1]], {}],
+                             ids=["str", "ragged", "dict"])
+    def test_rejects_malformed_phases(self, phases):
+        with pytest.raises(bq.InvalidPhaseError, match="phases"):
+            bq.run_grover_with_phases(4, 0, 1, phases)
+
     # the moduli 1 +- 1e-12, the extreme moduli within PHASE_ATOL = 1e-12 on
     # either side of 1 (4503 ulps above, 9007 half-size ulps below), the
     # moduli one ulp beyond those, and non-finite and zero moduli

@@ -5,6 +5,8 @@ import math
 import re
 import tracemalloc
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -76,6 +78,28 @@ class TestJointState:
             DenseJointState(np.ones(4) / 2.0)
         with pytest.raises(bq.InvalidDimensionError):
             DenseJointState(np.ones((4, 3)) / math.sqrt(12))
+
+    @pytest.mark.parametrize("dim,target,coefficients,error,name", [
+        (4, 9, (0.5,) * 4, bq.InvalidTargetError, "target"),
+        (1, 0, (1.0, 0.0, 0.0, 0.0), bq.InvalidDimensionError, "dimension"),
+        (4, 0, (1.0, 0.0), bq.InvalidParameterError, "coefficients"),
+        (4, 0, (0.0,) * 4, bq.InvalidParameterError, "coefficients"),
+        (4, 0, (math.nan, 0.5, 0.5, 0.5), bq.InvalidParameterError, "coefficients"),
+        (4, 0, (1e200, 0.0, 0.0, 0.0), bq.InvalidParameterError, "coefficients"),
+        (4, 0, ("a",) * 4, bq.InvalidParameterError, "coefficients"),
+        (4, 0, (Decimal("0.5"),) * 4, bq.InvalidParameterError, "coefficients"),
+        (4, 0, [0.5] * 4, bq.InvalidParameterError, "coefficients"),
+    ], ids=["target_9_of_4", "dim_1", "two_coefficients", "all_zero", "nan",
+            "norm_overflows", "str", "Decimal", "list"])
+    def test_constructor_refuses_by_name(self, dim, target, coefficients, error,
+                                         name):
+        with pytest.raises(error, match=name):
+            bq.JointState(dim, target, coefficients)
+
+    def test_constructor_keeps_the_callers_numbers(self):
+        coefficients = (np.complex128(0.5), Fraction(1, 2), 0.5j, 1)
+        state = bq.JointState(np.int64(4), 0, coefficients)
+        assert state._coefficients is coefficients
 
     def test_rejects_unnormalized(self):
         # the norm check runs when the array is built
