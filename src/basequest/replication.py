@@ -63,7 +63,7 @@ from .errors import (
     InvalidParameterError,
     InvalidTargetError,
 )
-from .grover import MAX_SWEEP_STEPS, _normalized
+from .grover import MAX_SWEEP_STEPS, NORM_ATOL
 
 if TYPE_CHECKING:
     import numpy as np
@@ -147,9 +147,10 @@ def hierarchy_warnings(params: ScenarioParams) -> tuple[str, ...]:
 class JointState:
     """Normalized pure state on the joint register, held as coefficients
     (a0, a2, b0, b2): the target's amplitudes in quanta sectors 0 and 2, then
-    those every other base shares. The (dim, 2) amplitudes array (column 0
-    the quanta-0 sector) is built on first read, refused above
-    MAX_STATE_DIM, checked by _normalized, made read-only and kept.
+    those every other base shares, their squared norm (the trace
+    DensityMatrix checks) within NORM_ATOL of 1. The (dim, 2) amplitudes
+    array (column 0 the quanta-0 sector) is built on first read, refused
+    above MAX_STATE_DIM, made read-only and kept.
     """
 
     _built = None  # the amplitudes array, once read
@@ -158,13 +159,13 @@ class JointState:
         check_count(dim, "dimension", 2, InvalidDimensionError)
         check_target(target, dim)
         try:  # the numbers are kept as given; _real refuses a Decimal's norm
-            norm = _real(_total(dim, [abs(x) ** 2 for x in coefficients]))
+            norm2 = _real(_total(dim, [abs(x) ** 2 for x in coefficients]))
         except (TypeError, ValueError, OverflowError):  # not four numbers, or too big
-            norm = math.nan
-        if type(coefficients) is not tuple or not 0 < norm < math.inf:
+            norm2 = math.nan
+        if type(coefficients) is not tuple or not abs(norm2 - 1.0) <= NORM_ATOL:
             raise InvalidParameterError(
-                "coefficients must be a tuple of four numbers whose norm is "
-                f"finite and > 0, got {coefficients!r}")
+                "coefficients must be a tuple of four numbers whose squared "
+                f"norm is within {NORM_ATOL} of 1, got {coefficients!r}")
         self._dim = dim
         self._target = target
         self._coefficients = coefficients
@@ -178,7 +179,8 @@ class JointState:
                           MAX_STATE_DIM)
             amps = np.full((self._dim, 2), self._coefficients[2:], dtype=np.complex128)
             amps[self._target] = self._coefficients[:2]
-            self._built = _normalized(amps, "joint state")
+            amps.setflags(write=False)
+            self._built = amps
         return self._built
 
     @property
@@ -277,18 +279,20 @@ def swing_endpoint(state0: JointState, target: int,
                       (0.0, 2.0 * mean - on_target, 2.0 * mean - rest, 0.0))
 
 
-def _check_swing_time(t: float, oscillation_time: float) -> None:
-    """t is a time >= 0 whose swing phase pi*t/oscillation_time is finite,
-    and oscillation_time a normal float > 0."""
-    check_nonnegative(t, "time")
+def _check_swing_time(t: float, oscillation_time: float, name: str = "time",
+                      scale: float = 1.0) -> None:
+    """t is a real >= 0, and oscillation_time a normal float > 0, such that
+    the swing phase pi*time/oscillation_time is finite up to time scale*t.
+    A refusal names t as name and shows it as the caller passed it."""
+    check_nonnegative(t, name)
     # a subnormal oscillation_time misplaces the turning point: pi*t is
     # rounded to a multiple of the smallest subnormal
     check_normal(oscillation_time, "oscillation_time")
-    if math.pi * t / oscillation_time == math.inf:
+    if math.pi * (scale * t) / oscillation_time == math.inf:
         raise InvalidParameterError(
-            f"time = {t!r} is too large for oscillation_time = "
+            f"{name} = {t!r} is too large for oscillation_time = "
             f"{oscillation_time!r}: the swing phase pi*time/oscillation_time "
-            "overflows")
+            f"overflows by time {scale!r}*{name}")
 
 
 def oscillation_fraction(t: float, oscillation_time: float) -> float:
@@ -535,19 +539,11 @@ def run_scenario(params: ScenarioParams, *,
     """
     check_integer(entropy_points, "entropy_points", 2, high=MAX_SWEEP_STEPS)
     osc = params.oscillation_time
-    check_normal(osc, "oscillation_time")
-    # the swing phase pi*t/osc must stay finite at every time the run
-    # evaluates: up to a full period, and the fixed emission time
-    if math.pi * (2.0 * osc) == math.inf:
-        raise InvalidParameterError(
-            f"oscillation_time = {osc!r} is too large: the swing phase "
-            "pi*time/oscillation_time overflows within a full period")
-    if (params.emission is EmissionPolicy.FIXED_TIME
-            and math.pi * params.emission_time / osc == math.inf):
-        raise InvalidParameterError(
-            f"emission_time = {params.emission_time!r} is too large for "
-            f"oscillation_time = {osc!r}: the swing phase "
-            "pi*emission_time/oscillation_time overflows")
+    # every time the run evaluates: up to a full period, and the fixed
+    # emission time
+    _check_swing_time(osc, osc, "oscillation_time", 2.0)
+    if params.emission is EmissionPolicy.FIXED_TIME:
+        _check_swing_time(params.emission_time, osc, "emission_time")
     notes = hierarchy_warnings(params)
     for note in notes:
         warnings.warn(note, HierarchyWarning, stacklevel=2)

@@ -10,10 +10,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import basequest as bq
+from basequest.grover import NORM_ATOL
 from basequest.replication import (
     EIGENVALUE_FLOOR,
+    TRACE_ATOL,
     _arc_angle,
     _arc_point,
     _conditional_base,
@@ -89,23 +93,52 @@ class TestJointState:
         (4, 0, ("a",) * 4, bq.InvalidParameterError, "coefficients"),
         (4, 0, (Decimal("0.5"),) * 4, bq.InvalidParameterError, "coefficients"),
         (4, 0, [0.5] * 4, bq.InvalidParameterError, "coefficients"),
+        # an entangled pair scaled far from norm 1, then an unnormalized one
+        (4, 0, (1e150, 0.0, 0.0, 1e150), bq.InvalidParameterError, "coefficients"),
+        (4, 0, (1e-150, 0.0, 0.0, 1e-150), bq.InvalidParameterError, "coefficients"),
+        (4, 0, (1.0, 0.0, 1.0, 0.0), bq.InvalidParameterError, "coefficients"),
     ], ids=["target_9_of_4", "dim_1", "two_coefficients", "all_zero", "nan",
-            "norm_overflows", "str", "Decimal", "list"])
+            "norm_overflows", "str", "Decimal", "list", "scaled_up", "scaled_down",
+            "unnormalized"])
     def test_constructor_refuses_by_name(self, dim, target, coefficients, error,
                                          name):
         with pytest.raises(error, match=name):
             bq.JointState(dim, target, coefficients)
 
     def test_constructor_keeps_the_callers_numbers(self):
-        coefficients = (np.complex128(0.5), Fraction(1, 2), 0.5j, 1)
-        state = bq.JointState(np.int64(4), 0, coefficients)
+        # squared norm 1/4 + 1/4 + 2*(1/4 + 0), exactly 1
+        coefficients = (np.complex128(0.5), Fraction(1, 2), 0.5j, 0)
+        state = bq.JointState(np.int64(3), 0, coefficients)
         assert state._coefficients is coefficients
 
     def test_rejects_unnormalized(self):
-        # the norm check runs when the array is built
-        state = bq.JointState(4, 0, (1.0, 0.0, 1.0, 0.0))
+        # the norm check runs when the state is built, not when its array is
         with pytest.raises(bq.InvalidParameterError, match="norm"):
-            state.amplitudes
+            bq.JointState(4, 0, (1.0, 0.0, 1.0, 0.0))
+
+    @given(dim=st.integers(2, 2 ** 53), seed=st.integers(0, 2 ** 32 - 1),
+           power=st.floats(-200.0, 200.0))
+    @example(dim=4, seed=0, power=0.0)
+    @example(dim=2 ** 53, seed=1, power=-1e-13)
+    @example(dim=1024, seed=2, power=1e-13)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_scaled_coefficients_are_refused_or_kept_lawful(self, dim, seed, power):
+        # 10**power near 1 keeps the squared norm within NORM_ATOL of 1;
+        # far from it, the entropy once overflowed or read 0.0 bits
+        target = dim // 2
+        state = random_subspace_state(dim, target, np.random.default_rng(seed))
+        coefficients = tuple(x * 10.0 ** power for x in state._coefficients)
+        try:
+            scaled = bq.JointState(dim, target, coefficients)
+        except bq.InvalidParameterError as refusal:
+            assert "coefficients" in str(refusal)
+            return
+        bits = bq.entanglement_entropy(scaled)
+        assert 0.0 <= bits <= 1.0
+        assert bits == pytest.approx(bq.entanglement_entropy(state), abs=1e-9)
+        p = bq.success_probability_at(
+            scaled, default_params(dim=dim, target=target), 0.35, "joint")
+        assert 0.0 <= p <= 1.0
 
     def test_holds_no_array_until_read(self):
         state = bq.undamped_state(kicked_state(64, 5), 5, 1.0, 0.3, "joint")
@@ -521,6 +554,26 @@ class TestDampedSwing:
         assert fidelities[0] == pytest.approx(1.0, abs=1e-12)
         assert all(a > b for a, b in zip(fidelities, fidelities[1:]))
 
+    @pytest.mark.parametrize("trajectory", ["conditional", "joint"])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 64, 1024, 10 ** 12, 2 ** 53])
+    def test_accepted_states_pass_the_trace_check(self, dim, trajectory):
+        # kicked states whose squared norm is 0.99*NORM_ATOL from 1, which
+        # the constructor accepts: their damped states pass TRACE_ATOL
+        for target in sorted({0, dim // 2, dim - 1}):
+            params = default_params(dim=dim, target=target)
+            osc = params.oscillation_time
+            for deviation in (0.99 * NORM_ATOL, -0.99 * NORM_ATOL):
+                scale = math.sqrt(1.0 + deviation)
+                state0 = bq.JointState(dim, target, tuple(
+                    x * scale for x in kicked_state(dim, target)._coefficients))
+                for t in (0.0, 0.35, osc / 2.0, osc, 2.0 * osc, 40.0 * osc):
+                    rho = bq.damped_oscillation(state0, params, t, trajectory)
+                    trace = rho.diagnostics()[1]
+                    case = (target, deviation, t)
+                    assert trace <= TRACE_ATOL, case
+                    if t == 0.0:  # the pure start: the scaled norm shows
+                        assert trace >= 0.9 * NORM_ATOL, case
+
     def test_dimension_mismatch(self):
         with pytest.raises(bq.DimensionMismatchError):
             bq.damped_oscillation(kicked_state(5, 1), default_params(), 0.5)
@@ -821,6 +874,26 @@ class TestRunScenario:
                 bq.run_scenario(params, entropy_points=2)
         for word in (name, "relaxation_time"):
             assert re.search(rf"\b{word}\b", str(refusal.value))
+
+    @pytest.mark.parametrize("overrides,name", [
+        ({"oscillation_time": 5e307}, "oscillation_time"),
+        ({"oscillation_time": 1e308}, "oscillation_time"),
+        ({"oscillation_time": 1.7e308}, "oscillation_time"),
+        ({"emission": "fixed", "emission_time": 1e308}, "emission_time"),
+        ({"emission": "fixed", "emission_time": 1e300, "oscillation_time": 1e-10},
+         "emission_time"),
+    ], ids=["period_5e307", "period_1e308", "period_1.7e308", "fixed_1e308",
+            "fixed_ratio"])
+    def test_overflowing_swing_phase_shows_the_value_passed(self, overrides, name):
+        # pi*time/oscillation_time overflows within the period or at the
+        # fixed time; the refusal shows the caller's value, not a time
+        # derived from it such as the period 2*oscillation_time
+        params = default_params(samples=1, **overrides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", bq.HierarchyWarning)
+            with pytest.raises(bq.InvalidParameterError) as refusal:
+                bq.run_scenario(params, entropy_points=2)
+        assert f"{name} = {overrides[name]!r} " in str(refusal.value)
 
     def test_streams_are_made_on_demand(self):
         # samples draw in seed blocks, O(1) each whatever the dim: spawning
