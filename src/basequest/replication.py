@@ -28,7 +28,8 @@ two ways, differing only in the far endpoint of a great-circle arc:
   statistics assume; this reading is the default for success probabilities.
 
 Relaxation toward the uniform no-emission state is an exponential mix with
-rate 2/relaxation_time applied to the pure swing state.
+rate 2/relaxation_time applied to the pure swing state. Each input is
+checked once, where a caller passes it (see JointState and DensityMatrix).
 """
 
 from __future__ import annotations
@@ -67,9 +68,6 @@ from .grover import MAX_SWEEP_STEPS, NORM_ATOL
 
 if TYPE_CHECKING:
     import numpy as np
-
-TRACE_ATOL = 1e-12
-EIGENVALUE_FLOOR = -1e-10
 
 # Arc angles this close to pi fall back to a pure-phase path: the slerp
 # divides by sin(angle), so a pair antiparallel up to rounding would cancel
@@ -147,10 +145,11 @@ def hierarchy_warnings(params: ScenarioParams) -> tuple[str, ...]:
 class JointState:
     """Normalized pure state on the joint register, held as coefficients
     (a0, a2, b0, b2): the target's amplitudes in quanta sectors 0 and 2, then
-    those every other base shares, their squared norm (the trace
-    DensityMatrix checks) within NORM_ATOL of 1. The (dim, 2) amplitudes
-    array (column 0 the quanta-0 sector) is built on first read, refused
-    above MAX_STATE_DIM, made read-only and kept.
+    those every other base shares, their squared norm within NORM_ATOL of 1:
+    checked on a caller's state, not on the images of the module's
+    norm-keeping maps, which _of builds (roundoff could trip a second check).
+    The (dim, 2) amplitudes array (column 0 the quanta-0 sector) is built on
+    first read, refused above MAX_STATE_DIM, made read-only and kept.
     """
 
     _built = None  # the amplitudes array, once read
@@ -166,9 +165,13 @@ class JointState:
             raise InvalidParameterError(
                 "coefficients must be a tuple of four numbers whose squared "
                 f"norm is within {NORM_ATOL} of 1, got {coefficients!r}")
-        self._dim = dim
-        self._target = target
-        self._coefficients = coefficients
+        self._dim, self._target, self._coefficients = dim, target, coefficients
+
+    @classmethod
+    def _of(cls, dim: int, target: int, coefficients: tuple) -> JointState:
+        state = object.__new__(cls)
+        state._dim, state._target, state._coefficients = dim, target, coefficients
+        return state
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -203,7 +206,7 @@ def _marked(state: JointState, target: int) -> JointState:
         raise InvalidTargetError(
             f"target {target!r} is not the state's target {state._target!r}, "
             "and the state is not uniform over the other bases")
-    return JointState(state.dim, target, b + a)
+    return JointState._of(state.dim, target, b + a)
 
 
 def _total(dim: int, terms) -> complex:
@@ -215,7 +218,7 @@ def _total(dim: int, terms) -> complex:
 def relaxed_start(dim: int) -> JointState:
     """Uniform base amplitudes, all in the no-emission sector."""
     check_count(dim, "dimension", 2, InvalidDimensionError)
-    return JointState(dim, 0, (1.0 / math.sqrt(dim), 0.0) * 2)
+    return JointState._of(dim, 0, (1.0 / math.sqrt(dim), 0.0) * 2)
 
 
 def entangling_oracle(state: JointState, target: int) -> JointState:
@@ -226,7 +229,7 @@ def entangling_oracle(state: JointState, target: int) -> JointState:
     """
     check_target(target, state.dim)
     a0, a2, b0, b2 = _marked(state, target)._coefficients
-    return JointState(state.dim, target, (-a2, -a0, b0, b2))
+    return JointState._of(state.dim, target, (-a2, -a0, b0, b2))
 
 
 def base_amplification(state: JointState) -> JointState:
@@ -238,8 +241,8 @@ def base_amplification(state: JointState) -> JointState:
     """
     dim, (a0, a2, b0, b2) = state.dim, state._coefficients
     mean0, mean2 = (a0 + (dim - 1) * b0) / dim, (a2 + (dim - 1) * b2) / dim
-    return JointState(dim, state._target, (2.0 * mean0 - a0, 2.0 * mean2 - a2,
-                                           2.0 * mean0 - b0, 2.0 * mean2 - b2))
+    return JointState._of(dim, state._target, (2.0 * mean0 - a0, 2.0 * mean2 - a2,
+                                               2.0 * mean0 - b0, 2.0 * mean2 - b2))
 
 
 def _lifted(state: JointState, target: int) -> tuple[complex, complex]:
@@ -258,8 +261,8 @@ def _conditional_base(state: JointState, target: int) -> np.ndarray:
     """The base-register state of a conditionally lifted state, as a (dim,)
     array: the quanta-0 column once the target's amplitude is moved there;
     rejects states not in lifted form."""
-    on_target, rest = _lifted(state, target)
-    return JointState(state.dim, target, (on_target, 0.0, rest, 0.0)).amplitudes[:, 0]
+    a2, b0 = _lifted(state, target)
+    return JointState._of(state.dim, target, (a2, 0.0, b0, 0.0)).amplitudes[:, 0]
 
 
 def swing_endpoint(state0: JointState, target: int,
@@ -275,8 +278,8 @@ def swing_endpoint(state0: JointState, target: int,
     # target amplitude rides in the quanta-2 sector, the rest in quanta 0
     on_target, rest = _lifted(state0, target)
     mean = (on_target + (state0.dim - 1) * rest) / state0.dim
-    return JointState(state0.dim, target,
-                      (0.0, 2.0 * mean - on_target, 2.0 * mean - rest, 0.0))
+    return JointState._of(state0.dim, target,
+                          (0.0, 2.0 * mean - on_target, 2.0 * mean - rest, 0.0))
 
 
 def _check_swing_time(t: float, oscillation_time: float, name: str = "time",
@@ -336,7 +339,7 @@ def _arc_state(arc, oscillation_time: float, t: float) -> JointState:
     """Pure swing state at time t on an arc from _swing_arc."""
     angle, start, end = arc
     f = oscillation_fraction(t, oscillation_time)
-    return JointState(start.dim, start._target, tuple(
+    return JointState._of(start.dim, start._target, tuple(
         _arc_point(angle, x0, x1, f)
         for x0, x1 in zip(start._coefficients, end._coefficients)))
 
@@ -349,29 +352,25 @@ def undamped_state(state0: JointState, target: int, oscillation_time: float,
 
 class DensityMatrix:
     """Density operator weight*|pure><pure| + (1 - weight)*|relaxed><relaxed|
-    on the flattened joint register, as damped_oscillation builds it from
-    two JointStates marked at one target: rank at most 2 at any dim.
-
-    The trace and eigenvalue checks run when it is built, on diagnostics(),
-    which takes them in plain floats from the two states' coefficients, at
-    any dim and without numpy. The dense matrix is built
-    on first read, refused above MAX_DENSITY_DIM before anything is
-    allocated, made read-only and kept.
+    on the flattened joint register, relaxed marked at pure's target: rank
+    at most 2 at any dim. The inputs are checked (weight a real in [0, 1],
+    equal dims, relaxed markable), not the output: with checked norms the
+    trace is within NORM_ATOL of 1 and K (diagnostics) is positive
+    semidefinite. The dense matrix is built on first read, refused above
+    MAX_DENSITY_DIM before anything is allocated, made read-only and kept.
     """
 
     _built = None  # the dense matrix, once read
 
     def __init__(self, weight: float, pure: JointState, relaxed: JointState):
-        self._weight = weight
-        self._pure = pure
-        self._relaxed = relaxed
-        _, trace, low = self.diagnostics()
-        if trace > TRACE_ATOL:
+        self._weight = _real(weight)
+        if not 0.0 <= self._weight <= 1.0:
             raise InvalidParameterError(
-                f"trace defect {trace!r} exceeds {TRACE_ATOL}")
-        if low < EIGENVALUE_FLOOR:
-            raise InvalidParameterError(
-                f"minimum eigenvalue {low!r} is below {EIGENVALUE_FLOOR}")
+                f"weight must be a real in [0, 1], got {weight!r}")
+        if pure.dim != relaxed.dim:
+            raise DimensionMismatchError(
+                f"pure state dim {pure.dim} differs from relaxed dim {relaxed.dim}")
+        self._pure, self._relaxed = pure, _marked(relaxed, pure._target)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -397,7 +396,7 @@ class DensityMatrix:
         the smaller root (k00 + k11 - hypot(k00 - k11, 2|k10|))/2, taken on
         the real diagonal and the lower entry as LAPACK's eigvalsh would.
         The other 2*dim - 2 > 0 eigenvalues are 0. The hermiticity defect is
-        0 by construction (k01 and k10 are exact conjugates): it is unchecked.
+        0 by construction (k01 and k10 are exact conjugates).
         """
         rows = (self._pure._coefficients, self._relaxed._coefficients)
         roots = (math.sqrt(self._weight), math.sqrt(1.0 - self._weight))
@@ -434,8 +433,8 @@ def damped_oscillation(state0: JointState, params: ScenarioParams, t: float,
     """
     psi = _arc_state(_params_arc(state0, params, trajectory),
                      params.oscillation_time, t)
-    weight = damping_weight(t, params.relaxation_time)
-    return DensityMatrix(weight, psi, _marked(relaxed_start(params.dim), psi._target))
+    return DensityMatrix(damping_weight(t, params.relaxation_time), psi,
+                         relaxed_start(params.dim))
 
 
 def entanglement_entropy(state: JointState) -> float:

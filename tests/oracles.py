@@ -51,11 +51,13 @@ from basequest import (
     swing_endpoint,
 )
 from basequest.grover import _normalized
-from basequest.replication import EIGENVALUE_FLOOR, TRACE_ATOL
 
-# DenseDensity's hermiticity tolerance. The package's DensityMatrix has no
-# such check: its defect is 0 by construction.
+# DenseDensity's tolerances. The package's DensityMatrix checks none of
+# them: its hermiticity defect is 0 by construction, and its trace and
+# spectrum follow from its checked inputs.
 HERMITICITY_ATOL = 1e-12
+TRACE_ATOL = 1e-12
+EIGENVALUE_FLOOR = -1e-10
 
 
 def dense_oracle(dim: int, target: int) -> np.ndarray:

@@ -10,14 +10,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import basequest as bq
 from basequest.grover import NORM_ATOL
 from basequest.replication import (
-    EIGENVALUE_FLOOR,
-    TRACE_ATOL,
     _arc_angle,
     _arc_point,
     _conditional_base,
@@ -26,6 +24,8 @@ from basequest.replication import (
     oscillation_fraction,
 )
 from oracles import (
+    EIGENVALUE_FLOOR,
+    TRACE_ATOL,
     DenseDensity,
     DenseJointState,
     base_density,
@@ -498,6 +498,48 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
 
+    @pytest.mark.parametrize("weight", [2.0, -0.5, math.nan, "x", None])
+    def test_refuses_a_weight_outside_the_unit_interval(self, weight):
+        with pytest.raises(bq.InvalidParameterError, match="weight"):
+            bq.DensityMatrix(weight, kicked_state(), bq.relaxed_start(4))
+
+    def test_refuses_states_of_different_dims(self):
+        with pytest.raises(bq.DimensionMismatchError, match="dim"):
+            bq.DensityMatrix(0.5, kicked_state(4, 1), bq.relaxed_start(8))
+
+    def test_refuses_a_relaxed_state_marked_elsewhere(self):
+        # both rows of each differ, so their Gram matrix would pair rows of
+        # different bases
+        with pytest.raises(bq.InvalidTargetError, match="target"):
+            bq.DensityMatrix(0.5, kicked_state(4, 1), kicked_state(4, 0))
+
+    @given(dim=st.integers(2, 2 ** 53), data=st.data(),
+           seeds=st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1)),
+           deviations=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+           weight=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_checked_inputs_imply_trace_and_spectrum(self, dim, data, seeds,
+                                                     deviations, weight):
+        # DensityMatrix makes no trace or eigenvalue check: any two accepted
+        # states marked at one target, their squared norms anywhere within
+        # NORM_ATOL of 1, and a weight in [0, 1] meet both
+        target = data.draw(st.integers(0, dim - 1), label="target")
+
+        def scaled(seed, deviation):
+            state = random_subspace_state(dim, target, np.random.default_rng(seed))
+            scale = math.sqrt(1.0 + deviation * NORM_ATOL)
+            try:
+                return bq.JointState(dim, target, tuple(
+                    x * scale for x in state._coefficients))
+            except bq.InvalidParameterError:  # past the edge by roundoff
+                assume(False)
+
+        pure, relaxed = map(scaled, seeds, deviations)
+        herm, trace, low = bq.DensityMatrix(weight, pure, relaxed).diagnostics()
+        assert herm == 0.0
+        assert trace <= NORM_ATOL + 1e-15
+        assert low >= EIGENVALUE_FLOOR
+
 
 class TestDampedSwing:
     def test_weight_boundaries(self):
@@ -573,6 +615,33 @@ class TestDampedSwing:
                     assert trace <= TRACE_ATOL, case
                     if t == 0.0:  # the pure start: the scaled norm shows
                         assert trace >= 0.9 * NORM_ATOL, case
+
+    @pytest.mark.parametrize("trajectory", ["conditional", "joint"])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 64, 1024, 2 ** 20, 10 ** 12,
+                                     2 ** 53])
+    def test_states_at_the_norm_edge_keep_their_swing(self, dim, trajectory):
+        # kicked states whose squared norm is within 1e-16 of the NORM_ATOL
+        # edge: roundoff alone carries their swing states past it, so a
+        # second norm check would refuse coefficients the caller never passed
+        for target in sorted({0, dim // 2, dim - 1}):
+            params = default_params(dim=dim, target=target)
+            kicked = kicked_state(dim, target)._coefficients
+            for deviation in (0.9999e-12, -0.9999e-12, 0.99999e-12, -0.99999e-12):
+                scale = math.sqrt(1.0 + deviation)
+                try:
+                    state0 = bq.JointState(dim, target,
+                                           tuple(x * scale for x in kicked))
+                except bq.InvalidParameterError as refusal:
+                    assert "coefficients" in str(refusal)
+                    continue
+                for t in (0.0, 0.35, 0.5, 1.0, 1.7):
+                    case = (target, deviation, t)
+                    state = bq.undamped_state(state0, target, 1.0, t, trajectory)
+                    assert 0.0 <= bq.entanglement_entropy(state) <= 1.0, case
+                    rho = bq.damped_oscillation(state0, params, t, trajectory)
+                    assert rho.diagnostics()[1] <= NORM_ATOL + 1e-15, case
+                    p = bq.success_probability_at(state0, params, t, trajectory)
+                    assert 0.0 <= p <= 1.0, case
 
     def test_dimension_mismatch(self):
         with pytest.raises(bq.DimensionMismatchError):
