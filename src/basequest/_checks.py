@@ -25,12 +25,6 @@ MAX_COUNT = 2 ** 53
 # only the arrays built when a caller reads them; the runs themselves keep
 # a few numbers per state and accept dimensions up to MAX_COUNT.
 MAX_STATE_DIM = 2 ** 27
-# Largest dim at which a damped state's DensityMatrix.matrix is built: its
-# (2*dim)**2 complex128 entries are 256 MiB at 2**11, and building it peaks
-# at twice that (measured at dim 1024). The state itself and its
-# diagnostics() hold two joint states of four numbers each, so
-# damped_oscillation runs at any dim up to MAX_COUNT.
-MAX_DENSITY_DIM = 2 ** 11
 # Most draws one call makes (classical trials, scenario samples): a 2**27
 # int64 result array is 1 GiB. Checked before any stream is spawned.
 MAX_DRAWS = 2 ** 27

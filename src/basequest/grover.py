@@ -39,14 +39,14 @@ from .errors import (
 if TYPE_CHECKING:
     import numpy as np
 
-# Norm drift allowed when a state is built.
+# Norm drift allowed in a caller's state (replication.JointState).
 NORM_ATOL = 1e-12
 
 PHASE_ATOL = 1e-12
 
-# Elements per block of the norm and phase checks: their one float64
-# scratch buffer (128 KiB) stays in cache, so a check adds nothing N-sized
-# to the state it inspects.
+# Elements per block of the phase check: its one float64 scratch buffer
+# (128 KiB) stays in cache, so the check adds nothing N-sized to the
+# phases it inspects.
 CHECK_BLOCK = 1 << 14
 
 
@@ -62,27 +62,6 @@ def _blocks(values: np.ndarray):
         yield block, scratch[:block.size]
 
 
-def _normalized(amps: np.ndarray, label: str) -> np.ndarray:
-    """amps itself, made read-only, once its norm is within NORM_ATOL of 1;
-    otherwise InvalidParameterError, the message starting with label.
-
-    The squares of the real and imaginary parts are summed pairwise within
-    each block and exactly (math.fsum) across blocks, so the error stays
-    O(eps) at any dimension, unlike the BLAS norm, whose drift grows with
-    the vector length.
-    """
-    import numpy as np
-
-    parts = amps.ravel(order="K").view(np.float64)
-    norm = math.sqrt(math.fsum(float(np.multiply(block, block, out=scratch).sum())
-                               for block, scratch in _blocks(parts)))
-    if not abs(norm - 1.0) <= NORM_ATOL:  # a NaN norm fails too
-        raise InvalidParameterError(
-            f"{label} norm {norm!r} deviates from 1 by more than {NORM_ATOL}")
-    amps.setflags(write=False)
-    return amps
-
-
 class StateVector:
     """Normalized pure state over the database basis, as a search run
     returns it: its amplitudes on the plane of |target> and the uniform
@@ -91,9 +70,10 @@ class StateVector:
 
     dim, repr and success_probability are read off these numbers. The
     amplitudes array is built on first read, refused above MAX_STATE_DIM,
-    checked by _normalized, made read-only and kept. phases is kept by
-    reference and read when the array is built, so the caller must not
-    write to it before then.
+    made read-only and kept; it makes no norm pass, as its entries are
+    exact plane amplitudes times phases _check_phases accepted. phases is
+    kept by reference and read when the array is built, so the caller must
+    not write to it before then.
     """
 
     _built = None  # the amplitudes array, once read
@@ -120,8 +100,9 @@ class StateVector:
             # The decoration D is diagonal, so it commutes with the oracle and
             # the decorated run is D applied to the plain one.
             amps *= self._phases
-        self._built = _normalized(amps, "state")
-        return self._built
+        amps.setflags(write=False)
+        self._built = amps
+        return amps
 
     @property
     def dim(self) -> int:

@@ -11,8 +11,8 @@ Every state a round makes lies in the span of |t,0>, |t,2>, |r,0> and |r,2>,
 routine computes on four numbers (see JointState) at any dim up to 2**53,
 and a damped state's spectrum is that of a 2x2 matrix, taken in closed
 form. numpy is imported only where an array is built (a state's
-amplitudes, a density matrix) or drawn from (run_scenario), so importing
-this module, or running the physics short of those, loads no numpy.
+amplitudes) or drawn from (run_scenario), so importing this module, or
+running the physics short of those, loads no numpy.
 
 The swing between the post-query state and its amplified image is modeled
 two ways, differing only in the far endpoint of a great-circle arc:
@@ -44,7 +44,6 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from ._checks import (
     MAX_COUNT,
-    MAX_DENSITY_DIM,
     MAX_DRAWS,
     MAX_STATE_DIM,
     _real,
@@ -190,9 +189,11 @@ class JointState:
     def dim(self) -> int:
         return self._dim
 
-    def flat(self) -> np.ndarray:
-        """Row-major flattening: joint index 2*base + quanta_column."""
-        return self.amplitudes.ravel()
+
+def _check_state(state, name: str) -> None:
+    """state is a JointState; InvalidParameterError names it otherwise."""
+    if not isinstance(state, JointState):
+        raise InvalidParameterError(f"{name} must be a JointState, got {state!r}")
 
 
 def _marked(state: JointState, target: int) -> JointState:
@@ -227,6 +228,7 @@ def entangling_oracle(state: JointState, target: int) -> JointState:
     Sends (target, 0) to -(target, 2) and (target, 2) to -(target, 0), so
     applying it twice is the identity.
     """
+    _check_state(state, "state")
     check_target(target, state.dim)
     a0, a2, b0, b2 = _marked(state, target)._coefficients
     return JointState._of(state.dim, target, (-a2, -a0, b0, b2))
@@ -239,6 +241,7 @@ def base_amplification(state: JointState) -> JointState:
     shared entry)/dim, minus itself. Local to the base factor, so it cannot
     change entanglement across the base/quanta cut.
     """
+    _check_state(state, "state")
     dim, (a0, a2, b0, b2) = state.dim, state._coefficients
     mean0, mean2 = (a0 + (dim - 1) * b0) / dim, (a2 + (dim - 1) * b2) / dim
     return JointState._of(dim, state._target, (2.0 * mean0 - a0, 2.0 * mean2 - a2,
@@ -268,6 +271,7 @@ def _conditional_base(state: JointState, target: int) -> np.ndarray:
 def swing_endpoint(state0: JointState, target: int,
                    trajectory: str = "conditional") -> JointState:
     """Far turning point of the amplification swing from state0."""
+    _check_state(state0, "state0")
     if trajectory not in TRAJECTORIES:
         raise InvalidParameterError(
             f"trajectory must be one of {TRAJECTORIES}, got {trajectory!r}")
@@ -347,6 +351,7 @@ def _arc_state(arc, oscillation_time: float, t: float) -> JointState:
 def undamped_state(state0: JointState, target: int, oscillation_time: float,
                    t: float, trajectory: str = "conditional") -> JointState:
     """Pure swing state at time t (no relaxation)."""
+    _check_state(state0, "state0")
     return _arc_state(_swing_arc(state0, target, trajectory), oscillation_time, t)
 
 
@@ -356,35 +361,20 @@ class DensityMatrix:
     at most 2 at any dim. The inputs are checked (weight a real in [0, 1],
     equal dims, relaxed markable), not the output: with checked norms the
     trace is within NORM_ATOL of 1 and K (diagnostics) is positive
-    semidefinite. The dense matrix is built on first read, refused above
-    MAX_DENSITY_DIM before anything is allocated, made read-only and kept.
+    semidefinite.
     """
-
-    _built = None  # the dense matrix, once read
 
     def __init__(self, weight: float, pure: JointState, relaxed: JointState):
         self._weight = _real(weight)
         if not 0.0 <= self._weight <= 1.0:
             raise InvalidParameterError(
                 f"weight must be a real in [0, 1], got {weight!r}")
+        _check_state(pure, "pure")
+        _check_state(relaxed, "relaxed")
         if pure.dim != relaxed.dim:
             raise DimensionMismatchError(
                 f"pure state dim {pure.dim} differs from relaxed dim {relaxed.dim}")
         self._pure, self._relaxed = pure, _marked(relaxed, pure._target)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._built is None:
-            import numpy as np
-
-            check_integer(self._pure.dim, "density matrix dim", 2,
-                          InvalidDimensionError, MAX_DENSITY_DIM)
-            psi, eq, weight = self._pure.flat(), self._relaxed.flat(), self._weight
-            mat = (weight * np.outer(psi, psi.conj())
-                   + (1.0 - weight) * np.outer(eq, eq.conj()))
-            mat.setflags(write=False)
-            self._built = mat
-        return self._built
 
     def diagnostics(self) -> tuple[float, float, float]:
         """(hermiticity defect, trace defect, minimum eigenvalue).
@@ -431,6 +421,7 @@ def damped_oscillation(state0: JointState, params: ScenarioParams, t: float,
     Exponential mix of the pure swing state with the relaxed uniform
     no-emission state: weight exp(-2 t / relaxation_time) on the former.
     """
+    _check_state(state0, "state0")
     psi = _arc_state(_params_arc(state0, params, trajectory),
                      params.oscillation_time, t)
     return DensityMatrix(damping_weight(t, params.relaxation_time), psi,
@@ -447,6 +438,7 @@ def entanglement_entropy(state: JointState) -> float:
     A product state's lone eigenvalue is then exactly 1, and the sum -0.0,
     which the clamp at +0.0 turns to +0.0.
     """
+    _check_state(state, "state")
     a0, a2, b0, b2 = state._coefficients
     trace = _total(state.dim, (abs(x) ** 2 for x in state._coefficients))
     det = (state.dim - 1) * abs(a0 * b2 - a2 * b0) ** 2
@@ -474,6 +466,7 @@ def success_probability_at(state0: JointState, params: ScenarioParams,
     Uses the closed form: the relaxed component carries no emitted-quanta
     amplitude, so only the pure swing term contributes.
     """
+    _check_state(state0, "state0")
     angle, start, end = _params_arc(state0, params, trajectory)
     _check_swing_time(t, params.oscillation_time)
     emitted = 1 if params.target == end._target else 3  # a2, or b2 elsewhere

@@ -18,15 +18,17 @@ subcommand's records as dicts from the package's public model functions,
 as the CLI did before it streamed rows, and render_records encodes them
 record by record through csv and json, as output.write_records does. The
 dense density routes are former package code too: DenseDensity holds and
-checks a whole (2*dim, 2*dim) matrix, dense_damped_matrix builds the damped
+checks a whole (2*dim, 2*dim) matrix, dense_density builds a DensityMatrix's
+matrix as its matrix property did, dense_damped_matrix builds the damped
 swing's matrix as damped_oscillation did, from the package's swing state
 (undamped_state), and emission_measurement is the projective emission
 check that no run used; theoretical_std is the classical query count's
 spread. The dense joint-state routes are former package code as well:
-DenseJointState holds a caller's (dim, 2) array, checked by the package's
-norm check; dense_swing and dense_undamped_state build the kicked state,
-the swing's far ends and the swing state as whole arrays; svd_entropy
-takes the entropy from the array's singular values.
+DenseJointState holds a caller's (dim, 2) array, checked by _normalized,
+the blockwise norm check a search state's amplitudes once made;
+dense_swing and dense_undamped_state build the kicked state, the swing's
+far ends and the swing state as whole arrays; svd_entropy takes the
+entropy from the array's singular values.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from basequest import (
     relaxed_start,
     swing_endpoint,
 )
-from basequest.grover import _normalized
+from basequest.grover import NORM_ATOL, _blocks
 
 # DenseDensity's tolerances. The package's DensityMatrix checks none of
 # them: its hermiticity defect is 0 by construction, and its trace and
@@ -291,6 +293,25 @@ def random_subspace_state(dim: int, target: int, rng: np.random.Generator):
     return bq.JointState(dim, target, tuple(complex(x / norm) for x in coefficients))
 
 
+def _normalized(amps: np.ndarray, label: str) -> np.ndarray:
+    """amps itself, made read-only, once its norm is within NORM_ATOL of 1;
+    otherwise InvalidParameterError, the message starting with label.
+
+    The squares of the real and imaginary parts are summed pairwise within
+    each block and exactly (math.fsum) across blocks, so the error stays
+    O(eps) at any dimension, unlike the BLAS norm, whose drift grows with
+    the vector length.
+    """
+    parts = amps.ravel(order="K").view(np.float64)
+    norm = math.sqrt(math.fsum(float(np.multiply(block, block, out=scratch).sum())
+                               for block, scratch in _blocks(parts)))
+    if not abs(norm - 1.0) <= NORM_ATOL:  # a NaN norm fails too
+        raise bq.InvalidParameterError(
+            f"{label} norm {norm!r} deviates from 1 by more than {NORM_ATOL}")
+    amps.setflags(write=False)
+    return amps
+
+
 @dataclass(frozen=True, eq=False)
 class DenseJointState:
     """A joint state held as its (dim, 2) amplitude array, as JointState
@@ -325,9 +346,6 @@ class DenseJointState:
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
-
-    def flat(self) -> np.ndarray:
-        return self.amplitudes.ravel()
 
 
 def dense_swing(dim: int, target: int,
@@ -383,7 +401,8 @@ def vector_emission_probability(state0, params, t: float,
     """Damped emission success at time t, read off the full swing state."""
     end = swing_endpoint(state0, params.target, trajectory)
     fraction = (1.0 - math.cos(math.pi * t / params.oscillation_time)) / 2.0
-    psi = great_circle_point(state0.flat(), end.flat(), fraction)
+    psi = great_circle_point(state0.amplitudes.ravel(), end.amplitudes.ravel(),
+                             fraction)
     weight = math.exp(-2.0 * t / params.relaxation_time)
     return weight * float(abs(psi[2 * params.target + 1]) ** 2)
 
@@ -481,7 +500,7 @@ class DenseDensity:
     @classmethod
     def from_pure(cls, state) -> "DenseDensity":
         """|state><state| of a JointState."""
-        flat = state.flat()
+        flat = state.amplitudes.ravel()
         return cls(np.outer(flat, flat.conj()))
 
     def diagnostics(self) -> tuple[float, float, float]:
@@ -494,14 +513,23 @@ class DenseDensity:
         )
 
 
+def dense_density(rho) -> np.ndarray:
+    """The (2*dim, 2*dim) matrix weight*|pure><pure| + (1 - weight)*
+    |relaxed><relaxed| of a package DensityMatrix, built as its matrix
+    property built it before the package kept only the two states."""
+    psi, eq = rho._pure.amplitudes.ravel(), rho._relaxed.amplitudes.ravel()
+    return (rho._weight * np.outer(psi, psi.conj())
+            + (1.0 - rho._weight) * np.outer(eq, eq.conj()))
+
+
 def dense_damped_matrix(state0, params, t: float,
                         trajectory: str = "conditional") -> np.ndarray:
     """The damped swing's (2*dim, 2*dim) matrix at time t, built as
     damped_oscillation built it before it kept the two states."""
     psi = bq.undamped_state(state0, params.target, params.oscillation_time, t,
-                            trajectory).flat()
+                            trajectory).amplitudes.ravel()
     weight = bq.damping_weight(t, params.relaxation_time)
-    eq = relaxed_start(params.dim).flat()
+    eq = relaxed_start(params.dim).amplitudes.ravel()
     return (weight * np.outer(psi, psi.conj())
             + (1.0 - weight) * np.outer(eq, eq.conj()))
 
@@ -526,8 +554,9 @@ class EmissionResult:
 
 def emission_measurement(rho, target: int) -> EmissionResult:
     """Measure the projector onto |target, quanta 2> on the dense matrix of
-    rho, a DenseDensity or a DensityMatrix."""
-    side = rho.matrix.shape[0]
+    rho, a DenseDensity or a DensityMatrix (through dense_density)."""
+    matrix = rho.matrix if isinstance(rho, DenseDensity) else dense_density(rho)
+    side = matrix.shape[0]
     if side % 2 != 0:
         raise bq.InvalidDimensionError(
             f"expected a flattened (dim, 2) register, got side {side}")
@@ -535,18 +564,18 @@ def emission_measurement(rho, target: int) -> EmissionResult:
         raise bq.InvalidTargetError(
             f"target must be an integer in [0, {side // 2}), got {target!r}")
     idx = 2 * target + 1
-    p = float(np.real(rho.matrix[idx, idx]))
+    p = float(np.real(matrix[idx, idx]))
     p = min(1.0, max(0.0, p))
 
     post_success = None
     if p > BRANCH_ATOL:
-        mat = np.zeros_like(rho.matrix)
+        mat = np.zeros_like(matrix)
         mat[idx, idx] = 1.0
         post_success = DenseDensity(mat)
 
     post_failure = None
     if 1.0 - p > BRANCH_ATOL:
-        mat = np.array(rho.matrix)
+        mat = np.array(matrix)
         mat[idx, :] = 0.0
         mat[:, idx] = 0.0
         post_failure = DenseDensity(mat / (1.0 - p))

@@ -18,7 +18,7 @@ import basequest as bq
 # loaded here, so that no tracemalloc window below counts a first import
 import basequest.classical  # noqa: F401
 import basequest.replication  # noqa: F401
-from basequest._checks import MAX_COUNT, MAX_DENSITY_DIM, MAX_DRAWS, MAX_STATE_DIM
+from basequest._checks import MAX_COUNT, MAX_DRAWS, MAX_STATE_DIM
 from basequest.grover import MAX_SWEEP_STEPS
 from oracles import DenseJointState
 
@@ -125,6 +125,22 @@ ENUM_PARAMETERS = [
     ("sample_queries.mode", lambda v: bq.sample_queries(4, v, 10), "mode"),
     ("simulate_search.mode", lambda v: bq.simulate_search(4, v, 10), "mode"),
     ("ScenarioParams.emission", lambda v: scenario(emission=v), "emission"),
+]
+
+# joint states: a JointState
+STATE_PARAMETERS = [
+    ("entangling_oracle.state", lambda v: bq.entangling_oracle(v, 1), "state"),
+    ("base_amplification.state", lambda v: bq.base_amplification(v), "state"),
+    ("swing_endpoint.state0", lambda v: bq.swing_endpoint(v, 1), "state0"),
+    ("undamped_state.state0", lambda v: bq.undamped_state(v, 1, 1.0, 0.5), "state0"),
+    ("damped_oscillation.state0",
+     lambda v: bq.damped_oscillation(v, scenario(), 0.5), "state0"),
+    ("success_probability_at.state0",
+     lambda v: bq.success_probability_at(v, scenario(), 0.5), "state0"),
+    ("entanglement_entropy.state", lambda v: bq.entanglement_entropy(v), "state"),
+    ("DensityMatrix.pure",
+     lambda v: bq.DensityMatrix(0.5, v, bq.relaxed_start(4)), "pure"),
+    ("DensityMatrix.relaxed", lambda v: bq.DensityMatrix(0.5, kicked(), v), "relaxed"),
 ]
 
 # database sizes, dimensions and query counts, bounded by MAX_COUNT
@@ -243,7 +259,8 @@ def cases(parameters, values):
             {"Decimal('0.5')": Decimal("0.5"), "10**400": 10 ** 400})
     + cases([CLOSED_FORM_SIZE], [math.nan, 0.5, "4", 1j, None, Decimal("20.2"),
                                  np.array(20.2)])
-    + cases(ENUM_PARAMETERS, ["maybe", None, 1]))
+    + cases(ENUM_PARAMETERS, ["maybe", None, 1])
+    + cases(STATE_PARAMETERS, ["x", None, [0.5] * 4]))
 def test_bad_value_is_named(call, value, name):
     with pytest.raises(bq.SimulationError, match=name):
         call(value)
@@ -284,24 +301,6 @@ def test_oversized_state_refused_before_allocation(build, dim):
     try:
         with pytest.raises(bq.InvalidDimensionError, match="dimension"):
             build(dim)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 ** 20
-
-
-@pytest.mark.parametrize("build", [
-    lambda state, params: bq.damped_oscillation(state, params, 0.5).matrix,
-], ids=["damped_oscillation"])
-def test_oversized_density_matrix_refused_before_allocation(build):
-    # one (2*dim)**2 complex matrix would be 256 MiB here
-    dim = MAX_DENSITY_DIM + 1
-    state = bq.entangling_oracle(bq.relaxed_start(dim), 1)
-    params = scenario(dim=dim)
-    tracemalloc.start()
-    try:
-        with pytest.raises(bq.InvalidDimensionError, match="dim"):
-            build(state, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

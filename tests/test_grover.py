@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import timeit
 import tracemalloc
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import basequest as bq
-from basequest.grover import CHECK_BLOCK, MAX_SWEEP_STEPS, StateVector, _check_phases
+from basequest.grover import (CHECK_BLOCK, MAX_SWEEP_STEPS, PHASE_ATOL, StateVector,
+                              _check_phases)
 from basequest.replication import JointState
 from oracles import (
     DenseJointState,
@@ -41,9 +43,27 @@ class TestStateVector:
         with pytest.raises(bq.InvalidDimensionError):
             bq.run_grover(dim, 0, 0)
 
-    def test_rejects_unnormalized(self):
-        with pytest.raises(bq.InvalidParameterError):
-            StateVector(2, 0, 1.0, 1.0, None).amplitudes
+    @pytest.mark.parametrize("dim", [4, 20, 64, 1024, 2 ** 16])
+    def test_accepted_phases_at_the_edge_read_their_amplitudes(self, dim):
+        # phase moduli at 1 +- PHASE_ATOL and one ulp inside: the array's norm
+        # can then pass NORM_ATOL, which a second norm pass used to refuse
+        # ("state norm 0.9999999999989999 deviates from 1"), though the
+        # caller's phases were accepted
+        target = dim // 3
+        moduli = [1.0 + PHASE_ATOL, np.nextafter(1.0 + PHASE_ATOL, 0.0),
+                  1.0 - PHASE_ATOL, np.nextafter(1.0 - PHASE_ATOL, 2.0)]
+        accepted = 0
+        for modulus, queries in itertools.product(moduli, [0, 1, 3]):
+            phases = np.full(dim, modulus, dtype=np.complex128)
+            try:
+                state, _ = bq.run_grover_with_phases(dim, target, queries, phases)
+            except bq.InvalidPhaseError:
+                continue
+            accepted += 1
+            amps = state.amplitudes
+            for index in sorted({0, target, dim // 2, dim - 1}):
+                assert amps[index] == state._amplitude(index), (modulus, queries)
+        assert accepted == 9  # fl(1 + PHASE_ATOL) - 1 is past PHASE_ATOL
 
     def test_amplitudes_read_only(self):
         state, _ = bq.run_grover(4, 1, 1)
@@ -64,16 +84,14 @@ class TestStateConstruction:
 
     DIM = 2 ** 20
 
-    # every array build, from DIM amplitudes: a search state's lazy build
-    # (unit plane amplitudes, decorated by amps), the dense oracle's adopted
-    # array, and a joint state's lazy build from its first row and its last,
-    # the row every other base repeats
+    # every norm-checked build, from DIM amplitudes: the dense oracle's
+    # adopted array, and a joint state from its first row and its last, the
+    # row every other base repeats
     BUILDS = pytest.mark.parametrize("build", [
-        lambda amps: StateVector(amps.size, 0, 1.0, 1.0, amps).amplitudes,
         lambda amps: DenseJointState._adopt(amps.reshape(-1, 2)),
         lambda amps: JointState(amps.size // 2, 0, (*amps[:2], *amps[-2:])
                                 ).amplitudes,
-    ], ids=["StateVector", "_adopt", "JointState"])
+    ], ids=["_adopt", "JointState"])
 
     def uniform(self, scale=1.0):
         return np.full(self.DIM, scale / math.sqrt(self.DIM), dtype=complex)
@@ -195,8 +213,9 @@ class TestDiffusion:
         state = random_subspace_state(dim, dim // 2, np.random.default_rng(seed))
         # the flat index is 2*base + quanta: the reflection acts on the base
         uniform = np.full(dim, 1.0 / math.sqrt(dim))
-        expected = np.kron(-dense_reflection(uniform), np.eye(2)) @ state.flat()
-        got = bq.base_amplification(state).flat()
+        expected = (np.kron(-dense_reflection(uniform), np.eye(2))
+                    @ state.amplitudes.ravel())
+        got = bq.base_amplification(state).amplitudes.ravel()
         assert np.max(np.abs(got - expected)) <= 1e-12
 
 
