@@ -30,6 +30,7 @@ Examples:
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import math
 import os
@@ -57,15 +58,13 @@ def _table(o):
             None, f"--qmax must be in [0, {grover.MAX_SWEEP_STEPS}]")
     # the unchecked evaluators of solve_database_size, closed_form_success,
     # optimal_queries and speedup_ratio: every size here is in range
-    solved, success = grover._solved_size, grover._closed_form
-    optimal, speedup = grover._optimal_count, classical._speedup
+    row, speedup = grover._table_row, classical._speedup
 
     def rows():
         for queries in range(o.qmax + 1):
-            size = solved(queries)
-            nearest = math.floor(size + 0.5)
-            yield ("row", queries, size, nearest, success(nearest, queries),
-                   speedup(nearest, optimal(nearest)))
+            size, nearest, success, optimal = row(queries)
+            yield ("row", queries, size, nearest, success,
+                   speedup(nearest, optimal))
     return {"row": ("queries", "size_exact", "size_nearest",
                     "success_at_nearest", "speedup_at_nearest")}, rows()
 
@@ -380,7 +379,13 @@ class _Main:
     model error, 141 stdout closed early); main.main(args, prog_name,
     standalone_mode=False) returns it instead. An object, not a function,
     so that wrapping this module's public functions (as the benchmark's
-    tracer does) keeps main.main."""
+    tracer does) keeps main.main.
+
+    main() with no argv, as `python -m basequest.cli` and the `basequest`
+    script call it, owns the process: it freezes the garbage collector's
+    objects before it exits, so the interpreter's final collection skips
+    what start-up and the call made. A call given argv never freezes, as
+    its process goes on."""
 
     def __call__(self, argv=None):
         self.main(argv)
@@ -389,6 +394,10 @@ class _Main:
         code = _run(list(sys.argv[1:] if args is None else args),
                     prog_name or "basequest")
         if standalone_mode:
+            if args is None:
+                # the records are flushed or --output closed by now; module
+                # teardown and atexit handlers still run
+                gc.freeze()
             sys.exit(code)
         return code
 

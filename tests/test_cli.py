@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -458,6 +459,42 @@ class TestPlumbing:
         assert done.stdout == invoke(argv).output
         assert "version" in done.stdout.split("\n")[0].split(",")
         assert "numpy" not in done.stdout.split("\n")[0].split(",")
+
+    def test_in_process_calls_never_freeze(self, tmp_path):
+        frozen = gc.get_freeze_count()
+        for argv in [*CALLS, ["table", "--qmax", "-1"], ["grover", "--n", "4",
+                                                          "--target", "9"]]:
+            invoke([*argv, "--output", str(tmp_path / "rows.csv")])
+            assert gc.get_freeze_count() == frozen, argv
+        assert cli.main.main(["bond"], standalone_mode=False) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_main_without_argv_freezes_before_exit(self, tmp_path):
+        frozen = fresh_python(
+            "import gc, sys\n"
+            "from basequest.cli import main\n"
+            f"sys.argv = ['basequest', 'bond', '--output', {str(tmp_path / 'b.csv')!r}]\n"
+            "try:\n"
+            "    main()\n"
+            "except SystemExit as done:\n"
+            "    assert done.code == 0, done.code\n"
+            "print(gc.get_freeze_count())\n")
+        assert int(frozen) > 0
+
+    def test_module_entry_point_writes_the_in_process_bytes(self, tmp_path):
+        src = str(Path(basequest.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        # the path is echoed in the config record, so both calls write it
+        target = tmp_path / "rows.csv"
+        argv = ["table", "--qmax", "200000", "--output", str(target)]
+        done = subprocess.run([sys.executable, "-m", "basequest.cli", *argv],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+        fresh = target.read_bytes()
+        target.unlink()
+        assert invoke(argv).exit_code == 0
+        assert target.read_bytes() == fresh
 
     @pytest.mark.parametrize("argv,loads_numpy", [
         *((argv, argv[0] in DRAWING) for argv in CALLS),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import timeit
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 import basequest as bq
 from basequest.grover import (CHECK_BLOCK, MAX_SWEEP_STEPS, PHASE_ATOL, StateVector,
-                              _check_phases)
+                              _check_phases, _table_row)
+from basequest.classical import _speedup
 from basequest.replication import JointState
 from oracles import (
     DenseJointState,
@@ -29,6 +31,14 @@ from oracles import (
     vector_search,
     vector_split_success,
 )
+
+
+def hex_digest(rows):
+    """The first 16 hex digits of the sha256 of rows, one line a row, each
+    float as float.hex() and each int or None by str."""
+    text = "".join(",".join(value.hex() if isinstance(value, float) else str(value)
+                            for value in row) + "\n" for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 class TestStateVector:
@@ -519,6 +529,26 @@ class TestSolutions:
             bq.closed_form_success(0.5, 1)
 
 
+class TestTableRow:
+    # every query count a table of up to 10**4 rows holds, then 200
+    # log-spaced counts up to the CLI's bound of 10**6
+    QUERIES = [*range(10 ** 4 + 1), *(round(10 ** (4 + k / 100)) for k in range(1, 201))]
+
+    def test_rows_equal_the_public_evaluators(self):
+        public, private = [], []
+        for queries in self.QUERIES:
+            size = bq.solve_database_size(queries).database_size
+            nearest = math.floor(size + 0.5)
+            public.append((size, nearest, bq.closed_form_success(nearest, queries),
+                           bq.optimal_queries(nearest).queries,
+                           bq.speedup_ratio(nearest)))
+            row = _table_row(queries)
+            private.append((*row, _speedup(row[1], row[3])))
+        # the digest of the public evaluators' rows before the row evaluator
+        assert hex_digest(public) == "d286f351a4c7c203"
+        assert hex_digest(private) == hex_digest(public)
+
+
 class TestPhaseDecoration:
     @pytest.mark.parametrize("dim,queries", [(4, 1), (20, 3), (64, 6)])
     def test_success_invariant_under_phases(self, dim, queries):
@@ -687,6 +717,31 @@ class TestTwoTermHamiltonian:
             bq.evolve_two_term_hamiltonian(4, 0, -1.0, 0.1)
         with pytest.raises(bq.InvalidParameterError):
             bq.evolve_two_term_hamiltonian(4, 0, math.inf, 0.1)
+
+    # digests of the series, max_deviation and peak_success over the first
+    # peak (of dim 1024 for the larger dims), as the sweep gave them when it
+    # built its series by generator expressions
+    @pytest.mark.parametrize("dim,time_step,symmetric,digest", [
+        (2, 0.05, True, "34c4aa863d45bed6"), (2, 0.05, False, "d54efc7f54d09fbd"),
+        (2, 0.0125, True, "b864c5436db7ecd2"), (2, 0.0125, False, "fb83a68d38610fdb"),
+        (3, 0.05, True, "a4531f3ff936524a"), (3, 0.05, False, "82cf36fa06cfd7f1"),
+        (3, 0.0125, True, "9f5e1f8b5af3ba82"), (3, 0.0125, False, "5a51dd72c99341a3"),
+        (4, 0.05, True, "9c415cd02958e048"), (4, 0.05, False, "deb44952854daf13"),
+        (4, 0.0125, True, "35d4f92b9595bb31"), (4, 0.0125, False, "3db684727a9c22ba"),
+        (1024, 0.05, True, "d858cf7630ecd00a"), (1024, 0.05, False, "2e9b4293ada01655"),
+        (1024, 0.0125, True, "39229efb18a532c1"),
+        (1024, 0.0125, False, "e82ff564b9e265b3"),
+        (10 ** 12, 0.05, True, "05387d11842a3e96"),
+        (10 ** 12, 0.05, False, "477ddd7cdf177804"),
+        (10 ** 12, 0.0125, True, "741f4c644cb6c02c"),
+        (10 ** 12, 0.0125, False, "3f0d8f66980a0d9f"),
+    ])
+    def test_series_are_pinned(self, dim, time_step, symmetric, digest):
+        total = math.pi * math.sqrt(min(dim, 1024)) / 2
+        sweep = bq.evolve_two_term_hamiltonian(dim, dim // 2, total, time_step,
+                                               symmetric=symmetric)
+        assert hex_digest([sweep.times, sweep.exact_success, sweep.trotter_success,
+                           (sweep.max_deviation(), sweep.peak_success())]) == digest
 
     @pytest.mark.parametrize("time_step", [
         1.0 / (2 * MAX_SWEEP_STEPS), 1e-300, 5e-324])
