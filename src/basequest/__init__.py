@@ -21,10 +21,9 @@ _SOURCES = {
               "success_series",
     "replication": "DensityMatrix EmissionPolicy HierarchyWarning JointState "
                    "ScenarioParams ScenarioReport base_amplification "
-                   "damped_oscillation damping_weight entangling_oracle "
-                   "entanglement_entropy hierarchy_warnings oscillation_fraction "
-                   "relaxed_start run_scenario success_probability_at "
-                   "swing_endpoint undamped_state",
+                   "damped_oscillation entangling_oracle entanglement_entropy "
+                   "oscillation_fraction relaxed_start run_scenario "
+                   "success_probability_at swing_endpoint undamped_state",
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items()
               for name in names.split()}

@@ -6,7 +6,8 @@ Counts, indices and seeds must be integers: bool is refused and numpy's
 integer scalars are accepted. Times and scales must be reals
 (numbers.Real, which numpy's float scalars and Fraction are) whose float()
 is finite; a Decimal, or an int beyond float range, is refused by name.
-The draw contract lives here too: MAX_DRAWS, BLOCK_SIZE and seed_blocks.
+The size bounds live here (MAX_COUNT, MAX_STATE_DIM, MAX_DRAWS,
+MAX_SWEEP_STEPS), and so does the draw contract: BLOCK_SIZE and seed_blocks.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ MAX_STATE_DIM = 2 ** 27
 # Most draws one call makes (classical trials, scenario samples): a 2**27
 # int64 result array is 1 GiB. Checked before any stream is spawned.
 MAX_DRAWS = 2 ** 27
+# Longest series the package builds, in steps: success_series and
+# evolve_two_term_hamiltonian (see the latter's docstring for why), the
+# scenario's entropy grid and the CLI's table.
+MAX_SWEEP_STEPS = 10 ** 6
 # Draws per seed block. Fixed constant: changing it changes the sampled
 # streams, so it is part of the documented determinism contract.
 BLOCK_SIZE = 4096

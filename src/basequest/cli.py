@@ -52,10 +52,11 @@ def _table(o):
     query ratio (empty for the degenerate zero-query row).
     """
     from . import classical, grover
+    from ._checks import MAX_SWEEP_STEPS
 
-    if not 0 <= o.qmax <= grover.MAX_SWEEP_STEPS:
+    if not 0 <= o.qmax <= MAX_SWEEP_STEPS:
         raise argparse.ArgumentError(
-            None, f"--qmax must be in [0, {grover.MAX_SWEEP_STEPS}]")
+            None, f"--qmax must be in [0, {MAX_SWEEP_STEPS}]")
     # the unchecked evaluators of solve_database_size, closed_form_success,
     # optimal_queries and speedup_ratio: every size here is in range
     row, speedup = grover._table_row, classical._speedup
@@ -382,19 +383,24 @@ class _Main:
     tracer does) keeps main.main.
 
     main() with no argv, as `python -m basequest.cli` and the `basequest`
-    script call it, owns the process: it freezes the garbage collector's
-    objects before it exits, so the interpreter's final collection skips
-    what start-up and the call made. A call given argv never freezes, as
-    its process goes on."""
+    script call it, owns the process: it disables cyclic garbage collection
+    for the call, whose objects all die with the process, and freezes the
+    collector's objects before it exits, so the interpreter's final
+    collection (which runs even when disabled) skips what start-up and the
+    call made. A call given argv never touches the collector, as its
+    process goes on."""
 
     def __call__(self, argv=None):
         self.main(argv)
 
     def main(self, args=None, prog_name=None, standalone_mode=True):
+        owned = standalone_mode and args is None
+        if owned:
+            gc.disable()
         code = _run(list(sys.argv[1:] if args is None else args),
                     prog_name or "basequest")
         if standalone_mode:
-            if args is None:
+            if owned:
                 # the records are flushed or --output closed by now; module
                 # teardown and atexit handlers still run
                 gc.freeze()

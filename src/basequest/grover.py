@@ -29,8 +29,9 @@ import operator
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from ._checks import (MAX_COUNT, MAX_STATE_DIM, _real, check_count,
-                      check_integer, check_positive, check_seed, check_target)
+from ._checks import (MAX_COUNT, MAX_STATE_DIM, MAX_SWEEP_STEPS, _real,
+                      check_count, check_integer, check_positive, check_seed,
+                      check_target)
 from .errors import (
     InvalidDimensionError,
     InvalidParameterError,
@@ -39,9 +40,6 @@ from .errors import (
 
 if TYPE_CHECKING:
     import numpy as np
-
-# Norm drift allowed in a caller's state (replication.JointState).
-NORM_ATOL = 1e-12
 
 PHASE_ATOL = 1e-12
 
@@ -382,10 +380,6 @@ def run_grover_with_phases(dim: int, target: int, queries: int,
 
 
 # --- continuous-time counterpart ---------------------------------------
-
-# Longest series success_series or evolve_two_term_hamiltonian builds, in
-# steps (see the latter's docstring for why).
-MAX_SWEEP_STEPS = 10 ** 6
 
 
 class HamiltonianSweep(NamedTuple):

@@ -46,6 +46,7 @@ from ._checks import (
     MAX_COUNT,
     MAX_DRAWS,
     MAX_STATE_DIM,
+    MAX_SWEEP_STEPS,
     _real,
     check_count,
     check_enum,
@@ -63,10 +64,12 @@ from .errors import (
     InvalidParameterError,
     InvalidTargetError,
 )
-from .grover import MAX_SWEEP_STEPS, NORM_ATOL
 
 if TYPE_CHECKING:
     import numpy as np
+
+# Norm drift allowed in a caller's state (JointState).
+NORM_ATOL = 1e-12
 
 # Arc angles this close to pi fall back to a pure-phase path: the slerp
 # divides by sin(angle), so a pair antiparallel up to rounding would cancel
@@ -125,7 +128,7 @@ class ScenarioParams:
         check_seed(self.seed)
 
 
-def hierarchy_warnings(params: ScenarioParams) -> tuple[str, ...]:
+def _hierarchy_warnings(params: ScenarioParams) -> tuple[str, ...]:
     """Messages for every timescale ratio below MIN_TIMESCALE_RATIO."""
     notes = []
     ratio = params.oscillation_time / params.bond_duration
@@ -399,7 +402,7 @@ class DensityMatrix:
         return herm, abs(k00 + k11 - 1.0), min(0.0, low)
 
 
-def damping_weight(t: float, relaxation_time: float) -> float:
+def _damping_weight(t: float, relaxation_time: float) -> float:
     """Surviving pure-swing weight exp(-2 t / relaxation_time)."""
     check_nonnegative(t, "time")
     check_positive(relaxation_time, "relaxation_time", infinite_ok=True)
@@ -424,7 +427,7 @@ def damped_oscillation(state0: JointState, params: ScenarioParams, t: float,
     _check_state(state0, "state0")
     psi = _arc_state(_params_arc(state0, params, trajectory),
                      params.oscillation_time, t)
-    return DensityMatrix(damping_weight(t, params.relaxation_time), psi,
+    return DensityMatrix(_damping_weight(t, params.relaxation_time), psi,
                          relaxed_start(params.dim))
 
 
@@ -536,7 +539,7 @@ def run_scenario(params: ScenarioParams, *,
     _check_swing_time(osc, osc, "oscillation_time", 2.0)
     if params.emission is EmissionPolicy.FIXED_TIME:
         _check_swing_time(params.emission_time, osc, "emission_time")
-    notes = hierarchy_warnings(params)
+    notes = _hierarchy_warnings(params)
     for note in notes:
         warnings.warn(note, HierarchyWarning, stacklevel=2)
 

@@ -52,7 +52,8 @@ from basequest import (
     relaxed_start,
     swing_endpoint,
 )
-from basequest.grover import NORM_ATOL, _blocks
+from basequest.grover import _blocks
+from basequest.replication import NORM_ATOL
 
 # DenseDensity's tolerances. The package's DensityMatrix checks none of
 # them: its hermiticity defect is 0 by construction, and its trace and
@@ -528,7 +529,7 @@ def dense_damped_matrix(state0, params, t: float,
     damped_oscillation built it before it kept the two states."""
     psi = bq.undamped_state(state0, params.target, params.oscillation_time, t,
                             trajectory).amplitudes.ravel()
-    weight = bq.damping_weight(t, params.relaxation_time)
+    weight = math.exp(-2.0 * t / params.relaxation_time)
     eq = relaxed_start(params.dim).amplitudes.ravel()
     return (weight * np.outer(psi, psi.conj())
             + (1.0 - weight) * np.outer(eq, eq.conj()))

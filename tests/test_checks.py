@@ -18,8 +18,8 @@ import basequest as bq
 # loaded here, so that no tracemalloc window below counts a first import
 import basequest.classical  # noqa: F401
 import basequest.replication  # noqa: F401
-from basequest._checks import MAX_COUNT, MAX_DRAWS, MAX_STATE_DIM
-from basequest.grover import MAX_SWEEP_STEPS
+from basequest._checks import MAX_COUNT, MAX_DRAWS, MAX_STATE_DIM, MAX_SWEEP_STEPS
+from basequest.replication import _damping_weight
 from oracles import DenseJointState
 
 
@@ -104,7 +104,7 @@ REAL_PARAMETERS = [
     ("oscillation_fraction.t", lambda v: bq.oscillation_fraction(v, 1.0), "time"),
     ("oscillation_fraction.oscillation_time",
      lambda v: bq.oscillation_fraction(0.5, v), "oscillation_time"),
-    ("damping_weight.t", lambda v: bq.damping_weight(v, 1.0), "time"),
+    ("damping_weight.t", lambda v: _damping_weight(v, 1.0), "time"),
     ("undamped_state.t", lambda v: bq.undamped_state(kicked(), 1, 1.0, v), "time"),
     ("undamped_state.oscillation_time",
      lambda v: bq.undamped_state(kicked(), 1, v, 0.5), "oscillation_time"),
@@ -195,7 +195,7 @@ RATE_PARAMETERS = [
     ("ScenarioParams.relaxation_time",
      lambda v: scenario(relaxation_time=v), "relaxation_time"),
     ("damping_weight.relaxation_time",
-     lambda v: bq.damping_weight(1.0, v), "relaxation_time"),
+     lambda v: _damping_weight(1.0, v), "relaxation_time"),
 ]
 
 ALL_REAL_PARAMETERS = REAL_PARAMETERS + RATE_PARAMETERS
@@ -221,7 +221,7 @@ EXTREME_PAIRS = [
         kicked(), scenario(oscillation_time=osc), t), ["time", "oscillation_time"]),
     ("damped_oscillation", lambda t, osc: bq.damped_oscillation(
         kicked(), scenario(oscillation_time=osc), t), ["time", "oscillation_time"]),
-    ("damping_weight", lambda t, rate: bq.damping_weight(t, rate),
+    ("damping_weight", lambda t, rate: _damping_weight(t, rate),
      ["time", "relaxation_time"]),
     ("bond_time", lambda gap, temperature: bq.bond_time(gap, temperature),
      ["gap_over_kt", "temperature"]),

@@ -29,7 +29,8 @@ import oracles
 # The package's exports by defining submodule, as they were when the
 # package imported every submodule eagerly, less the full-vector search
 # steps, the density measurement API, the scenario's attempt-cap error and
-# BondParams since deleted.
+# BondParams since deleted, and the scenario's damping weight and hierarchy
+# notes since made private.
 EXPORTS = {
     "bond": ["bond_time", "boltzmann_error_rate", "cascade_phase", "half_rabi_phase"],
     "classical": ["SearchMode", "TrialStats", "expected_queries", "sample_queries",
@@ -43,10 +44,10 @@ EXPORTS = {
                "run_grover_with_phases", "solve_database_size", "success_series"],
     "replication": ["DensityMatrix", "EmissionPolicy", "HierarchyWarning",
                     "JointState", "ScenarioParams", "ScenarioReport",
-                    "base_amplification", "damped_oscillation", "damping_weight",
-                    "entangling_oracle", "entanglement_entropy", "hierarchy_warnings",
-                    "oscillation_fraction", "relaxed_start", "run_scenario",
-                    "success_probability_at", "swing_endpoint", "undamped_state"],
+                    "base_amplification", "damped_oscillation", "entangling_oracle",
+                    "entanglement_entropy", "oscillation_fraction", "relaxed_start",
+                    "run_scenario", "success_probability_at", "swing_endpoint",
+                    "undamped_state"],
 }
 EXPORTED = sorted([*EXPORTS, *(name for names in EXPORTS.values() for name in names)])
 
@@ -105,7 +106,7 @@ CALL_MODULES = {
     "grover": ["_checks", "grover"],
     "classical": ["_checks", "classical"],
     "bond": ["_checks", "bond"],
-    "scenario": ["_checks", "grover", "replication"],
+    "scenario": ["_checks", "replication"],
     "hamiltonian": ["_checks", "grover"],
 }
 
@@ -461,13 +462,16 @@ class TestPlumbing:
         assert "numpy" not in done.stdout.split("\n")[0].split(",")
 
     def test_in_process_calls_never_freeze(self, tmp_path):
+        # nor disable the collector: the caller's process goes on
         frozen = gc.get_freeze_count()
         for argv in [*CALLS, ["table", "--qmax", "-1"], ["grover", "--n", "4",
                                                           "--target", "9"]]:
             invoke([*argv, "--output", str(tmp_path / "rows.csv")])
             assert gc.get_freeze_count() == frozen, argv
+            assert gc.isenabled(), argv
         assert cli.main.main(["bond"], standalone_mode=False) == 0
         assert gc.get_freeze_count() == frozen
+        assert gc.isenabled()
 
     def test_main_without_argv_freezes_before_exit(self, tmp_path):
         frozen = fresh_python(
@@ -480,6 +484,49 @@ class TestPlumbing:
             "    assert done.code == 0, done.code\n"
             "print(gc.get_freeze_count())\n")
         assert int(frozen) > 0
+
+    def test_main_without_argv_runs_the_call_without_gc(self, tmp_path):
+        enabled = fresh_python(
+            "import gc, sys\n"
+            "from basequest import cli\n"
+            "run = cli._run\n"
+            "def probe(argv, prog):\n"
+            "    print(gc.isenabled())\n"
+            "    return run(argv, prog)\n"
+            "cli._run = probe\n"
+            f"sys.argv = ['basequest', 'bond', '--output', {str(tmp_path / 'b.csv')!r}]\n"
+            "try:\n"
+            "    cli.main()\n"
+            "except SystemExit as done:\n"
+            "    assert done.code == 0, done.code\n")
+        assert enabled == "False\n"
+
+    @pytest.mark.parametrize("command,argv", [
+        ("hamiltonian", "['hamiltonian', '--n', '4', '--t-max', '1', '--dt', str(1 / k)]"),
+        ("grover", "['grover', '--n', '4', '--target', '0', '--iters', str(k)]"),
+        ("table", "['table', '--qmax', str(k)]"),
+        ("scenario", "['scenario', '--emission', 'uniform', '--samples', str(k)]"),
+    ])
+    def test_streams_leave_no_more_cycles_as_they_grow(self, command, argv):
+        # a CLI process runs its call with the collector disabled, so no
+        # cycle may be made per record or per sample: a call leaves the
+        # same unreachable objects at 10**3 and at 10**5 of them
+        counts = fresh_python(
+            "import gc, json, os\n"
+            "from basequest.cli import main\n"
+            "gc.disable()\n"
+            "def unreachable(k, fmt):\n"
+            "    gc.collect()\n"
+            "    try:\n"
+            f"        main([*{argv}, '--format', fmt, '--output', os.devnull])\n"
+            "    except SystemExit as done:\n"
+            "        assert done.code == 0, done.code\n"
+            "    return gc.collect()\n"
+            "unreachable(10, 'csv')  # first imports and caches\n"
+            "print(json.dumps([[unreachable(k, fmt) for k in (10 ** 3, 10 ** 5)]\n"
+            "                  for fmt in ('csv', 'jsonl')]))\n")
+        for small, large in json.loads(counts):
+            assert abs(large - small) <= 8, (command, small, large)
 
     def test_module_entry_point_writes_the_in_process_bytes(self, tmp_path):
         src = str(Path(basequest.__file__).resolve().parents[1])
@@ -565,7 +612,7 @@ class TestPlumbing:
                      "    bq.damped_oscillation(state0, params, 1.0, way).diagnostics()\n"
                      "    bq.success_probability_at(state0, params, 1.0, way)\n"
                      "bq.oscillation_fraction(0.5, 1.0)\n"
-                     "bq.hierarchy_warnings(params)\n"
+                     "bq.replication._hierarchy_warnings(params)\n"
                      "assert 'numpy' not in sys.modules, sorted(sys.modules)")
 
     def test_exports_match_eager_package(self):

@@ -14,11 +14,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import basequest as bq
-from basequest.grover import NORM_ATOL
 from basequest.replication import (
+    NORM_ATOL,
     _arc_angle,
     _arc_point,
     _conditional_base,
+    _damping_weight,
+    _hierarchy_warnings,
     _period_mean,
     _swing_arc,
     oscillation_fraction,
@@ -538,16 +540,16 @@ class TestDensityMatrix:
 
 class TestDampedSwing:
     def test_weight_boundaries(self):
-        assert bq.damping_weight(0.0, 5.0) == 1.0
-        assert bq.damping_weight(1.0, 1000.0) == pytest.approx(
+        assert _damping_weight(0.0, 5.0) == 1.0
+        assert _damping_weight(1.0, 1000.0) == pytest.approx(
             0.9980019986673331, abs=1e-15)
-        assert bq.damping_weight(1.0, math.inf) == 1.0
+        assert _damping_weight(1.0, math.inf) == 1.0
 
     def test_weight_rejects_bad_inputs(self):
         with pytest.raises(bq.InvalidParameterError):
-            bq.damping_weight(-1.0, 5.0)
+            _damping_weight(-1.0, 5.0)
         with pytest.raises(bq.InvalidParameterError):
-            bq.damping_weight(1.0, 0.0)
+            _damping_weight(1.0, 0.0)
 
     def test_zero_time_is_pure_start(self):
         state0 = kicked_state()
@@ -774,11 +776,11 @@ class TestEmissionTimes:
 
 class TestHierarchy:
     def test_clean_separation_passes(self):
-        assert bq.hierarchy_warnings(default_params()) == ()
+        assert _hierarchy_warnings(default_params()) == ()
 
     def test_both_ratios_flagged(self):
         params = default_params(bond_duration=0.5, relaxation_time=2.0)
-        notes = bq.hierarchy_warnings(params)
+        notes = _hierarchy_warnings(params)
         assert len(notes) == 2
 
     def test_run_scenario_warns(self):
@@ -1181,7 +1183,7 @@ class TestArcsBuiltOnce:
             bq.entanglement_entropy(swing(1.3, "joint")).hex()
         assert report.extremum_success_undamped.hex() == undamped.hex()
         assert report.extremum_success_damped.hex() == \
-            (bq.damping_weight(1.3, 40.0) * undamped).hex()
+            (_damping_weight(1.3, 40.0) * undamped).hex()
 
     @pytest.mark.parametrize("policy", ["extremum", "uniform"])
     def test_each_endpoint_built_once(self, monkeypatch, policy):
