@@ -260,21 +260,18 @@ def optimal_queries(database_size: int) -> SearchSolution:
 
 def _optimal_count(size: int) -> int:
     """optimal_queries(size).queries, for a checked size."""
-    return _peak_count(math.asin(1.0 / math.sqrt(size)), -1, 0.0)
+    return _peak_count(math.asin(1.0 / math.sqrt(size)))
 
 
-def _peak_count(theta: float, known: int, known_success: float) -> int:
-    """The optimal query count at search angle theta; known_success is the
-    success probability at query count known, used if it is a candidate."""
+def _peak_count(theta: float) -> int:
+    """The optimal query count at search angle theta."""
     # Real-valued peak of sin((2q+1)theta) at q = (pi/(2 theta) - 1)/2,
     # never negative: theta is at most asin(1.0), whose double is math.pi.
     peak = (math.pi / (2.0 * theta) - 1.0) / 2.0
     low, high = math.floor(peak), math.ceil(peak)
     # Each side is _closed_form at its count, bit for bit.
-    at_low = (known_success if low == known
-              else math.sin((2 * low + 1) * theta) ** 2)
-    at_high = (known_success if high == known
-               else math.sin((2 * high + 1) * theta) ** 2)
+    at_low = math.sin((2 * low + 1) * theta) ** 2
+    at_high = math.sin((2 * high + 1) * theta) ** 2
     # Exact ties (possible by trig symmetry, e.g. size 2) must go to the
     # smaller count, so demand a margin beyond rounding noise.
     return high if at_high > at_low + 1e-12 else low
@@ -289,7 +286,7 @@ def _table_row(queries: int) -> tuple[float, int, float, int]:
     nearest = math.floor(size + 0.5)
     theta = math.asin(1.0 / math.sqrt(nearest))
     success = math.sin((2 * queries + 1) * theta) ** 2
-    return size, nearest, success, _peak_count(theta, queries, success)
+    return size, nearest, success, _peak_count(theta)
 
 
 def solve_database_size(queries: int) -> SearchSolution:

@@ -7,29 +7,30 @@ object per record, missing keys omitted). Floats are rendered as shortest
 round-trip decimals, so no precision is lost in either encoding and the
 same invocation always produces the same bytes.
 
-Records stream as rows, tuples (kind, *values), whose kinds' keys are
-declared before the first row, so the CSV header is fixed up front. Rows
-are encoded a chunk of one kind at a time: values that are all plain ints
-and floats (finite, in JSON) fill the kind's line layout as their reprs;
-any other row is encoded record by record, to the same bytes.
+Rows are tuples (kind, *values), whose kinds' keys are declared before the
+first row, so the CSV header and each kind's line layout (its fixed texts,
+and the order of the values between them) are fixed up front. Rows are
+encoded a chunk of one kind at a time, a column at a time: a column of
+plain ints and floats (finite ones, in JSON) is rendered as their reprs,
+any other column value by value.
 """
 
 from __future__ import annotations
 
-import io
 import sys
 from itertools import chain, groupby, islice, repeat
 from operator import itemgetter
 
-# json and csv are imported where they are used, so that a call loads only
-# the encoder it writes with
+# json is imported where it is used, so that a CSV call loads no encoder
 
 FORMATS = ("csv", "jsonl")
 
 # Value types a record may hold, exactly: a numpy scalar is refused.
 _PLAIN = frozenset((int, float, str, bool, type(None)))
 # Value types whose repr is their text in both encodings.
-_TEMPLATED = frozenset((int, float))
+_NUMBERS = frozenset((int, float))
+# Characters that make a CSV cell quoted.
+_QUOTED = frozenset(',"\n\r')
 # Most rows encoded together.
 _CHUNK = 256
 
@@ -46,7 +47,12 @@ def _csv_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return repr(value) if isinstance(value, float) else str(value)
+    if isinstance(value, float):
+        return repr(value)
+    text = str(value)
+    if _QUOTED.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _encoder(kinds: dict, fmt: str):
@@ -58,71 +64,56 @@ def _encoder(kinds: dict, fmt: str):
     """
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
-    plans = {kind: ("record", *keys) for kind, keys in kinds.items()}
-    columns = list(dict.fromkeys(key for keys in plans.values() for key in keys))
-
+    columns = list(dict.fromkeys(chain(["record"], *kinds.values())))
+    layouts = {}
     if fmt == "jsonl":
         import json
 
-        def general(record):
-            return json.dumps(record, separators=(", ", ": ")) + "\n"
+        cell = json.dumps
         header = ""
+        for kind, keys in kinds.items():
+            text, texts = '{"record": ' + cell(_plain(kind)), []
+            for key in keys:
+                texts.append(f"{text}, {cell(key)}: ")
+                text = ""
+            layouts[kind] = [*texts, text + "}\n"], range(len(keys))
     else:
-        import csv
+        cell = _csv_cell
+        header = ",".join(map(cell, columns)) + "\n"
+        for kind, keys in kinds.items():
+            # csv quotes a line's one empty cell, to tell it from a blank line
+            text = cell(_plain(kind)) or ("" if columns[1:] else '""')
+            where = {key: position for position, key in enumerate(keys)}
+            texts, order = [], []
+            for column in columns[1:]:
+                text += ","
+                if column in where:
+                    texts.append(text)
+                    order.append(where[column])
+                    text = ""
+            layouts[kind] = [*texts, text + "\n"], order
 
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
-
-        def line(cells):
-            writer.writerow(cells)
-            text = buffer.getvalue()
-            buffer.seek(0)
-            buffer.truncate()
-            return text
-
-        def general(record):
-            return line([_csv_cell(record[key]) if key in record else ""
-                         for key in columns])
-        header = line(columns)
-
-    for kind, keys in plans.items():
-        # a layout: the fixed texts of the kind's lines and the row positions
-        # of the values between them, read off the line of a record that
-        # holds "\x1f<position>\x1f" for each value (JSON writes \u001f); a
-        # key or tag holding \x1f or a backslash could fake a mark
-        layout = letters = None
-        if all(type(text) is str and "\x1f" not in text and "\\" not in text
-               for text in (kind, *keys)):
-            parts = general({
-                key: f"\x1f{position}\x1f" if position else kind
-                for position, key in enumerate(keys)
-            }).replace('"\\u001f', "\x1f").replace('\\u001f"', "\x1f").split("\x1f")
-            layout = parts[0::2], [int(part) for part in parts[1::2]]
-            # a non-finite float writes an "n" (inf, nan) where JSON needs
-            # Infinity or NaN; a finite float or an int never does
-            if fmt == "jsonl":
-                letters = "".join(layout[0]).count("n")
-        plans[kind] = keys, layout, letters
+    def rendered(values):
+        """The texts of one column of a chunk."""
+        if _NUMBERS.issuperset(map(type, values)):
+            texts = list(map(repr, values))
+            # a non-finite float's repr (inf, nan) holds an "n", and JSON
+            # spells it Infinity or NaN; a finite float or an int never does
+            if fmt == "csv" or "n" not in "".join(texts):
+                return texts
+        return [cell(_plain(value)) for value in values]
 
     def encode(kind, rows):
-        keys, layout, letters = plans[kind]
-        if layout is not None:
-            texts, order = layout
-            cells = list(zip(*rows))
-            if len(cells) == len(keys) and all(
-                    _TEMPLATED.issuperset(map(type, cells[position]))
-                    for position in order):
-                count = len(rows)
-                parts = [repeat(texts[0], count)]
-                for position, text in zip(order, texts[1:]):
-                    parts += [map(repr, cells[position]), repeat(text, count)]
-                out = "".join(chain.from_iterable(zip(*parts)))
-                if letters is None or out.count("n") == letters * count:
-                    return out
-            if len(rows) > 1:
-                return "".join(encode(kind, [row]) for row in rows)
-        return "".join(general({key: _plain(value) for key, value in zip(keys, row)})
-                       for row in rows)
+        texts, order = layouts[kind]
+        _, *values = zip(*rows, strict=True)
+        if len(values) != len(order):
+            raise ValueError(f"a {kind!r} row holds {len(values)} values, "
+                             f"not one per key of {kinds[kind]!r}")
+        count = len(rows)
+        parts = [repeat(texts[0], count)]
+        for position, text in zip(order, texts[1:]):
+            parts += [rendered(values[position]), repeat(text, count)]
+        return "".join(chain.from_iterable(zip(*parts)))
 
     return header, encode
 
@@ -148,4 +139,3 @@ def write_records(kinds: dict, rows, fmt: str, path: str | None) -> None:
     finally:
         if path is not None:
             sink.close()
-

@@ -16,7 +16,7 @@ as the package did; blockwise_phase_drift is the former phase-check fold.
 Two more keep the CLI's former record path: report_records builds a
 subcommand's records as dicts from the package's public model functions,
 as the CLI did before it streamed rows, and render_records encodes them
-record by record through csv and json, as output.write_records does. The
+record by record through csv and json, as output.write_records once did. The
 dense density routes are former package code too: DenseDensity holds and
 checks a whole (2*dim, 2*dim) matrix, dense_density builds a DensityMatrix's
 matrix as its matrix property did, dense_damped_matrix builds the damped
@@ -707,10 +707,15 @@ def render_records(records: list[dict], fmt: str) -> str:
         return "\n".join(json.dumps(row, separators=(", ", ": "))
                          for row in rows) + "\n"
     columns = list(dict.fromkeys(key for row in rows for key in row))
+    # csv quotes a cell that holds a character of its line terminator: each
+    # line is written with "\r\n", so that a "\r" is quoted, then ends in "\n"
     sink = io.StringIO()
-    writer = csv.writer(sink, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_csv_text(row[key]) if key in row else ""
-                         for key in columns])
-    return sink.getvalue()
+    writer = csv.writer(sink, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
+    lines = []
+    for cells in [columns, *([_csv_text(row[key]) if key in row else ""
+                              for key in columns] for row in rows)]:
+        writer.writerow(cells)
+        lines.append(sink.getvalue().removesuffix("\r\n") + "\n")
+        sink.seek(0)
+        sink.truncate()
+    return "".join(lines)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import hashlib
 import importlib
 import io
 import json
@@ -16,6 +17,7 @@ import warnings
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -552,8 +554,7 @@ class TestPlumbing:
     def test_numpy_loads_only_for_drawing_subcommands(self, argv, loads_numpy):
         # the import graph of a fresh `import basequest.cli` (argv None) or
         # of one call: exactly the package's submodules that the call runs,
-        # and the one encoder module it writes with; never decimal, scipy or
-        # click
+        # and json for JSON lines alone; never csv, decimal, scipy or click
         report = ("loaded = set(sys.modules)\n"
                   "import json\n"
                   "ours = sorted(m for m in loaded if m.startswith('basequest.'))\n"
@@ -572,7 +573,7 @@ class TestPlumbing:
             "cli", "errors", "output", *CALL_MODULES.get(command, [])])
         # results are named tuples: only ScenarioParams is a dataclass, and
         # inspect comes with numpy alone
-        assert flags == [loads_numpy, jsonl, wrote and not jsonl,
+        assert flags == [loads_numpy, jsonl, False,
                          command == "scenario", loads_numpy, False, False, False]
 
     @pytest.mark.parametrize("module", SUBMODULES, ids=[
@@ -812,6 +813,39 @@ def oracle_call(argv, output=None):
     return config, oracles.report_records(config)
 
 
+# The sha256 of what one call of each subcommand writes in CSV and in JSON
+# lines, with the numpy version that a drawing call's config record names
+# left out. The table crosses a chunk and starts with the None speedup of
+# row 0; the uniform scenario's summary holds a bool and str notes; the last
+# call writes to the path its --config file names, which the config record
+# echoes, and whose comma and quotes CSV must quote.
+PINNED_OUTPUT = 'rows, "q" \u00e9.csv'
+PINNED = [
+    (["table", "--qmax", "300"],
+     ("476da214061a5a0751b3ef8c782fe2011118a7056376e3ebde4bb282ca5139d0",
+      "9a77780a36ffcc381386cc026ed56e66ce1ffcb8a660f75cf3f92dbafca9e467")),
+    (["grover", "--n", "512", "--target", "7", "--phases", "random", "--seed", "5"],
+     ("b64c98f6ad616b93bc529e4f77d50a1833ae8891c3c06e62ff90fd0d0b82cf06",
+      "f9d9325723fc1f555b86ada15dbb80855d7483fba2f4268e6d6bbf3fc5672a5c")),
+    (["classical", "--n", "40", "--trials", "300", "--seed", "2"],
+     ("40792ceb6e037490a7d8406b969233a04b15244dc5450478f8889200122c62ec",
+      "2a1ac46b1e6721f01e1af659320f51d998dc80048cc552fda69d6221dd6aca64")),
+    (["bond", "--cascade", "5"],
+     ("19c9dceb4838c7da51d43fb0e8309e87c35d339157d588d50aa946bfb460f18d",
+      "6968adc4a926f72ac0526e43bc0c8cb2dd8cafdda2e686ea0f28d5cce68e1953")),
+    (["scenario", "--n", "8", "--target", "3", "--emission", "uniform",
+      "--samples", "20", "--seed", "2"],
+     ("864f7944a8f626c85dde546df329617b73f05d2097e4475bf71689bfb482eb2c",
+      "ba1d1213d42691591384edad4e1781d13df871224e0f0c5a45a48a0a2c9c2cc1")),
+    (["hamiltonian", "--n", "64", "--target", "9", "--dt", "0.05"],
+     ("5d1ae061b6ed7a464301cdb08d232d3e3fb5bf82806e73f1ff03a7ca7ee0ab9c",
+      "d58e5cca9d217beffd1443e71e8891f093579dbf9ccfd2ca34f81185723e9391")),
+    (["table", "--config", "pinned.conf"],
+     ("9831d927af9eaa578e1e834a20ce262203668906ec404f4d7da4bb9fd1994c00",
+      "327bf83aebcd89a77bfa296db490476b1ca8e6b13a922edc8f225dc85e69b3df")),
+]
+
+
 @pytest.fixture
 def quiet_hierarchy():
     with warnings.catch_warnings():
@@ -855,6 +889,22 @@ class TestRecordStream:
             assert (result.exit_code, result.output) == (0, "")
             assert Path(target).read_bytes() == \
                 oracles.render_records(records, fmt).encode("utf-8")
+
+    @pytest.mark.parametrize("argv,digests", PINNED,
+                             ids=[" ".join(argv) for argv, _ in PINNED])
+    def test_bytes_are_pinned(self, tmp_path, monkeypatch, argv, digests):
+        monkeypatch.chdir(tmp_path)
+        Path("pinned.conf").write_text(f"qmax = 5\noutput = {PINNED_OUTPUT}\n",
+                                       encoding="utf-8")
+        got = []
+        for fmt in ("csv", "jsonl"):
+            result = invoke([*argv, "--format", fmt])
+            assert result.exit_code == 0, result.stderr
+            written = (Path(PINNED_OUTPUT).read_bytes() if "--config" in argv
+                       else result.output.encode("utf-8"))
+            written = written.replace(np.__version__.encode(), b"")
+            got.append(hashlib.sha256(written).hexdigest())
+        assert tuple(got) == digests
 
     @pytest.mark.parametrize("argv,code", [
         (["hamiltonian", "--n", "0"], 3),

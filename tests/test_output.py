@@ -29,10 +29,12 @@ class TestCsv:
         assert text.splitlines() == ["record,x,y", "a,1,", "b,,2.5"]
 
     def test_quoting_of_awkward_strings(self):
-        note = 'has "quotes", commas\nand a newline'
-        text = written({"row": ("note",)}, [("row", note)], "csv")
-        parsed = list(csv.reader(io.StringIO(text)))
-        assert parsed[1] == ["row", note]
+        # a bare "\r" is quoted too, as RFC 4180 asks, or a reader splits
+        # its record in two
+        for note in ('has "quotes", commas\nand a newline', "a\rb.csv"):
+            text = written({"row": ("note",)}, [("row", note)], "csv")
+            parsed = list(csv.reader(io.StringIO(text, newline="")))
+            assert parsed == [["record", "note"], ["row", note]]
 
     def test_floats_round_trip(self):
         value = 10.472135954999581
@@ -45,6 +47,12 @@ class TestCsv:
         text = written({"row": ("ok", "bad", "gap")}, [("row", True, False, None)],
                        "csv")
         assert text.splitlines()[1] == "row,true,false,"
+
+    def test_a_lone_empty_cell_is_quoted(self):
+        # as csv writes it, so that the record is not read as a blank line
+        text = written({"": ()}, [("",)], "csv")
+        assert text == 'record\n""\n'
+        assert list(csv.reader(io.StringIO(text))) == [["record"], [""]]
 
     def test_unix_line_endings(self):
         text = written({"row": ("a",)}, [("row", 1), ("row", 2)], "csv")
@@ -87,6 +95,15 @@ class TestContract:
         with pytest.raises(ValueError):
             written({"row": ("a",)}, [("row", 1)], "yaml")
 
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_rows_of_the_wrong_length_raise(self, fmt):
+        # a value too many or too few, in a chunk alone or among good rows
+        kinds = {"row": ("a", "b")}
+        for bad in (("row", 1, 2, 3), ("row", 1)):
+            for rows in ([bad], [("row", 1, 2), bad], [bad, bad]):
+                with pytest.raises(ValueError):
+                    written(kinds, rows, fmt)
+
     def test_rejects_unserializable_value(self):
         with pytest.raises(TypeError):
             written({"row": ("a",)}, [("row", object())], "csv")
@@ -123,9 +140,11 @@ class TestContract:
 CELLS = st.one_of(
     st.integers(), st.floats(), st.booleans(), st.none(),
     st.text(alphabet=st.sampled_from('ab,"\n\r{}\x1fn\u00e9 '), max_size=6))
-# Keys and kind tags that could fake a line layout's marks, or need quoting.
-KEYS = st.sampled_from(["n", "a,b", 'q"', "{0}", "x\ny", "", "\x1f", "k\\u001f"])
-TAGS = st.sampled_from(["row", "a,b", 'q"', "{x}", "", "r\nw", "n\x1f", "\\u001f"])
+# Keys and kind tags that need quoting or escaping, and any others.
+KEYS = st.sampled_from(["n", "a,b", 'q"', "{0}", "x\ny", "", "\x1f", "k\\u001f"]) | \
+    st.text(max_size=4).filter(lambda key: key != "record")
+TAGS = st.sampled_from(["row", "a,b", 'q"', "{x}", "", "r\nw", "n\x1f", "\\u001f"]) | \
+    st.text(max_size=4)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,19 +1,26 @@
-"""The README's library quick start runs as written, and every trailing
-comment that starts with a number shows the value of its line."""
+"""The README's library quick start runs as written, every trailing
+comment that starts with a number shows the value of its line, and every
+dotted name it gives of the package's API exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import io
+import pkgutil
 import re
 import tokenize
 from decimal import Decimal
 from pathlib import Path
 
+import basequest
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 # a comment that starts with a real, or with an imaginary part ("-1j")
 NUMBER = re.compile(r"#\s*(-?\d[\d.]*(?:e[-+]?\d+)?)(j?)(?![\w.])")
+# a backticked dotted name, such as `replication.NORM_ATOL`
+DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.\w+)+)`")
 
 
 def quick_start() -> str:
@@ -49,3 +56,31 @@ def test_quick_start_shows_its_values():
     # no number comment is left unchecked, as one on a continuation line would be
     assert len(checked) == sum(map(bool, map(NUMBER.match, comments.values())))
     assert len(checked) >= 9
+
+
+def test_dotted_names_resolve():
+    # names rooted at the package, one of its submodules or one of its
+    # exports; a dataclass field counts as its class's attribute
+    submodules = {info.name for info in pkgutil.iter_modules(basequest.__path__)}
+    missing, checked = [], 0
+    for name in sorted(set(DOTTED.findall(README.read_text(encoding="utf-8")))):
+        root, *attrs = name.split(".")
+        if root == "basequest":
+            obj = basequest
+        elif root in submodules:
+            obj = importlib.import_module(f"basequest.{root}")
+        elif root in basequest.__all__:
+            obj = getattr(basequest, root)
+        else:
+            continue
+        for attr in attrs:
+            if obj is basequest and attr in submodules:
+                obj = importlib.import_module(f"basequest.{attr}")
+            elif hasattr(obj, attr) or attr in getattr(obj, "__dataclass_fields__", ()):
+                obj = getattr(obj, attr, None)
+            else:
+                missing.append(name)
+                break
+        checked += 1
+    assert missing == []
+    assert checked >= 20
