@@ -30,8 +30,11 @@ MAX_STATE_DIM = 2 ** 27
 # int64 result array is 1 GiB. Checked before any stream is spawned.
 MAX_DRAWS = 2 ** 27
 # Longest series the package builds, in steps: success_series and
-# evolve_two_term_hamiltonian (see the latter's docstring for why), the
-# scenario's entropy grid and the CLI's table.
+# evolve_two_term_hamiltonian, the scenario's entropy grid and the CLI's
+# table. The sweep's public tuples take about 100 B a step, so the bound
+# keeps one near 100 MB; the CLI streams the table and the sweep a chunk at
+# a time and holds neither, and keeps the bound to accept what the
+# functions accept.
 MAX_SWEEP_STEPS = 10 ** 6
 # Draws per seed block. Fixed constant: changing it changes the sampled
 # streams, so it is part of the documented determinism contract.

@@ -33,6 +33,7 @@ import argparse
 import gc
 import itertools
 import math
+import operator
 import os
 import sys
 
@@ -158,6 +159,10 @@ def _scenario(o):
                                       report.entropy_bits.tolist()))
 
 
+# Points of the Hamiltonian series made at once.
+_SERIES_CHUNK = 1024
+
+
 def _hamiltonian(o):
     """Two-term Hamiltonian evolution: exact vs split-operator series."""
     from . import grover
@@ -167,15 +172,25 @@ def _hamiltonian(o):
     # has to be computable
     if o.t_max is None:
         o.t_max = math.pi * math.sqrt(min(max(o.n, 2), MAX_COUNT)) / 2.0
-    sweep = grover.evolve_two_term_hamiltonian(o.n, o.target, o.t_max, o.dt)
-    summary = ("summary", sweep.peak_success(), 1.0 - 1.0 / o.n,
-               sweep.max_deviation())
+    n, dt = o.n, o.dt
+    points = grover._sweep_steps(n, o.target, o.t_max, dt) + 1
+
+    def rows():
+        # evolve_two_term_hamiltonian's series, made and written a chunk at
+        # a time, with its peak_success and max_deviation folded as they go
+        peak = deviation = 0.0
+        for lo in range(0, points, _SERIES_CHUNK):
+            times, exact, trotter = grover._split_series(
+                n, dt, True, lo, min(lo + _SERIES_CHUNK, points))
+            peak = max(peak, max(exact))
+            deviation = max(deviation, max(map(abs, map(operator.sub, exact,
+                                                        trotter))))
+            yield from zip(itertools.repeat("step"), times, exact, trotter)
+        yield ("summary", peak, 1.0 - 1.0 / n, deviation)
     return {
         "step": ("time", "exact_success", "trotter_success"),
         "summary": ("peak_success", "success_floor", "max_deviation"),
-    }, itertools.chain(zip(itertools.repeat("step"), sweep.times,
-                           sweep.exact_success, sweep.trotter_success),
-                       [summary])
+    }, rows()
 
 
 _REQUIRED = object()

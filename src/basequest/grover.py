@@ -15,7 +15,8 @@ and via split-operator alternation.
 Both dynamics stay in the plane of the target basis state and the start
 state. A search run is a rotation there by (2*queries + 1) * theta, taken in
 closed form with theta held in fixed point, so its cost depends on neither
-N nor the query count. It returns its state as the pair of plane
+N nor the query count. A split-operator step is a fixed rotation there too,
+so each point of the split series is taken in closed form as well. It returns its state as the pair of plane
 amplitudes: its dim and success probabilities are read off the pair, and
 the full amplitude array is built only when a caller reads it. numpy is
 imported only by the routines that build or take arrays.
@@ -23,7 +24,6 @@ imported only by the routines that build or take arrays.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from functools import lru_cache
@@ -412,19 +412,30 @@ def evolve_two_term_hamiltonian(
     symmetric split (half target-phase, full start-phase, half
     target-phase), whose deviation from the exact series shrinks
     quadratically in time_step; symmetric=False gives the plain product,
-    which converges only linearly.
+    which converges only linearly. Each point of either series is taken
+    in closed form, so its cost and its error do not grow with k.
 
     total_time/time_step may not exceed MAX_SWEEP_STEPS = 10**6; a finer
-    grid is refused before anything is allocated. The sweep keeps about
-    100 bytes a step, and the CLI streams its report a few hundred records
-    at a time, so the bound keeps the largest report near 2 s and 140 MB
-    of peak RSS on a 2-vCPU VM, where an unbounded grid ends in a
-    MemoryError. It still covers the first peak at dim 10**9 with
-    time_step 0.05.
+    grid is refused before anything is allocated. The returned tuples take
+    about 100 bytes a step, so the bound keeps a sweep near 100 MB, where
+    an unbounded grid ends in a MemoryError. The CLI streams the same
+    series a chunk at a time and holds none of them; it keeps the bound so
+    that it accepts what this function accepts. The bound still covers the
+    first peak at dim 10**9 with time_step 0.05.
 
     The exact series reaches success >= 1 - 1/dim provided total_time
     covers the first peak at pi*sqrt(dim)/2.
     """
+    steps = _sweep_steps(dim, target, total_time, time_step)
+    times, exact, trotter = _split_series(dim, time_step, symmetric, 0, steps + 1)
+    return HamiltonianSweep(times=tuple(times), exact_success=tuple(exact),
+                            trotter_success=tuple(trotter))
+
+
+def _sweep_steps(dim: int, target: int, total_time: float,
+                 time_step: float) -> int:
+    """The step count of evolve_two_term_hamiltonian's grid, once its
+    arguments are checked."""
     check_count(dim, "dimension", 2, InvalidDimensionError)
     check_target(target, dim)
     check_positive(total_time, "total_time")
@@ -436,41 +447,51 @@ def evolve_two_term_hamiltonian(
         raise InvalidParameterError(
             f"time_step {time_step!r} makes more than {MAX_SWEEP_STEPS} steps "
             f"of total_time {total_time!r}")
+    return max(1, int(round(total_time / time_step)))
 
-    steps = max(1, int(round(total_time / time_step)))
-    times = tuple([k * time_step for k in range(steps + 1)])
+
+def _split_series(dim: int, time_step: float, symmetric: bool, lo: int,
+                  hi: int) -> tuple[list[float], list[float], list[float]]:
+    """(times, exact, trotter): the points k in [lo, hi) of
+    evolve_two_term_hamiltonian's three series, as lists, for checked
+    arguments."""
     x, y = 1.0 / math.sqrt(dim), math.sqrt((dim - 1) / dim)
+    cos, sin = math.cos, math.sin
+    ks = range(lo, hi)
+    times = [k * time_step for k in ks]
     # On the plane H = 1 + x*K, where K = [[x, y], [y, -x]] is the reflection
     # swapping |target> and |start>. K**2 = 1 gives exp(-iHt) = exp(-it) *
     # (cos(xt) - i sin(xt) K), whose target amplitude from the start is
     # exp(-it) * (x cos(xt) - i sin(xt)).
-    floor, swing, sin = x * x, 1.0 - x * x, math.sin
-    exact = tuple([floor + swing * sin(x * t) ** 2 for t in times])
+    floor, swing = x * x, 1.0 - x * x
+    exact = [floor + swing * sin(x * t) ** 2 for t in times]
 
-    # Projector exponentials exp(-iP tau) = 1 + (exp(-i tau) - 1) P; the
-    # symmetric split puts half the target phase on each side.
-    kick = cmath.exp(-1j * time_step) - 1.0
-    start_phase = ((1.0 + kick * (x * x), kick * (x * y)),
-                   (kick * (y * x), 1.0 + kick * (y * y)))
-    tau = time_step / 2.0 if symmetric else time_step
-    target_phase = ((cmath.exp(-1j * tau), 0.0), (0.0, 1.0))
-    split_step = _product(target_phase, start_phase)
-    if symmetric:
-        split_step = _product(split_step, target_phase)
-    (m00, m01), (m10, m11) = split_step
-    a, b = x, y
-    trotter = [floor]
+    # Up to a global phase, a 2x2 unitary is a unit quaternion (w, v), for
+    # w - i v.sigma, and exp(-iPt) for the projector onto a state of Bloch
+    # vector n is (cos t/2, sin t/2 n). So the target phase T(tau) is
+    # (cos tau/2, 0, 0, sin tau/2) and the start phase S(dt) is (c, s n),
+    # with c, s = cos, sin of dt/2 and n = (2xy, 0, x**2 - y**2). The step,
+    # T S T with tau = dt/2 or T S with tau = dt, multiplies out to
+    # w = c**2 - s**2 (x**2 - y**2) and v = s (vx, vy, 2c x**2), where
+    # (vx, vy) is (2xy, 0) or (2cxy, 2sxy) and x**2 - y**2 + 1 is taken as
+    # 2x**2. So the step is cos phi - i sin phi m.sigma, with
+    # phi = atan2(|v|, w) and m = v/|v|, and its k-th power takes the start
+    # (x, y) to the target amplitude
+    # x cos k phi - m_y y sin k phi - i (m_z x + m_x y) sin k phi.
+    # m is read off the bracket, which never underflows: a step too small
+    # to turn the plane gives phi = 0 and a flat series.
+    c, s = cos(time_step / 2.0), sin(time_step / 2.0)
+    vx, vy = (2.0 * x * y, 0.0) if symmetric else (2.0 * c * x * y,
+                                                    2.0 * s * x * y)
+    vz = 2.0 * c * x * x
+    norm = math.hypot(vx, vy, vz)
+    phi = math.atan2(s * norm, c * c - s * s * (x * x - y * y))
+    turned, tilted = (vz * x + vx * y) / norm, vy / norm * y
+    trotter = []
     append = trotter.append
-    for _ in range(steps):
-        a, b = m00 * a + m01 * b, m10 * a + m11 * b
-        m = abs(a)
-        append(m * m)
-    return HamiltonianSweep(times=times, exact_success=exact,
-                            trotter_success=tuple(trotter))
-
-
-def _product(left, right):
-    """Product of two 2x2 matrices given as pairs of rows."""
-    (a, b), (c, d) = left
-    (e, f), (g, h) = right
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+    for k in ks:
+        angle = k * phi
+        sine = sin(angle)
+        real, imag = x * cos(angle) - tilted * sine, turned * sine
+        append(real * real + imag * imag)
+    return times, exact, trotter

@@ -104,6 +104,8 @@ def _encoder(kinds: dict, fmt: str):
         return [cell(_plain(value)) for value in values]
 
     def encode(kind, rows):
+        if kind not in layouts:
+            raise ValueError(f"a row of kind {kind!r}, which is not declared")
         texts, order = layouts[kind]
         _, *values = zip(*rows, strict=True)
         if len(values) != len(order):
@@ -124,7 +126,9 @@ def write_records(kinds: dict, rows, fmt: str, path: str | None) -> None:
     None. Each kind, a str, is also the record's "record" tag.
 
     Rows are read, encoded and written a chunk at a time, through the
-    sink's own buffering. The format is checked before the file is opened.
+    sink's own buffering. The format is checked before the file is opened;
+    a row of an undeclared kind, or with other than one value per key of
+    its kind, raises ValueError.
     """
     header, encode = _encoder(kinds, fmt)
     sink = sys.stdout if path is None else open(path, "w", encoding="utf-8",

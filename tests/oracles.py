@@ -167,6 +167,43 @@ def decimal_search_amplitudes(dim: int, queries: int) -> tuple[float, float, flo
         return tuple(0.0 if abs(v) < Decimal("1e-40") else float(v) for v in values)
 
 
+def decimal_split_success(dim: int, total_time: float, time_step: float,
+                          symmetric: bool = True) -> list[float]:
+    """The split-operator success series stepped on the plane of |target>
+    and the uniform state over the other objects, in DIGITS-digit complex
+    arithmetic (pairs of Decimals) from the exact start (1/sqrt(dim),
+    sqrt(1 - 1/dim)), each point rounded once to a float. time_step is
+    taken at its exact binary value."""
+
+    def times(p, q):
+        return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+    def phase(t):  # exp(-it)
+        sin, cos = _decimal_sin_cos(t)
+        return cos, -sin
+
+    steps = max(1, int(round(total_time / time_step)))
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        x = 1 / Decimal(dim).sqrt()
+        y = (1 - x * x).sqrt()
+        dt = Decimal(time_step)
+        kick = phase(dt)
+        kick = kick[0] - 1, kick[1]
+        target = phase(dt / 2 if symmetric else dt)
+        a, b = (x, Decimal(0)), (y, Decimal(0))
+        series = [float(x * x)]
+        for _ in range(steps):
+            if symmetric:
+                a = times(target, a)
+            # exp(-iP dt) = 1 + (exp(-i dt) - 1) P, P the start projector
+            proj = times(kick, (x * a[0] + y * b[0], x * a[1] + y * b[1]))
+            a = times(target, (a[0] + x * proj[0], a[1] + x * proj[1]))
+            b = b[0] + y * proj[0], b[1] + y * proj[1]
+            series.append(float(a[0] * a[0] + a[1] * a[1]))
+        return series
+
+
 def vector_split_success(dim: int, target: int, total_time: float,
                          time_step: float, symmetric: bool = True) -> np.ndarray:
     """Split-operator success series stepped on full vectors, with each

@@ -798,6 +798,10 @@ STREAMS = [
     ["hamiltonian", "--n", "4", "--dt", "0.05"],
     ["hamiltonian", "--n", "64", "--target", "9", "--dt", "0.05"],
     ["hamiltonian", "--n", "4", "--dt", "0.01", "--t-max", "7.25"],
+    # one point short of a whole chunk of the series, a whole chunk, and one
+    # point over
+    *(["hamiltonian", "--n", "1024", "--dt", "0.125", "--t-max",
+       str((cli._SERIES_CHUNK + extra) / 8)] for extra in (-2, -1, 0)),
 ]
 
 
@@ -838,8 +842,8 @@ PINNED = [
      ("864f7944a8f626c85dde546df329617b73f05d2097e4475bf71689bfb482eb2c",
       "ba1d1213d42691591384edad4e1781d13df871224e0f0c5a45a48a0a2c9c2cc1")),
     (["hamiltonian", "--n", "64", "--target", "9", "--dt", "0.05"],
-     ("5d1ae061b6ed7a464301cdb08d232d3e3fb5bf82806e73f1ff03a7ca7ee0ab9c",
-      "d58e5cca9d217beffd1443e71e8891f093579dbf9ccfd2ca34f81185723e9391")),
+     ("aac3339622526e0ae8db3459993e5c7660b7dd0426cefe112d52f3e474c343cb",
+      "3cc7de5b0c3e8722362c8f4f280c0204f4ffed14de6d215a930dc1a22bb29316")),
     (["table", "--config", "pinned.conf"],
      ("9831d927af9eaa578e1e834a20ce262203668906ec404f4d7da4bb9fd1994c00",
       "327bf83aebcd89a77bfa296db490476b1ca8e6b13a922edc8f225dc85e69b3df")),
@@ -945,6 +949,22 @@ class TestRecordStream:
         assert peaks[1] < 8 * 2**20
         # ten times the rows, and no more of them held at once
         assert peaks[1] <= peaks[0] + 2**15, peaks
+
+    def test_hamiltonian_stream_memory_is_flat(self, tmp_path):
+        argv = ["hamiltonian", "--n", "4", "--t-max", "1", "--output",
+                str(tmp_path / "rows.csv"), "--dt"]
+        invoke([*argv, "1e-3"])  # imports, caches
+        peaks = []
+        for steps in (10 ** 4, 10 ** 5):
+            tracemalloc.start()
+            try:
+                result = invoke([*argv, str(1 / steps)])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert result.exit_code == 0
+        # ten times the steps, and no more of the series held at once
+        assert peaks[1] <= peaks[0] + 2**16, peaks
 
     def test_closed_stdout_ends_quietly(self):
         src = str(Path(basequest.__file__).resolve().parents[1])

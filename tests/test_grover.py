@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 import timeit
 import tracemalloc
 
@@ -21,6 +22,7 @@ from oracles import (
     analytic_two_term_success,
     blockwise_phase_drift,
     decimal_search_amplitudes,
+    decimal_split_success,
     dense_oracle,
     dense_reflection,
     dense_run,
@@ -685,6 +687,33 @@ class TestTwoTermHamiltonian:
         assert len(sweep.trotter_success) == len(expected)
         assert np.max(np.abs(np.subtract(sweep.trotter_success, expected))) <= 1e-12
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 37, 1024, 10 ** 12, 2 ** 53])
+    def test_split_series_matches_decimal_oracle(self, dim, symmetric):
+        # each point in closed form, so its error does not grow over the
+        # thousands of steps to the first peak (of dim 1024 past it)
+        total = math.pi * math.sqrt(min(dim, 1024)) / 2
+        for time_step in (0.05, 0.0125):
+            sweep = bq.evolve_two_term_hamiltonian(dim, 1, total, time_step,
+                                                   symmetric=symmetric)
+            expected = decimal_split_success(dim, total, time_step, symmetric)
+            assert len(sweep.trotter_success) == len(expected)
+            for got, want in zip(sweep.trotter_success, expected):
+                error = abs(got - want)
+                assert error <= 1e-15 and error <= 4e-15 * want, (got, want)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("dim,time_step", [
+        (2, 1e-300), (4, 1e-310), (10 ** 12, 5e-324), (2 ** 53, 1e-200)])
+    def test_steps_too_small_to_turn_give_flat_series(self, dim, time_step,
+                                                      symmetric):
+        # one step whose rotation vector underflows, or is exactly zero
+        sweep = bq.evolve_two_term_hamiltonian(dim, 0, time_step, time_step,
+                                               symmetric=symmetric)
+        floor = (1.0 / math.sqrt(dim)) ** 2
+        assert sweep.times == (0.0, time_step)
+        assert sweep.exact_success == sweep.trotter_success == (floor, floor)
+
     def test_series_are_tuples_of_floats(self):
         sweep = bq.evolve_two_term_hamiltonian(4, 0, 1.0, 0.25)
         for series in (sweep.times, sweep.exact_success, sweep.trotter_success):
@@ -720,7 +749,8 @@ class TestTwoTermHamiltonian:
 
     # digests of the series, max_deviation and peak_success over the first
     # peak (of dim 1024 for the larger dims), as the sweep gave them when it
-    # built its series by generator expressions
+    # stepped its split series: with that series taken from its stepped
+    # oracle, they pin times and exact_success to the bits they had then
     @pytest.mark.parametrize("dim,time_step,symmetric,digest", [
         (2, 0.05, True, "34c4aa863d45bed6"), (2, 0.05, False, "d54efc7f54d09fbd"),
         (2, 0.0125, True, "b864c5436db7ecd2"), (2, 0.0125, False, "fb83a68d38610fdb"),
@@ -740,8 +770,36 @@ class TestTwoTermHamiltonian:
         total = math.pi * math.sqrt(min(dim, 1024)) / 2
         sweep = bq.evolve_two_term_hamiltonian(dim, dim // 2, total, time_step,
                                                symmetric=symmetric)
+        stepped = split_orbit_success(dim, total, time_step, symmetric)
+        deviation = max(map(abs, map(operator.sub, sweep.exact_success, stepped)))
+        assert hex_digest([sweep.times, sweep.exact_success, stepped,
+                           (deviation, sweep.peak_success())]) == digest
         assert hex_digest([sweep.times, sweep.exact_success, sweep.trotter_success,
-                           (sweep.max_deviation(), sweep.peak_success())]) == digest
+                           (sweep.max_deviation(), sweep.peak_success())]) == \
+            self.CLOSED[dim, time_step, symmetric]
+
+    # the same digests, as the sweep gives them with its split series in
+    # closed form
+    CLOSED = {(2, 0.05, True): "79a6caed75e26615",
+              (2, 0.05, False): "cd3823ca3208a1c8",
+              (2, 0.0125, True): "9e1b0e3380ef650e",
+              (2, 0.0125, False): "c6dcb2d73245abef",
+              (3, 0.05, True): "6665b14a3cd3fc88",
+              (3, 0.05, False): "023b06704af3e745",
+              (3, 0.0125, True): "f6af446002e6b383",
+              (3, 0.0125, False): "8bef2865fcf64786",
+              (4, 0.05, True): "7278d1007f5e7d8d",
+              (4, 0.05, False): "0271d82357f5dbc8",
+              (4, 0.0125, True): "bd542bb2ff9b9d60",
+              (4, 0.0125, False): "26e6e08bd24f77ef",
+              (1024, 0.05, True): "92ff322f40c1a084",
+              (1024, 0.05, False): "d56909ecc74b6814",
+              (1024, 0.0125, True): "f45a44f25fd48b27",
+              (1024, 0.0125, False): "60cfb4f3f3eb0e68",
+              (10 ** 12, 0.05, True): "9a77bd87a0315fdf",
+              (10 ** 12, 0.05, False): "deeacb0c66a29725",
+              (10 ** 12, 0.0125, True): "53324eee986e5897",
+              (10 ** 12, 0.0125, False): "6aaebc25007a5179"}
 
     @pytest.mark.parametrize("time_step", [
         1.0 / (2 * MAX_SWEEP_STEPS), 1e-300, 5e-324])

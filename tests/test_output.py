@@ -104,6 +104,11 @@ class TestContract:
                 with pytest.raises(ValueError):
                     written(kinds, rows, fmt)
 
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_rows_of_an_undeclared_kind_raise(self, fmt):
+        with pytest.raises(ValueError, match="kind 'b'"):
+            written({"a": ("x",)}, [("a", 1), ("b", 2)], fmt)
+
     def test_rejects_unserializable_value(self):
         with pytest.raises(TypeError):
             written({"row": ("a",)}, [("row", object())], "csv")
