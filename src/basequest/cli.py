@@ -33,7 +33,6 @@ import argparse
 import gc
 import itertools
 import math
-import operator
 import os
 import sys
 
@@ -180,12 +179,11 @@ def _hamiltonian(o):
         # a time, with its peak_success and max_deviation folded as they go
         peak = deviation = 0.0
         for lo in range(0, points, _SERIES_CHUNK):
-            times, exact, trotter = grover._split_series(
-                n, dt, True, lo, min(lo + _SERIES_CHUNK, points))
-            peak = max(peak, max(exact))
-            deviation = max(deviation, max(map(abs, map(operator.sub, exact,
-                                                        trotter))))
-            yield from zip(itertools.repeat("step"), times, exact, trotter)
+            chunk = grover.HamiltonianSweep(*grover._split_series(
+                n, dt, True, lo, min(lo + _SERIES_CHUNK, points)))
+            peak = max(peak, chunk.peak_success())
+            deviation = max(deviation, chunk.max_deviation())
+            yield from zip(itertools.repeat("step"), *chunk)
         yield ("summary", peak, 1.0 - 1.0 / n, deviation)
     return {
         "step": ("time", "exact_success", "trotter_success"),

@@ -15,11 +15,12 @@ and via split-operator alternation.
 Both dynamics stay in the plane of the target basis state and the start
 state. A search run is a rotation there by (2*queries + 1) * theta, taken in
 closed form with theta held in fixed point, so its cost depends on neither
-N nor the query count. A split-operator step is a fixed rotation there too,
-so each point of the split series is taken in closed form as well. It returns its state as the pair of plane
+N nor the query count. It returns its state as the pair of plane
 amplitudes: its dim and success probabilities are read off the pair, and
-the full amplitude array is built only when a caller reads it. numpy is
-imported only by the routines that build or take arrays.
+the full amplitude array is built only when a caller reads it. A
+split-operator step is a fixed rotation of the plane too, so each point of
+the split series is taken in closed form as well. numpy is imported only
+by the routines that build or take arrays.
 """
 
 from __future__ import annotations

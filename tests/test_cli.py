@@ -820,8 +820,9 @@ def oracle_call(argv, output=None):
 # The sha256 of what one call of each subcommand writes in CSV and in JSON
 # lines, with the numpy version that a drawing call's config record names
 # left out. The table crosses a chunk and starts with the None speedup of
-# row 0; the uniform scenario's summary holds a bool and str notes; the last
-# call writes to the path its --config file names, which the config record
+# row 0; the uniform scenario's summary holds a bool and str notes; the
+# hamiltonian call's split series is taken in closed form; the last call
+# writes to the path its --config file names, which the config record
 # echoes, and whose comma and quotes CSV must quote.
 PINNED_OUTPUT = 'rows, "q" \u00e9.csv'
 PINNED = [
