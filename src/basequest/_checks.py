@@ -26,8 +26,10 @@ MAX_COUNT = 2 ** 53
 # only the arrays built when a caller reads them; the runs themselves keep
 # a few numbers per state and accept dimensions up to MAX_COUNT.
 MAX_STATE_DIM = 2 ** 27
-# Most draws one call makes (classical trials, scenario samples): a 2**27
-# int64 result array is 1 GiB. Checked before any stream is spawned.
+# Most draws one call makes (classical trials, scenario samples), checked
+# before any stream is spawned. A call holds about 16 B a draw, 2 GiB at
+# 2**27: run_scenario a float64 chance and an int64 count per sample,
+# simulate_search its int64 samples and the float64 temporary of std.
 MAX_DRAWS = 2 ** 27
 # Longest series the package builds, in steps: success_series and
 # evolve_two_term_hamiltonian, the scenario's entropy grid and the CLI's

@@ -251,17 +251,12 @@ def optimal_queries(database_size: int) -> SearchSolution:
     to the smaller count.
     """
     check_count(database_size, "database size", 1, InvalidDimensionError)
-    best = _optimal_count(database_size)
+    best = _peak_count(math.asin(1.0 / math.sqrt(database_size)))
     return SearchSolution(
         queries=best,
         database_size=float(database_size),
         success_probability=_closed_form(database_size, best),
     )
-
-
-def _optimal_count(size: int) -> int:
-    """optimal_queries(size).queries, for a checked size."""
-    return _peak_count(math.asin(1.0 / math.sqrt(size)))
 
 
 def _peak_count(theta: float) -> int:
@@ -279,10 +274,9 @@ def _peak_count(theta: float) -> int:
 
 
 def _table_row(queries: int) -> tuple[float, int, float, int]:
-    """(size, nearest, success, optimal) for a checked query count: size
-    is _solved_size(queries), nearest the integer nearest it, success
-    _closed_form(nearest, queries) and optimal _optimal_count(nearest), bit
-    for bit, taking asin once."""
+    """(size, nearest, success, optimal) for a checked query count, bit for
+    bit _solved_size(queries), the integer nearest it, _closed_form(nearest,
+    queries) and optimal_queries(nearest).queries, taking asin once."""
     size = _solved_size(queries)
     nearest = math.floor(size + 0.5)
     theta = math.asin(1.0 / math.sqrt(nearest))

@@ -354,7 +354,6 @@ def _arc_state(arc, oscillation_time: float, t: float) -> JointState:
 def undamped_state(state0: JointState, target: int, oscillation_time: float,
                    t: float, trajectory: str = "conditional") -> JointState:
     """Pure swing state at time t (no relaxation)."""
-    _check_state(state0, "state0")
     return _arc_state(_swing_arc(state0, target, trajectory), oscillation_time, t)
 
 

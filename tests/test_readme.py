@@ -1,19 +1,24 @@
 """The README's library quick start runs as written, every trailing
-comment that starts with a number shows the value of its line, and every
-dotted name it gives of the package's API exists."""
+comment that starts with a number shows the value of its line, every
+dotted name it gives of the package's API exists, and every command-line
+example runs."""
 
 from __future__ import annotations
 
 import ast
+import contextlib
+import csv
 import importlib
 import io
 import pkgutil
 import re
+import shlex
 import tokenize
 from decimal import Decimal
 from pathlib import Path
 
 import basequest
+from basequest import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -84,3 +89,27 @@ def test_dotted_names_resolve():
         checked += 1
     assert missing == []
     assert checked >= 20
+
+
+def cli_examples() -> list[list[str]]:
+    """The argv of each `basequest ...` line of the README's sh blocks."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    return [shlex.split(line, comments=True)[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("basequest ")]
+
+
+def test_cli_examples_run(monkeypatch):
+    monkeypatch.delenv("BASEQUEST_FORMAT", raising=False)
+    examples = cli_examples()
+    # one example at least per subcommand
+    assert {argv[0] for argv in examples} == set(cli._COMMANDS)
+    for argv in examples:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:  # a usage error, an unknown flag say, exits 2 from argparse
+                code = cli.main.main(argv, standalone_mode=False)
+            except SystemExit as done:
+                code = done.code
+        assert code == 0, (argv, err.getvalue())
+        first = next(csv.DictReader(io.StringIO(out.getvalue())))
+        assert (first["record"], first["command"]) == ("config", argv[0]), argv
