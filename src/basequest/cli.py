@@ -57,15 +57,15 @@ def _table(o):
     if not 0 <= o.qmax <= MAX_SWEEP_STEPS:
         raise argparse.ArgumentError(
             None, f"--qmax must be in [0, {MAX_SWEEP_STEPS}]")
-    # the unchecked evaluators of solve_database_size, closed_form_success,
-    # optimal_queries and speedup_ratio: every size here is in range
+    # the unchecked evaluators of solve_database_size, closed_form_success
+    # and speedup_ratio (a row's optimal count is its query count)
     row, speedup = grover._table_row, classical._speedup
 
     def rows():
         for queries in range(o.qmax + 1):
-            size, nearest, success, optimal = row(queries)
+            size, nearest, success = row(queries)
             yield ("row", queries, size, nearest, success,
-                   speedup(nearest, optimal))
+                   speedup(nearest, queries))
     return {"row": ("queries", "size_exact", "size_nearest",
                     "success_at_nearest", "speedup_at_nearest")}, rows()
 

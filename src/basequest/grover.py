@@ -151,17 +151,17 @@ _ZERO = 1 << 57
 
 
 @lru_cache(maxsize=256)
-def _theta(dim: int) -> int:
-    """asin(1/sqrt(dim)) * 2**_BITS, to within one unit.
+def _theta(dim: int, scale: int = 1) -> int:
+    """asin(sqrt(scale/dim)) * 2**_BITS, to within one unit (scale 1 or 2).
 
-    theta = 2*atan(u) with u = 1/(sqrt(dim - 1) + sqrt(dim)). The angle is
-    halved until u < 1/32, so the atan series needs at most 21 terms at the
-    working precision of 16 guard bits.
+    theta = 2*atan(u) with u = 1/(sqrt(d - 1) + sqrt(d)), d = dim/scale. The
+    angle is halved until u < 1/32, so the atan series needs at most 21
+    terms at the working precision of 16 guard bits.
     """
     work = _BITS + 16
     one = 1 << work
-    u = one * one // (math.isqrt((dim - 1) << 2 * work)
-                      + math.isqrt(dim << 2 * work))
+    u = one * one // (math.isqrt(((dim - scale) << 2 * work) // scale)
+                      + math.isqrt((dim << 2 * work) // scale))
     doublings = 1
     while u >= one >> 5:
         u = u * one // (one + math.isqrt(one * one + u * u))
@@ -248,10 +248,11 @@ def optimal_queries(database_size: int) -> SearchSolution:
 
     The maximum is taken over the first rise of the success oscillation
     (queries beyond the first peak only lose ground to extra work); ties go
-    to the smaller count.
+    to the smaller count, which makes it the largest q with 4*q*theta < pi,
+    decided exactly on the fixed-point theta. The only tie is size 2.
     """
     check_count(database_size, "database size", 1, InvalidDimensionError)
-    best = _peak_count(math.asin(1.0 / math.sqrt(database_size)))
+    best = (_PI - 1) // (4 * _theta(int(database_size)))
     return SearchSolution(
         queries=best,
         database_size=float(database_size),
@@ -259,29 +260,20 @@ def optimal_queries(database_size: int) -> SearchSolution:
     )
 
 
-def _peak_count(theta: float) -> int:
-    """The optimal query count at search angle theta."""
-    # Real-valued peak of sin((2q+1)theta) at q = (pi/(2 theta) - 1)/2,
-    # never negative: theta is at most asin(1.0), whose double is math.pi.
-    peak = (math.pi / (2.0 * theta) - 1.0) / 2.0
-    low, high = math.floor(peak), math.ceil(peak)
-    # Each side is _closed_form at its count, bit for bit.
-    at_low = math.sin((2 * low + 1) * theta) ** 2
-    at_high = math.sin((2 * high + 1) * theta) ** 2
-    # Exact ties (possible by trig symmetry, e.g. size 2) must go to the
-    # smaller count, so demand a margin beyond rounding noise.
-    return high if at_high > at_low + 1e-12 else low
-
-
-def _table_row(queries: int) -> tuple[float, int, float, int]:
-    """(size, nearest, success, optimal) for a checked query count, bit for
-    bit _solved_size(queries), the integer nearest it, _closed_form(nearest,
-    queries) and optimal_queries(nearest).queries, taking asin once."""
+def _table_row(queries: int) -> tuple[float, int, float]:
+    """(size, nearest, success) for a checked query count: _solved_size,
+    the integer nearest the exact size and _closed_form there. Its optimal
+    count is queries: pi/(4 theta) is within pi/(16 sqrt(nearest)) of
+    queries + 1/2."""
     size = _solved_size(queries)
-    nearest = math.floor(size + 0.5)
-    theta = math.asin(1.0 / math.sqrt(nearest))
-    success = math.sin((2 * queries + 1) * theta) ** 2
-    return size, nearest, success, _peak_count(theta)
+    low = math.floor(size)
+    above = size - low - 0.5  # exact; ties round up, as floor(size + 0.5)
+    # size is within 4.9 ulp; near n + 1/2, the exact size lies above it
+    # just when 2*(2*queries + 1) * asin(sqrt(2/(2n + 1))) exceeds pi
+    if abs(above) <= 16 * math.ulp(size):
+        above = 2 * (2 * queries + 1) * _theta(2 * low + 1, 2) - _PI
+    nearest = low + (above >= 0)
+    return size, nearest, _closed_form(nearest, queries)
 
 
 def solve_database_size(queries: int) -> SearchSolution:

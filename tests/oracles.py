@@ -142,6 +142,44 @@ def _decimal_pi() -> Decimal:
     return 16 * atan_inverse(5) - 4 * atan_inverse(239)
 
 
+def _decimal_theta(dim: int) -> Decimal:
+    """asin(1/sqrt(dim)) for dim >= 2, by Newton's method on
+    sin(theta) = 1/sqrt(dim) from the float asin, at the context precision."""
+    sine = 1 / Decimal(dim).sqrt()
+    theta = Decimal(math.asin(1.0 / math.sqrt(dim)))
+    for _ in range(4):  # 53 bits double to 424
+        sin, cos = _decimal_sin_cos(theta)
+        theta -= (sin - sine) / cos
+    return theta
+
+
+def decimal_optimal_queries(dim: int) -> int:
+    """The query count maximizing sin**2((2q + 1) * asin(1/sqrt(dim))) on
+    the first rise, ties to the smaller, for dim in [1, 2**53]: the better
+    of the two integers around the real peak q = pi/(4 theta) - 1/2, each
+    side's success taken to DIGITS digits. Successes within 1e-40 of each
+    other tie, which happens at dim 1 (theta = pi/2) and 2 (pi/4) only."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        pi = _decimal_pi()
+        theta = pi / 2 if dim == 1 else _decimal_theta(dim)
+        low = int(pi / (4 * theta) - Decimal("0.5"))  # floor: the peak is >= 0
+
+        def success(q):
+            return _decimal_sin_cos((2 * q + 1) * theta)[0] ** 2
+
+        return low + 1 if success(low + 1) - success(low) > Decimal("1e-40") else low
+
+
+def decimal_solved_size(queries: int) -> Decimal:
+    """1/sin**2(pi/(2*(2*queries + 1))), the real size solve_database_size
+    solves from a query count, to DIGITS digits."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        sin, _ = _decimal_sin_cos(_decimal_pi() / (2 * (2 * queries + 1)))
+        return 1 / (sin * sin)
+
+
 def decimal_search_amplitudes(dim: int, queries: int) -> tuple[float, float, float]:
     """(on_target, rest, success) after `queries` search rounds at dim: the
     target amplitude sin(a), every other amplitude cos(a)/sqrt(dim - 1) and
@@ -155,11 +193,7 @@ def decimal_search_amplitudes(dim: int, queries: int) -> tuple[float, float, flo
     """
     with localcontext() as ctx:
         ctx.prec = DIGITS
-        pi, sine = _decimal_pi(), 1 / Decimal(dim).sqrt()
-        theta = Decimal(math.asin(1.0 / math.sqrt(dim)))
-        for _ in range(4):  # 53 bits double to 424
-            sin, cos = _decimal_sin_cos(theta)
-            theta -= (sin - sine) / cos
+        pi, theta = _decimal_pi(), _decimal_theta(dim)
         angle = (2 * queries + 1) * theta
         angle -= 2 * pi * (angle / (2 * pi)).to_integral_value()
         sin, cos = _decimal_sin_cos(angle)

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import basequest as bq
@@ -21,7 +21,9 @@ from oracles import (
     DenseJointState,
     analytic_two_term_success,
     blockwise_phase_drift,
+    decimal_optimal_queries,
     decimal_search_amplitudes,
+    decimal_solved_size,
     decimal_split_success,
     dense_oracle,
     dense_reflection,
@@ -545,10 +547,68 @@ class TestTableRow:
                            bq.optimal_queries(nearest).queries,
                            bq.speedup_ratio(nearest)))
             row = _table_row(queries)
-            private.append((*row, _speedup(row[1], row[3])))
+            private.append((*row, queries, _speedup(row[1], queries)))
         # the digest of the public evaluators' rows before the row evaluator
         assert hex_digest(public) == "d286f351a4c7c203"
         assert hex_digest(private) == hex_digest(public)
+
+
+class TestExactCounts:
+    """optimal_queries and table rows against 60-digit decimal oracles."""
+
+    # N from a log-spaced grid over [1, 2**53], eight points an octave
+    GRID = sorted({round(2 ** (k / 8)) for k in range(53 * 8 + 1)})
+
+    # the rows of table --qmax 10**6 whose float size lies on the wrong
+    # side of a half-integer
+    ACROSS_HALF = [
+        245009, 286927, 326912, 363135, 390914, 445671, 452341, 461851,
+        485482, 503426, 517363, 526017, 555169, 565214, 571491, 614850,
+        640641, 648869, 651816, 662535, 663089, 665941, 666899, 671883,
+        679972, 689431, 689599, 699732, 702090, 702946, 707955, 713502,
+        713944, 714679, 723786, 741726, 742755, 746854, 747829, 758284,
+        763005, 775824, 777841, 784418, 799004, 800270, 801085, 807639,
+        807963, 810156, 813506, 815244, 818616, 819583, 820504, 822313,
+        828069, 828867, 831668, 845969, 851106, 854880, 855028, 860466,
+        888435, 892277, 897848, 904430, 915811, 927122, 930909, 931283,
+        941818, 945684, 947343, 951007, 955637, 958774, 959795, 961645,
+        966017, 970211, 977780, 977819, 986001, 987230, 987593, 995212,
+        995894, 996826, 997804]
+    # rows whose float size lies within 16 ulps of a half-integer, on the
+    # right side of it
+    NEAR_HALF = [53088, 76556, 80406, 80652, 102648, 119608, 138883, 146793,
+                 147363, 150898, 157336, 157358]
+
+    @pytest.mark.parametrize("size,queries", [
+        (1, 0), (2, 0), (3, 1), (4, 1), (100, 7), (10 ** 6, 785),
+        (5_062_953_582_832, 1_767_225)])
+    def test_named_counts(self, size, queries):
+        assert decimal_optimal_queries(size) == queries
+        assert bq.optimal_queries(size).queries == queries
+
+    @pytest.mark.parametrize("power", [41, 42, 43, 45, 46, 50, 51])
+    def test_powers_of_two(self, power):
+        size = 2 ** power
+        assert bq.optimal_queries(size).queries == decimal_optimal_queries(size)
+
+    def test_log_grid(self):
+        wrong = [size for size in self.GRID
+                 if bq.optimal_queries(size).queries != decimal_optimal_queries(size)]
+        assert wrong == []
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.floats(min_value=0.0, max_value=53.0))
+    @example(0.0)
+    @example(53.0)
+    def test_counts_over_the_whole_domain(self, octaves):
+        size = round(2.0 ** octaves)  # log-uniform over [1, 2**53]
+        assert bq.optimal_queries(size).queries == decimal_optimal_queries(size)
+
+    @pytest.mark.parametrize("queries", [*ACROSS_HALF, *NEAR_HALF])
+    def test_nearest_size_is_exact(self, queries):
+        nearest = _table_row(queries)[1]
+        exact = decimal_solved_size(queries)
+        assert nearest - 0.5 < exact < nearest + 0.5
 
 
 class TestPhaseDecoration:
