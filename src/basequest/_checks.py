@@ -27,9 +27,9 @@ MAX_COUNT = 2 ** 53
 # a few numbers per state and accept dimensions up to MAX_COUNT.
 MAX_STATE_DIM = 2 ** 27
 # Most draws one call makes (classical trials, scenario samples), checked
-# before any stream is spawned. A call holds about 16 B a draw, 2 GiB at
-# 2**27: run_scenario a float64 chance and an int64 count per sample,
-# simulate_search its int64 samples and the float64 temporary of std.
+# before any stream is spawned. A call holds at most 16 B a draw, 2 GiB at
+# 2**27: simulate_search its int64 samples and the float64 temporary of std,
+# run_scenario one int64 count per sample (8 B).
 MAX_DRAWS = 2 ** 27
 # Longest series the package builds, in steps: success_series and
 # evolve_two_term_hamiltonian, the scenario's entropy grid and the CLI's

@@ -520,13 +520,12 @@ def run_scenario(params: ScenarioParams, *,
                  entropy_points: int = 101) -> ScenarioReport:
     """Full selection scenario: kick, swing, emission checks with restarts.
 
-    A failed check restarts the round, so a sample's attempt count is 1
-    with chance p(t1), p at its first emission time drawn under the policy,
-    and otherwise 1 + Geometric(p_bar), p_bar the chance of a retry: p at
-    the policy's time, or p's one-period mean under uniform emission; a
-    p_bar below 1/MAX_COUNT is refused before any draw. mean_success
-    averages p(t1). Each seed block (_checks.seed_blocks) draws the emission
-    times (uniform only), then the first-check uniforms, then the counts.
+    A failed check restarts the round, and every check, the first as well
+    as the retries, succeeds with the policy's chance p_bar: p at the
+    policy's time, or p's one-period mean under uniform emission. So a
+    sample's attempt count is Geometric(p_bar), one draw per sample from
+    its seed block (_checks.seed_blocks), and mean_success is p_bar itself;
+    a p_bar below 1/MAX_COUNT is refused before any draw.
 
     The entropy series tracks the undamped joint-reading swing over one
     full period on an entropy_points grid.
@@ -548,17 +547,15 @@ def run_scenario(params: ScenarioParams, *,
     start, end = arc_start._coefficients[1], arc_end._coefficients[1]
     rate = params.relaxation_time
 
-    # the policy resolved once per run: uniform draws cover one full period,
-    # and every attempt under the other two has the same success probability
-    p_damped = _swing_success(angle, start, end, osc, osc, rate)
-    uniform = params.emission is EmissionPolicy.UNIFORM_RANDOM
-    fixed = params.emission is EmissionPolicy.FIXED_TIME
-    p_fixed = _swing_success(angle, start, end, params.emission_time, osc,
-                             rate) if fixed else p_damped
-    p_bar = _period_mean(angle, start, end, osc, rate) if uniform else p_fixed
     # the policy's time parameter, which a refusal names with relaxation_time
-    name, policy_time = ("emission_time", params.emission_time) if fixed else (
-        "oscillation_time", osc)
+    name, policy_time = (("emission_time", params.emission_time)
+                         if params.emission is EmissionPolicy.FIXED_TIME
+                         else ("oscillation_time", osc))
+    # the policy's chance of one check, resolved once per run: uniform times
+    # cover one full period
+    p_bar = (_period_mean(angle, start, end, osc, rate)
+             if params.emission is EmissionPolicy.UNIFORM_RANDOM
+             else _swing_success(angle, start, end, policy_time, osc, rate))
     if p_bar * MAX_COUNT < 1.0:
         # refused before any draw: the geometric counts would pass MAX_COUNT
         raise InvalidParameterError(
@@ -569,14 +566,9 @@ def run_scenario(params: ScenarioParams, *,
 
     import numpy as np
 
-    first_probs = np.full(params.samples, p_fixed)
     attempts = np.empty(params.samples, dtype=np.int64)
     for lo, hi, rng in seed_blocks(params.seed, params.samples):
-        if uniform:
-            first_probs[lo:hi] = [_swing_success(angle, start, end, t, osc, rate)
-                                  for t in (rng.random(hi - lo) * 2.0 * osc).tolist()]
-        passed = rng.random(hi - lo) < first_probs[lo:hi]
-        attempts[lo:hi] = np.where(passed, 1, 1 + rng.geometric(p_bar, hi - lo))
+        attempts[lo:hi] = rng.geometric(p_bar, hi - lo)
 
     joint = _swing_arc(state0, params.target, "joint")
     times = np.linspace(0.0, 2.0 * osc, entropy_points)
@@ -584,9 +576,9 @@ def run_scenario(params: ScenarioParams, *,
 
     return ScenarioReport(
         params=params,
-        mean_success=float(first_probs.mean()),
+        mean_success=p_bar,
         extremum_success_undamped=_swing_success(angle, start, end, osc, osc, math.inf),
-        extremum_success_damped=p_damped,
+        extremum_success_damped=_swing_success(angle, start, end, osc, osc, rate),
         mean_attempts=float(attempts.mean()),
         max_attempts_observed=int(attempts.max()),
         entropy_times=times,

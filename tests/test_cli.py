@@ -840,8 +840,8 @@ PINNED = [
       "6968adc4a926f72ac0526e43bc0c8cb2dd8cafdda2e686ea0f28d5cce68e1953")),
     (["scenario", "--n", "8", "--target", "3", "--emission", "uniform",
       "--samples", "20", "--seed", "2"],
-     ("864f7944a8f626c85dde546df329617b73f05d2097e4475bf71689bfb482eb2c",
-      "ba1d1213d42691591384edad4e1781d13df871224e0f0c5a45a48a0a2c9c2cc1")),
+     ("47c59b5afd5e78cc4c745521e277e63b25462b4104a78fdd215e0e481722d83f",
+      "7732113b1d237ab736938901cffa826193d911ab0634383f0c1a6bd0216038d2")),
     (["hamiltonian", "--n", "64", "--target", "9", "--dt", "0.05"],
      ("aac3339622526e0ae8db3459993e5c7660b7dd0426cefe112d52f3e474c343cb",
       "3cc7de5b0c3e8722362c8f4f280c0204f4ffed14de6d215a930dc1a22bb29316")),

@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import basequest as bq
+from basequest._checks import seed_blocks
 from basequest.replication import (
     NORM_ATOL,
     _arc_angle,
@@ -726,8 +727,9 @@ class TestEmissionMeasurement:
 
 
 class TestEmissionTimes:
-    """Each policy's emission time, read off run_scenario's first checks
-    (eight equal first-check probabilities average to exactly their value)."""
+    """Each policy's emission time, read off run_scenario's mean_success:
+    the chance of one check at that time, or its mean over a full period
+    under uniform emission."""
 
     def test_extremum_policy(self):
         params = default_params(oscillation_time=2.5, samples=8)
@@ -1158,6 +1160,58 @@ class TestRetryChance:
                                 relaxation_time=1.3 * ratio)
         assert retry_chance(dim, dim // 3, 1.3, 1.3 * ratio) == pytest.approx(
             quad_period_mean(kicked_state(dim, dim // 3), params), rel=1e-12, abs=0.0)
+
+
+class TestDrawnLaw:
+    """Every emission check of a run, the first as well as the retries,
+    succeeds with the policy's chance p_bar, so run_scenario reports p_bar
+    as mean_success, bit for bit, and draws each sample's attempt count as
+    one Geometric(p_bar) draw from its seed block."""
+
+    @staticmethod
+    def chance(params):
+        """p_bar of params, from the public evaluators and retry_chance."""
+        if params.emission is bq.EmissionPolicy.UNIFORM_RANDOM:
+            return retry_chance(params.dim, params.target, params.oscillation_time,
+                                params.relaxation_time)
+        t = (params.emission_time if params.emission is bq.EmissionPolicy.FIXED_TIME
+             else params.oscillation_time)
+        return bq.success_probability_at(kicked_state(params.dim, params.target),
+                                         params, t)
+
+    @pytest.mark.parametrize("samples", [10 ** 3, 10 ** 4, 10 ** 5])
+    @pytest.mark.parametrize("dim", [3, 4, 5, 64, 1024, 10 ** 6, 10 ** 9, 10 ** 12])
+    def test_mean_success_is_the_policy_chance(self, dim, samples):
+        extremum = default_params(dim=dim, target=dim // 3, samples=samples)
+        report = bq.run_scenario(extremum, entropy_points=2)
+        assert report.mean_success.hex() == report.extremum_success_damped.hex()
+        assert report.mean_success.hex() == self.chance(extremum).hex()
+        fixed = dataclasses.replace(extremum, emission="fixed", emission_time=0.85)
+        report = bq.run_scenario(fixed, entropy_points=2)
+        assert report.mean_success.hex() == self.chance(fixed).hex()
+
+    @pytest.mark.parametrize("dim", [2, 4, 64, 10 ** 12])
+    def test_uniform_mean_success_is_the_period_mean(self, dim):
+        params = default_params(dim=dim, target=dim // 3, emission="uniform",
+                                samples=1000)
+        expected = self.chance(params).hex()
+        for seed in (0, 1, 5, 2 ** 70, None):
+            report = bq.run_scenario(dataclasses.replace(params, seed=seed),
+                                     entropy_points=2)
+            assert report.mean_success.hex() == expected
+
+    @pytest.mark.parametrize("samples", [4097, 10000])
+    @pytest.mark.parametrize("policy", ["extremum", "uniform", "fixed"])
+    def test_counts_are_one_geometric_draw_per_sample(self, policy, samples):
+        params = default_params(dim=64, target=21, emission=policy,
+                                emission_time=0.85 if policy == "fixed" else None,
+                                relaxation_time=200.0, samples=samples, seed=7)
+        p_bar = self.chance(params)
+        counts = np.concatenate([rng.geometric(p_bar, hi - lo)
+                                 for lo, hi, rng in seed_blocks(7, samples)])
+        report = bq.run_scenario(params, entropy_points=2)
+        assert report.mean_attempts.hex() == float(counts.mean()).hex()
+        assert report.max_attempts_observed == int(counts.max())
 
 
 class TestArcsBuiltOnce:
