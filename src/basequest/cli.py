@@ -154,8 +154,7 @@ def _scenario(o):
                     "hierarchy_ok", "hierarchy_notes"),
         "entropy": ("time", "bits"),
     }, itertools.chain([summary], zip(itertools.repeat("entropy"),
-                                      report.entropy_times.tolist(),
-                                      report.entropy_bits.tolist()))
+                                      report.entropy_times, report.entropy_bits))
 
 
 # Points of the Hamiltonian series made at once.

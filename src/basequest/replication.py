@@ -343,9 +343,10 @@ def _swing_arc(state0: JointState, target: int, trajectory: str = "conditional")
 
 
 def _arc_state(arc, oscillation_time: float, t: float) -> JointState:
-    """Pure swing state at time t on an arc from _swing_arc."""
+    """Pure swing state at time t on an arc from _swing_arc. Unchecked:
+    callers pass a valid swing time."""
     angle, start, end = arc
-    f = oscillation_fraction(t, oscillation_time)
+    f = (1.0 - math.cos(math.pi * t / oscillation_time)) / 2.0
     return JointState._of(start.dim, start._target, tuple(
         _arc_point(angle, x0, x1, f)
         for x0, x1 in zip(start._coefficients, end._coefficients)))
@@ -354,7 +355,9 @@ def _arc_state(arc, oscillation_time: float, t: float) -> JointState:
 def undamped_state(state0: JointState, target: int, oscillation_time: float,
                    t: float, trajectory: str = "conditional") -> JointState:
     """Pure swing state at time t (no relaxation)."""
-    return _arc_state(_swing_arc(state0, target, trajectory), oscillation_time, t)
+    arc = _swing_arc(state0, target, trajectory)
+    _check_swing_time(t, oscillation_time)
+    return _arc_state(arc, oscillation_time, t)
 
 
 class DensityMatrix:
@@ -401,19 +404,17 @@ class DensityMatrix:
         return herm, abs(k00 + k11 - 1.0), min(0.0, low)
 
 
-def _damping_weight(t: float, relaxation_time: float) -> float:
-    """Surviving pure-swing weight exp(-2 t / relaxation_time)."""
-    check_nonnegative(t, "time")
-    check_positive(relaxation_time, "relaxation_time", infinite_ok=True)
-    return math.exp(-2.0 * t / relaxation_time)
-
-
-def _params_arc(state0: JointState, params: ScenarioParams, trajectory: str):
-    """_swing_arc of state0 towards params.target, of dim params.dim."""
+def _params_arc(state0: JointState, params: ScenarioParams, t: float,
+                trajectory: str):
+    """_swing_arc of state0 towards params.target, of dim params.dim, with t
+    checked as a swing time."""
+    _check_state(state0, "state0")
     if state0.dim != params.dim:
         raise DimensionMismatchError(
             f"state dim {state0.dim} differs from params dim {params.dim}")
-    return _swing_arc(state0, params.target, trajectory)
+    arc = _swing_arc(state0, params.target, trajectory)
+    _check_swing_time(t, params.oscillation_time)
+    return arc
 
 
 def damped_oscillation(state0: JointState, params: ScenarioParams, t: float,
@@ -423,10 +424,9 @@ def damped_oscillation(state0: JointState, params: ScenarioParams, t: float,
     Exponential mix of the pure swing state with the relaxed uniform
     no-emission state: weight exp(-2 t / relaxation_time) on the former.
     """
-    _check_state(state0, "state0")
-    psi = _arc_state(_params_arc(state0, params, trajectory),
+    psi = _arc_state(_params_arc(state0, params, t, trajectory),
                      params.oscillation_time, t)
-    return DensityMatrix(_damping_weight(t, params.relaxation_time), psi,
+    return DensityMatrix(math.exp(-2.0 * t / params.relaxation_time), psi,
                          relaxed_start(params.dim))
 
 
@@ -468,9 +468,7 @@ def success_probability_at(state0: JointState, params: ScenarioParams,
     Uses the closed form: the relaxed component carries no emitted-quanta
     amplitude, so only the pure swing term contributes.
     """
-    _check_state(state0, "state0")
-    angle, start, end = _params_arc(state0, params, trajectory)
-    _check_swing_time(t, params.oscillation_time)
+    angle, start, end = _params_arc(state0, params, t, trajectory)
     emitted = 1 if params.target == end._target else 3  # a2, or b2 elsewhere
     return _swing_success(angle, start._coefficients[emitted],
                           end._coefficients[emitted], t,
@@ -478,7 +476,7 @@ def success_probability_at(state0: JointState, params: ScenarioParams,
 
 
 class ScenarioReport(NamedTuple):
-    """Outputs of run_scenario; entropy arrays follow the joint reading."""
+    """Outputs of run_scenario; the entropy series follow the joint reading."""
 
     params: ScenarioParams
     mean_success: float
@@ -486,8 +484,8 @@ class ScenarioReport(NamedTuple):
     extremum_success_damped: float
     mean_attempts: float
     max_attempts_observed: int
-    entropy_times: np.ndarray
-    entropy_bits: np.ndarray
+    entropy_times: tuple[float, ...]
+    entropy_bits: tuple[float, ...]
     entropy_at_extremum: float
     warnings: tuple[str, ...]
 
@@ -571,8 +569,9 @@ def run_scenario(params: ScenarioParams, *,
         attempts[lo:hi] = rng.geometric(p_bar, hi - lo)
 
     joint = _swing_arc(state0, params.target, "joint")
-    times = np.linspace(0.0, 2.0 * osc, entropy_points)
-    bits = np.array([entanglement_entropy(_arc_state(joint, osc, t)) for t in times])
+    # np.linspace(0.0, 2.0 * osc, entropy_points) in floats, bit for bit
+    step = 2.0 * osc / (entropy_points - 1)
+    times = (*(k * step for k in range(entropy_points - 1)), 2.0 * osc)
 
     return ScenarioReport(
         params=params,
@@ -582,7 +581,8 @@ def run_scenario(params: ScenarioParams, *,
         mean_attempts=float(attempts.mean()),
         max_attempts_observed=int(attempts.max()),
         entropy_times=times,
-        entropy_bits=bits,
+        entropy_bits=tuple(entanglement_entropy(_arc_state(joint, osc, t))
+                           for t in times),
         entropy_at_extremum=entanglement_entropy(_arc_state(joint, osc, osc)),
         warnings=notes,
     )

@@ -19,7 +19,6 @@ import basequest as bq
 import basequest.classical  # noqa: F401
 import basequest.replication  # noqa: F401
 from basequest._checks import MAX_COUNT, MAX_DRAWS, MAX_STATE_DIM, MAX_SWEEP_STEPS
-from basequest.replication import _damping_weight
 from oracles import DenseJointState
 
 
@@ -104,7 +103,6 @@ REAL_PARAMETERS = [
     ("oscillation_fraction.t", lambda v: bq.oscillation_fraction(v, 1.0), "time"),
     ("oscillation_fraction.oscillation_time",
      lambda v: bq.oscillation_fraction(0.5, v), "oscillation_time"),
-    ("damping_weight.t", lambda v: _damping_weight(v, 1.0), "time"),
     ("undamped_state.t", lambda v: bq.undamped_state(kicked(), 1, 1.0, v), "time"),
     ("undamped_state.oscillation_time",
      lambda v: bq.undamped_state(kicked(), 1, v, 0.5), "oscillation_time"),
@@ -194,8 +192,6 @@ DRAW_COUNTS = [
 RATE_PARAMETERS = [
     ("ScenarioParams.relaxation_time",
      lambda v: scenario(relaxation_time=v), "relaxation_time"),
-    ("damping_weight.relaxation_time",
-     lambda v: _damping_weight(1.0, v), "relaxation_time"),
 ]
 
 ALL_REAL_PARAMETERS = REAL_PARAMETERS + RATE_PARAMETERS
@@ -221,8 +217,8 @@ EXTREME_PAIRS = [
         kicked(), scenario(oscillation_time=osc), t), ["time", "oscillation_time"]),
     ("damped_oscillation", lambda t, osc: bq.damped_oscillation(
         kicked(), scenario(oscillation_time=osc), t), ["time", "oscillation_time"]),
-    ("damping_weight", lambda t, rate: _damping_weight(t, rate),
-     ["time", "relaxation_time"]),
+    ("damped_oscillation.relaxation_time", lambda t, rate: bq.damped_oscillation(
+        kicked(), scenario(relaxation_time=rate), t), ["time", "relaxation_time"]),
     ("bond_time", lambda gap, temperature: bq.bond_time(gap, temperature),
      ["gap_over_kt", "temperature"]),
     ("evolve_two_term_hamiltonian",

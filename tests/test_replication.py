@@ -20,7 +20,6 @@ from basequest.replication import (
     _arc_angle,
     _arc_point,
     _conditional_base,
-    _damping_weight,
     _hierarchy_warnings,
     _period_mean,
     _swing_arc,
@@ -540,17 +539,23 @@ class TestDensityMatrix:
 
 
 class TestDampedSwing:
+    @staticmethod
+    def weight(t, relaxation_time):
+        """The pure swing's weight in the damped state at time t."""
+        return bq.damped_oscillation(
+            kicked_state(), default_params(relaxation_time=relaxation_time), t)._weight
+
     def test_weight_boundaries(self):
-        assert _damping_weight(0.0, 5.0) == 1.0
-        assert _damping_weight(1.0, 1000.0) == pytest.approx(
+        assert self.weight(0.0, 5.0) == 1.0
+        assert self.weight(1.0, 1000.0) == pytest.approx(
             0.9980019986673331, abs=1e-15)
-        assert _damping_weight(1.0, math.inf) == 1.0
+        assert self.weight(1.0, math.inf) == 1.0
 
     def test_weight_rejects_bad_inputs(self):
-        with pytest.raises(bq.InvalidParameterError):
-            _damping_weight(-1.0, 5.0)
-        with pytest.raises(bq.InvalidParameterError):
-            _damping_weight(1.0, 0.0)
+        with pytest.raises(bq.InvalidParameterError, match="time"):
+            self.weight(-1.0, 5.0)
+        with pytest.raises(bq.InvalidParameterError, match="relaxation_time"):
+            self.weight(1.0, 0.0)
 
     def test_zero_time_is_pure_start(self):
         state0 = kicked_state()
@@ -877,15 +882,15 @@ class TestRunScenario:
 
     def test_entropy_series_shape_and_values(self):
         report = bq.run_scenario(default_params(samples=20), entropy_points=41)
-        assert report.entropy_times.shape == (41,)
+        assert len(report.entropy_times) == len(report.entropy_bits) == 41
         assert report.entropy_times[0] == 0.0
         assert report.entropy_times[-1] == pytest.approx(2.0)
         assert report.entropy_bits[0] == pytest.approx(POST_KICK_ENTROPY,
                                                        abs=1e-12)
         assert report.entropy_bits[-1] == pytest.approx(POST_KICK_ENTROPY,
                                                         abs=1e-9)
-        assert np.all(report.entropy_bits >= -1e-12)
-        assert np.all(report.entropy_bits <= 1.0 + 1e-12)
+        assert min(report.entropy_bits) >= -1e-12
+        assert max(report.entropy_bits) <= 1.0 + 1e-12
         assert report.entropy_at_extremum == pytest.approx(POST_KICK_ENTROPY,
                                                            abs=1e-12)
 
@@ -1107,9 +1112,10 @@ class TestScalarSampler:
     @pytest.mark.parametrize("policy", ["extremum", "uniform", "fixed"])
     @pytest.mark.parametrize("dim", [4, 5, 64, 1024])
     def test_run_matches_vector_route(self, dim, policy, seed):
-        # each single-sample run's report holds one draw of the law: its
-        # first success chance and its attempt count; the loop's samples
-        # are capped by its cost, about 35 us an attempt at dim 1024
+        # each single-sample run's report holds one draw of the attempt
+        # law, and every report the same exact chance p_bar, which the
+        # loop's first checks sample; the loop's samples are capped by its
+        # cost, about 35 us an attempt at dim 1024
         loops = {4: 1000, 5: 1000, 64: 150, 1024: 20}[dim]
         params = default_params(
             dim=dim, target=dim // 3, emission=policy,
@@ -1119,7 +1125,11 @@ class TestScalarSampler:
         reports = [bq.run_scenario(dataclasses.replace(
             params, samples=1, seed=1000 * seed + k), entropy_points=2)
             for k in range(300)]
-        assert agree([r.mean_success for r in reports], first)
+        p_bar, first = reports[0].mean_success, np.asarray(first)
+        # 5 standard errors of first, and 1e-12 relative for the rounding of
+        # a mean of equal values
+        assert abs(first.mean() - p_bar) <= (
+            5.0 * first.std(ddof=1) / math.sqrt(first.size) + 1e-12 * p_bar)
         runs = [r.max_attempts_observed for r in reports]
         assert agree(runs, counts)
         # the attempt histogram, binned 2**j <= count < 2**(j + 1)
@@ -1237,7 +1247,7 @@ class TestArcsBuiltOnce:
             bq.entanglement_entropy(swing(1.3, "joint")).hex()
         assert report.extremum_success_undamped.hex() == undamped.hex()
         assert report.extremum_success_damped.hex() == \
-            (_damping_weight(1.3, 40.0) * undamped).hex()
+            (math.exp(-2.0 * 1.3 / 40.0) * undamped).hex()
 
     @pytest.mark.parametrize("policy", ["extremum", "uniform"])
     def test_each_endpoint_built_once(self, monkeypatch, policy):
@@ -1259,3 +1269,50 @@ class TestArcsBuiltOnce:
         monkeypatch.setattr(replication, "base_amplification", counted_amplification)
         bq.run_scenario(default_params(dim=64, emission=policy, samples=30))
         assert built == {"conditional": 1, "joint": 1, "base_amplification": 1}
+
+
+class TestReportIsARecord:
+    """run_scenario checks each time once, up front, and returns plain data:
+    the entropy series are tuples of floats, so a report hashes and compares
+    as the named tuple it is."""
+
+    @pytest.mark.parametrize("dim", [4, 64, 10**12])
+    @pytest.mark.parametrize("policy", ["extremum", "uniform", "fixed"])
+    def test_equal_runs_give_equal_records(self, policy, dim):
+        params = default_params(dim=dim, target=dim // 3, emission=policy,
+                                emission_time=0.85 if policy == "fixed" else None,
+                                samples=50, seed=3)
+        first, second = bq.run_scenario(params), bq.run_scenario(params)
+        assert first == second and hash(first) == hash(second)
+        assert first == tuple(second)
+        for series in (first.entropy_times, first.entropy_bits):
+            assert type(series) is tuple and len(series) == 101
+            assert all(type(x) is float for x in series)
+
+    @pytest.mark.parametrize("policy,checks", [("extremum", 1), ("uniform", 1),
+                                               ("fixed", 2)])
+    def test_grid_times_are_not_rechecked(self, monkeypatch, policy, checks):
+        from basequest import replication
+
+        calls = []
+        check = replication._check_swing_time
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(replication, "_check_swing_time", counted)
+        bq.run_scenario(default_params(
+            emission=policy, emission_time=0.85 if policy == "fixed" else None),
+            entropy_points=1001)
+        assert len(calls) == checks
+
+    @pytest.mark.filterwarnings("ignore::basequest.HierarchyWarning")
+    @pytest.mark.parametrize("points", [2, 3, 41, 101, 4097])
+    @pytest.mark.parametrize("osc", [1e-300, 1.0, 1.3, 1e300])
+    def test_times_are_linspace_bits(self, osc, points):
+        params = default_params(bond_duration=osc / 100.0, oscillation_time=osc,
+                                relaxation_time=math.inf, samples=1)
+        times = bq.run_scenario(params, entropy_points=points).entropy_times
+        assert [t.hex() for t in times] == \
+            [t.hex() for t in np.linspace(0.0, 2.0 * osc, points).tolist()]
