@@ -2,10 +2,12 @@
 
 Each check raises a SimulationError subclass whose message names the
 parameter; all but the target and seed checks take that name as an argument.
-Counts, indices and seeds must be integers: bool is refused and numpy's
-integer scalars are accepted. Times and scales must be reals
-(numbers.Real, which numpy's float scalars and Fraction are) whose float()
-is finite; a Decimal, or an int beyond float range, is refused by name.
+Counts, indices and seeds must be integers (bool refused, numpy's integer
+scalars accepted), and a count or index check returns int(value). Times and
+scales must be reals (numbers.Real, as numpy's floats and Fraction are)
+whose float() is finite, which a real check returns; a Decimal, or an int
+beyond float range, is refused by name. The model computes only on what the
+checks return, while a message shows the value as the caller passed it.
 The size bounds live here (MAX_COUNT, MAX_STATE_DIM, MAX_DRAWS,
 MAX_SWEEP_STEPS), and so does the draw contract: BLOCK_SIZE and seed_blocks.
 """
@@ -52,24 +54,26 @@ def _is_integer(value) -> bool:
 
 
 def check_integer(value, name: str, low: int, error=InvalidParameterError,
-                  high: int | None = None) -> None:
-    """value is an integer >= low, and <= high unless high is None; error is
-    the class raised otherwise."""
+                  high: int | None = None) -> int:
+    """int(value), for an integer >= low, and <= high unless high is None;
+    error is the class raised otherwise."""
     if not _is_integer(value) or value < low or (high is not None and value > high):
         span = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise error(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
 
 
-def check_count(value, name: str, low: int, error=InvalidParameterError) -> None:
+def check_count(value, name: str, low: int, error=InvalidParameterError) -> int:
     """check_integer up to MAX_COUNT: a database size, dimension or query count."""
-    check_integer(value, name, low, error, MAX_COUNT)
+    return check_integer(value, name, low, error, MAX_COUNT)
 
 
-def check_target(target, size: int) -> None:
-    """target is an index into size objects: an integer in [0, size)."""
+def check_target(target, size: int) -> int:
+    """int(target), for an index into size objects: an integer in [0, size)."""
     if not _is_integer(target) or not 0 <= target < size:
         raise InvalidTargetError(
             f"target must be an integer in [0, {size}), got {target!r}")
+    return int(target)
 
 
 def check_seed(seed) -> None:
@@ -117,24 +121,27 @@ def _real(value) -> float:
     return math.nan
 
 
-def check_positive(value, name: str, *, infinite_ok: bool = False) -> None:
-    """value is a real > 0 (as a float), finite unless infinite_ok."""
+def check_positive(value, name: str, *, infinite_ok: bool = False) -> float:
+    """float(value), for a real > 0 (as a float), finite unless infinite_ok."""
     x = _real(value)
     if not (0 < x < math.inf or (infinite_ok and x == math.inf)):
         bound = "> 0" if infinite_ok else "finite and > 0"
         raise InvalidParameterError(f"{name} must be {bound}, got {value!r}")
+    return x
 
 
-def check_nonnegative(value, name: str) -> None:
-    """value is a real >= 0 whose float is finite."""
-    if not 0 <= _real(value) < math.inf:
+def check_nonnegative(value, name: str) -> float:
+    """float(value), for a real >= 0 whose float is finite."""
+    if not 0 <= (x := _real(value)) < math.inf:
         raise InvalidParameterError(f"{name} must be finite and >= 0, got {value!r}")
+    return x
 
 
-def check_normal(value, name: str) -> None:
-    """check_positive, and value is no subnormal float."""
-    check_positive(value, name)
-    if value < sys.float_info.min:
+def check_normal(value, name: str) -> float:
+    """check_positive, for a value that is no subnormal float."""
+    x = check_positive(value, name)
+    if x < sys.float_info.min:
         raise InvalidParameterError(
             f"{name} must be at least the smallest normal float "
             f"{sys.float_info.min!r}, got {value!r}")
+    return x

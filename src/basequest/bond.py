@@ -33,9 +33,8 @@ def half_rabi_phase(energy_gap: float, duration: float) -> complex:
     to the start with an overall sign and transfers nothing). The returned
     factor is -1j up to the same tolerance.
     """
-    check_positive(energy_gap, "energy gap")
-    check_nonnegative(duration, "duration")
-    x = energy_gap * duration
+    x = (check_positive(energy_gap, "energy gap")
+         * check_nonnegative(duration, "duration"))
     if abs(x - math.pi / 2.0) > HALF_CYCLE_ATOL:
         raise IncompleteTransitionError(
             f"gap*duration = {x!r} is not a half cycle (pi/2 within "
@@ -52,22 +51,19 @@ def cascade_phase(steps: int) -> complex:
     (the sign a search query imprints on the marked amplitude), four give
     +1.
     """
-    check_integer(steps, "steps", 1)
-    return _PHASE_BY_STEP[steps % 4]
+    return _PHASE_BY_STEP[check_integer(steps, "steps", 1) % 4]
 
 
 def boltzmann_error_rate(gap_over_kt: float) -> float:
     """Thermal occupation error exp(-gap/kT) for a gap of gap_over_kt kT."""
-    check_positive(gap_over_kt, "gap_over_kt")
-    return math.exp(-gap_over_kt)
+    return math.exp(-check_positive(gap_over_kt, "gap_over_kt"))
 
 
 def bond_time(gap_over_kt: float, temperature: float) -> float:
     """Characteristic transition timescale hbar/(gap) in seconds for a gap
     of gap_over_kt * k_B * temperature."""
-    check_positive(gap_over_kt, "gap_over_kt")
-    check_positive(temperature, "temperature")
-    gap = gap_over_kt * BOLTZMANN * temperature
+    gap = (check_positive(gap_over_kt, "gap_over_kt") * BOLTZMANN
+           * check_positive(temperature, "temperature"))
     if gap == 0.0:
         raise InvalidParameterError(
             f"gap_over_kt * temperature = {gap_over_kt!r} * {temperature!r} is "

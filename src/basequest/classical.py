@@ -37,11 +37,11 @@ class TrialStats(NamedTuple):
 
 def expected_queries(database_size: int, mode: SearchMode) -> float:
     """Exact expectation of the query count for the given discipline."""
-    check_count(database_size, "database size", 1, InvalidDimensionError)
+    size = check_count(database_size, "database size", 1, InvalidDimensionError)
     mode = check_enum(mode, "mode", SearchMode)
     if mode is SearchMode.WITH_REPLACEMENT:
-        return float(database_size)
-    return (database_size + 1) / 2.0
+        return float(size)
+    return (size + 1) / 2.0
 
 
 def sample_queries(
@@ -58,9 +58,9 @@ def sample_queries(
     """
     import numpy as np
 
-    check_count(database_size, "database size", 1, InvalidDimensionError)
+    size = check_count(database_size, "database size", 1, InvalidDimensionError)
     mode = check_enum(mode, "mode", SearchMode)
-    check_integer(trials, "trials", 1, high=MAX_DRAWS)
+    trials = check_integer(trials, "trials", 1, high=MAX_DRAWS)
     check_seed(seed)
 
     samples = np.empty(trials, dtype=np.int64)
@@ -69,9 +69,9 @@ def sample_queries(
         # with chance 1/size each, so their count is geometric; a uniformly
         # random query order puts the target at a uniformly random rank
         if mode is SearchMode.WITH_REPLACEMENT:
-            samples[lo:hi] = rng.geometric(1.0 / database_size, size=hi - lo)
+            samples[lo:hi] = rng.geometric(1.0 / size, size=hi - lo)
         else:
-            samples[lo:hi] = rng.integers(1, database_size, size=hi - lo, endpoint=True)
+            samples[lo:hi] = rng.integers(1, size, size=hi - lo, endpoint=True)
     return samples
 
 

@@ -171,7 +171,7 @@ def _hamiltonian(o):
     if o.t_max is None:
         o.t_max = math.pi * math.sqrt(min(max(o.n, 2), MAX_COUNT)) / 2.0
     n, dt = o.n, o.dt
-    points = grover._sweep_steps(n, o.target, o.t_max, dt) + 1
+    points = grover._sweep_steps(n, o.target, o.t_max, dt)[0] + 1
 
     def rows():
         # evolve_two_term_hamiltonian's series, made and written a chunk at

@@ -110,8 +110,7 @@ class StateVector:
 
     def success_probability(self, target: int) -> float:
         """|<target|self>|**2."""
-        check_target(target, self._dim)
-        return float(abs(self._amplitude(target)) ** 2)
+        return float(abs(self._amplitude(check_target(target, self._dim))) ** 2)
 
     def _amplitude(self, index: int) -> float | np.complex128:
         # the entry amplitudes holds, computed by the same complex128 product;
@@ -175,15 +174,12 @@ def _theta(dim: int, scale: int = 1) -> int:
     return ((total << doublings) + (1 << 15)) >> 16
 
 
-def _search_angle(dim: int, target: int, queries: int, rounds: int):
+def _search_angle(dim: int, rounds: int):
     """(theta, turn, residue) with (2*rounds + 1) * theta = turn * pi/2 +
     residue, exactly in integers, -pi/4 <= residue < pi/4 and theta =
-    _theta(dim), once a search's arguments are checked."""
-    check_count(dim, "dimension", 2, InvalidDimensionError)
-    check_target(target, dim)
-    check_count(queries, "query count", 0)
-    theta = _theta(int(dim))  # numpy integers would overflow the shifts
-    turn, residue = divmod((2 * int(rounds) + 1) * theta + _QUARTER_PI, _HALF_PI)
+    _theta(dim), for a checked dim and count."""
+    theta = _theta(dim)
+    turn, residue = divmod((2 * rounds + 1) * theta + _QUARTER_PI, _HALF_PI)
     return theta, turn, residue - _QUARTER_PI
 
 
@@ -203,11 +199,14 @@ def success_series(dim: int, target: int, queries: int) -> list[float]:
     queries may not exceed MAX_SWEEP_STEPS = 10**6, for the reason
     evolve_two_term_hamiltonian gives.
     """
-    theta, turn, residue = _search_angle(dim, target, queries, 0)
-    if queries > MAX_SWEEP_STEPS:
+    dim = check_count(dim, "dimension", 2, InvalidDimensionError)
+    check_target(target, dim)
+    count = check_count(queries, "query count", 0)
+    if count > MAX_SWEEP_STEPS:
         raise InvalidParameterError(
             f"query count must be at most {MAX_SWEEP_STEPS} for a series, "
             f"got {queries!r}")
+    theta, turn, residue = _search_angle(dim, 0)
     # Each round adds 2*theta to the angle of 0 rounds, kept reduced
     # exactly, so point q has the bits run_grover gives for q. The target
     # amplitude is +-sin r on even turns and +-cos r on odd ones; the exact
@@ -215,7 +214,7 @@ def success_series(dim: int, target: int, queries: int) -> list[float]:
     ampl, other = (math.cos, math.sin) if turn & 1 else (math.sin, math.cos)
     step, half, quarter, scale = 2 * theta, _HALF_PI, _QUARTER_PI, _SCALE
     series = []
-    for _ in range(queries + 1):
+    for _ in range(count + 1):
         series.append(ampl(float(residue) * scale) ** 2)
         residue += step
         while residue >= quarter:
@@ -230,13 +229,14 @@ def closed_form_success(database_size: float, queries: int) -> float:
     Accepts real-valued sizes in [1, 2**53] so table rows solved from a
     query count can be evaluated directly.
     """
-    check_count(queries, "query count", 0)
+    queries = check_count(queries, "query count", 0)
+    size = _real(database_size)
     # the upper bound is exact: float(MAX_COUNT + 1) is MAX_COUNT
-    if (isinstance(database_size, bool) or not 1.0 <= _real(database_size)
+    if (isinstance(database_size, bool) or not 1.0 <= size
             or database_size > MAX_COUNT):
         raise InvalidDimensionError(
             f"database size must be in [1, {MAX_COUNT}], got {database_size!r}")
-    return _closed_form(database_size, queries)
+    return _closed_form(size, queries)
 
 
 def _closed_form(size: float, queries: int) -> float:
@@ -251,12 +251,12 @@ def optimal_queries(database_size: int) -> SearchSolution:
     to the smaller count, which makes it the largest q with 4*q*theta < pi,
     decided exactly on the fixed-point theta. The only tie is size 2.
     """
-    check_count(database_size, "database size", 1, InvalidDimensionError)
-    best = (_PI - 1) // (4 * _theta(int(database_size)))
+    size = check_count(database_size, "database size", 1, InvalidDimensionError)
+    best = (_PI - 1) // (4 * _theta(size))
     return SearchSolution(
         queries=best,
-        database_size=float(database_size),
-        success_probability=_closed_form(database_size, best),
+        database_size=float(size),
+        success_probability=_closed_form(size, best),
     )
 
 
@@ -284,10 +284,10 @@ def solve_database_size(queries: int) -> SearchSolution:
     valued, and past closed_form_success's bound of 2**53 from about 7.5e7
     queries; queries=1 gives exactly 4.
     """
-    check_count(queries, "query count", 0)
+    queries = check_count(queries, "query count", 0)
     size = _solved_size(queries)
     return SearchSolution(
-        queries=int(queries),
+        queries=queries,
         database_size=size,
         success_probability=_closed_form(size, queries),
     )
@@ -305,7 +305,7 @@ def random_unit_phases(dim: int, seed: int | None = None) -> np.ndarray:
     """
     import numpy as np
 
-    check_integer(dim, "dimension", 2, InvalidDimensionError, MAX_STATE_DIM)
+    dim = check_integer(dim, "dimension", 2, InvalidDimensionError, MAX_STATE_DIM)
     check_seed(seed)
     rng = np.random.default_rng(seed)
     return np.exp(2j * math.pi * rng.random(dim))
@@ -350,7 +350,9 @@ def run_grover_with_phases(dim: int, target: int, queries: int,
     2**53; reading its amplitudes builds the array, which raises
     InvalidDimensionError above MAX_STATE_DIM.
     """
-    _, turn, residue = _search_angle(dim, target, queries, queries)
+    dim = check_count(dim, "dimension", 2, InvalidDimensionError)
+    target = check_target(target, dim)
+    _, turn, residue = _search_angle(dim, check_count(queries, "query count", 0))
     if phases is not None:
         phases = _check_phases(phases, dim)
     r = float(residue) * _SCALE if abs(residue) > _ZERO else 0.0
@@ -413,28 +415,28 @@ def evolve_two_term_hamiltonian(
     The exact series reaches success >= 1 - 1/dim provided total_time
     covers the first peak at pi*sqrt(dim)/2.
     """
-    steps = _sweep_steps(dim, target, total_time, time_step)
+    steps, time_step = _sweep_steps(dim, target, total_time, time_step)
     times, exact, trotter = _split_series(dim, time_step, symmetric, 0, steps + 1)
     return HamiltonianSweep(times=tuple(times), exact_success=tuple(exact),
                             trotter_success=tuple(trotter))
 
 
 def _sweep_steps(dim: int, target: int, total_time: float,
-                 time_step: float) -> int:
-    """The step count of evolve_two_term_hamiltonian's grid, once its
-    arguments are checked."""
+                 time_step: float) -> tuple[int, float]:
+    """(steps, time_step): the step count of evolve_two_term_hamiltonian's
+    grid and its time step as a float, once its arguments are checked."""
     check_count(dim, "dimension", 2, InvalidDimensionError)
     check_target(target, dim)
-    check_positive(total_time, "total_time")
-    check_positive(time_step, "time_step")
-    if time_step > total_time:
+    total = check_positive(total_time, "total_time")
+    step = check_positive(time_step, "time_step")
+    if step > total:
         raise InvalidParameterError(
             f"time_step must be in (0, total_time], got {time_step!r}")
-    if not total_time / time_step <= MAX_SWEEP_STEPS:
+    if not total / step <= MAX_SWEEP_STEPS:
         raise InvalidParameterError(
             f"time_step {time_step!r} makes more than {MAX_SWEEP_STEPS} steps "
             f"of total_time {total_time!r}")
-    return max(1, int(round(total_time / time_step)))
+    return max(1, int(round(total / step))), step
 
 
 def _split_series(dim: int, time_step: float, symmetric: bool, lo: int,

@@ -101,7 +101,9 @@ class ScenarioParams:
     free) time axis; oscillation_time is the time from the start of a
     swing to its far turning point, so one full period is twice that.
     relaxation_time may be math.inf for the undamped limit; the other times
-    must be finite. seed is None (fresh entropy) or an integer >= 0.
+    must be finite, as must the swing phase pi*time/oscillation_time up to
+    the period and at emission_time. Counts are kept as ints and times as
+    floats; seed is None (fresh entropy) or an integer >= 0.
     """
 
     dim: int
@@ -115,16 +117,23 @@ class ScenarioParams:
     seed: int | None = None
 
     def __post_init__(self):
-        check_count(self.dim, "dim", 2, InvalidDimensionError)
-        check_target(self.target, self.dim)
-        check_positive(self.bond_duration, "bond_duration")
+        keep = functools.partial(object.__setattr__, self)
+        keep("dim", check_count(self.dim, "dim", 2, InvalidDimensionError))
+        keep("target", check_target(self.target, self.dim))
+        keep("bond_duration", check_positive(self.bond_duration, "bond_duration"))
         check_positive(self.oscillation_time, "oscillation_time")
-        check_positive(self.relaxation_time, "relaxation_time", infinite_ok=True)
-        object.__setattr__(self, "emission",
-                           check_enum(self.emission, "emission", EmissionPolicy))
+        keep("relaxation_time", check_positive(self.relaxation_time,
+                                               "relaxation_time", infinite_ok=True))
+        keep("emission", check_enum(self.emission, "emission", EmissionPolicy))
+        # the times a run evaluates: the fixed emission time and the period;
+        # oscillation_time is replaced last, so refusals show it as passed
+        osc = self.oscillation_time
         if self.emission is EmissionPolicy.FIXED_TIME:
-            check_nonnegative(self.emission_time, "emission_time")
-        check_integer(self.samples, "samples", 1, high=MAX_DRAWS)
+            keep("emission_time", _check_swing_time(self.emission_time, osc,
+                                                    "emission_time")[0])
+        keep("oscillation_time",
+             _check_swing_time(osc, osc, "oscillation_time", 2.0)[0])
+        keep("samples", check_integer(self.samples, "samples", 1, high=MAX_DRAWS))
         check_seed(self.seed)
 
 
@@ -157,8 +166,8 @@ class JointState:
     _built = None  # the amplitudes array, once read
 
     def __init__(self, dim: int, target: int, coefficients: tuple):
-        check_count(dim, "dimension", 2, InvalidDimensionError)
-        check_target(target, dim)
+        dim = check_count(dim, "dimension", 2, InvalidDimensionError)
+        target = check_target(target, dim)
         try:  # the numbers are kept as given; _real refuses a Decimal's norm
             norm2 = _real(_total(dim, [abs(x) ** 2 for x in coefficients]))
         except (TypeError, ValueError, OverflowError):  # not four numbers, or too big
@@ -221,7 +230,7 @@ def _total(dim: int, terms) -> complex:
 
 def relaxed_start(dim: int) -> JointState:
     """Uniform base amplitudes, all in the no-emission sector."""
-    check_count(dim, "dimension", 2, InvalidDimensionError)
+    dim = check_count(dim, "dimension", 2, InvalidDimensionError)
     return JointState._of(dim, 0, (1.0 / math.sqrt(dim), 0.0) * 2)
 
 
@@ -232,7 +241,7 @@ def entangling_oracle(state: JointState, target: int) -> JointState:
     applying it twice is the identity.
     """
     _check_state(state, "state")
-    check_target(target, state.dim)
+    target = check_target(target, state.dim)
     a0, a2, b0, b2 = _marked(state, target)._coefficients
     return JointState._of(state.dim, target, (-a2, -a0, b0, b2))
 
@@ -278,7 +287,7 @@ def swing_endpoint(state0: JointState, target: int,
     if trajectory not in TRAJECTORIES:
         raise InvalidParameterError(
             f"trajectory must be one of {TRAJECTORIES}, got {trajectory!r}")
-    check_target(target, state0.dim)
+    target = check_target(target, state0.dim)
     if trajectory == "joint":
         return base_amplification(state0)
     # the amplified base state, its quanta label slaved to the base: the
@@ -290,25 +299,27 @@ def swing_endpoint(state0: JointState, target: int,
 
 
 def _check_swing_time(t: float, oscillation_time: float, name: str = "time",
-                      scale: float = 1.0) -> None:
-    """t is a real >= 0, and oscillation_time a normal float > 0, such that
-    the swing phase pi*time/oscillation_time is finite up to time scale*t.
-    A refusal names t as name and shows it as the caller passed it."""
-    check_nonnegative(t, name)
+                      scale: float = 1.0) -> tuple[float, float]:
+    """(t, oscillation_time) as floats, for a real t >= 0 and a normal
+    float oscillation_time > 0 such that the swing phase
+    pi*time/oscillation_time is finite up to time scale*t. A refusal names
+    t as name and shows it as the caller passed it."""
+    time = check_nonnegative(t, name)
     # a subnormal oscillation_time misplaces the turning point: pi*t is
     # rounded to a multiple of the smallest subnormal
-    check_normal(oscillation_time, "oscillation_time")
-    if math.pi * (scale * t) / oscillation_time == math.inf:
+    osc = check_normal(oscillation_time, "oscillation_time")
+    if math.pi * (scale * time) / osc == math.inf:
         raise InvalidParameterError(
             f"{name} = {t!r} is too large for oscillation_time = "
             f"{oscillation_time!r}: the swing phase pi*time/oscillation_time "
             f"overflows by time {scale!r}*{name}")
+    return time, osc
 
 
 def oscillation_fraction(t: float, oscillation_time: float) -> float:
     """Pendulum progress along the arc: 0 at rest, 1 at the far turning
     point, back to 0 after a full period of twice oscillation_time."""
-    _check_swing_time(t, oscillation_time)
+    t, oscillation_time = _check_swing_time(t, oscillation_time)
     return (1.0 - math.cos(math.pi * t / oscillation_time)) / 2.0
 
 
@@ -356,7 +367,7 @@ def undamped_state(state0: JointState, target: int, oscillation_time: float,
                    t: float, trajectory: str = "conditional") -> JointState:
     """Pure swing state at time t (no relaxation)."""
     arc = _swing_arc(state0, target, trajectory)
-    _check_swing_time(t, oscillation_time)
+    t, oscillation_time = _check_swing_time(t, oscillation_time)
     return _arc_state(arc, oscillation_time, t)
 
 
@@ -406,15 +417,14 @@ class DensityMatrix:
 
 def _params_arc(state0: JointState, params: ScenarioParams, t: float,
                 trajectory: str):
-    """_swing_arc of state0 towards params.target, of dim params.dim, with t
-    checked as a swing time."""
+    """(arc, t): _swing_arc of state0 towards params.target, of dim
+    params.dim, and t checked as a swing time, as a float."""
     _check_state(state0, "state0")
     if state0.dim != params.dim:
         raise DimensionMismatchError(
             f"state dim {state0.dim} differs from params dim {params.dim}")
     arc = _swing_arc(state0, params.target, trajectory)
-    _check_swing_time(t, params.oscillation_time)
-    return arc
+    return arc, _check_swing_time(t, params.oscillation_time)[0]
 
 
 def damped_oscillation(state0: JointState, params: ScenarioParams, t: float,
@@ -424,8 +434,8 @@ def damped_oscillation(state0: JointState, params: ScenarioParams, t: float,
     Exponential mix of the pure swing state with the relaxed uniform
     no-emission state: weight exp(-2 t / relaxation_time) on the former.
     """
-    psi = _arc_state(_params_arc(state0, params, t, trajectory),
-                     params.oscillation_time, t)
+    arc, t = _params_arc(state0, params, t, trajectory)
+    psi = _arc_state(arc, params.oscillation_time, t)
     return DensityMatrix(math.exp(-2.0 * t / params.relaxation_time), psi,
                          relaxed_start(params.dim))
 
@@ -468,7 +478,7 @@ def success_probability_at(state0: JointState, params: ScenarioParams,
     Uses the closed form: the relaxed component carries no emitted-quanta
     amplitude, so only the pure swing term contributes.
     """
-    angle, start, end = _params_arc(state0, params, t, trajectory)
+    (angle, start, end), t = _params_arc(state0, params, t, trajectory)
     emitted = 1 if params.target == end._target else 3  # a2, or b2 elsewhere
     return _swing_success(angle, start._coefficients[emitted],
                           end._coefficients[emitted], t,
@@ -528,13 +538,8 @@ def run_scenario(params: ScenarioParams, *,
     The entropy series tracks the undamped joint-reading swing over one
     full period on an entropy_points grid.
     """
-    check_integer(entropy_points, "entropy_points", 2, high=MAX_SWEEP_STEPS)
+    points = check_integer(entropy_points, "entropy_points", 2, high=MAX_SWEEP_STEPS)
     osc = params.oscillation_time
-    # every time the run evaluates: up to a full period, and the fixed
-    # emission time
-    _check_swing_time(osc, osc, "oscillation_time", 2.0)
-    if params.emission is EmissionPolicy.FIXED_TIME:
-        _check_swing_time(params.emission_time, osc, "emission_time")
     notes = _hierarchy_warnings(params)
     for note in notes:
         warnings.warn(note, HierarchyWarning, stacklevel=2)
@@ -570,8 +575,8 @@ def run_scenario(params: ScenarioParams, *,
 
     joint = _swing_arc(state0, params.target, "joint")
     # np.linspace(0.0, 2.0 * osc, entropy_points) in floats, bit for bit
-    step = 2.0 * osc / (entropy_points - 1)
-    times = (*(k * step for k in range(entropy_points - 1)), 2.0 * osc)
+    step = 2.0 * osc / (points - 1)
+    times = (*(k * step for k in range(points - 1)), 2.0 * osc)
 
     return ScenarioReport(
         params=params,

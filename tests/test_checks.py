@@ -3,6 +3,8 @@ values outside its domain with a SimulationError that names it."""
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import itertools
 import math
 import re
@@ -81,6 +83,8 @@ INTEGER_PARAMETERS = [
      lambda v: bq.run_scenario(scenario(), entropy_points=v), "entropy_points"),
     ("JointState.dim", lambda v: bq.JointState(v, 0, (0.5,) * 4), "dimension"),
     ("JointState.target", lambda v: bq.JointState(4, v, (0.5,) * 4), "target"),
+    ("undamped_state.target",
+     lambda v: bq.undamped_state(kicked(), v, 1.0, 0.5), "target"),
 ]
 
 # times, durations and scales: finite reals
@@ -110,6 +114,8 @@ REAL_PARAMETERS = [
      lambda v: bq.success_probability_at(kicked(), scenario(), v), "time"),
     ("damped_oscillation.t",
      lambda v: bq.damped_oscillation(kicked(), scenario(), v), "time"),
+    ("DensityMatrix.weight",
+     lambda v: bq.DensityMatrix(v, kicked(), bq.relaxed_start(4)), "weight"),
 ]
 
 
@@ -262,18 +268,132 @@ def test_bad_value_is_named(call, value, name):
         call(value)
 
 
-@pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5), Fraction(1, 2), 1],
-                         ids=["float64", "float32", "Fraction", "int"])
+def plain(result) -> list:
+    """The numbers result holds, in order, each as (type, value), read
+    through tuples, records, states and arrays."""
+    if isinstance(result, np.ndarray):
+        return [(result.dtype, tuple(result.tolist()))]
+    if isinstance(result, bq.StateVector):
+        result = (result._dim, result._target, result._on_target, result._rest,
+                  result._phases)
+    elif isinstance(result, bq.JointState):
+        result = (result._dim, result._target, result._coefficients)
+    elif isinstance(result, bq.DensityMatrix):
+        result = (result._weight, result._pure, result._relaxed)
+    elif dataclasses.is_dataclass(result):
+        result = tuple(getattr(result, field.name)
+                       for field in dataclasses.fields(result))
+    if isinstance(result, tuple):
+        return [pair for item in result for pair in plain(item)]
+    return [(type(result), result)]
+
+
+def outcome(call, value):
+    """call(value) as plain numbers, or the type of the model error it raises."""
+    try:
+        return plain(call(value))
+    except bq.SimulationError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5), Fraction(1, 2), 1,
+                                   np.float16(0.5)],
+                         ids=["float64", "float32", "Fraction", "int", "float16"])
 @pytest.mark.parametrize("call", [call for _, call, _ in ALL_REAL_PARAMETERS],
                          ids=[label for label, _, _ in ALL_REAL_PARAMETERS])
 def test_real_kinds_are_accepted(call, value):
-    # each kind fares as the float 0.5 does: a value, or the same model error
-    def outcome(v):
-        try:
-            call(v)
-        except bq.SimulationError as exc:
-            return type(exc)
-    assert outcome(value) is outcome(0.5)
+    # each kind gives what its float() gives: the same numbers, as Python
+    # floats and ints, or the same model error
+    assert outcome(call, value) == outcome(call, float(value))
+
+
+@pytest.fixture
+def seeded_fresh_entropy(monkeypatch):
+    """Unseeded classical draws take seed 0, so two calls draw alike."""
+    blocks = basequest.classical.seed_blocks
+    monkeypatch.setattr(basequest.classical, "seed_blocks",
+                        lambda seed, count: blocks(0 if seed is None else seed, count))
+
+
+INTEGER_KINDS = [np.int8, np.int16, np.int32, np.uint8, np.uint64]
+
+
+@pytest.mark.usefixtures("seeded_fresh_entropy")
+@pytest.mark.parametrize("kind", INTEGER_KINDS, ids=lambda kind: kind.__name__)
+@pytest.mark.parametrize("call", [call for label, call, _ in INTEGER_PARAMETERS
+                                  if not label.endswith(".seed")],
+                         ids=[label for label, _, _ in INTEGER_PARAMETERS
+                              if not label.endswith(".seed")])
+def test_integer_kinds_are_accepted(call, kind):
+    # a count, size or index of each kind gives what the int gives: the same
+    # numbers, as Python ints and floats, or the same model error
+    for value in (1, 2, 3):
+        assert outcome(call, kind(value)) == outcome(call, value), value
+
+
+def scenario_at(oscillation_time):
+    return bq.run_scenario(bq.ScenarioParams(
+        dim=64, target=5, bond_duration=1e-3, oscillation_time=oscillation_time,
+        relaxation_time=40.0, emission="uniform", samples=20, seed=0))
+
+
+# numpy scalars that the checks accept, on which the model once computed as
+# passed (overflowing, or in single or half precision): each call beside the
+# same call on the Python numbers its checks return
+NUMPY_KIND_CASES = {
+    "success_series_int8": (lambda: bq.success_series(4, 0, np.int8(127)),
+                            lambda: bq.success_series(4, 0, 127)),
+    "solve_database_size_int8": (lambda: bq.solve_database_size(np.int8(100)),
+                                 lambda: bq.solve_database_size(100)),
+    "closed_form_success_int8": (lambda: bq.closed_form_success(20, np.int8(100)),
+                                 lambda: bq.closed_form_success(20, 100)),
+    "expected_queries_int32": (
+        lambda: bq.expected_queries(np.int32(2 ** 31 - 1), "without"),
+        lambda: bq.expected_queries(2 ** 31 - 1, "without")),
+    "bond_time_float16": (lambda: bq.bond_time(np.float16(7), np.float16(300)),
+                          lambda: bq.bond_time(7.0, 300.0)),
+    "bond_time_float32": (lambda: bq.bond_time(np.float32(7), np.float32(300)),
+                          lambda: bq.bond_time(7.0, 300.0)),
+    "run_scenario_float32": (lambda: scenario_at(np.float32(1.3)),
+                             lambda: scenario_at(float(np.float32(1.3)))),
+    "evolve_two_term_hamiltonian_float32": (
+        lambda: bq.evolve_two_term_hamiltonian(4, 0, np.float32(1.0), np.float32(0.05)),
+        lambda: bq.evolve_two_term_hamiltonian(4, 0, 1.0, float(np.float32(0.05)))),
+}
+
+
+@pytest.mark.parametrize("numpy_call,python_call", NUMPY_KIND_CASES.values(),
+                         ids=NUMPY_KIND_CASES.keys())
+def test_numpy_kinds_compute_as_python_numbers(numpy_call, python_call):
+    assert plain(numpy_call()) == plain(python_call())
+
+
+def annotated_parameters() -> set:
+    """'callable.parameter' for each int- or float-annotated parameter of a
+    callable in basequest.__all__ or of a public method of one; result
+    records (tuples) and the StateVector constructor, which only runs call,
+    are left out."""
+    labels = set()
+    for name in bq.__all__:
+        obj = getattr(bq, name)
+        if inspect.ismodule(obj) or (isinstance(obj, type) and issubclass(
+                obj, (tuple, BaseException))):
+            continue
+        callables = [(name, obj)] if obj is not bq.StateVector else []
+        if isinstance(obj, type):
+            callables += [(method, function) for method, function in vars(obj).items()
+                          if inspect.isfunction(function) and not method.startswith("_")]
+        for label, function in callables:
+            labels.update(f"{label}.{parameter.name}" for parameter in
+                          inspect.signature(function).parameters.values()
+                          if parameter.annotation in ("int", "float", int, float))
+    return labels
+
+
+def test_every_number_parameter_has_a_kinds_row():
+    rows = {label for label, _, _ in
+            INTEGER_PARAMETERS + ALL_REAL_PARAMETERS + [CLOSED_FORM_SIZE]}
+    assert annotated_parameters() - rows == set()
 
 
 @pytest.mark.parametrize("size", [np.float64(20.2), Fraction(101, 5), 20],

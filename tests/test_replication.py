@@ -961,12 +961,26 @@ class TestRunScenario:
         # pi*time/oscillation_time overflows within the period or at the
         # fixed time; the refusal shows the caller's value, not a time
         # derived from it such as the period 2*oscillation_time
-        params = default_params(samples=1, **overrides)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", bq.HierarchyWarning)
             with pytest.raises(bq.InvalidParameterError) as refusal:
+                params = default_params(samples=1, **overrides)
                 bq.run_scenario(params, entropy_points=2)
         assert f"{name} = {overrides[name]!r} " in str(refusal.value)
+
+    @pytest.mark.parametrize("policy", ["extremum", "uniform", "fixed"])
+    def test_times_are_checked_once_in_params(self, monkeypatch, policy):
+        # ScenarioParams checks every swing time the run evaluates, so the
+        # run checks none again
+        from basequest import replication
+
+        params = default_params(emission=policy, emission_time=0.7, samples=5)
+
+        def checked(*args, **kwargs):
+            raise AssertionError("run_scenario re-checked a swing time")
+
+        monkeypatch.setattr(replication, "_check_swing_time", checked)
+        assert bq.run_scenario(params) == bq.run_scenario(params)
 
     def test_streams_are_made_on_demand(self):
         # samples draw in seed blocks, O(1) each whatever the dim: spawning
