@@ -399,8 +399,12 @@ class _Main:
     for the call, whose objects all die with the process, and freezes the
     collector's objects before it exits, so the interpreter's final
     collection (which runs even when disabled) skips what start-up and the
-    call made. A call given argv never touches the collector, as its
-    process goes on."""
+    call made. It also runs numpy's OpenBLAS on one thread unless
+    OPENBLAS_NUM_THREADS is set: no call does multi-threaded linear
+    algebra, and no output byte depends on the thread count, so the
+    subcommands that load numpy need not start a thread pool. A call given
+    argv touches neither the collector nor the environment, as its process
+    goes on."""
 
     def __call__(self, argv=None):
         self.main(argv)
@@ -409,6 +413,7 @@ class _Main:
         owned = standalone_mode and args is None
         if owned:
             gc.disable()
+            os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
         code = _run(list(sys.argv[1:] if args is None else args),
                     prog_name or "basequest")
         if standalone_mode:

@@ -81,8 +81,8 @@ INTEGER_PARAMETERS = [
     ("swing_endpoint.target", lambda v: bq.swing_endpoint(kicked(), v), "target"),
     ("run_scenario.entropy_points",
      lambda v: bq.run_scenario(scenario(), entropy_points=v), "entropy_points"),
-    ("JointState.dim", lambda v: bq.JointState(v, 0, (0.5,) * 4), "dimension"),
-    ("JointState.target", lambda v: bq.JointState(4, v, (0.5,) * 4), "target"),
+    ("JointState.dim", lambda v: bq.JointState(v, 0, (1.0, 0.0, 0.0, 0.0)), "dimension"),
+    ("JointState.target", lambda v: bq.JointState(4, v, (1.0, 0.0, 0.0, 0.0)), "target"),
     ("undamped_state.target",
      lambda v: bq.undamped_state(kicked(), v, 1.0, 0.5), "target"),
 ]

@@ -157,6 +157,22 @@ def fresh_main(argv, then):
                         f"{then}\n")
 
 
+def fresh_owned_main(argv, then, before=""):
+    """Run main() with no argv, as the `basequest` script does, on
+    sys.argv ['basequest', *argv], in a new interpreter: the code `before`,
+    then the call, expecting exit 0, then the code `then`; returns the
+    interpreter's stdout."""
+    return fresh_python(f"{before}\n"
+                        "import sys\n"
+                        "from basequest.cli import main\n"
+                        f"sys.argv = ['basequest', *{argv!r}]\n"
+                        "try:\n"
+                        "    main()\n"
+                        "except SystemExit as done:\n"
+                        "    assert done.code == 0, done.code\n"
+                        f"{then}\n")
+
+
 def jsonl_records(text):
     return [json.loads(line) for line in text.splitlines()]
 
@@ -245,6 +261,17 @@ class TestGrover:
 
     def test_missing_required_option(self):
         assert invoke(["grover", "--target", "0"]).exit_code == 2
+
+    def test_zero_queries_is_the_start_state(self):
+        result = invoke(["grover", "--n", "5", "--target", "2", "--iters", "0",
+                         "--format", "jsonl"])
+        assert result.exit_code == 0
+        records = jsonl_records(result.output)
+        assert [r["record"] for r in records] == ["config", "step", "summary"]
+        assert records[1]["step"] == 0
+        assert records[1]["success"] == pytest.approx(1 / 5, rel=1e-15)
+        assert records[2]["queries"] == 0
+        assert records[2]["success"] == records[1]["success"]
 
     def test_large_database_at_optimal_count(self):
         result = invoke([
@@ -463,45 +490,79 @@ class TestPlumbing:
         assert "version" in done.stdout.split("\n")[0].split(",")
         assert "numpy" not in done.stdout.split("\n")[0].split(",")
 
-    def test_in_process_calls_never_freeze(self, tmp_path):
-        # nor disable the collector: the caller's process goes on
-        frozen = gc.get_freeze_count()
+    def test_in_process_calls_never_freeze(self, tmp_path, monkeypatch):
+        # nor disable the collector, nor set the environment: the caller's
+        # process goes on
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        frozen, environ = gc.get_freeze_count(), dict(os.environ)
         for argv in [*CALLS, ["table", "--qmax", "-1"], ["grover", "--n", "4",
                                                           "--target", "9"]]:
             invoke([*argv, "--output", str(tmp_path / "rows.csv")])
             assert gc.get_freeze_count() == frozen, argv
             assert gc.isenabled(), argv
-        assert cli.main.main(["bond"], standalone_mode=False) == 0
+            assert os.environ == environ, argv
+        assert cli.main.main(["classical", "--n", "4", "--trials", "10"],
+                             standalone_mode=False) == 0
         assert gc.get_freeze_count() == frozen
         assert gc.isenabled()
+        assert os.environ == environ
 
     def test_main_without_argv_freezes_before_exit(self, tmp_path):
-        frozen = fresh_python(
-            "import gc, sys\n"
-            "from basequest.cli import main\n"
-            f"sys.argv = ['basequest', 'bond', '--output', {str(tmp_path / 'b.csv')!r}]\n"
-            "try:\n"
-            "    main()\n"
-            "except SystemExit as done:\n"
-            "    assert done.code == 0, done.code\n"
-            "print(gc.get_freeze_count())\n")
+        frozen = fresh_owned_main(["bond", "--output", str(tmp_path / "b.csv")],
+                                  "import gc\nprint(gc.get_freeze_count())")
         assert int(frozen) > 0
 
     def test_main_without_argv_runs_the_call_without_gc(self, tmp_path):
-        enabled = fresh_python(
-            "import gc, sys\n"
-            "from basequest import cli\n"
-            "run = cli._run\n"
-            "def probe(argv, prog):\n"
-            "    print(gc.isenabled())\n"
-            "    return run(argv, prog)\n"
-            "cli._run = probe\n"
-            f"sys.argv = ['basequest', 'bond', '--output', {str(tmp_path / 'b.csv')!r}]\n"
-            "try:\n"
-            "    cli.main()\n"
-            "except SystemExit as done:\n"
-            "    assert done.code == 0, done.code\n")
+        enabled = fresh_owned_main(["bond", "--output", str(tmp_path / "b.csv")], "",
+                                   before="import gc\n"
+                                          "from basequest import cli\n"
+                                          "run = cli._run\n"
+                                          "def probe(argv, prog):\n"
+                                          "    print(gc.isenabled())\n"
+                                          "    return run(argv, prog)\n"
+                                          "cli._run = probe")
         assert enabled == "False\n"
+
+    def test_main_without_argv_runs_blas_on_one_thread(self, tmp_path):
+        # the call loads numpy, whose OpenBLAS would start a worker thread
+        # per core; /proc/self/task lists the process's threads on Linux
+        report = json.loads(fresh_owned_main(
+            ["classical", "--n", "4", "--trials", "10", "--output",
+             str(tmp_path / "c.csv")],
+            "import json, os\n"
+            "assert 'numpy' in sys.modules\n"
+            "tasks = '/proc/self/task'\n"
+            "print(json.dumps([os.environ['OPENBLAS_NUM_THREADS'],\n"
+            "                  len(os.listdir(tasks)) if os.path.isdir(tasks) else None]))",
+            before="import os\nos.environ.pop('OPENBLAS_NUM_THREADS', None)"))
+        assert report[0] == "1"
+        if sys.platform == "linux":
+            assert report[1] == 1
+
+    def test_main_without_argv_keeps_a_set_blas_thread_count(self, tmp_path):
+        threads = fresh_owned_main(
+            ["classical", "--n", "4", "--trials", "10", "--output",
+             str(tmp_path / "c.csv")],
+            "import os\nprint(os.environ['OPENBLAS_NUM_THREADS'])",
+            before="import os\nos.environ['OPENBLAS_NUM_THREADS'] = '2'")
+        assert threads == "2\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["classical", "--n", "50", "--mode", "without", "--trials", "1000",
+         "--seed", "3"],
+        ["scenario", "--n", "16", "--target", "3", "--t-r", "40",
+         "--emission", "uniform"],
+    ])
+    def test_blas_thread_count_leaves_the_bytes_alone(self, tmp_path, argv):
+        # the path is echoed in the config record, so both calls write it
+        target, written = tmp_path / "rows.csv", []
+        for setting in ("os.environ.pop('OPENBLAS_NUM_THREADS', None)",
+                        "os.environ['OPENBLAS_NUM_THREADS'] = '2'"):
+            fresh_owned_main([*argv, "--output", str(target)], "",
+                             before=f"import os\n{setting}")
+            written.append(target.read_bytes())
+            target.unlink()
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize("command,argv", [
         ("hamiltonian", "['hamiltonian', '--n', '4', '--t-max', '1', '--dt', str(1 / k)]"),

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import basequest as bq
 from basequest.grover import (CHECK_BLOCK, MAX_SWEEP_STEPS, PHASE_ATOL, StateVector,
-                              _check_phases, _table_row)
+                              _check_phases, _sweep_steps, _table_row)
 from basequest.classical import _speedup
 from basequest.replication import JointState
 from oracles import (
@@ -849,6 +849,13 @@ class TestTwoTermHamiltonian:
               (10 ** 12, 0.05, False): "deeacb0c66a29725",
               (10 ** 12, 0.0125, True): "53324eee986e5897",
               (10 ** 12, 0.0125, False): "6aaebc25007a5179"}
+
+    def test_grid_of_the_largest_step_count_is_accepted(self):
+        # a check only: the 10**6-step grid is sized, never built
+        total = float(MAX_SWEEP_STEPS)
+        assert _sweep_steps(4, 0, total, 1.0) == (MAX_SWEEP_STEPS, 1.0)
+        with pytest.raises(bq.InvalidParameterError, match="time_step"):
+            _sweep_steps(4, 0, total, math.nextafter(1.0, 0.0))
 
     @pytest.mark.parametrize("time_step", [
         1.0 / (2 * MAX_SWEEP_STEPS), 1e-300, 5e-324])

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import basequest as bq
 from basequest._checks import seed_blocks
 from basequest.replication import (
+    MIN_TIMESCALE_RATIO,
     NORM_ATOL,
     _arc_angle,
     _arc_point,
@@ -789,6 +790,22 @@ class TestHierarchy:
         params = default_params(bond_duration=0.5, relaxation_time=2.0)
         notes = _hierarchy_warnings(params)
         assert len(notes) == 2
+
+    def test_ratios_at_the_bound_pass(self):
+        # each ratio exactly MIN_TIMESCALE_RATIO passes; one ulp below it,
+        # that ratio alone is noted
+        times = dict(bond_duration=0.125, oscillation_time=1.25, relaxation_time=12.5)
+        assert 1.25 / 0.125 == 12.5 / 1.25 == MIN_TIMESCALE_RATIO
+        assert _hierarchy_warnings(default_params(**times)) == ()
+        below = math.nextafter(MIN_TIMESCALE_RATIO, 0.0)
+        kick = default_params(**{**times, "oscillation_time": math.nextafter(1.25, 0.0)})
+        damping = default_params(**{**times, "relaxation_time": math.nextafter(12.5, 0.0)})
+        assert kick.oscillation_time / kick.bond_duration == below
+        assert damping.relaxation_time / damping.oscillation_time == below
+        [note] = _hierarchy_warnings(kick)
+        assert note.startswith("oscillation_time/bond_duration")
+        [note] = _hierarchy_warnings(damping)
+        assert note.startswith("relaxation_time/oscillation_time")
 
     def test_run_scenario_warns(self):
         params = default_params(relaxation_time=3.0, samples=10)
