@@ -22,8 +22,7 @@ _SOURCES = {
     "replication": "DensityMatrix EmissionPolicy HierarchyWarning JointState "
                    "ScenarioParams ScenarioReport base_amplification "
                    "damped_oscillation entangling_oracle entanglement_entropy "
-                   "oscillation_fraction relaxed_start run_scenario "
-                   "success_probability_at swing_endpoint undamped_state",
+                   "relaxed_start run_scenario swing_endpoint undamped_state",
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items()
               for name in names.split()}

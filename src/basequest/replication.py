@@ -25,7 +25,8 @@ two ways, differing only in the far endpoint of a great-circle arc:
   arc and keeps the quanta label slaved to whether the base is the target
   (a linear isometric lift of the base arc). At dim 4 its endpoint is
   exactly the fully emitted target state, which is what the emission
-  statistics assume; this reading is the default for success probabilities.
+  statistics assume. From the kicked start its emitted amplitude is the
+  search rotation stopped part-way, which run_scenario takes in closed form.
 
 Relaxation toward the uniform no-emission state is an exponential mix with
 rate 2/relaxation_time applied to the pure swing state. Each input is
@@ -64,6 +65,7 @@ from .errors import (
     InvalidParameterError,
     InvalidTargetError,
 )
+from .grover import _closed_form
 
 if TYPE_CHECKING:
     import numpy as np
@@ -316,13 +318,6 @@ def _check_swing_time(t: float, oscillation_time: float, name: str = "time",
     return time, osc
 
 
-def oscillation_fraction(t: float, oscillation_time: float) -> float:
-    """Pendulum progress along the arc: 0 at rest, 1 at the far turning
-    point, back to 0 after a full period of twice oscillation_time."""
-    t, oscillation_time = _check_swing_time(t, oscillation_time)
-    return (1.0 - math.cos(math.pi * t / oscillation_time)) / 2.0
-
-
 def _arc_angle(apart: float, together: float) -> float:
     """Great-circle angle between unit vectors x0 and x1 from |x1 - x0| and
     |x1 + x0|: its cosine is the real part of their overlap, which keeps the
@@ -415,18 +410,6 @@ class DensityMatrix:
         return herm, abs(k00 + k11 - 1.0), min(0.0, low)
 
 
-def _params_arc(state0: JointState, params: ScenarioParams, t: float,
-                trajectory: str):
-    """(arc, t): _swing_arc of state0 towards params.target, of dim
-    params.dim, and t checked as a swing time, as a float."""
-    _check_state(state0, "state0")
-    if state0.dim != params.dim:
-        raise DimensionMismatchError(
-            f"state dim {state0.dim} differs from params dim {params.dim}")
-    arc = _swing_arc(state0, params.target, trajectory)
-    return arc, _check_swing_time(t, params.oscillation_time)[0]
-
-
 def damped_oscillation(state0: JointState, params: ScenarioParams, t: float,
                        trajectory: str = "conditional") -> DensityMatrix:
     """Density operator of the damped swing at time t.
@@ -434,7 +417,12 @@ def damped_oscillation(state0: JointState, params: ScenarioParams, t: float,
     Exponential mix of the pure swing state with the relaxed uniform
     no-emission state: weight exp(-2 t / relaxation_time) on the former.
     """
-    arc, t = _params_arc(state0, params, t, trajectory)
+    _check_state(state0, "state0")
+    if state0.dim != params.dim:
+        raise DimensionMismatchError(
+            f"state dim {state0.dim} differs from params dim {params.dim}")
+    arc = _swing_arc(state0, params.target, trajectory)
+    t = _check_swing_time(t, params.oscillation_time)[0]
     psi = _arc_state(arc, params.oscillation_time, t)
     return DensityMatrix(math.exp(-2.0 * t / params.relaxation_time), psi,
                          relaxed_start(params.dim))
@@ -459,30 +447,51 @@ def entanglement_entropy(state: JointState) -> float:
     return max(0.0, -sum(x * math.log2(x) for x in lam))
 
 
-def _swing_success(angle: float, start: complex, end: complex, t: float,
-                   oscillation_time: float, relaxation_time: float) -> float:
-    """Damped emission success at time t on an arc of the given angle whose
-    emitted amplitude runs from start to end: exp(-2t/relaxation_time)
-    times |amplitude|**2, at most 1: the arc's rounding can pass 1 by an
-    ulp near the far turning point. Unchecked: callers pass a valid swing
-    time."""
-    f = (1.0 - math.cos(math.pi * t / oscillation_time)) / 2.0
-    return min(1.0, math.exp(-2.0 * t / relaxation_time)
-               * float(abs(_arc_point(angle, start, end, f)) ** 2))
+def _success_at(dim: int, t: float, osc: float, rate: float) -> float:
+    """Emission success at time t on the kicked start's conditional swing:
+    exp(-2t/rate) times the search law at the fractional query count 2f - 1
+    = -cos(pi t/osc), f the arc fraction. Unchecked: t is a valid swing time."""
+    return math.exp(-2.0 * t / rate) * _closed_form(dim, -math.cos(math.pi * t / osc))
 
 
-def success_probability_at(state0: JointState, params: ScenarioParams,
-                           t: float, trajectory: str = "conditional") -> float:
-    """Emission success probability of the damped state at time t.
+def _bessel_series(square: float, m: int, first: int) -> float:
+    """The sum over k >= first (0 or 1) of (-square)**k m!/(k! (k + m)!),
+    to a term 2**-60 of the sum: J_m(2x) is x**m/m! times it from 0, square
+    = x*x, and 1 - J_0(2x), about 4e-16 at dim 2**53, minus it from 1."""
+    k, term = first, -square / (m + 1) if first else 1.0
+    total = term
+    while abs(term) > 2.0 ** -60 * abs(total):
+        k += 1
+        term *= -square / (k * (k + m))
+        total += term
+    return total
 
-    Uses the closed form: the relaxed component carries no emitted-quanta
-    amplitude, so only the pure swing term contributes.
-    """
-    (angle, start, end), t = _params_arc(state0, params, t, trajectory)
-    emitted = 1 if params.target == end._target else 3  # a2, or b2 elsewhere
-    return _swing_success(angle, start._coefficients[emitted],
-                          end._coefficients[emitted], t,
-                          params.oscillation_time, params.relaxation_time)
+
+def _uniform_mean(dim: int, osc: float, rate: float) -> float:
+    """One-period mean of _success_at in closed form. In the swing phase x,
+    kappa = 2*osc/(pi*rate), the success exp(-kappa x) sin**2((1 - 2 cos x)
+    theta) expands by Jacobi-Anger in J_m(4 theta) cos(m x), weighed by cos
+    2 theta for even m and sin 2 theta for odd; exp(-kappa x) cos(m x)
+    averages to E_m = E_0/(1 + (m/kappa)**2), E_0 = -expm1(-2 pi kappa)/(2
+    pi kappa), 1 at kappa 0. As 4 theta <= pi, each J_m comes from its power
+    series, and the terms fall superexponentially in m."""
+    decay = 4.0 * osc / rate  # 2 pi kappa
+    mean0 = -math.expm1(-decay) / decay if decay else 1.0
+    half = 2.0 * math.asin(1.0 / math.sqrt(dim))  # 4 theta, halved
+    square, weights = half * half, (1.0 - 2.0 / dim, 2.0 * math.sqrt(dim - 1) / dim)
+    one_less_j0 = -_bessel_series(square, 0, 1)
+    terms = [mean0 * (one_less_j0 + 2.0 * (1.0 - one_less_j0) / dim) / 2.0]
+    lead, m = 1.0, 0  # half**m/m!
+    while decay:  # undamped, every E_m past E_0 is 0
+        m += 1
+        lead *= half / m
+        ratio = 2.0 * math.pi * m / decay  # m/kappa
+        bound = lead * mean0 / (1.0 + ratio * ratio)  # lead*E_m >= |term|, falling
+        term = weights[m & 1] * _bessel_series(square, m, 0) * bound
+        terms.append(term if m & 2 else -term)
+        if bound <= 2.0 ** -60 * terms[0]:
+            break
+    return math.fsum(terms)
 
 
 class ScenarioReport(NamedTuple):
@@ -500,65 +509,34 @@ class ScenarioReport(NamedTuple):
     warnings: tuple[str, ...]
 
 
-@functools.cache
-def _gauss_legendre() -> tuple:
-    """The 32-node Gauss-Legendre rule on [-1, 1], as (node, weight) pairs."""
-    from numpy.polynomial.legendre import leggauss
-
-    return tuple(zip(*(v.tolist() for v in leggauss(32))))
-
-
-def _period_mean(angle: float, start: complex, end: complex, osc: float,
-                 rate: float) -> float:
-    """One-period mean of _swing_success, by Gauss-Legendre panels with
-    edges at rate/2 * 4**k below the period 2*osc, where the damping has
-    fallen to exp(-4**k); past k = 5 it underflows to 0."""
-    period = 2.0 * osc
-    edges = [0.0, *(e for e in (rate / 2.0 * 4.0 ** k for k in range(6)) if e < period)]
-    total = 0.0
-    for a, b in zip(edges, [*edges[1:], period]):
-        half = (b - a) / 2.0
-        total += half * sum(
-            w * _swing_success(angle, start, end, a + half * (1.0 + x), osc, rate)
-            for x, w in _gauss_legendre())
-    return total / period
-
-
 def run_scenario(params: ScenarioParams, *,
                  entropy_points: int = 101) -> ScenarioReport:
     """Full selection scenario: kick, swing, emission checks with restarts.
 
     A failed check restarts the round, and every check, the first as well
     as the retries, succeeds with the policy's chance p_bar: p at the
-    policy's time, or p's one-period mean under uniform emission. So a
-    sample's attempt count is Geometric(p_bar), one draw per sample from
-    its seed block (_checks.seed_blocks), and mean_success is p_bar itself;
-    a p_bar below 1/MAX_COUNT is refused before any draw.
+    policy's time, or p's one-period mean under uniform emission, both in
+    closed form. So a sample's attempt count is Geometric(p_bar), one draw
+    per sample from its seed block (_checks.seed_blocks), and mean_success
+    is p_bar itself; a p_bar below 1/MAX_COUNT is refused before any draw.
 
     The entropy series tracks the undamped joint-reading swing over one
     full period on an entropy_points grid.
     """
     points = check_integer(entropy_points, "entropy_points", 2, high=MAX_SWEEP_STEPS)
-    osc = params.oscillation_time
+    dim, osc, rate = params.dim, params.oscillation_time, params.relaxation_time
     notes = _hierarchy_warnings(params)
     for note in notes:
         warnings.warn(note, HierarchyWarning, stacklevel=2)
-
-    state0 = entangling_oracle(relaxed_start(params.dim), params.target)
-    # the conditional arc on the target's emitted amplitude alone
-    angle, arc_start, arc_end = _swing_arc(state0, params.target)
-    start, end = arc_start._coefficients[1], arc_end._coefficients[1]
-    rate = params.relaxation_time
 
     # the policy's time parameter, which a refusal names with relaxation_time
     name, policy_time = (("emission_time", params.emission_time)
                          if params.emission is EmissionPolicy.FIXED_TIME
                          else ("oscillation_time", osc))
-    # the policy's chance of one check, resolved once per run: uniform times
-    # cover one full period
-    p_bar = (_period_mean(angle, start, end, osc, rate)
+    # the policy's chance of one check: uniform times cover one full period
+    p_bar = (_uniform_mean(dim, osc, rate)
              if params.emission is EmissionPolicy.UNIFORM_RANDOM
-             else _swing_success(angle, start, end, policy_time, osc, rate))
+             else _success_at(dim, policy_time, osc, rate))
     if p_bar * MAX_COUNT < 1.0:
         # refused before any draw: the geometric counts would pass MAX_COUNT
         raise InvalidParameterError(
@@ -573,6 +551,7 @@ def run_scenario(params: ScenarioParams, *,
     for lo, hi, rng in seed_blocks(params.seed, params.samples):
         attempts[lo:hi] = rng.geometric(p_bar, hi - lo)
 
+    state0 = entangling_oracle(relaxed_start(dim), params.target)
     joint = _swing_arc(state0, params.target, "joint")
     # np.linspace(0.0, 2.0 * osc, entropy_points) in floats, bit for bit
     step = 2.0 * osc / (points - 1)
@@ -581,8 +560,8 @@ def run_scenario(params: ScenarioParams, *,
     return ScenarioReport(
         params=params,
         mean_success=p_bar,
-        extremum_success_undamped=_swing_success(angle, start, end, osc, osc, math.inf),
-        extremum_success_damped=_swing_success(angle, start, end, osc, osc, rate),
+        extremum_success_undamped=_success_at(dim, osc, osc, math.inf),
+        extremum_success_damped=_success_at(dim, osc, osc, rate),
         mean_attempts=float(attempts.mean()),
         max_attempts_observed=int(attempts.max()),
         entropy_times=times,

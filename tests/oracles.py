@@ -7,8 +7,10 @@ search and Hamiltonian runs on a 2-D plane, except vector_scenario_draws:
 it takes the far end of each swing from the package (swing_endpoint) and
 builds the full swing state itself, which the scenario sampler does not,
 in the retry loop the sampler ran before it drew counts from their law.
-quad_period_mean integrates the package's success_probability_at, to check
-the package's own quadrature of it against scipy's.
+emission_success is the scenario's emission success in closed form, and
+quad_period_mean integrates it with scipy's quad, to check the package's
+Bessel-Laplace series for its period mean; decimal_emission_success
+evaluates it to 40 digits.
 Three routes keep former package code as references: eager_plane_state
 builds a search state's array eagerly, to pin the lazily built states to
 its bits; split_orbit_success steps the split-operator series on the plane
@@ -528,18 +530,46 @@ def bessel_period_mean(dim: int) -> float:
     return 1.0 / dim + (1.0 - 2.0 / dim) * math.fsum(terms) / 2.0
 
 
-def quad_period_mean(state0, params) -> float:
-    """The one-period mean of the package's success_probability_at under
-    uniform emission, by scipy's adaptive quad, broken at every power of two
-    times relaxation_time below the period."""
+def emission_success(dim: int, t: float, oscillation_time: float,
+                     relaxation_time: float) -> float:
+    """The damped emission success at time t of a swing from the kicked
+    start, exp(-2t/relaxation_time) sin^2((1 - 2 cos x) theta), x = pi
+    t/oscillation_time and sin^2 theta = 1/dim: the target amplitude turns
+    from -sin theta (x = 0) to sin 3 theta (x = pi) in the search plane."""
+    theta = math.asin(1.0 / math.sqrt(dim))
+    x = math.pi * t / oscillation_time
+    return (math.exp(-2.0 * t / relaxation_time)
+            * math.sin((1.0 - 2.0 * math.cos(x)) * theta) ** 2)
+
+
+def decimal_emission_success(dim: int, t: float, oscillation_time: float,
+                             relaxation_time: float) -> float:
+    """emission_success to 40 digits, rounded once to a float, given the
+    float cosine c = cos(pi t/oscillation_time) that a float route computes
+    (the arc fraction is f = (1 - c)/2): exp(-2t/relaxation_time)
+    sin^2((1 - 2c) theta), the sine by its Taylor series (_decimal_sin_cos)
+    and the exponential by Decimal.exp, on the exact binary values of c, t
+    and relaxation_time."""
+    cos = math.cos(math.pi * t / oscillation_time)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        sin, _ = _decimal_sin_cos((1 - 2 * Decimal(cos)) * _decimal_theta(dim))
+        damping = (Decimal(1) if relaxation_time == math.inf
+                   else (-2 * Decimal(t) / Decimal(relaxation_time)).exp())
+        return float(damping * sin * sin)
+
+
+def quad_period_mean(params) -> float:
+    """The one-period mean of emission_success under uniform emission, by
+    scipy's adaptive quad, broken at every power of two times
+    relaxation_time below the period."""
     from scipy.integrate import quad
 
-    period = 2.0 * params.oscillation_time
-    rate = params.relaxation_time
+    dim, osc, rate = params.dim, params.oscillation_time, params.relaxation_time
+    period = 2.0 * osc
     points = [p for p in (rate * 2.0 ** k for k in range(-1, 12)) if p < period]
-    value, _ = quad(lambda t: bq.success_probability_at(state0, params, t), 0.0,
-                    period, points=points or None, limit=500, epsabs=0.0,
-                    epsrel=1e-13)
+    value, _ = quad(lambda t: emission_success(dim, t, osc, rate), 0.0, period,
+                    points=points or None, limit=500, epsabs=0.0, epsrel=1e-13)
     return value / period
 
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 import basequest as bq
-from basequest.bond import BOLTZMANN, HBAR
+from basequest.bond import BOLTZMANN, HALF_CYCLE_ATOL, HBAR
 from oracles import dense_oracle
 
 
@@ -43,6 +43,23 @@ class TestHalfRabiPhase:
     def test_rejects_other_durations(self, duration):
         with pytest.raises(bq.IncompleteTransitionError):
             bq.half_rabi_phase(1.0, duration)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_half_cycle_tolerance_is_the_bound(self, side):
+        # the floats of gap*duration nearest pi/2 +- HALF_CYCLE_ATOL on
+        # either side: the last inside is accepted, the next one out
+        # refused. x - pi/2 is exact there, a multiple of 2**-52, which
+        # 1e-9 is not, so no float sits on the bound itself
+        half = math.pi / 2.0
+        inside = half + side * HALF_CYCLE_ATOL
+        while abs(inside - half) > HALF_CYCLE_ATOL:
+            inside = math.nextafter(inside, half)
+        outside = math.nextafter(inside, side * math.inf)
+        assert abs(inside - half) < HALF_CYCLE_ATOL < abs(outside - half)
+        assert abs(outside - inside) <= 2.0 ** -52
+        assert abs(bq.half_rabi_phase(inside, 1.0) + 1j) <= 1e-9
+        with pytest.raises(bq.IncompleteTransitionError, match="half cycle"):
+            bq.half_rabi_phase(outside, 1.0)
 
 
 class TestCascade:

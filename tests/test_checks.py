@@ -104,14 +104,9 @@ REAL_PARAMETERS = [
      lambda v: scenario(oscillation_time=v), "oscillation_time"),
     ("ScenarioParams.emission_time",
      lambda v: scenario(emission="fixed", emission_time=v), "emission_time"),
-    ("oscillation_fraction.t", lambda v: bq.oscillation_fraction(v, 1.0), "time"),
-    ("oscillation_fraction.oscillation_time",
-     lambda v: bq.oscillation_fraction(0.5, v), "oscillation_time"),
     ("undamped_state.t", lambda v: bq.undamped_state(kicked(), 1, 1.0, v), "time"),
     ("undamped_state.oscillation_time",
      lambda v: bq.undamped_state(kicked(), 1, v, 0.5), "oscillation_time"),
-    ("success_probability_at.t",
-     lambda v: bq.success_probability_at(kicked(), scenario(), v), "time"),
     ("damped_oscillation.t",
      lambda v: bq.damped_oscillation(kicked(), scenario(), v), "time"),
     ("DensityMatrix.weight",
@@ -139,8 +134,6 @@ STATE_PARAMETERS = [
     ("undamped_state.state0", lambda v: bq.undamped_state(v, 1, 1.0, 0.5), "state0"),
     ("damped_oscillation.state0",
      lambda v: bq.damped_oscillation(v, scenario(), 0.5), "state0"),
-    ("success_probability_at.state0",
-     lambda v: bq.success_probability_at(v, scenario(), 0.5), "state0"),
     ("entanglement_entropy.state", lambda v: bq.entanglement_entropy(v), "state"),
     ("DensityMatrix.pure",
      lambda v: bq.DensityMatrix(0.5, v, bq.relaxed_start(4)), "pure"),
@@ -215,12 +208,8 @@ def run(params):
 # (entry point, call taking two times or scales, names one of which a
 # refusal must give)
 EXTREME_PAIRS = [
-    ("oscillation_fraction", lambda t, osc: bq.oscillation_fraction(t, osc),
-     ["time", "oscillation_time"]),
     ("undamped_state", lambda t, osc: bq.undamped_state(kicked(), 1, osc, t),
      ["time", "oscillation_time"]),
-    ("success_probability_at", lambda t, osc: bq.success_probability_at(
-        kicked(), scenario(oscillation_time=osc), t), ["time", "oscillation_time"]),
     ("damped_oscillation", lambda t, osc: bq.damped_oscillation(
         kicked(), scenario(oscillation_time=osc), t), ["time", "oscillation_time"]),
     ("damped_oscillation.relaxation_time", lambda t, rate: bq.damped_oscillation(
@@ -475,10 +464,7 @@ def test_emission_time_needs_positive_oscillation_time(policy, oscillation_time)
 
 # every entry point that places a time on the swing, given an oscillation_time
 SWING_TIMES = [
-    ("oscillation_fraction", lambda osc: bq.oscillation_fraction(osc, osc)),
     ("undamped_state", lambda osc: bq.undamped_state(kicked(), 1, osc, osc)),
-    ("success_probability_at", lambda osc: bq.success_probability_at(
-        kicked(), scenario(oscillation_time=osc), osc)),
     ("damped_oscillation", lambda osc: bq.damped_oscillation(
         kicked(), scenario(oscillation_time=osc), osc)),
 ] + [(f"run_scenario.{policy}", lambda osc, policy=policy: run(scenario(

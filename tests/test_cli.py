@@ -30,9 +30,10 @@ import oracles
 
 # The package's exports by defining submodule, as they were when the
 # package imported every submodule eagerly, less the full-vector search
-# steps, the density measurement API, the scenario's attempt-cap error and
-# BondParams since deleted, and the scenario's damping weight and hierarchy
-# notes since made private.
+# steps, the density measurement API, the scenario's attempt-cap error,
+# BondParams, oscillation_fraction and success_probability_at since
+# deleted, and the scenario's damping weight and hierarchy notes since made
+# private.
 EXPORTS = {
     "bond": ["bond_time", "boltzmann_error_rate", "cascade_phase", "half_rabi_phase"],
     "classical": ["SearchMode", "TrialStats", "expected_queries", "sample_queries",
@@ -47,9 +48,8 @@ EXPORTS = {
     "replication": ["DensityMatrix", "EmissionPolicy", "HierarchyWarning",
                     "JointState", "ScenarioParams", "ScenarioReport",
                     "base_amplification", "damped_oscillation", "entangling_oracle",
-                    "entanglement_entropy", "oscillation_fraction", "relaxed_start",
-                    "run_scenario", "success_probability_at", "swing_endpoint",
-                    "undamped_state"],
+                    "entanglement_entropy", "relaxed_start", "run_scenario",
+                    "swing_endpoint", "undamped_state"],
 }
 EXPORTED = sorted([*EXPORTS, *(name for names in EXPORTS.values() for name in names)])
 
@@ -108,7 +108,7 @@ CALL_MODULES = {
     "grover": ["_checks", "grover"],
     "classical": ["_checks", "classical"],
     "bond": ["_checks", "bond"],
-    "scenario": ["_checks", "replication"],
+    "scenario": ["_checks", "grover", "replication"],
     "hamiltonian": ["_checks", "grover"],
 }
 
@@ -373,9 +373,8 @@ class TestScenario:
         params = basequest.ScenarioParams(
             dim=n, target=0, bond_duration=1e-3, oscillation_time=1.0,
             relaxation_time=1e3, emission=emission)
-        state0 = basequest.entangling_oracle(basequest.relaxed_start(n), 0)
-        p_bar = (oracles.quad_period_mean(state0, params) if emission == "uniform"
-                 else basequest.success_probability_at(state0, params, 1.0))
+        p_bar = (oracles.quad_period_mean(params) if emission == "uniform"
+                 else oracles.emission_success(n, 1.0, 1.0, 1e3))
         mean = summary_of(result.output)["mean_attempts"]
         assert abs(mean * p_bar - 1.0) <= 5.0 / math.sqrt(1000)
 
@@ -672,10 +671,15 @@ class TestPlumbing:
                      "    swung = bq.undamped_state(state0, target, 1.0, 0.5, way)\n"
                      "    bq.entanglement_entropy(swung)\n"
                      "    bq.damped_oscillation(state0, params, 1.0, way).diagnostics()\n"
-                     "    bq.success_probability_at(state0, params, 1.0, way)\n"
-                     "bq.oscillation_fraction(0.5, 1.0)\n"
                      "bq.replication._hierarchy_warnings(params)\n"
                      "assert 'numpy' not in sys.modules, sorted(sys.modules)")
+
+    def test_uniform_scenario_loads_no_numpy_polynomial(self):
+        # the period mean is a Bessel series in plain floats: no quadrature
+        # rule is loaded for it
+        fresh_main(["scenario", "--emission", "uniform", "--samples", "5"],
+                   "assert 'numpy.polynomial' not in sys.modules, "
+                   "sorted(m for m in sys.modules if m.startswith('numpy.'))")
 
     def test_exports_match_eager_package(self):
         assert basequest.__all__ == EXPORTED
@@ -882,7 +886,8 @@ def oracle_call(argv, output=None):
 # lines, with the numpy version that a drawing call's config record names
 # left out. The table crosses a chunk and starts with the None speedup of
 # row 0; the uniform scenario's summary holds a bool and str notes; the
-# hamiltonian call's split series is taken in closed form; the last call
+# hamiltonian call's split series is taken in closed form, and the
+# scenario's chances by the search law; the last call
 # writes to the path its --config file names, which the config record
 # echoes, and whose comma and quotes CSV must quote.
 PINNED_OUTPUT = 'rows, "q" \u00e9.csv'
@@ -901,8 +906,8 @@ PINNED = [
       "6968adc4a926f72ac0526e43bc0c8cb2dd8cafdda2e686ea0f28d5cce68e1953")),
     (["scenario", "--n", "8", "--target", "3", "--emission", "uniform",
       "--samples", "20", "--seed", "2"],
-     ("47c59b5afd5e78cc4c745521e277e63b25462b4104a78fdd215e0e481722d83f",
-      "7732113b1d237ab736938901cffa826193d911ab0634383f0c1a6bd0216038d2")),
+     ("d7a8d45309987b41155a947a35424b190e24ee3a8b4469973c7be4a082e7f92a",
+      "1e544358e8cdb4c02f072ebf88e9a83f74bf226c090138b67373d06d0a376dbb")),
     (["hamiltonian", "--n", "64", "--target", "9", "--dt", "0.05"],
      ("aac3339622526e0ae8db3459993e5c7660b7dd0426cefe112d52f3e474c343cb",
       "3cc7de5b0c3e8722362c8f4f280c0204f4ffed14de6d215a930dc1a22bb29316")),
@@ -1062,6 +1067,23 @@ MALFORMED = ["", "x", "1.5", "-1", "-1e3", "-inf", "nan", "1e400", "1" + "0" * 4
 BASE = {"table": [], "grover": ["--n", "4", "--target", "0"],
         "classical": ["--n", "4", "--trials", "50"], "bond": [],
         "scenario": ["--samples", "2"], "hamiltonian": []}
+
+
+def test_each_valid_value_runs(tmp_path):
+    # every VALID value of each flag a subcommand takes, added to its BASE
+    # argv, is accepted: exit 0 (--time with --emission fixed, which needs it)
+    for command in sorted(cli._COMMANDS):
+        for flag, *_ in cli._COMMANDS[command][1] + cli._COMMON:
+            if flag in ("--output", "--config"):
+                continue
+            for token in VALID[flag]:
+                argv = [command, *BASE[command], flag, token]
+                if flag == "--time":
+                    argv += ["--emission", "fixed"]
+                elif (flag, token) == ("--emission", "fixed"):
+                    argv += ["--time", "0.9"]
+                result = invoke([*argv, "--output", str(tmp_path / "rows")])
+                assert result.exit_code == 0, (argv, result.stderr)
 
 
 def exits_cleanly(argv):

@@ -22,9 +22,8 @@ from basequest.replication import (
     _arc_point,
     _conditional_base,
     _hierarchy_warnings,
-    _period_mean,
-    _swing_arc,
-    oscillation_fraction,
+    _success_at,
+    _uniform_mean,
 )
 from oracles import (
     EIGENVALUE_FLOOR,
@@ -38,7 +37,9 @@ from oracles import (
     dense_entangling_matrix,
     dense_swing,
     dense_undamped_state,
+    decimal_emission_success,
     emission_measurement,
+    emission_success,
     entropies_by_partial_trace,
     quad_period_mean,
     quanta_density,
@@ -59,6 +60,13 @@ def arc_interpolate(a, b, fraction):
 
 def kicked_state(dim=4, target=1):
     return bq.entangling_oracle(bq.relaxed_start(dim), target)
+
+
+def emitted_weight(rho):
+    """A damped swing state's emission success: the pure swing state's
+    weight times its target's quanta-2 probability (the relaxed start
+    emits nothing)."""
+    return rho._weight * abs(rho._pure._coefficients[1]) ** 2
 
 
 def default_params(**overrides):
@@ -140,16 +148,16 @@ class TestJointState:
         bits = bq.entanglement_entropy(scaled)
         assert 0.0 <= bits <= 1.0
         assert bits == pytest.approx(bq.entanglement_entropy(state), abs=1e-9)
-        p = bq.success_probability_at(
-            scaled, default_params(dim=dim, target=target), 0.35, "joint")
+        p = emitted_weight(bq.damped_oscillation(
+            scaled, default_params(dim=dim, target=target), 0.35, "joint"))
         assert 0.0 <= p <= 1.0
 
     def test_holds_no_array_until_read(self):
         state = bq.undamped_state(kicked_state(64, 5), 5, 1.0, 0.3, "joint")
         assert state._built is None
         bq.entanglement_entropy(state)
-        bq.success_probability_at(state, default_params(dim=64, target=5), 0.2,
-                                  "joint")
+        bq.damped_oscillation(state, default_params(dim=64, target=5), 0.2,
+                              "joint").diagnostics()
         assert state._built is None
         assert state.amplitudes is state._built
 
@@ -333,6 +341,22 @@ class TestSwingEndpoints:
         with pytest.raises(bq.InvalidParameterError):
             _conditional_base(bq.swing_endpoint(kicked_state(), 1, "joint"), 1)
 
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_stray_amplitude_bound_is_inclusive(self, row):
+        # a lifted state's off-pattern amplitudes (a0, b2) may reach 1e-12
+        # exactly; one ulp above, the lift refuses the state
+        kicked = kicked_state()._coefficients
+        for stray, accepted in ((1e-12, True), (math.nextafter(1e-12, 1.0), False)):
+            coefficients = list(kicked)
+            coefficients[row] = stray
+            state = bq.JointState(4, 1, tuple(coefficients))
+            if accepted:
+                assert bq.swing_endpoint(state, 1).dim == 4
+                assert _conditional_base(state, 1).shape == (4,)
+            else:
+                with pytest.raises(bq.InvalidParameterError, match="1e-12"):
+                    bq.swing_endpoint(state, 1)
+
     def test_rejects_unknown_trajectory(self):
         with pytest.raises(bq.InvalidParameterError):
             bq.swing_endpoint(kicked_state(), 1, "diagonal")
@@ -383,16 +407,6 @@ class TestArcInterpolation:
 
 
 class TestUndampedSwing:
-    def test_fraction_boundaries(self):
-        assert oscillation_fraction(0.0, 2.0) == 0.0
-        assert oscillation_fraction(2.0, 2.0) == pytest.approx(1.0)
-        assert oscillation_fraction(4.0, 2.0) == pytest.approx(0.0, abs=1e-15)
-        assert oscillation_fraction(1.0, 2.0) == pytest.approx(0.5)
-
-    def test_fraction_rejects_negative_time(self):
-        with pytest.raises(bq.InvalidParameterError):
-            oscillation_fraction(-0.5, 1.0)
-
     @pytest.mark.parametrize("trajectory", ["conditional", "joint"])
     def test_period_retrace(self, trajectory):
         state0 = kicked_state()
@@ -644,42 +658,33 @@ class TestDampedSwing:
                     assert 0.0 <= bq.entanglement_entropy(state) <= 1.0, case
                     rho = bq.damped_oscillation(state0, params, t, trajectory)
                     assert rho.diagnostics()[1] <= NORM_ATOL + 1e-15, case
-                    p = bq.success_probability_at(state0, params, t, trajectory)
-                    assert 0.0 <= p <= 1.0, case
+                    assert 0.0 <= emitted_weight(rho) <= 1.0, case
 
     def test_dimension_mismatch(self):
         with pytest.raises(bq.DimensionMismatchError):
             bq.damped_oscillation(kicked_state(5, 1), default_params(), 0.5)
 
-    def test_success_probability_dimension_mismatch(self):
-        with pytest.raises(bq.DimensionMismatchError):
-            bq.success_probability_at(kicked_state(8, 1), default_params(), 0.5)
-
     @pytest.mark.parametrize("target", range(4))
     def test_success_probability_stays_at_most_one(self, target):
         # (oscillation_time, t, p) at dim 4, undamped; near the far turning
         # point the arc's rounding gave 1.0000000000000004 at (0.5, 0.49999999)
-        # and (0.5, 0.500000003) before the clamp
+        # and (0.5, 0.500000003), which a clamp cut to 1; the search law a
+        # run takes is a squared sine, at most 1 unclamped
         pairs = [(1.0, 0.25, 0.04630477348118096), (1.0, 1.0, 1.0),
                  (0.5, 0.49999999, 1.0), (0.5, 0.500000003, 1.0), (2.0, 2.0, 1.0),
                  (3.0, 2.9999999999999996, 1.0), (7.0, 7.000000001, 1.0),
                  (0.1, 0.15, 0.25)]
-        state0 = kicked_state(4, target)
         for osc, t, expected in pairs:
             params = default_params(target=target, oscillation_time=osc,
-                                    relaxation_time=math.inf)
-            p = bq.success_probability_at(state0, params, t)
+                                    relaxation_time=math.inf, emission="fixed",
+                                    emission_time=t)
+            p = bq.run_scenario(params, entropy_points=2).mean_success
             assert p <= 1.0
             assert p == pytest.approx(expected, rel=1e-14)
-        # a run's first checks take the same clamped values
-        params = default_params(target=target, oscillation_time=0.5,
-                                relaxation_time=math.inf, emission="fixed",
-                                emission_time=0.49999999)
-        assert bq.run_scenario(params, entropy_points=2).mean_success == 1.0
 
 
 class TestEmissionMeasurement:
-    """The dense projective check, an oracle for success_probability_at."""
+    """The dense projective check, an oracle for the emission success."""
 
     def test_certain_success(self):
         endpoint = bq.swing_endpoint(kicked_state(), 1, "conditional")
@@ -720,7 +725,7 @@ class TestEmissionMeasurement:
             rho = bq.damped_oscillation(state0, params, t)
             measured = emission_measurement(rho, 1).success_probability
             assert measured == pytest.approx(
-                bq.success_probability_at(state0, params, t), abs=1e-12)
+                emission_success(4, t, 1.0, params.relaxation_time), abs=1e-12)
 
     def test_rejects_odd_side(self):
         with pytest.raises(bq.InvalidDimensionError):
@@ -740,8 +745,9 @@ class TestEmissionTimes:
     def test_extremum_policy(self):
         params = default_params(oscillation_time=2.5, samples=8)
         report = bq.run_scenario(params, entropy_points=2)
-        assert report.mean_success == \
-            bq.success_probability_at(kicked_state(), params, 2.5)
+        # the search law after one query, damped over the swing
+        assert report.mean_success == (math.exp(-2.0 * 2.5 / params.relaxation_time)
+                                       * bq.closed_form_success(4, 1))
         assert report.mean_success == report.extremum_success_damped
 
     def test_uniform_policy_covers_full_period(self):
@@ -752,12 +758,9 @@ class TestEmissionTimes:
                                 samples=4000, seed=1)
         with pytest.warns(bq.HierarchyWarning):
             report = bq.run_scenario(params, entropy_points=2)
-        state0 = kicked_state()
-
         def mean_until(end):
             times = (np.arange(4000) + 0.5) * (end / 4000)
-            return np.mean([bq.success_probability_at(state0, params, float(t))
-                            for t in times])
+            return np.mean([emission_success(4, float(t), 1.0, 1.0) for t in times])
 
         assert mean_until(1.0) - mean_until(2.0) > 0.04
         assert mean_until(2.0) - mean_until(4.0) > 0.04
@@ -766,8 +769,9 @@ class TestEmissionTimes:
     def test_fixed_policy(self):
         params = default_params(emission="fixed", emission_time=0.7, samples=8)
         report = bq.run_scenario(params, entropy_points=2)
-        assert report.mean_success == \
-            bq.success_probability_at(kicked_state(), params, 0.7)
+        assert report.mean_success == pytest.approx(
+            decimal_emission_success(4, 0.7, 1.0, params.relaxation_time),
+            rel=2e-15, abs=0.0)
         with pytest.raises(bq.InvalidParameterError, match="emission_time"):
             default_params(emission="fixed")
 
@@ -775,7 +779,7 @@ class TestEmissionTimes:
         # uniform times pile up where the swing moves slowest: both ends
         rng = np.random.default_rng(3)
         times = rng.random(100_000) * 2.0
-        fractions = np.array([oscillation_fraction(t, 1.0) for t in times])
+        fractions = (1.0 - np.cos(np.pi * times)) / 2.0
         counts, _ = np.histogram(fractions, bins=20, range=(0.0, 1.0))
         interior = counts[1:-1]
         assert counts[0] > interior.max()
@@ -917,8 +921,7 @@ class TestRunScenario:
         # would pass MAX_COUNT, and the run refuses before drawing them
         params = default_params(emission="fixed", emission_time=1.0 / 3.0,
                                 samples=1, relaxation_time=math.inf)
-        assert bq.success_probability_at(
-            kicked_state(), params, 1.0 / 3.0) <= 1e-30
+        assert decimal_emission_success(4, 1.0 / 3.0, 1.0, math.inf) <= 1e-30
         with pytest.raises(bq.InvalidParameterError, match="emission_time"):
             bq.run_scenario(params, entropy_points=2)
 
@@ -946,11 +949,14 @@ class TestRunScenario:
         ({"emission": "fixed", "emission_time": 1e300, "oscillation_time": 1e300},
          "emission_time"),
         ({"emission": "uniform", "relaxation_time": 5e-324}, "oscillation_time"),
-    ], ids=["extremum", "fixed", "uniform"])
+        ({"emission": "uniform", "oscillation_time": 1e300,
+          "relaxation_time": 5e-324}, "oscillation_time"),
+    ], ids=["extremum", "fixed", "uniform", "uniform_damping_overflows"])
     def test_zero_success_probability_is_refused_before_drawing(
             self, monkeypatch, overrides, name):
         # the damping underflows to 0.0 at every time but 0, or at the fixed
-        # time: no retried check can succeed
+        # time: no retried check can succeed. In the last row the damping
+        # rate over a period, 4*oscillation_time/relaxation_time, overflows
         from basequest import replication
 
         def draws(*args):
@@ -1053,7 +1059,6 @@ class TestAnyDim:
             state = bq.undamped_state(state0, target, 1.0, 0.7, trajectory)
             bq.entanglement_entropy(state)
             bq.damped_oscillation(state0, params, 0.7, trajectory).diagnostics()
-            bq.success_probability_at(state0, params, 1.0, trajectory)
 
         run()  # first-call caches
         assert self.traced_peak(run) < 2 ** 20
@@ -1070,7 +1075,7 @@ class TestAnyDim:
                                 samples=4000)
         t = {"extremum": 1.0, "fixed": 0.85}.get(policy)
         p_bar = (bessel_period_mean(dim) if t is None
-                 else bq.success_probability_at(kicked_state(dim, 7), params, t))
+                 else emission_success(dim, t, 1.0, math.inf))
         report = bq.run_scenario(params, entropy_points=2)
         assert abs(report.mean_attempts * p_bar - 1.0) <= 5.0 / math.sqrt(4000)
         assert report.max_attempts_observed * p_bar > 1.0
@@ -1103,13 +1108,12 @@ class TestAnyDim:
     @pytest.mark.parametrize("dim", [DIM, 10 ** 15, 2 ** 53])
     def test_values_at_large_dim(self, dim):
         # the swing moves the kicked target amplitude -1/sqrt(dim) to
-        # (3 - 4/dim)/sqrt(dim) (the one-query search amplitude), over an
-        # arc of about 4/sqrt(dim); acos of the overlap snapped arcs below
-        # 1e-6 to none, which left it at 1/dim from dim 1.6e13. The kicked
-        # state's entropy tends to 0 as the target's weight 1/dim does
+        # (3 - 4/dim)/sqrt(dim), the one-query search amplitude, so the far
+        # turning point emits with about 9/dim. The kicked state's entropy
+        # tends to 0 as the target's weight 1/dim does
         state0 = kicked_state(dim, 7)
         params = default_params(dim=dim, target=7, relaxation_time=math.inf)
-        success = bq.success_probability_at(state0, params, 1.0)
+        success = bq.run_scenario(params, entropy_points=2).extremum_success_undamped
         assert success * dim == pytest.approx(9.0, rel=1e-9)
         bits = bq.entanglement_entropy(state0)
         assert 0.0 < bits < 1e-9
@@ -1126,18 +1130,10 @@ def agree(run, oracle):
     return abs(run.mean() - oracle.mean()) <= 5.0 * error + 1e-12 * abs(oracle.mean())
 
 
-def retry_chance(dim, target, oscillation_time, relaxation_time):
-    """The run's p_bar under uniform emission, from the conditional arc."""
-    angle, start, end = _swing_arc(kicked_state(dim, target), target)
-    return _period_mean(angle, start._coefficients[1], end._coefficients[1],
-                        oscillation_time, relaxation_time)
-
-
 class TestScalarSampler:
-    """p(t) comes from the arc's angle and two amplitudes, and a sample's
-    attempt count from its law; the full-vector route, a loop of Bernoulli
-    checks on whole swing states, must give the same p(t) bits and the same
-    attempt law."""
+    """A sample's attempt count comes from its law; the full-vector route, a
+    loop of Bernoulli checks on whole swing states, must give the same
+    attempt law, and the same p(t) bits as the damped swing states."""
 
     @pytest.mark.parametrize("seed", [0, 5, 2**70])
     @pytest.mark.parametrize("policy", ["extremum", "uniform", "fixed"])
@@ -1178,29 +1174,115 @@ class TestScalarSampler:
         # both turning points (0 and 1.3), the end of the period and beyond
         times = [0.0, 1.3, 2.6, 3.9, *np.linspace(0.0, 2.6, 27)[1:-1]]
         for t in map(float, times):
-            assert bq.success_probability_at(state0, params, t, trajectory) \
-                == vector_emission_probability(state0, params, t, trajectory)
+            rho = bq.damped_oscillation(state0, params, t, trajectory)
+            assert emitted_weight(rho) == \
+                vector_emission_probability(state0, params, t, trajectory)
 
 
 class TestRetryChance:
     """p_bar, the success chance of a retried check under uniform emission,
-    is the one-period mean of p(t), taken on Gauss-Legendre panels."""
+    is the one-period mean of p(t), by a Bessel-Laplace series in the damping
+    kappa = 2*oscillation_time/(pi*relaxation_time)."""
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 64, 1024, 2**20, 10**12, 2**53])
     def test_undamped_mean_matches_bessel_form(self, dim):
         for target in {0, dim // 3, dim - 1}:
-            assert retry_chance(dim, target, 1.3, math.inf) == pytest.approx(
-                bessel_period_mean(dim), rel=1e-13, abs=0.0)
+            params = default_params(dim=dim, target=target, emission="uniform",
+                                    oscillation_time=1.3, relaxation_time=math.inf,
+                                    samples=1)
+            assert bq.run_scenario(params, entropy_points=2).mean_success == \
+                pytest.approx(bessel_period_mean(dim), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("ratio", [1e-6, 1e-3, 0.1, 10.0, 1e3])
-    @pytest.mark.parametrize("dim", [4, 1024, 10**12])
+    @pytest.mark.parametrize("dim", [3, 4, 1024, 10**12, 2**53])
     def test_damped_mean_matches_adaptive_quadrature(self, dim, ratio):
         # relaxation_time/oscillation_time from far below to far above 1:
-        # at 1e-6 the damping leaves all but the first 1e-5 of the period
+        # at 1e-6 the damping leaves all but the first 1e-5 of the period;
+        # the run refuses the smallest of these chances, so the series is
+        # read directly
         params = default_params(dim=dim, target=dim // 3, oscillation_time=1.3,
                                 relaxation_time=1.3 * ratio)
-        assert retry_chance(dim, dim // 3, 1.3, 1.3 * ratio) == pytest.approx(
-            quad_period_mean(kicked_state(dim, dim // 3), params), rel=1e-12, abs=0.0)
+        assert _uniform_mean(dim, 1.3, 1.3 * ratio) == pytest.approx(
+            quad_period_mean(params), rel=1e-12, abs=0.0)
+
+    @pytest.mark.filterwarnings("ignore::basequest.HierarchyWarning")
+    @pytest.mark.parametrize("osc,rate", [(1e-300, 1e300), (1e-300, 1e10)],
+                             ids=["underflow", "subnormal"])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 1024, 10**12, 2**53])
+    def test_vanishing_damping_gives_the_undamped_mean(self, dim, osc, rate):
+        # kappa underflows to 0 (2e-600), as at relaxation_time inf above,
+        # or is the subnormal 1.3e-310, where m/kappa overflows: either way
+        # E_0 is 1 and every later E_m is 0
+        params = default_params(dim=dim, target=dim - 1, emission="uniform",
+                                bond_duration=osc / 100.0, oscillation_time=osc,
+                                relaxation_time=rate, samples=3)
+        report = bq.run_scenario(params, entropy_points=2)
+        assert report.mean_success == pytest.approx(bessel_period_mean(dim),
+                                                    rel=1e-13, abs=0.0)
+        assert report.mean_attempts >= 1.0
+
+    @pytest.mark.parametrize("osc,rate", [(1.3, 1.3e-12), (1.0, 1e-200)],
+                             ids=["large", "huge"])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 1024, 10**12, 2**53])
+    def test_overwhelming_damping_keeps_the_start(self, dim, osc, rate):
+        # kappa about 6.4e11 or 6.4e199: the damping leaves only the start,
+        # where p is 1/dim, so p_bar is (1/dim)*rate/(4*osc) up to 1/kappa**2
+        expected = rate / (4.0 * osc) / dim
+        assert _uniform_mean(dim, osc, rate) == pytest.approx(expected, rel=1e-13,
+                                                              abs=0.0)
+
+
+class TestSearchLaw:
+    """p(t), the chance of one check at time t, is the one-query search law
+    stopped part-way, at every dim: within 2e-15 of a 40-digit reference at
+    each policy's time, wherever p is above 1e-6 of the swing's peak (nearer
+    a node, the rounding of the float cosine, which the reference shares,
+    outweighs the rest)."""
+
+    TIMES = [0.0, 0.05, 0.2, 0.35, 0.5, 0.7, 0.85, 1.0, 1.3, 1.7, 1.95, 2.0]
+
+    @pytest.mark.parametrize("rate", [math.inf, 40.0])
+    @pytest.mark.parametrize("dim", [3, 4, 5, 64, 1024, 10**6, 10**12, 2**53])
+    def test_chances_match_decimal_reference(self, dim, rate):
+        from basequest._checks import MAX_COUNT
+
+        params = default_params(dim=dim, target=dim // 3, relaxation_time=rate,
+                                samples=1)
+        report = bq.run_scenario(params, entropy_points=2)
+        peak = decimal_emission_success(dim, 1.0, 1.0, math.inf)
+        assert report.extremum_success_undamped == pytest.approx(peak, rel=2e-15,
+                                                                  abs=0.0)
+        for got in (report.extremum_success_damped, report.mean_success):
+            assert got == pytest.approx(decimal_emission_success(dim, 1.0, 1.0, rate),
+                                        rel=2e-15, abs=0.0)
+        for t in self.TIMES:
+            expected = decimal_emission_success(dim, t, 1.0, rate)
+            # the run refuses a chance below 1/MAX_COUNT before drawing
+            if expected <= 1e-6 * peak or expected * MAX_COUNT < 2.0:
+                continue
+            fixed = dataclasses.replace(params, emission="fixed", emission_time=t)
+            got = bq.run_scenario(fixed, entropy_points=2).mean_success
+            assert got == pytest.approx(expected, rel=2e-15, abs=0.0), t
+
+    def test_two_objects_follow_the_search_rotation(self):
+        # at dim 2 the conditional arc's ends are antipodal, where the slerp
+        # keeps p at 1/2 throughout; the search law, the limit of every dim
+        # above 2, turns through 0 at f = 1/4 and 1 at f = 3/4 (a third and
+        # two thirds of oscillation_time), and damping weighs the two apart
+        undamped = default_params(dim=2, target=1, relaxation_time=math.inf,
+                                  emission="fixed", emission_time=1.0 / 3.0,
+                                  samples=1)
+        with pytest.raises(bq.InvalidParameterError, match="emission_time"):
+            bq.run_scenario(undamped, entropy_points=2)
+        peak = dataclasses.replace(undamped, emission_time=2.0 / 3.0)
+        assert bq.run_scenario(peak, entropy_points=2).mean_success == \
+            pytest.approx(1.0, rel=1e-15)
+        uniform = dataclasses.replace(undamped, emission="uniform",
+                                      relaxation_time=10.0)
+        report = bq.run_scenario(uniform, entropy_points=2)
+        assert report.mean_success == pytest.approx(quad_period_mean(uniform),
+                                                    rel=1e-12, abs=0.0)
+        assert round(report.mean_success, 5) == 0.41127
 
 
 class TestDrawnLaw:
@@ -1211,14 +1293,13 @@ class TestDrawnLaw:
 
     @staticmethod
     def chance(params):
-        """p_bar of params, from the public evaluators and retry_chance."""
+        """p_bar of params, from the package's closed forms."""
+        osc, rate = params.oscillation_time, params.relaxation_time
         if params.emission is bq.EmissionPolicy.UNIFORM_RANDOM:
-            return retry_chance(params.dim, params.target, params.oscillation_time,
-                                params.relaxation_time)
+            return _uniform_mean(params.dim, osc, rate)
         t = (params.emission_time if params.emission is bq.EmissionPolicy.FIXED_TIME
-             else params.oscillation_time)
-        return bq.success_probability_at(kicked_state(params.dim, params.target),
-                                         params, t)
+             else osc)
+        return _success_at(params.dim, t, osc, rate)
 
     @pytest.mark.parametrize("samples", [10 ** 3, 10 ** 4, 10 ** 5])
     @pytest.mark.parametrize("dim", [3, 4, 5, 64, 1024, 10 ** 6, 10 ** 9, 10 ** 12])
@@ -1256,8 +1337,9 @@ class TestDrawnLaw:
 
 
 class TestArcsBuiltOnce:
-    """run_scenario builds each swing arc once and reads every report field
-    off it; the per-point undamped_state route must give the same bits."""
+    """run_scenario builds the joint swing arc once and reads the entropy
+    fields off it, where the per-point undamped_state route must give the
+    same bits; its extremum fields are the search law after one query."""
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 64, 1024])
     def test_report_matches_per_point_route(self, dim):
@@ -1272,7 +1354,7 @@ class TestArcsBuiltOnce:
 
         bits = [bq.entanglement_entropy(swing(t, "joint"))
                 for t in report.entropy_times]
-        undamped = float(abs(swing(1.3, "conditional").amplitudes[target, 1]) ** 2)
+        undamped = bq.closed_form_success(dim, 1)
         assert [float(b).hex() for b in report.entropy_bits] == [b.hex() for b in bits]
         assert report.entropy_at_extremum.hex() == \
             bq.entanglement_entropy(swing(1.3, "joint")).hex()
@@ -1299,7 +1381,7 @@ class TestArcsBuiltOnce:
         monkeypatch.setattr(replication, "swing_endpoint", counted_endpoint)
         monkeypatch.setattr(replication, "base_amplification", counted_amplification)
         bq.run_scenario(default_params(dim=64, emission=policy, samples=30))
-        assert built == {"conditional": 1, "joint": 1, "base_amplification": 1}
+        assert built == {"conditional": 0, "joint": 1, "base_amplification": 1}
 
 
 class TestReportIsARecord:
