@@ -6,8 +6,11 @@ Counts, indices and seeds must be integers (bool refused, numpy's integer
 scalars accepted), and a count or index check returns int(value). Times and
 scales must be reals (numbers.Real, as numpy's floats and Fraction are)
 whose float() is finite, which a real check returns; a Decimal, or an int
-beyond float range, is refused by name. The model computes only on what the
-checks return, while a message shows the value as the caller passed it.
+beyond float range, is refused by name. A value whose type is exactly int
+(for a count or index in range) or float (for a real) is accepted after one
+type test and returned as it is; every other kind takes the abstract-class
+path. The model computes only on what the checks return, while a message
+shows the value as the caller passed it.
 The size bounds live here (MAX_COUNT, MAX_STATE_DIM, MAX_DRAWS,
 MAX_SWEEP_STEPS), and so does the draw contract: BLOCK_SIZE and seed_blocks.
 """
@@ -57,6 +60,8 @@ def check_integer(value, name: str, low: int, error=InvalidParameterError,
                   high: int | None = None) -> int:
     """int(value), for an integer >= low, and <= high unless high is None;
     error is the class raised otherwise."""
+    if type(value) is int and low <= value and (high is None or value <= high):
+        return value
     if not _is_integer(value) or value < low or (high is not None and value > high):
         span = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise error(f"{name} must be an integer {span}, got {value!r}")
@@ -70,6 +75,8 @@ def check_count(value, name: str, low: int, error=InvalidParameterError) -> int:
 
 def check_target(target, size: int) -> int:
     """int(target), for an index into size objects: an integer in [0, size)."""
+    if type(target) is int and 0 <= target < size:
+        return target
     if not _is_integer(target) or not 0 <= target < size:
         raise InvalidTargetError(
             f"target must be an integer in [0, {size}), got {target!r}")

@@ -362,7 +362,11 @@ def run_grover_with_phases(dim: int, target: int, queries: int,
     if turn & 2:
         on_target, rest = -on_target, -rest
     state = StateVector(dim, target, on_target, rest / math.sqrt(dim - 1), phases)
-    return state, state.success_probability(target)
+    # the expression success_probability(target) evaluates, without its
+    # second target check
+    if phases is None:
+        return state, on_target ** 2
+    return state, float(abs(on_target * phases[target]) ** 2)
 
 
 # --- continuous-time counterpart ---------------------------------------

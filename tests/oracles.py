@@ -472,7 +472,14 @@ def great_circle_point(flat0: np.ndarray, flat1: np.ndarray,
 
 def vector_emission_probability(state0, params, t: float,
                                 trajectory: str = "conditional") -> float:
-    """Damped emission success at time t, read off the full swing state."""
+    """Damped emission success at time t, read off the full swing state.
+
+    It is damped_oscillation's emitted weight at every dim, and
+    run_scenario's success chance at dim >= 3 only. At dim 2 the swing's
+    ends are antipodal and the great circle is the pure-phase path, on
+    which p stays exp(-2t/tau)/2, while run_scenario follows the search
+    rotation (0 at t = T/3 and 1 at 2T/3, undamped).
+    """
     end = swing_endpoint(state0, params.target, trajectory)
     fraction = (1.0 - math.cos(math.pi * t / params.oscillation_time)) / 2.0
     psi = great_circle_point(state0.amplitudes.ravel(), end.amplitudes.ravel(),
@@ -490,7 +497,18 @@ def vector_scenario_draws(params) -> tuple[list[float], list[int]]:
     check; a failure restarts. All samples draw from one PCG64 stream seeded
     with params.seed. Returns each sample's first success probability and
     its attempt count.
+
+    Its domain is dim >= 3, where the great circle through the swing's ends
+    is the search rotation run_scenario follows; at dim 2 it raises
+    ValueError, as vector_emission_probability gives the pure-phase path
+    there.
     """
+    if params.dim == 2:
+        raise ValueError(
+            "vector_scenario_draws models run_scenario at dim >= 3 only: at "
+            "dim 2 the swing's ends are antipodal, and the great-circle state "
+            "keeps p at exp(-2t/tau)/2, while run_scenario follows the "
+            "search rotation")
     state0 = entangling_oracle(relaxed_start(params.dim), params.target)
     rng = np.random.Generator(np.random.PCG64(params.seed))
     first, counts = [], []

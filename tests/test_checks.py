@@ -320,6 +320,39 @@ def test_integer_kinds_are_accepted(call, kind):
         assert outcome(call, kind(value)) == outcome(call, value), value
 
 
+# (entry point and parameter, call, error, message up to the value, the
+# refused values below and above the range): each refusal shows the value
+# as passed, a Python int or one of numpy's 64-bit integers alike
+REFUSED_INTEGERS = [
+    ("run_grover.dim", lambda v: bq.run_grover(v, 0, 1), bq.InvalidDimensionError,
+     f"dimension must be an integer in [2, {MAX_COUNT}]", [1, MAX_COUNT + 1]),
+    ("run_grover.target", lambda v: bq.run_grover(4, v, 1), bq.InvalidTargetError,
+     "target must be an integer in [0, 4)", [-1, 4]),
+    ("run_grover.queries", lambda v: bq.run_grover(4, 0, v), bq.InvalidParameterError,
+     f"query count must be an integer in [0, {MAX_COUNT}]", [-1, MAX_COUNT + 1]),
+    ("success_probability.target",
+     lambda v: bq.run_grover(4, 0, 0)[0].success_probability(v), bq.InvalidTargetError,
+     "target must be an integer in [0, 4)", [-1, 4]),
+    ("cascade_phase.steps", lambda v: bq.cascade_phase(v), bq.InvalidParameterError,
+     "steps must be an integer >= 1", [0, -1]),
+]
+
+
+@pytest.mark.parametrize("kind", [int, np.int64, np.uint64],
+                         ids=["int", "int64", "uint64"])
+@pytest.mark.parametrize("call,error,message,values",
+                         [row[1:] for row in REFUSED_INTEGERS],
+                         ids=[row[0] for row in REFUSED_INTEGERS])
+def test_integer_refusals_show_the_value_passed(call, error, message, values, kind):
+    # a bool is refused as the caller's bool, whatever the kind around it
+    refused = [True, np.True_] + [kind(v) for v in values
+                                  if kind is not np.uint64 or v >= 0]
+    for value in refused:
+        with pytest.raises(error) as raised:
+            call(value)
+        assert str(raised.value) == f"{message}, got {value!r}"
+
+
 def scenario_at(oscillation_time):
     return bq.run_scenario(bq.ScenarioParams(
         dim=64, target=5, bond_duration=1e-3, oscillation_time=oscillation_time,

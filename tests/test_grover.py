@@ -448,6 +448,45 @@ class TestPlaneState:
         amps = state.amplitudes
         assert lazy == [abs(amps[i]) ** 2 for i in range(dim)]
 
+    @pytest.mark.parametrize("run", [
+        lambda phases: bq.run_grover(16, 5, 2),
+        lambda phases: bq.run_grover_with_phases(16, 5, 2, None),
+        lambda phases: bq.run_grover_with_phases(16, 5, 2, phases),
+    ], ids=["run_grover", "with_phases_none", "with_phases"])
+    def test_run_checks_its_target_once(self, monkeypatch, run):
+        # a run returns the success it reads off the amplitude it computed:
+        # one target check, and no success_probability call to check again
+        phases = bq.random_unit_phases(16, 0)
+        calls = []
+        check_target = bq.grover.check_target
+        monkeypatch.setattr(bq.grover, "check_target", lambda *args: (
+            calls.append("check_target") or check_target(*args)))
+        monkeypatch.setattr(StateVector, "success_probability", lambda *args: (
+            calls.append("success_probability")))
+        run(phases)
+        assert calls == ["check_target"]
+
+    @pytest.mark.parametrize("dim", [2 ** 21 + 1, 10 ** 9, 10 ** 12, 2 ** 53 - 1, 2 ** 53],
+                             ids=["2**21+1", "10**9", "10**12", "2**53-1", "2**53"])
+    def test_returned_success_is_the_state_reading_past_eager_bound(self, dim):
+        # the bits success_probability(target) reads, at sizes no array is
+        # built for, and the same run for numpy's 64-bit integer arguments
+        best = bq.optimal_queries(dim).queries
+        for queries, target in itertools.product((0, 1, best, 2 ** 53),
+                                                 (0, dim // 3, dim - 1)):
+            state, success = bq.run_grover(dim, target, queries)
+            assert type(success) is float
+            assert success.hex() == state.success_probability(target).hex()
+            fields = (state._dim, state._target, state._on_target, state._rest)
+            for kind in (np.int64, np.uint64):
+                kind_state, kind_success = bq.run_grover(kind(dim), kind(target),
+                                                         kind(queries))
+                assert kind_success.hex() == success.hex()
+                assert (kind_state._dim, kind_state._target, kind_state._on_target,
+                        kind_state._rest) == fields
+                assert type(kind_state._dim) is type(kind_state._target) is int
+            assert state._built is None
+
     def test_amplitudes_are_built_once(self):
         state, _ = bq.run_grover(16, 3, 2)
         assert state.amplitudes is state.amplitudes

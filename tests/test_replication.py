@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import basequest as bq
 from basequest._checks import seed_blocks
 from basequest.replication import (
+    DEGENERATE_SIN,
     MIN_TIMESCALE_RATIO,
     NORM_ATOL,
     _arc_angle,
@@ -396,6 +397,23 @@ class TestArcInterpolation:
         halfway = arc_interpolate(a, -a, 0.5)
         assert abs(np.linalg.norm(halfway) - 1.0) <= 1e-12
         assert np.max(np.abs(arc_interpolate(a, -a, 1.0) + a)) <= 1e-12
+
+    def test_degenerate_angle_bound(self):
+        # the last angle kept and the first taken as pi, given as the pair
+        # (1, together) whose 2*atan2 is that float; pi - angle is exact and
+        # a multiple of 2**-51 there, which DEGENERATE_SIN = 1e-6 is not, so
+        # a <= in place of the < would decide every angle alike
+        kept = math.pi - DEGENERATE_SIN
+        while math.pi - kept < DEGENERATE_SIN:
+            kept = math.nextafter(kept, 0.0)
+        while not math.pi - math.nextafter(kept, 4.0) < DEGENERATE_SIN:
+            kept = math.nextafter(kept, 4.0)
+        for angle, want in ((kept, kept), (math.nextafter(kept, 4.0), math.pi)):
+            together = math.tan((math.pi - angle) / 2.0)
+            for _ in range(5):
+                together += (2.0 * math.atan2(1.0, together) - angle) / 2.0
+            assert 2.0 * math.atan2(1.0, together) == angle
+            assert _arc_angle(1.0, together) == want
 
     def test_two_object_conditional_swing_is_antipodal(self):
         # the only case where the two arc endpoints are a global sign apart
@@ -1163,6 +1181,13 @@ class TestScalarSampler:
         for j in range(max(runs + counts).bit_length()):
             assert agree([n.bit_length() == j + 1 for n in runs],
                          [n.bit_length() == j + 1 for n in counts]), j
+
+    def test_vector_route_refuses_two_objects(self):
+        # at dim 2 the great-circle swing is the pure-phase path, not the
+        # search rotation run_scenario takes
+        params = default_params(dim=2, emission="uniform", samples=1)
+        with pytest.raises(ValueError, match=r"dim >= 3 only.*antipodal"):
+            vector_scenario_draws(params)
 
     @pytest.mark.parametrize("trajectory", ["conditional", "joint"])
     @pytest.mark.parametrize("dim", [2, 4, 5, 64, 1024])
