@@ -69,7 +69,11 @@ def check_integer(value, name: str, low: int, error=InvalidParameterError,
 
 
 def check_count(value, name: str, low: int, error=InvalidParameterError) -> int:
-    """check_integer up to MAX_COUNT: a database size, dimension or query count."""
+    """check_integer up to MAX_COUNT: a database size, dimension or query
+    count. An exact int in [low, MAX_COUNT] is returned at once, without the
+    call to check_integer, which every other value goes to."""
+    if type(value) is int and low <= value <= MAX_COUNT:
+        return value
     return check_integer(value, name, low, error, MAX_COUNT)
 
 

@@ -77,10 +77,12 @@ def _grover(o):
     summary comparing the simulated success with the closed form.
     """
     from . import grover
-    from ._checks import check_seed
+    from ._checks import MAX_COUNT, check_seed
 
+    # the series rejects dim outside [2, MAX_COUNT]; the default only has
+    # to be computable, so that the refusal names the dimension either way
     if o.iters is None:
-        o.iters = grover.optimal_queries(o.n).queries
+        o.iters = grover.optimal_queries(min(max(o.n, 2), MAX_COUNT)).queries
     if o.iters < 0:
         raise argparse.ArgumentError(None, "--iters must be >= 0")
     check_seed(o.seed)

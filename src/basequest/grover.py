@@ -174,21 +174,32 @@ def _theta(dim: int, scale: int = 1) -> int:
     return ((total << doublings) + (1 << 15)) >> 16
 
 
-def _search_angle(dim: int, rounds: int):
-    """(theta, turn, residue) with (2*rounds + 1) * theta = turn * pi/2 +
-    residue, exactly in integers, -pi/4 <= residue < pi/4 and theta =
-    _theta(dim), for a checked dim and count."""
-    theta = _theta(dim)
-    turn, residue = divmod((2 * rounds + 1) * theta + _QUARTER_PI, _HALF_PI)
-    return theta, turn, residue - _QUARTER_PI
-
-
 def run_grover(dim: int, target: int, queries: int) -> tuple[StateVector, float]:
     """Run `queries` amplification rounds from the uniform start state.
 
     Returns the final state and its success probability on the target.
+    The state is returned as its two plane amplitudes, so dim may go up to
+    2**53; reading its amplitudes builds the array, which raises
+    InvalidDimensionError above MAX_STATE_DIM.
     """
-    return run_grover_with_phases(dim, target, queries, None)
+    dim = check_count(dim, "dimension", 2, InvalidDimensionError)
+    target = check_target(target, dim)
+    rounds = check_count(queries, "query count", 0)
+    # (2*rounds + 1) * theta = turn * pi/2 + residue, exactly in integers,
+    # with -pi/4 <= residue < pi/4
+    turn, residue = divmod((2 * rounds + 1) * _theta(dim) + _QUARTER_PI,
+                           _HALF_PI)
+    residue -= _QUARTER_PI
+    r = float(residue) * _SCALE if abs(residue) > _ZERO else 0.0
+    on_target, rest = math.sin(r), math.cos(r)
+    if turn & 1:
+        on_target, rest = rest, -on_target
+    if turn & 2:
+        on_target, rest = -on_target, -rest
+    # the expression success_probability(target) evaluates, without its
+    # second target check
+    return (StateVector(dim, target, on_target, rest / math.sqrt(dim - 1), None),
+            on_target ** 2)
 
 
 def success_series(dim: int, target: int, queries: int) -> list[float]:
@@ -206,7 +217,9 @@ def success_series(dim: int, target: int, queries: int) -> list[float]:
         raise InvalidParameterError(
             f"query count must be at most {MAX_SWEEP_STEPS} for a series, "
             f"got {queries!r}")
-    theta, turn, residue = _search_angle(dim, 0)
+    theta = _theta(dim)
+    turn, residue = divmod(theta + _QUARTER_PI, _HALF_PI)
+    residue -= _QUARTER_PI
     # Each round adds 2*theta to the angle of 0 rounds, kept reduced
     # exactly, so point q has the bits run_grover gives for q. The target
     # amplitude is +-sin r on even turns and +-cos r on odd ones; the exact
@@ -343,30 +356,19 @@ def run_grover_with_phases(dim: int, target: int, queries: int,
     The start state carries one arbitrary unit-modulus factor per component
     and the amplification reflects about that same decorated state. The
     success probability is provably identical to the undecorated run; this
-    routine exists to exhibit that invariance numerically. phases=None is
-    the undecorated run.
-
-    The state is returned as its two plane amplitudes, so dim may go up to
-    2**53; reading its amplitudes builds the array, which raises
-    InvalidDimensionError above MAX_STATE_DIM.
+    routine exists to exhibit that invariance numerically. It is
+    run_grover's run, decorated: phases=None returns run_grover's result as
+    it is, and otherwise the phases are checked and the same plane
+    amplitudes are returned with them, with the success read off the
+    decorated target entry.
     """
-    dim = check_count(dim, "dimension", 2, InvalidDimensionError)
-    target = check_target(target, dim)
-    _, turn, residue = _search_angle(dim, check_count(queries, "query count", 0))
-    if phases is not None:
-        phases = _check_phases(phases, dim)
-    r = float(residue) * _SCALE if abs(residue) > _ZERO else 0.0
-    on_target, rest = math.sin(r), math.cos(r)
-    if turn & 1:
-        on_target, rest = rest, -on_target
-    if turn & 2:
-        on_target, rest = -on_target, -rest
-    state = StateVector(dim, target, on_target, rest / math.sqrt(dim - 1), phases)
-    # the expression success_probability(target) evaluates, without its
-    # second target check
+    state, success = run_grover(dim, target, queries)
     if phases is None:
-        return state, on_target ** 2
-    return state, float(abs(on_target * phases[target]) ** 2)
+        return state, success
+    phases = _check_phases(phases, state._dim)
+    on_target = state._on_target
+    return (StateVector(state._dim, state._target, on_target, state._rest, phases),
+            float(abs(on_target * phases[state._target]) ** 2))
 
 
 # --- continuous-time counterpart ---------------------------------------

@@ -20,7 +20,9 @@ import basequest as bq
 # loaded here, so that no tracemalloc window below counts a first import
 import basequest.classical  # noqa: F401
 import basequest.replication  # noqa: F401
-from basequest._checks import MAX_COUNT, MAX_DRAWS, MAX_STATE_DIM, MAX_SWEEP_STEPS
+from basequest._checks import (MAX_COUNT, MAX_DRAWS, MAX_STATE_DIM, MAX_SWEEP_STEPS,
+                               check_count, check_integer, check_nonnegative,
+                               check_target)
 from oracles import DenseJointState
 
 
@@ -458,6 +460,53 @@ def test_oversized_draw_count_refused_before_allocation(call, name, bound, over)
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+# (check, its arguments with the value first, its lowest and highest value)
+INTEGER_CHECKS = {
+    "check_integer": (check_integer, ("trials", 1, bq.InvalidParameterError, MAX_DRAWS),
+                      1, MAX_DRAWS),
+    "check_count": (check_count, ("dimension", 2, bq.InvalidDimensionError), 2, MAX_COUNT),
+    "check_target": (check_target, (5,), 0, 4),
+}
+
+
+@pytest.mark.parametrize("end", ["lowest", "highest"])
+@pytest.mark.parametrize("check, args, low, high", INTEGER_CHECKS.values(),
+                         ids=INTEGER_CHECKS.keys())
+def test_exact_int_at_either_end_takes_one_call(check, args, low, high, end):
+    # an exact int in range is returned by the check's first line, so the
+    # check is the only Python call made for it; one beyond is refused
+    value, beyond = (low, low - 1) if end == "lowest" else (high, high + 1)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        returned = check(value, *args)
+    finally:
+        sys.setprofile(None)
+    assert calls == [check.__name__]
+    assert returned is value
+    with pytest.raises(bq.SimulationError, match=re.escape(f"got {beyond}")):
+        check(beyond, *args)
+
+
+@pytest.mark.parametrize("value, accepted", [
+    (0.0, True), (-5e-324, False), (sys.float_info.max, True), (math.inf, False)],
+    ids=["zero", "below_zero", "largest", "infinite"])
+def test_nonnegative_check_at_either_end(value, accepted):
+    # its callers refuse an infinite time further on, with messages that
+    # name it too, so the check's own bound is tested here
+    if accepted:
+        assert check_nonnegative(value, "t") == value
+    else:
+        with pytest.raises(bq.InvalidParameterError, match=re.escape(
+                f"t must be finite and >= 0, got {value!r}")):
+            check_nonnegative(value, "t")
 
 
 @pytest.mark.parametrize("target", [-1, 4, 9])

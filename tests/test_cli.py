@@ -259,6 +259,17 @@ class TestGrover:
         assert result.stderr == ("error: InvalidTargetError: target must be "
                                  "an integer in [0, 4), got 9\n")
 
+    @pytest.mark.parametrize("n", ["0", "1", "9007199254740993", "-5"])
+    def test_bad_size_is_refused_alike_with_or_without_iters(self, n):
+        # the default count is computed for any --n, so the run's own check
+        # names the dimension whether or not --iters is given
+        plain = invoke(["grover", "--n", n, "--target", "0"])
+        counted = invoke(["grover", "--n", n, "--target", "0", "--iters", "1"])
+        assert plain.exit_code == counted.exit_code == 3
+        assert plain.stderr == counted.stderr == (
+            "error: InvalidDimensionError: dimension must be an integer in "
+            f"[2, 9007199254740992], got {n}\n")
+
     def test_missing_required_option(self):
         assert invoke(["grover", "--target", "0"]).exit_code == 2
 

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import operator
+import sys
 import timeit
 import tracemalloc
 
@@ -465,6 +466,31 @@ class TestPlaneState:
             calls.append("success_probability")))
         run(phases)
         assert calls == ["check_target"]
+
+    @pytest.mark.parametrize("args", [(2 ** 19, 12345, 4), (2, 0, 0),
+                                      (2 ** 53, 2 ** 53 - 1, 2 ** 53)],
+                             ids=["2**19", "lowest", "highest"])
+    def test_plain_run_makes_five_python_calls(self, args):
+        # a plain run is its rotation: the three argument checks and the
+        # state it returns, with theta read from the warm cache; an exact
+        # int at either end of its range takes no second check call
+        bq.run_grover(*args)
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(f"{frame.f_globals['__name__']}.{frame.f_code.co_name}")
+
+        sys.setprofile(profile)
+        try:
+            bq.run_grover(*args)
+        finally:
+            sys.setprofile(None)
+        assert calls == ["basequest.grover.run_grover",
+                         "basequest._checks.check_count",
+                         "basequest._checks.check_target",
+                         "basequest._checks.check_count",
+                         "basequest.grover.__init__"]
 
     @pytest.mark.parametrize("dim", [2 ** 21 + 1, 10 ** 9, 10 ** 12, 2 ** 53 - 1, 2 ** 53],
                              ids=["2**21+1", "10**9", "10**12", "2**53-1", "2**53"])
