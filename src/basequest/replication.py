@@ -14,19 +14,21 @@ form. numpy is imported only where an array is built (a state's
 amplitudes) or drawn from (run_scenario), so importing this module, or
 running the physics short of those, loads no numpy.
 
-The swing between the post-query state and its amplified image is modeled
-two ways, differing only in the far endpoint of a great-circle arc:
+The swing turns the post-query state on a great circle to its far end,
+the base reflection (twice the mean, minus itself) of its (target,
+shared) pairs. Written mu*(1, 1) + delta*((dim - 1)/dim, -1/dim), a pair
+keeps mu and negates delta under it. The two readings pick the pairs:
 
-* "joint" applies the amplification reflection to the base register of the
-  full entangled state. Its endpoint stays entangled (the reflection is
-  local to the base factor), so this reading feeds the reported
-  entanglement-entropy series.
+* "joint" reflects both quanta sectors of the full entangled state. Its
+  endpoint stays entangled (the reflection is local to the base factor),
+  so this reading feeds the reported entanglement-entropy series.
 * "conditional" lets the base register follow the plain one-query search
   arc and keeps the quanta label slaved to whether the base is the target
-  (a linear isometric lift of the base arc). At dim 4 its endpoint is
+  (a linear isometric lift of the base pair). At dim 4 its endpoint is
   exactly the fully emitted target state, which is what the emission
   statistics assume. From the kicked start its emitted amplitude is the
-  search rotation stopped part-way, which run_scenario takes in closed form.
+  search rotation stopped part-way, which run_scenario takes in closed form;
+  at dim 2, where the ends are antipodal, the arc turns the same way.
 
 Relaxation toward the uniform no-emission state is an exponential mix with
 rate 2/relaxation_time applied to the pure swing state. Each input is
@@ -35,7 +37,6 @@ checked once, where a caller passes it (see JointState and DensityMatrix).
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import warnings
@@ -72,11 +73,6 @@ if TYPE_CHECKING:
 
 # Norm drift allowed in a caller's state (JointState).
 NORM_ATOL = 1e-12
-
-# Arc angles this close to pi fall back to a pure-phase path: the slerp
-# divides by sin(angle), so a pair antiparallel up to rounding would cancel
-# to a zero vector.
-DEGENERATE_SIN = 1e-6
 
 # Each timescale must exceed the faster one by at least this factor for
 # the scenario separation of scales to hold.
@@ -256,15 +252,12 @@ def base_amplification(state: JointState) -> JointState:
     change entanglement across the base/quanta cut.
     """
     _check_state(state, "state")
-    dim, (a0, a2, b0, b2) = state.dim, state._coefficients
-    mean0, mean2 = (a0 + (dim - 1) * b0) / dim, (a2 + (dim - 1) * b2) / dim
-    return JointState._of(dim, state._target, (2.0 * mean0 - a0, 2.0 * mean2 - a2,
-                                               2.0 * mean0 - b0, 2.0 * mean2 - b2))
+    return swing_endpoint(state, state._target, "joint")
 
 
 def _lifted(state: JointState, target: int) -> tuple[complex, complex]:
-    """(a2, b0) of a conditionally lifted state (see swing_endpoint) marked
-    at target; rejects states not in lifted form."""
+    """(a2, b0) of a conditionally lifted state marked at target: the target
+    amplitude in quanta 2, the rest in quanta 0; rejects any other form."""
     a0, a2, b0, b2 = _marked(state, target)._coefficients
     stray = max(abs(a0), abs(b2))
     if stray > 1e-12:
@@ -282,22 +275,38 @@ def _conditional_base(state: JointState, target: int) -> np.ndarray:
     return JointState._of(state.dim, target, (a2, 0.0, b0, 0.0)).amplitudes[:, 0]
 
 
-def swing_endpoint(state0: JointState, target: int,
-                   trajectory: str = "conditional") -> JointState:
-    """Far turning point of the amplification swing from state0."""
+def _swing_pairs(state0: JointState, target: int, trajectory: str):
+    """(dim, target, pairs, means): the (target, shared) pairs of state0 that
+    the swing reflects, marked at target, and their means. Under "joint" they
+    are both quanta sectors at state0's own target, under "conditional" the
+    lifted base pair."""
     _check_state(state0, "state0")
     if trajectory not in TRAJECTORIES:
         raise InvalidParameterError(
             f"trajectory must be one of {TRAJECTORIES}, got {trajectory!r}")
     target = check_target(target, state0.dim)
     if trajectory == "joint":
-        return base_amplification(state0)
-    # the amplified base state, its quanta label slaved to the base: the
-    # target amplitude rides in the quanta-2 sector, the rest in quanta 0
-    on_target, rest = _lifted(state0, target)
-    mean = (on_target + (state0.dim - 1) * rest) / state0.dim
-    return JointState._of(state0.dim, target,
-                          (0.0, 2.0 * mean - on_target, 2.0 * mean - rest, 0.0))
+        a0, a2, b0, b2 = state0._coefficients
+        target, pairs = state0._target, ((a0, b0), (a2, b2))
+    else:
+        pairs = (_lifted(state0, target),)
+    dim = state0.dim
+    return dim, target, pairs, [(a + (dim - 1) * b) / dim for a, b in pairs]
+
+
+def _of_pairs(dim: int, target: int, pairs) -> JointState:
+    """The state of pairs laid out as _swing_pairs took them (see _lifted)."""
+    (a0, b0), (a2, b2) = (pairs if len(pairs) == 2
+                          else ((0.0, pairs[0][1]), (pairs[0][0], 0.0)))
+    return JointState._of(dim, target, (a0, a2, b0, b2))
+
+
+def swing_endpoint(state0: JointState, target: int,
+                   trajectory: str = "conditional") -> JointState:
+    """Far turning point of the amplification swing from state0."""
+    dim, target, pairs, means = _swing_pairs(state0, target, trajectory)
+    return _of_pairs(dim, target, [(2.0 * mean - a, 2.0 * mean - b)
+                                   for (a, b), mean in zip(pairs, means)])
 
 
 def _check_swing_time(t: float, oscillation_time: float, name: str = "time",
@@ -318,44 +327,35 @@ def _check_swing_time(t: float, oscillation_time: float, name: str = "time",
     return time, osc
 
 
-def _arc_angle(apart: float, together: float) -> float:
-    """Great-circle angle between unit vectors x0 and x1 from |x1 - x0| and
-    |x1 + x0|: its cosine is the real part of their overlap, which keeps the
-    interpolant normalized, and unlike acos of that it stays accurate at
-    the 4/sqrt(dim) a swing spans at large dim. Nearly antiparallel pairs
-    get exactly pi, where _arc_point takes the pure-phase path."""
-    angle = 2.0 * math.atan2(apart, together)
-    return math.pi if math.pi - angle < DEGENERATE_SIN else angle
-
-
-def _arc_point(angle: float, x0, x1, fraction: float):
-    """The point at fraction of the great-circle arc of the given angle from
-    x0 to x1, numbers or arrays alike; pure phase at angle 0 or pi."""
-    if angle == 0.0 or angle == math.pi:
-        return cmath.exp(1j * angle * fraction) * x0
-    return ((math.sin((1.0 - fraction) * angle) * x0
-             + math.sin(fraction * angle) * x1) * (1.0 / math.sin(angle)))
-
-
-def _swing_arc(state0: JointState, target: int, trajectory: str = "conditional"):
-    """The swing from state0 as (angle, start, far turning point), the two
-    states marked at one target."""
-    end = swing_endpoint(state0, target, trajectory)
-    start = _marked(state0, end._target)
-    apart, together = (math.sqrt(_total(end.dim, (
-        abs(x1 + sign * x0) ** 2 for x0, x1 in
-        zip(start._coefficients, end._coefficients)))) for sign in (-1.0, 1.0))
-    return _arc_angle(apart, together), start, end
+def _swing_arc(state0: JointState, target: int, trajectory: str):
+    """The swing from state0 as (dim, target, h, terms). Over its pairs, mu
+    weighs u = sqrt(dim)*|mu| and delta v = sqrt((dim - 1)/dim)*|delta|; the
+    slerp point at angle g, from h = atan2(v, u) to -h, holds mu*cos(g)*n/u
+    + delta*sin(g)*n/v, n = hypot(u, v). terms holds each pair's coefficients
+    of cos(g) and sin(g), taken on unit directions, as n/u overflows at a
+    subnormal u. Antipodal ends (u = 0) take mu = -delta/dim, the search
+    rotation's way through the uniform state; a fixed point (v = 0) stays put."""
+    dim, target, pairs, means = _swing_pairs(state0, target, trajectory)
+    gaps = [a - b for a, b in pairs]
+    mu, delta = math.hypot(*map(abs, means)), math.hypot(*map(abs, gaps))
+    root = math.sqrt((dim - 1) / dim)
+    u, v = math.sqrt(dim) * mu, root * delta
+    n, h = math.hypot(u, v), math.atan2(v, u)
+    if not mu:
+        means, mu = [-gap / dim for gap in gaps], delta / dim
+    along, across = n / math.sqrt(dim), n * root
+    return dim, target, h, [
+        (mean / mu * along, unit * across, -unit * across / (dim - 1))
+        for mean, unit in zip(means, (gap / delta if delta else 0.0 for gap in gaps))]
 
 
 def _arc_state(arc, oscillation_time: float, t: float) -> JointState:
-    """Pure swing state at time t on an arc from _swing_arc. Unchecked:
-    callers pass a valid swing time."""
-    angle, start, end = arc
-    f = (1.0 - math.cos(math.pi * t / oscillation_time)) / 2.0
-    return JointState._of(start.dim, start._target, tuple(
-        _arc_point(angle, x0, x1, f)
-        for x0, x1 in zip(start._coefficients, end._coefficients)))
+    """Pure swing state at time t on an arc from _swing_arc, at g =
+    h*cos(pi*t/oscillation_time). Unchecked: t is a valid swing time."""
+    dim, target, h, terms = arc
+    g = h * math.cos(math.pi * t / oscillation_time)
+    c, s = math.cos(g), math.sin(g)
+    return _of_pairs(dim, target, [(c * m + s * x, c * m + s * y) for m, x, y in terms])
 
 
 def undamped_state(state0: JointState, target: int, oscillation_time: float,
@@ -434,17 +434,17 @@ def entanglement_entropy(state: JointState) -> float:
     The quanta reduction G = a* a^T + (dim - 1) b* b^T (a, b the target and
     shared rows) has the base reduction's nonzero spectrum; its eigenvalues
     come from tr G and det G = (dim - 1) |a0 b2 - a2 b0|**2, the small one
-    as 2 det/(tr + sqrt(tr**2 - 4 det)), and are taken as fractions of tr G.
-    A product state's lone eigenvalue is then exactly 1, and the sum -0.0,
-    which the clamp at +0.0 turns to +0.0.
+    as 2 det/(tr + sqrt(tr**2 - 4 det)), taken as fractions lam and 1 - lam
+    of tr G, the second's term by log1p(-lam). A lam at most 2**-80, far
+    below any 1/dim, is a product state's roundoff: its entropy is +0.0.
     """
     _check_state(state, "state")
     a0, a2, b0, b2 = state._coefficients
     trace = _total(state.dim, (abs(x) ** 2 for x in state._coefficients))
     det = (state.dim - 1) * abs(a0 * b2 - a2 * b0) ** 2
-    low = 2.0 * det / (trace + math.sqrt(max(0.0, trace * trace - 4.0 * det))) / trace
-    lam = [x for x in (1.0 - low, low) if x > 1e-15]
-    return max(0.0, -sum(x * math.log2(x) for x in lam))
+    lam = 2.0 * det / (trace + math.sqrt(max(0.0, trace * trace - 4.0 * det))) / trace
+    return (-(lam * math.log2(lam) + (1.0 - lam) * math.log1p(-lam) / math.log(2.0))
+            if lam > 2.0 ** -80 else 0.0)
 
 
 def _success_at(dim: int, t: float, osc: float, rate: float) -> float:

@@ -10,7 +10,9 @@ in the retry loop the sampler ran before it drew counts from their law.
 emission_success is the scenario's emission success in closed form, and
 quad_period_mean integrates it with scipy's quad, to check the package's
 Bessel-Laplace series for its period mean; decimal_emission_success
-evaluates it to 40 digits.
+evaluates it to 40 digits, and decimal_joint_emission the joint swing's
+emitted weight by a 40-digit slerp. dense_search_swing builds the
+conditional swing state by the search rotation.
 Three routes keep former package code as references: eager_plane_state
 builds a search state's array eagerly, to pin the lazily built states to
 its bits; split_orbit_success steps the split-operator series on the plane
@@ -353,11 +355,6 @@ def dense_entangling_matrix(dim: int, target: int) -> np.ndarray:
     return mat
 
 
-def random_joint_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    amps = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
-    return amps / np.linalg.norm(amps)
-
-
 def random_subspace_state(dim: int, target: int, rng: np.random.Generator):
     """A package JointState with random coefficients: a random target row
     and a random row shared by the other bases, normalized."""
@@ -448,6 +445,24 @@ def dense_undamped_state(dim: int, target: int, oscillation_time: float,
     return great_circle_point(start.ravel(), end.ravel(), fraction).reshape(dim, 2)
 
 
+def dense_search_swing(dim: int, target: int, oscillation_time: float,
+                       t: float) -> np.ndarray:
+    """The conditional swing state from the kicked start at time t as a
+    (dim, 2) array, by the search rotation rather than a slerp: the kicked
+    base, -sin(theta) on the target and cos(theta)/sqrt(dim - 1) on each
+    other base, turned by 4 f theta in the target/rest plane, f the arc
+    fraction, its target amplitude lifted to quanta sector 2. At dim 2,
+    where the swing's ends are antipodal, it fixes the arc the slerp leaves
+    open."""
+    theta = math.asin(1.0 / math.sqrt(dim))
+    fraction = (1.0 - math.cos(math.pi * t / oscillation_time)) / 2.0
+    angle = (4.0 * fraction - 1.0) * theta
+    amps = np.zeros((dim, 2), dtype=np.complex128)
+    amps[:, 0] = math.cos(angle) / math.sqrt(dim - 1)
+    amps[target] = (0.0, math.sin(angle))
+    return amps
+
+
 def svd_entropy(amps: np.ndarray) -> float:
     """Entropy (bits) of the reduced registers of a (dim, 2) array, from
     its singular values."""
@@ -474,11 +489,12 @@ def vector_emission_probability(state0, params, t: float,
                                 trajectory: str = "conditional") -> float:
     """Damped emission success at time t, read off the full swing state.
 
-    It is damped_oscillation's emitted weight at every dim, and
-    run_scenario's success chance at dim >= 3 only. At dim 2 the swing's
-    ends are antipodal and the great circle is the pure-phase path, on
-    which p stays exp(-2t/tau)/2, while run_scenario follows the search
-    rotation (0 at t = T/3 and 1 at 2T/3, undamped).
+    It is the package's at dim >= 3, where the great circle through the
+    swing's ends is unique. At dim 2 the conditional swing's ends are
+    antipodal, and great_circle_point takes the pure-phase path, on which p
+    stays exp(-2t/tau)/2, while damped_oscillation and run_scenario turn
+    through the uniform state as the search rotation does (p is 0 at t = T/3
+    and 1 at 2T/3, undamped).
     """
     end = swing_endpoint(state0, params.target, trajectory)
     fraction = (1.0 - math.cos(math.pi * t / params.oscillation_time)) / 2.0
@@ -499,15 +515,15 @@ def vector_scenario_draws(params) -> tuple[list[float], list[int]]:
     its attempt count.
 
     Its domain is dim >= 3, where the great circle through the swing's ends
-    is the search rotation run_scenario follows; at dim 2 it raises
+    is the search rotation the package follows; at dim 2 it raises
     ValueError, as vector_emission_probability gives the pure-phase path
-    there.
+    there, where the package turns through the uniform state.
     """
     if params.dim == 2:
         raise ValueError(
             "vector_scenario_draws models run_scenario at dim >= 3 only: at "
-            "dim 2 the swing's ends are antipodal, and the great-circle state "
-            "keeps p at exp(-2t/tau)/2, while run_scenario follows the "
+            "dim 2 the swing's ends are antipodal, and the pure-phase path "
+            "keeps p at exp(-2t/tau)/2, while the package follows the "
             "search rotation")
     state0 = entangling_oracle(relaxed_start(params.dim), params.target)
     rng = np.random.Generator(np.random.PCG64(params.seed))
@@ -575,6 +591,41 @@ def decimal_emission_success(dim: int, t: float, oscillation_time: float,
         damping = (Decimal(1) if relaxation_time == math.inf
                    else (-2 * Decimal(t) / Decimal(relaxation_time)).exp())
         return float(damping * sin * sin)
+
+
+def decimal_joint_emission(dim: int, t: float, oscillation_time: float,
+                           relaxation_time: float) -> float:
+    """The target's quanta-2 weight at time t on the joint swing from the
+    kicked start, to 40 digits and rounded once: a slerp from the start x0
+    to its base reflection x1 at the float arc fraction f = (1 - c)/2, c =
+    cos(pi t/oscillation_time), with the angle 2*atan2(|x1 - x0|, |x1 + x0|)
+    solved by Newton's method, times exp(-2t/relaxation_time)."""
+    cos = math.cos(math.pi * t / oscillation_time)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        root = 1 / Decimal(dim).sqrt()
+        start = (Decimal(0), -root, root, Decimal(0))  # (a0, a2, b0, b2)
+        means = [(start[k] + (dim - 1) * start[k + 2]) / dim for k in (0, 1)]
+        end = (2 * means[0] - start[0], 2 * means[1] - start[1],
+               2 * means[0] - start[2], 2 * means[1] - start[3])
+
+        def norm(sign):
+            terms = [(y + sign * x) ** 2 for x, y in zip(start, end)]
+            return (terms[0] + terms[1] + (dim - 1) * (terms[2] + terms[3])).sqrt()
+
+        apart, together = norm(-1), norm(1)
+        half = Decimal(math.atan2(float(apart), float(together)))
+        for _ in range(4):  # sin(half)*together = cos(half)*apart
+            sin, cos_half = _decimal_sin_cos(half)
+            half -= ((sin * together - cos_half * apart)
+                     / (cos_half * together + sin * apart))
+        angle, fraction = 2 * half, (1 - Decimal(cos)) / 2
+        weights = [_decimal_sin_cos(x * angle)[0] for x in (1 - fraction, fraction)]
+        amplitude = ((weights[0] * start[1] + weights[1] * end[1])
+                     / _decimal_sin_cos(angle)[0])
+        damping = (Decimal(1) if relaxation_time == math.inf
+                   else (-2 * Decimal(t) / Decimal(relaxation_time)).exp())
+        return float(damping * amplitude * amplitude)
 
 
 def quad_period_mean(params) -> float:

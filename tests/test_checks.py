@@ -77,7 +77,7 @@ INTEGER_PARAMETERS = [
     ("ScenarioParams.target", lambda v: scenario(target=v), "target"),
     ("ScenarioParams.samples", lambda v: scenario(samples=v), "samples"),
     ("ScenarioParams.seed", lambda v: scenario(seed=v), "seed"),
-    ("relaxed_start.dim", lambda v: bq.relaxed_start(v), "dim"),
+    ("relaxed_start.dim", lambda v: bq.relaxed_start(v), "dimension"),
     ("entangling_oracle.target",
      lambda v: bq.entangling_oracle(bq.relaxed_start(4), v), "target"),
     ("swing_endpoint.target", lambda v: bq.swing_endpoint(kicked(), v), "target"),
@@ -255,7 +255,7 @@ def cases(parameters, values):
     + cases(ENUM_PARAMETERS, ["maybe", None, 1])
     + cases(STATE_PARAMETERS, ["x", None, [0.5] * 4]))
 def test_bad_value_is_named(call, value, name):
-    with pytest.raises(bq.SimulationError, match=name):
+    with pytest.raises(bq.SimulationError, match=re.escape(name) + " must be"):
         call(value)
 
 

@@ -917,8 +917,8 @@ PINNED = [
       "6968adc4a926f72ac0526e43bc0c8cb2dd8cafdda2e686ea0f28d5cce68e1953")),
     (["scenario", "--n", "8", "--target", "3", "--emission", "uniform",
       "--samples", "20", "--seed", "2"],
-     ("d7a8d45309987b41155a947a35424b190e24ee3a8b4469973c7be4a082e7f92a",
-      "1e544358e8cdb4c02f072ebf88e9a83f74bf226c090138b67373d06d0a376dbb")),
+     ("973292540727f8d33f39d8f4aa13995b47948e9be0e09a22ab71a8594604d084",
+      "2a31edbd9c9373209f8683a622d3c17adec4ae9103d63fd539e31bd0cd1a04e3")),
     (["hamiltonian", "--n", "64", "--target", "9", "--dt", "0.05"],
      ("aac3339622526e0ae8db3459993e5c7660b7dd0426cefe112d52f3e474c343cb",
       "3cc7de5b0c3e8722362c8f4f280c0204f4ffed14de6d215a930dc1a22bb29316")),
