@@ -20,9 +20,9 @@ _SOURCES = {
               "run_grover run_grover_with_phases solve_database_size "
               "success_series",
     "replication": "DensityMatrix EmissionPolicy HierarchyWarning JointState "
-                   "ScenarioParams ScenarioReport base_amplification "
-                   "damped_oscillation entangling_oracle entanglement_entropy "
-                   "relaxed_start run_scenario swing_endpoint undamped_state",
+                   "ScenarioParams ScenarioReport damped_oscillation "
+                   "entangling_oracle entanglement_entropy relaxed_start "
+                   "run_scenario swing_endpoint undamped_state",
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items()
               for name in names.split()}

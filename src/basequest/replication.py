@@ -17,7 +17,11 @@ running the physics short of those, loads no numpy.
 The swing turns the post-query state on a great circle to its far end,
 the base reflection (twice the mean, minus itself) of its (target,
 shared) pairs. Written mu*(1, 1) + delta*((dim - 1)/dim, -1/dim), a pair
-keeps mu and negates delta under it. The two readings pick the pairs:
+keeps mu and negates delta under it. Every swing is about the base its
+target marks, by the rule entangling_oracle and DensityMatrix use: a
+state at dim 2, or uniform over the bases other than its own target, is
+relabelled there, and any other target raises InvalidTargetError. The
+two readings pick the pairs:
 
 * "joint" reflects both quanta sectors of the full entangled state. Its
   endpoint stays entangled (the reflection is local to the base factor),
@@ -244,21 +248,10 @@ def entangling_oracle(state: JointState, target: int) -> JointState:
     return JointState._of(state.dim, target, (-a2, -a0, b0, b2))
 
 
-def base_amplification(state: JointState) -> JointState:
-    """Negated reflection about uniform, applied to the base register only.
-
-    Each quanta sector maps to twice its mean, (target entry + (dim - 1) *
-    shared entry)/dim, minus itself. Local to the base factor, so it cannot
-    change entanglement across the base/quanta cut.
-    """
-    _check_state(state, "state")
-    return swing_endpoint(state, state._target, "joint")
-
-
-def _lifted(state: JointState, target: int) -> tuple[complex, complex]:
-    """(a2, b0) of a conditionally lifted state marked at target: the target
+def _lifted(coefficients: tuple) -> tuple[complex, complex]:
+    """(a2, b0) of a conditionally lifted state's coefficients: the target
     amplitude in quanta 2, the rest in quanta 0; rejects any other form."""
-    a0, a2, b0, b2 = _marked(state, target)._coefficients
+    a0, a2, b0, b2 = coefficients
     stray = max(abs(a0), abs(b2))
     if stray > 1e-12:
         raise InvalidParameterError(
@@ -271,25 +264,23 @@ def _conditional_base(state: JointState, target: int) -> np.ndarray:
     """The base-register state of a conditionally lifted state, as a (dim,)
     array: the quanta-0 column once the target's amplitude is moved there;
     rejects states not in lifted form."""
-    a2, b0 = _lifted(state, target)
+    a2, b0 = _lifted(_marked(state, target)._coefficients)
     return JointState._of(state.dim, target, (a2, 0.0, b0, 0.0)).amplitudes[:, 0]
 
 
 def _swing_pairs(state0: JointState, target: int, trajectory: str):
-    """(dim, target, pairs, means): the (target, shared) pairs of state0 that
-    the swing reflects, marked at target, and their means. Under "joint" they
-    are both quanta sectors at state0's own target, under "conditional" the
+    """(dim, target, pairs, means): the (target, shared) pairs of state0
+    marked at target (see _marked) that the swing reflects, and their means.
+    Under "joint" they are both quanta sectors, under "conditional" the
     lifted base pair."""
     _check_state(state0, "state0")
     if trajectory not in TRAJECTORIES:
         raise InvalidParameterError(
             f"trajectory must be one of {TRAJECTORIES}, got {trajectory!r}")
     target = check_target(target, state0.dim)
-    if trajectory == "joint":
-        a0, a2, b0, b2 = state0._coefficients
-        target, pairs = state0._target, ((a0, b0), (a2, b2))
-    else:
-        pairs = (_lifted(state0, target),)
+    coefficients = _marked(state0, target)._coefficients
+    a0, a2, b0, b2 = coefficients
+    pairs = ((a0, b0), (a2, b2)) if trajectory == "joint" else (_lifted(coefficients),)
     dim = state0.dim
     return dim, target, pairs, [(a + (dim - 1) * b) / dim for a, b in pairs]
 

@@ -11,9 +11,11 @@ and src/basequest/grover.py), writes one mutant of the copy that flips it
 (< and <=, > and >=, == and !=; one operator of a chain at a time). The
 source is patched at the operator itself, so comments and layout stay.
 Each mutant runs the tier-1 suite with -x in the copy; a mutant the suite
-passes survives. The unmutated copy must pass first. Every survivor has
-to be killed by a test at the bound and one ulp or one integer beyond it,
-shown equivalent, or deleted as dead code.
+passes survives. The unmutated copy must pass first; its run is timed, the
+time is printed, and a mutant's run is stopped as a timeout after
+TIMEOUT_FACTOR times it. Every survivor has to be killed by a test at the
+bound and one ulp or one integer beyond it, shown equivalent, or deleted as
+dead code.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,7 +38,8 @@ FLIPS = {ast.Lt: (b"<", b"<="), ast.LtE: (b"<=", b"<"),
 # a one-character token not followed by "=" (nor part of a shift)
 TOKENS = {b"<": rb"(?<![<>=!])<(?![<=])", b">": rb"(?<![<>=!-])>(?![>=])",
           b"<=": rb"<=", b">=": rb">=", b"==": rb"==", b"!=": rb"!="}
-TIMEOUT_S = 900
+# a mutant's run may take this many times the unmutated run
+TIMEOUT_FACTOR = 4
 
 
 def sites(source: bytes) -> list[tuple[int, int, bytes, bytes, int]]:
@@ -68,16 +72,16 @@ def sites(source: bytes) -> list[tuple[int, int, bytes, bytes, int]]:
     return sorted(found_sites)
 
 
-def run_suite(copy: Path) -> tuple[str, str]:
+def run_suite(copy: Path, timeout: float | None = None) -> tuple[str, str]:
     """("passed", "failed" or "timeout", first failure line) of tier-1 with
-    -x in copy."""
+    -x in copy, stopped after timeout seconds if given."""
     try:
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
              "--continue-on-collection-errors"],
             cwd=copy, env=dict(os.environ, PYTHONPATH=str(copy / "src"),
                                PYTHONDONTWRITEBYTECODE="1"),
-            capture_output=True, text=True, timeout=TIMEOUT_S)
+            capture_output=True, text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return "timeout", ""
     failed = [line for line in done.stdout.splitlines()
@@ -95,10 +99,15 @@ def main(argv: list[str]) -> int:
     files = argv[1:] or FILES
     shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
         ".git", "__pycache__", ".hypothesis", ".pytest_cache", "results"))
+    started = time.monotonic()
     outcome, detail = run_suite(copy)
+    elapsed = time.monotonic() - started
     if outcome != "passed":
         print(f"the unmutated copy does not pass: {outcome} {detail}")
         return 1
+    timeout = TIMEOUT_FACTOR * elapsed
+    print(f"the unmutated copy passed in {elapsed:.1f} s; each mutant's run "
+          f"times out after {timeout:.1f} s", flush=True)
     survivors = 0
     for name in files:
         path = copy / name
@@ -106,7 +115,7 @@ def main(argv: list[str]) -> int:
         for start, end, old, new, line in sites(source):
             path.write_bytes(source[:start] + new + source[end:])
             try:
-                outcome, detail = run_suite(copy)
+                outcome, detail = run_suite(copy, timeout)
             finally:
                 path.write_bytes(source)
             survivors += outcome == "passed"

@@ -131,7 +131,8 @@ ENUM_PARAMETERS = [
 # joint states: a JointState
 STATE_PARAMETERS = [
     ("entangling_oracle.state", lambda v: bq.entangling_oracle(v, 1), "state"),
-    ("base_amplification.state", lambda v: bq.base_amplification(v), "state"),
+    ("swing_endpoint.joint.state0", lambda v: bq.swing_endpoint(v, 1, "joint"),
+     "state0"),
     ("swing_endpoint.state0", lambda v: bq.swing_endpoint(v, 1), "state0"),
     ("undamped_state.state0", lambda v: bq.undamped_state(v, 1, 1.0, 0.5), "state0"),
     ("damped_oscillation.state0",

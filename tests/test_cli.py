@@ -47,7 +47,7 @@ EXPORTS = {
                "run_grover_with_phases", "solve_database_size", "success_series"],
     "replication": ["DensityMatrix", "EmissionPolicy", "HierarchyWarning",
                     "JointState", "ScenarioParams", "ScenarioReport",
-                    "base_amplification", "damped_oscillation", "entangling_oracle",
+                    "damped_oscillation", "entangling_oracle",
                     "entanglement_entropy", "relaxed_start", "run_scenario",
                     "swing_endpoint", "undamped_state"],
 }
@@ -215,6 +215,11 @@ class TestTable:
 
     def test_rejects_qmax_above_series_bound(self):
         assert invoke(["table", "--qmax", "1000001"]).exit_code == 2
+
+    def test_accepts_qmax_at_series_bound(self):
+        # the rows are lazy, so only the first is computed
+        _, rows = cli._table(argparse.Namespace(qmax=10 ** 6))
+        assert next(rows) == ("row", 0, 1.0, 1, 1.0, None)
 
     def test_rejects_abbreviated_flag(self):
         assert invoke(["table", "--qm", "3"]).exit_code == 2

@@ -174,7 +174,7 @@ class TestStateConstruction:
         lambda: bq.swing_endpoint(bq.entangling_oracle(bq.relaxed_start(4), 1), 1),
         lambda: bq.swing_endpoint(bq.entangling_oracle(bq.relaxed_start(4), 1), 1,
                                   "joint"),
-        lambda: bq.base_amplification(bq.relaxed_start(4)),
+        lambda: bq.swing_endpoint(bq.relaxed_start(4), 0, "joint"),
         lambda: bq.run_grover(4, 1, 1)[0],
         lambda: bq.run_grover_with_phases(4, 1, 1, np.ones(4))[0],
         lambda: DenseJointState(np.full((2, 2), 0.5)),
@@ -191,26 +191,26 @@ class TestStateConstruction:
 
 class TestDiffusion:
     """The amplification reflection as the package keeps it:
-    base_amplification, the negated reflection about the uniform state,
-    applied to each quanta sector of a joint state."""
+    the joint swing's far end, the negated reflection about the uniform
+    state applied to each quanta sector of a joint state."""
 
     def test_reference_maps_to_minus_itself(self):
         # so the negated reflection keeps the uniform state
         state = bq.relaxed_start(6)
-        out = bq.base_amplification(state)
+        out = bq.swing_endpoint(state, 0, "joint")
         assert np.max(np.abs(out.amplitudes - state.amplitudes)) <= 1e-12
 
     def test_orthogonal_state_fixed(self):
         # so the negated reflection flips its sign
         r = 1.0 / math.sqrt(2)
         state = JointState(2, 0, (0.0, r, 0.0, -r))
-        out = bq.base_amplification(state)
+        out = bq.swing_endpoint(state, 0, "joint")
         assert np.max(np.abs(out.amplitudes + state.amplitudes)) <= 1e-12
 
     def test_reflection_about_average(self):
         # each sector maps to twice its mean minus itself
         h = 0.5 / math.sqrt(2)
-        out = bq.base_amplification(JointState(4, 2, (-h, -h, h, h)))
+        out = bq.swing_endpoint(JointState(4, 2, (-h, -h, h, h)), 2, "joint")
         want = np.array([0.0, 0.0, 1.0, 0.0]) / math.sqrt(2)
         assert np.max(np.abs(out.amplitudes - want[:, None])) <= 1e-12
 
@@ -218,9 +218,9 @@ class TestDiffusion:
     @settings(max_examples=30, deadline=None)
     def test_involution_and_norm(self, dim, seed):
         state = random_subspace_state(dim, seed % dim, np.random.default_rng(seed))
-        once = bq.base_amplification(state)
+        once = bq.swing_endpoint(state, seed % dim, "joint")
         assert abs(np.linalg.norm(once.amplitudes) - 1.0) <= 1e-12
-        twice = bq.base_amplification(once)
+        twice = bq.swing_endpoint(once, seed % dim, "joint")
         assert np.max(np.abs(twice.amplitudes - state.amplitudes)) <= 1e-12
 
     @pytest.mark.parametrize("dim,seed", [(3, 10), (17, 11)])
@@ -230,7 +230,7 @@ class TestDiffusion:
         uniform = np.full(dim, 1.0 / math.sqrt(dim))
         expected = (np.kron(-dense_reflection(uniform), np.eye(2))
                     @ state.amplitudes.ravel())
-        got = bq.base_amplification(state).amplitudes.ravel()
+        got = bq.swing_endpoint(state, dim // 2, "joint").amplitudes.ravel()
         assert np.max(np.abs(got - expected)) <= 1e-12
 
 

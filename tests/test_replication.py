@@ -292,7 +292,7 @@ class TestEntropy:
     def test_amplification_cannot_change_entropy(self):
         state = kicked_state(8, 2)
         before = bq.entanglement_entropy(state)
-        after = bq.entanglement_entropy(bq.base_amplification(state))
+        after = bq.entanglement_entropy(bq.swing_endpoint(state, 2, "joint"))
         assert after == pytest.approx(before, abs=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 7, 64, 1024, 10 ** 6, 10 ** 9, 2 ** 40,
@@ -385,6 +385,46 @@ class TestSwingEndpoints:
     def test_rejects_unknown_trajectory(self):
         with pytest.raises(bq.InvalidParameterError):
             bq.swing_endpoint(kicked_state(), 1, "diagonal")
+
+
+# each swing routine as (state0, target, trajectory) -> its result
+SWINGS = {
+    "swing_endpoint": bq.swing_endpoint,
+    "undamped_state": lambda state, target, trajectory: bq.undamped_state(
+        state, target, 1.0, 0.3, trajectory),
+    "damped_oscillation": lambda state, target, trajectory: bq.damped_oscillation(
+        state, default_params(dim=state.dim, target=target), 0.3, trajectory),
+}
+
+
+def held(result) -> tuple:
+    """The marks and numbers a swing's JointState or DensityMatrix holds."""
+    if isinstance(result, bq.DensityMatrix):
+        return (result._weight, held(result._pure), held(result._relaxed))
+    return result._target, result._coefficients
+
+
+class TestSwingTarget:
+    """Every swing is about the base its target marks, under either reading,
+    by the rule entangling_oracle uses."""
+
+    @pytest.mark.parametrize("swing", SWINGS.values(), ids=SWINGS.keys())
+    def test_a_target_that_cannot_mark_the_state_is_refused(self, swing):
+        messages = set()
+        for trajectory in ("conditional", "joint"):
+            with pytest.raises(bq.InvalidTargetError) as refusal:
+                swing(kicked_state(4, 1), 3, trajectory)
+            messages.add(str(refusal.value))
+        assert messages == {"target 3 is not the state's target 1, and the state "
+                            "is not uniform over the other bases"}
+
+    @pytest.mark.parametrize("swing", SWINGS.values(), ids=SWINGS.keys())
+    def test_joint_swing_at_dim_2_relabels_the_state(self, swing):
+        # the other base is the one shared row: marking it swaps the rows
+        state = random_subspace_state(2, 0, np.random.default_rng(3))
+        a, b = state._coefficients[:2], state._coefficients[2:]
+        relabelled = bq.JointState(2, 1, b + a)
+        assert held(swing(state, 1, "joint")) == held(swing(relabelled, 1, "joint"))
 
 
 class TestArcInterpolation:
@@ -1515,7 +1555,7 @@ class TestArcsBuiltOnce:
         from basequest import replication
 
         built = []
-        for name in ("_swing_arc", "swing_endpoint", "base_amplification"):
+        for name in ("_swing_arc", "swing_endpoint"):
             def counted(*args, _name=name, _call=getattr(replication, name)):
                 built.append(_name)
                 return _call(*args)
